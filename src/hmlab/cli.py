@@ -105,7 +105,7 @@ def cmd_verify(args):
     for label, geo in build_members(l, members):
         if args.perturb != 1.0:
             algebra = scale_bracket(geo.algebra, 0, geo.dim - 1, args.perturb)
-            geo = geometry_from_algebra(algebra)
+            geo = geometry_from_algebra(algebra, name=geo.name)
         blocks = [verify_harmonicity(geo, n_directions=args.directions,
                                      seed=args.seed, tol=args.tol),
                   verify_einstein_identities(geo, tol=args.tol),

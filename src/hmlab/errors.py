@@ -73,5 +73,9 @@ class FamilyMismatch(HmlabError):
     """Operation requires family members sharing (l, a+b)."""
 
 
+class ConsistencyFailure(HmlabError):
+    """A computed object fails a structural check it meets by construction."""
+
+
 class FitIllConditioned(HmlabError):
     """Radial coefficient fit has a numerically singular design matrix."""

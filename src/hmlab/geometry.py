@@ -17,6 +17,10 @@ import numpy as np
 from .clifford import build_j_map
 from .errors import NotHType, OrderUnsupported
 
+# Directions per jet contraction block.  From order 2 up each direction of a
+# block holds one n^4 intermediate (two at order 3), ~166 KB each at n = 12.
+JET_BLOCK = 32
+
 
 @dataclass
 class MetricLieAlgebra:
@@ -34,10 +38,11 @@ class MetricLieAlgebra:
 
 @dataclass
 class DirectionalCurvatureJet:
-    """Taylor matrices of the Jacobi operator along the geodesic from ``u``.
+    """Taylor matrices of the Jacobi operator along the geodesics from ``u``.
 
     ``matrices[k]`` is the k-th derivative (not divided by k!) of the
-    operator in a parallel frame at arc length zero.
+    operator in a parallel frame at arc length zero: (n, n) for one
+    direction ``u`` of shape (n,), (m, n, n) for a batch of shape (m, n).
     """
 
     u: np.ndarray
@@ -169,8 +174,8 @@ def covariant_derivative(gamma, tensor):
     rank = tensor.ndim
     out = np.zeros((gamma.shape[0],) + tensor.shape)
     for s in range(rank):
-        t = np.tensordot(gamma, tensor, axes=([2], [s]))
-        out -= np.moveaxis(t, 1, s + 1)
+        # one slot's term at a time, freed before the next is built
+        out -= np.moveaxis(np.tensordot(gamma, tensor, axes=([2], [s])), 1, s + 1)
     return out
 
 
@@ -181,19 +186,30 @@ class Geometry:
     caches the first two full covariant derivatives of curvature.  For
     group geometries these are built from structure constants; the constant
     curvature model prescribes curvature directly with a parallel frame.
+    ``jmap`` is the Clifford data of a Damek-Ricci member and None for any
+    other geometry; ``module_dim`` and ``center_dim`` are read from it.
     """
 
-    def __init__(self, gamma, r, algebra=None, name="geometry"):
+    def __init__(self, gamma, r, algebra=None, name="geometry", jmap=None):
         self.gamma = np.asarray(gamma)
         self.r = np.asarray(r)
         self.algebra = algebra
         self.name = name
+        self.jmap = jmap
         self._s1 = None
         self._s2 = None
 
     @property
     def dim(self):
         return self.r.shape[0]
+
+    @property
+    def module_dim(self):
+        return None if self.jmap is None else self.jmap.total_dim
+
+    @property
+    def center_dim(self):
+        return None if self.jmap is None else self.jmap.center_dim
 
     @property
     def nabla_r(self):
@@ -207,14 +223,11 @@ class Geometry:
             self._s2 = covariant_derivative(self.gamma, self.nabla_r)
         return self._s2
 
-    def jacobi_operator(self, u):
-        return np.einsum('iabj,a,b->ij', self.r, u, u)
 
-
-def geometry_from_algebra(algebra, name="group"):
+def geometry_from_algebra(algebra, name="group", jmap=None):
     gamma = levi_civita(algebra)
     return Geometry(gamma=gamma, r=curvature(gamma, algebra.c),
-                    algebra=algebra, name=name)
+                    algebra=algebra, name=name, jmap=jmap)
 
 
 def constant_curvature_geometry(dim, kappa=1.0, name=None):
@@ -233,43 +246,63 @@ def damek_ricci_geometry(center_dim, pos, neg, name=None):
     algebra = build_damek_ricci(jmap)
     if name is None:
         name = f"DR(l={center_dim}; {pos},{neg})"
-    geo = geometry_from_algebra(algebra, name=name)
-    geo.jmap = jmap
-    geo.module_dim = jmap.total_dim
-    geo.center_dim = center_dim
-    return geo
+    return geometry_from_algebra(algebra, name=name, jmap=jmap)
 
 
 def curvature_jet(geometry, u, order=3):
     """Derivatives of the Jacobi operator along the geodesic from ``u``.
 
-    Returns matrices [R, R', R'', R'''][:order+1] in a parallel frame.  The
-    third derivative is assembled directionally from the second covariant
+    ``u`` is one unit direction of shape (n,) or a batch of shape (m, n).
+    Returns matrices [R, R', R'', R'''][:order+1] in a parallel frame, each
+    of shape (n, n) for one direction and (m, n, n) for a batch.  Directions
+    are contracted ``JET_BLOCK`` at a time with planned einsums; the third
+    derivative is assembled directionally from the second covariant
     derivative so the rank-seven array never materializes.
     """
     if order < 0 or order > 3:
         raise OrderUnsupported(f"jet order {order} outside supported range 0..3")
     u = np.asarray(u, dtype=float)
-    mats = [geometry.jacobi_operator(u)]
+    dirs = u.reshape(-1, u.shape[-1])
+    # an empty batch still runs one (empty) block, so it yields (0, n, n)
+    blocks = [_jet_block(geometry, dirs[s:s + JET_BLOCK], order)
+              for s in range(0, max(len(dirs), 1), JET_BLOCK)]
+    mats = [np.concatenate(parts) for parts in zip(*blocks)]
+    if u.ndim == 1:
+        mats = [m[0] for m in mats]
+    return DirectionalCurvatureJet(u=u, matrices=mats)
+
+
+def _jet_block(geometry, u, order):
+    """Jet matrices, each (m, n, n), for a block of directions ``u`` (m, n).
+
+    Contractions against the curvature tensors are planned (BLAS); the
+    folds over the direction batch have nothing to plan and stay plain.
+    """
+    def fold(t, q):
+        return np.einsum('kiabj,kab->kij', t, q)
+
+    uu = np.einsum('ka,kb->kab', u, u)
+    mats = [np.einsum('iabj,kab->kij', geometry.r, uu, optimize=True)]
     if order >= 1:
-        s1 = geometry.nabla_r
-        mats.append(np.einsum('ciabj,c,a,b->ij', s1, u, u, u))
+        mats.append(np.einsum('ciabj,kc,kab->kij', geometry.nabla_r, u, uu,
+                              optimize=True))
     if order >= 2:
         s2 = geometry.nabla2_r
-        mats.append(np.einsum('cdiabj,c,d,a,b->ij', s2, u, u, u, u))
+        # both derivative slots along u: (m, n^4), the block's largest array.
+        # A plain GEMM; einsum's planner would put s2 first and copy it.
+        u2 = np.tensordot(uu, s2, axes=2)
+        mats.append(fold(u2, uu))
     if order >= 3:
-        s2 = geometry.nabla2_r
-        gamma = geometry.gamma
-        gu = np.einsum('g,gbm->bm', u, gamma)
-        v = np.einsum('a,am->m', u, gu)
-        # u . (third covariant derivative), contracted on the two earlier
-        # derivative slots, without building the rank-7 tensor
-        u2 = np.einsum('cdiabj,c,d->iabj', s2, u, u)
-        t3 = np.zeros_like(u2)
-        for s in range(4):
-            t = np.tensordot(gu, u2, axes=([1], [s]))
-            t3 -= np.moveaxis(t, 0, s)
-        t3 -= np.einsum('m,d,mdiabj->iabj', v, u, s2)
-        t3 -= np.einsum('c,m,cmiabj->iabj', u, v, s2)
-        mats.append(np.einsum('iabj,a,b->ij', t3, u, u))
-    return DirectionalCurvatureJet(u=u, matrices=mats)
+        # u . (third covariant derivative) takes one -gamma_u correction per
+        # slot of the second (gu = gamma_u, v = gamma_u u).  The two
+        # curvature slots fold onto R''; the four direction slots each put
+        # v in one place and u in the other three, which w collects.
+        gu = np.einsum('kg,gbm->kbm', u, geometry.gamma, optimize=True)
+        v = np.einsum('ka,kam->km', u, gu)
+        w = np.einsum('ka,kb->kab', u, v)
+        w += np.swapaxes(w, 1, 2)
+        r2 = mats[2]
+        r3 = gu @ r2 + r2 @ np.swapaxes(gu, 1, 2) + fold(u2, w)
+        r3 += fold(np.tensordot(w, s2, axes=2), uu)
+        mats.append(-r3)
+    return mats

@@ -1,16 +1,22 @@
 """Curvature invariants, direction constants, and sphere averages.
 
 Direction constants C(u), H(u), L(u) are the traces controlling the radial
-density expansion; the point invariants collect the direction-independent
-curvature scalars.  Averages over the unit sphere of direction polynomials
-are computed exactly by pairing contractions (degree at most eight) and,
-independently, by seeded Monte Carlo for the acceptance cross-checks.
+density expansion; they are evaluated for one direction (n,) or a whole
+batch (m, n) through one batched curvature jet.  The point invariants
+collect the direction-independent curvature scalars.  Averages over the
+unit sphere of direction polynomials are computed exactly by pairing
+contractions (degree at most eight): a polynomial is given either as its
+coefficient tensor or as the einsum of curvature factors that would build
+it, and in the factor form each pairing contracts the factors straight to
+a scalar, so no coefficient tensor is built.  Seeded Monte Carlo averages
+cross-check them independently.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import string
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -24,7 +30,11 @@ from .geometry import curvature_jet, ricci
 
 @dataclass
 class DirectionConstants:
-    """Traces of the Jacobi operator and its derivatives along one direction."""
+    """Traces of the Jacobi operator and its derivatives along directions.
+
+    Each trace is a float for one direction ``u`` of shape (n,) and an
+    array of length m for a batch of shape (m, n).
+    """
 
     u: np.ndarray
     c: float          # tr R_u
@@ -35,15 +45,18 @@ class DirectionConstants:
 
 
 def direction_constants(geometry, u):
-    jet = curvature_jet(geometry, u, order=2)
-    r0, r1, r2 = jet.matrices
-    c = float(np.trace(r0))
-    h = float(np.trace(r0 @ r0))
-    l = float(32.0 * np.trace(r0 @ r0 @ r0) - 9.0 * np.trace(r1 @ r1))
-    odd = float(np.trace(r0 @ r1))
-    even = float(np.trace(r0 @ r2) + np.trace(r1 @ r1))
-    return DirectionConstants(u=np.asarray(u, dtype=float), c=c, h=h, l=l,
-                              odd_first=odd, even_second=even)
+    u = np.asarray(u, dtype=float)
+    r0, r1, r2 = curvature_jet(geometry, u, order=2).matrices
+
+    def tr(m):
+        return np.trace(m, axis1=-2, axis2=-1)
+
+    traces = [tr(r0), tr(r0 @ r0),
+              32.0 * tr(r0 @ r0 @ r0) - 9.0 * tr(r1 @ r1),
+              tr(r0 @ r1), tr(r0 @ r2) + tr(r1 @ r1)]
+    if u.ndim == 1:
+        traces = [float(t) for t in traces]
+    return DirectionConstants(u, *traces)
 
 
 # -- point invariants --------------------------------------------------------
@@ -163,15 +176,11 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     """
     rng = np.random.default_rng(seed)
     dirs = random_directions(geometry.dim, n_directions, rng)
+    dc = direction_constants(geometry, dirs)
     names = ("C", "H", "L", "tr(R R')", "tr(R R'') + tr(R' R')")
-    samples = {name: [] for name in names}
-    for u in dirs:
-        dc = direction_constants(geometry, u)
-        for name, value in zip(names, (dc.c, dc.h, dc.l, dc.odd_first, dc.even_second)):
-            samples[name].append(value)
     rows = []
-    for name in names:
-        vals = np.array(samples[name])
+    for name, vals in zip(names, (dc.c, dc.h, dc.l, dc.odd_first,
+                                  dc.even_second)):
         lo, hi = float(vals.min()), float(vals.max())
         spread = hi - lo
         scale = max(abs(lo), abs(hi), 1.0)
@@ -229,75 +238,93 @@ def perfect_matchings(slots):
             yield [pair] + rest_m
 
 
-def sphere_average(tensor):
+def sphere_average(tensor, *factors):
     """Exact average over the unit sphere of T[a1..ad] u_a1 ... u_ad.
 
-    Gaussian pairing: each perfect matching of the slots contributes the
-    corresponding delta-contraction, divided by n(n+2)...(n+2s-2).  Odd
-    degree averages to zero; degree above eight is refused.
+    ``sphere_average(T)`` averages a coefficient tensor.  In the factor
+    form, ``sphere_average('iabj,jcdk,kefi->abcdef', r, r, r)``, T is the
+    einsum of the factors and its output letters are the direction slots;
+    T itself is never built.  Gaussian pairing: each perfect matching of
+    the slots contributes the corresponding delta-contraction, divided by
+    n(n+2)...(n+2s-2).  In the factor form a matching renames the second
+    letter of each pair to the first and contracts the factors to a scalar
+    along a planned path.  Odd degree averages to zero; degree above eight
+    is refused.
     """
-    tensor = np.asarray(tensor)
-    d = tensor.ndim
+    if isinstance(tensor, str):
+        inputs, slots = tensor.split("->")
+    else:
+        factors = (np.asarray(tensor),)
+        slots = inputs = string.ascii_letters[:factors[0].ndim]
+    d = len(slots)
     if d == 0:
-        return float(tensor)
+        return float(np.einsum(inputs + "->", *factors))
     if d % 2 == 1:
         return 0.0
     if d > 8:
         raise DegreeTooHigh(f"sphere average of degree {d} exceeds the pairing table")
-    n = tensor.shape[0]
-    s = d // 2
-    letters = "abcd"
+    sizes = dict(zip(inputs.replace(",", ""),
+                     itertools.chain.from_iterable(np.shape(f) for f in factors)))
+    n = sizes[slots[0]]
     total = 0.0
-    for matching in perfect_matchings(list(range(d))):
-        labels = [""] * d
-        for letter, (i, j) in zip(letters, matching):
-            labels[i] = labels[j] = letter
-        total += float(np.einsum("".join(labels) + "->", tensor))
+    for matching in perfect_matchings(list(slots)):
+        spec = inputs
+        for first, second in matching:
+            spec = spec.replace(second, first)
+        total += float(np.einsum(spec + "->", *factors, optimize=True))
     denom = 1.0
-    for t in range(s):
+    for t in range(d // 2):
         denom *= n + 2 * t
     return total / denom
 
 
-# direction-polynomial coefficient tensors
+# Direction polynomials as einsums of curvature factors; the output letters
+# are the direction slots.  The builders below materialize them; the sphere
+# averages contract the factors directly.
+
+C_SPEC = 'iabi->ab'
+H_SPEC = 'iabj,jcdi->abcd'
+R_CUBE_SPEC = 'iabj,jcdk,kefi->abcdef'
+GRAD_QUAD_SPEC = 'ciabj,diefj->cabdef'
+# beta contracts one bare curvature against two Jacobi operators; the index
+# routing is fixed by requiring the sphere value (n-1)(n-2)
+BETA_SPEC = 'jiqm,qabi,mcdj->abcd'
 
 
 def c_tensor(geometry):
-    return np.einsum('iabi->ab', geometry.r)
+    return np.einsum(C_SPEC, geometry.r)
 
 
 def h_tensor(geometry):
-    return np.einsum('iabj,jcdi->abcd', geometry.r, geometry.r)
+    r = geometry.r
+    return np.einsum(H_SPEC, r, r, optimize=True)
 
 
 def r_cube_tensor(geometry):
     r = geometry.r
-    return np.einsum('iabj,jcdk,kefi->abcdef', r, r, r)
+    return np.einsum(R_CUBE_SPEC, r, r, r, optimize=True)
 
 
 def grad_quad_tensor(geometry):
     """Coefficient tensor of tr(R_u' R_u') as a degree-6 direction polynomial."""
     s1 = geometry.nabla_r
-    return np.einsum('ciabj,diefj->cabdef', s1, s1)
+    return np.einsum(GRAD_QUAD_SPEC, s1, s1, optimize=True)
 
 
 def beta_tensor(geometry):
-    """Coefficient tensor of the mixed cubic trace beta(u).
-
-    beta contracts one bare curvature against two Jacobi operators; the
-    index routing is fixed by requiring the sphere value (n-1)(n-2).
-    """
+    """Coefficient tensor of the mixed cubic trace beta(u)."""
     r = geometry.r
-    return np.einsum('jiqm,qabi,mcdj->abcd', r, r, r)
+    return np.einsum(BETA_SPEC, r, r, r, optimize=True)
 
 
 def verify_average_identities(geometry, tol=1e-7):
     """The two sphere-average identities for the mixed cubic traces."""
     pi = point_invariants(geometry)
     n, c = pi.dim, pi.c
-    avg_beta = sphere_average(beta_tensor(geometry))
-    avg_grad = sphere_average(grad_quad_tensor(geometry))
-    avg_cube = sphere_average(r_cube_tensor(geometry))
+    r, s1 = geometry.r, geometry.nabla_r
+    avg_beta = sphere_average(BETA_SPEC, r, r, r)
+    avg_grad = sphere_average(GRAD_QUAD_SPEC, s1, s1)
+    avg_cube = sphere_average(R_CUBE_SPEC, r, r, r)
     rows = [
         _residual_row("beta-average",
                       n * (n + 2) * avg_beta,

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
                      SymbolAbsent)
 from .exactlinalg import rank, rref, solve
@@ -354,31 +352,21 @@ def _realization_product_average(geometry, pi, ni, nj, const_values):
     raise DegreeTooHigh("degree-12 moment requested")
 
 
-_POLY_AVG_CACHE = {}
-
-
 def _poly_average(geometry, slot):
-    from .invariants import sphere_average, c_tensor, h_tensor
-    key = (id(geometry), slot)
-    if key in _POLY_AVG_CACHE:
-        return _POLY_AVG_CACHE[key]
+    """Sphere average of the degree-6 realization of a constant-block slot."""
+    from .invariants import (GRAD_QUAD_SPEC, R_CUBE_SPEC, c_tensor, h_tensor,
+                             sphere_average)
     if slot == "C3":
-        tens = c_tensor(geometry)
-        prod = np.einsum('ab,cd,ef->abcdef', tens, tens, tens)
-        val = sphere_average(prod)
-    elif slot == "CH":
         c2 = c_tensor(geometry)
-        h4 = h_tensor(geometry)
-        prod = np.einsum('ab,cdef->abcdef', c2, h4)
-        val = sphere_average(prod)
-    elif slot == "L":
-        from .invariants import r_cube_tensor, grad_quad_tensor
-        val = 32.0 * sphere_average(r_cube_tensor(geometry)) \
-            - 9.0 * sphere_average(grad_quad_tensor(geometry))
-    else:
-        raise KeyError(slot)
-    _POLY_AVG_CACHE[key] = val
-    return val
+        return sphere_average('ab,cd,ef->abcdef', c2, c2, c2)
+    if slot == "CH":
+        return sphere_average('ab,cdef->abcdef', c_tensor(geometry),
+                              h_tensor(geometry))
+    if slot == "L":
+        r, s1 = geometry.r, geometry.nabla_r
+        return 32.0 * sphere_average(R_CUBE_SPEC, r, r, r) \
+            - 9.0 * sphere_average(GRAD_QUAD_SPEC, s1, s1)
+    raise KeyError(slot)
 
 
 @dataclass

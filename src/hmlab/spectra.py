@@ -18,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .errors import (ConvergenceFailure, DegenerateBoundary, DegreeTooHigh,
-                     FamilyMismatch, NotComplexStructure, SpectraDiffer,
-                     ZeroLatticeVector)
+from .errors import (ConsistencyFailure, ConvergenceFailure,
+                     DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
+                     NotComplexStructure, SpectraDiffer, ZeroLatticeVector)
 from .polynomials import (CPoly, CRat, adapted_coordinates,
                           harmonic_projection, harmonic_space_dimension,
                           monomials_of_degree, radius_square)
@@ -125,7 +125,8 @@ def build_hnm_basis(j_rows, degree):
     harmonically projected and grouped by the rotation eigenvalue
     m = sum(q_i - p_i); each group is reduced to an exact independent
     basis.  The dimension count across groups must reproduce the closed
-    formula for homogeneous harmonics, which is asserted.
+    formula for homogeneous harmonics; a violation of either raises
+    :class:`ConsistencyFailure`.
     """
     if degree > 6:
         raise DegreeTooHigh("bidegree bases are capped at total degree 6")
@@ -162,11 +163,16 @@ def build_hnm_basis(j_rows, degree):
         for h in basis:
             rot = h.rotation_derivative(j_rows)
             want = h.scale(CRat(Fraction(0), Fraction(-m)))
-            assert (rot - want).is_zero()
+            if not (rot - want).is_zero():
+                raise ConsistencyFailure(
+                    f"basis element of group m={m} is no rotation eigenvector")
         per_m[m] = basis
         dims[m] = len(basis)
     total = sum(dims.values())
-    assert total == harmonic_space_dimension(k, degree)
+    expected = harmonic_space_dimension(k, degree)
+    if total != expected:
+        raise ConsistencyFailure(
+            f"bidegree bases span {total} dimensions, harmonics need {expected}")
     return HnmBasis(nvars=k, degree=degree, per_m=per_m, dims=dims,
                     total_dim=total)
 
@@ -207,7 +213,9 @@ def hnm_multiplicity_oracle(j_rows, degree):
     out = {}
     for ev in eigs:
         m = int(round(ev.real))
-        assert abs(ev.real - m) < 1e-8 and abs(ev.imag) < 1e-8
+        if abs(ev.real - m) >= 1e-8 or abs(ev.imag) >= 1e-8:
+            raise ConsistencyFailure(
+                f"rotation eigenvalue {ev} is not an integer")
         out[m] = out.get(m, 0) + 1
     return out
 
@@ -452,8 +460,13 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
     Every cell pairs identical radial parameters, so equality is by
     construction; the numerical comparison is still carried out and
     reported.  ``mu_scale_b`` deliberately detunes the second member for
-    negative controls.
+    negative controls.  Both members need Clifford data (a ``jmap``); a
+    space form or a perturbed group raises :class:`FamilyMismatch`.
     """
+    for member in (member_a, member_b):
+        if member.jmap is None:
+            raise FamilyMismatch(
+                f"{member.name} carries no J-map, so it is no family member")
     ka, la = member_a.module_dim, member_a.center_dim
     kb, lb = member_b.module_dim, member_b.center_dim
     if (ka, la) != (kb, lb):

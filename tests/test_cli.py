@@ -92,6 +92,22 @@ def test_verify_perturbed_control_trips(tmp_path):
     assert payload["passed"] is False
 
 
+def test_verify_perturbed_members_keep_their_names(tmp_path):
+    rc, text = run_to_dir(
+        ["verify", "--family", "1:1,0;0,1", "--directions", "8",
+         "--perturb", "1.25"],
+        tmp_path, "verify.json")
+    assert rc == 0
+    payload = json.loads(text)
+    assert payload["control_tripped"] is True
+    # every perturbed member trips on its own, not only one of them
+    assert all(m["passed"] is False for m in payload["members"])
+    # each perturbed member keeps its own name in every report block
+    spaces = [{block["space"] for block in member["blocks"]}
+              for member in payload["members"]]
+    assert spaces == [{"DR(l=1; 1,0)"}, {"DR(l=1; 0,1)"}]
+
+
 def test_counterexample_marks_split_by_degree(tmp_path):
     rc, text = run_to_dir(
         ["counterexample", "--family", "3:2,0;1,1", "--tol", "1e-7"],

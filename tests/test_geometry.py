@@ -6,11 +6,12 @@ from numpy.testing import assert_allclose
 
 from hmlab.clifford import build_j_map
 from hmlab.errors import NotHType, OrderUnsupported
-from hmlab.geometry import (build_htype_algebra, clifford_defect,
+from hmlab.geometry import (JET_BLOCK, build_htype_algebra, clifford_defect,
                             constant_curvature_geometry, covariant_derivative,
                             curvature_jet, damek_ricci_geometry,
                             geometry_from_algebra, jacobi_defect, levi_civita,
                             ricci, scale_bracket, sectional)
+from hmlab.invariants import direction_constants, random_directions
 
 
 def test_htype_bracket_encodes_j_transpose():
@@ -128,3 +129,67 @@ def test_covariant_derivative_kills_parallel_metric(hh2):
     gamma = levi_civita(hh2.algebra)
     dg = covariant_derivative(gamma, np.eye(8))
     assert_allclose(dg, 0.0, atol=1e-14)
+
+
+def naive_jet(geometry, u):
+    """Reference jet of one direction, orders 0-3, from unplanned einsums
+    and a slot-by-slot third derivative: the path the batched engine
+    replaced, kept here only to check it."""
+    r, s1, s2, gamma = (geometry.r, geometry.nabla_r, geometry.nabla2_r,
+                        geometry.gamma)
+    mats = [np.einsum('iabj,a,b->ij', r, u, u),
+            np.einsum('ciabj,c,a,b->ij', s1, u, u, u),
+            np.einsum('cdiabj,c,d,a,b->ij', s2, u, u, u, u)]
+    gu = np.einsum('g,gbm->bm', u, gamma)
+    v = np.einsum('a,am->m', u, gu)
+    u2 = np.einsum('cdiabj,c,d->iabj', s2, u, u)
+    t3 = np.zeros_like(u2)
+    for s in range(4):
+        t3 -= np.moveaxis(np.tensordot(gu, u2, axes=([1], [s])), 0, s)
+    t3 -= np.einsum('m,d,mdiabj->iabj', v, u, s2)
+    t3 -= np.einsum('c,m,cmiabj->iabj', u, v, s2)
+    mats.append(np.einsum('iabj,a,b->ij', t3, u, u))
+    return mats
+
+
+@pytest.mark.parametrize("count", [1, JET_BLOCK + 3])
+def test_batched_jet_matches_per_direction_reference(all_spaces, sphere6,
+                                                     count):
+    """One batch, spanning blocks or holding a single direction, gives the
+    per-direction matrices of every order to 1e-12 relative."""
+    rng = np.random.default_rng(count)
+    for geo in list(all_spaces.values()) + [sphere6]:
+        dirs = random_directions(geo.dim, count, rng)
+        jet = curvature_jet(geo, dirs, order=3)
+        assert [m.shape for m in jet.matrices] == [(count, geo.dim, geo.dim)] * 4
+        for k, u in enumerate(dirs):
+            for got, want in zip([m[k] for m in jet.matrices],
+                                 naive_jet(geo, u)):
+                scale = max(float(np.abs(want).max()), 1.0)
+                assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        single = curvature_jet(geo, dirs[0], order=3)
+        for got, batched in zip(single.matrices, jet.matrices):
+            assert_allclose(got, batched[0], rtol=1e-12, atol=1e-12)
+
+
+def test_jet_order_truncates_the_batch(hh2):
+    dirs = random_directions(8, 5, np.random.default_rng(4))
+    full = curvature_jet(hh2, dirs, order=3)
+    for order in range(3):
+        jet = curvature_jet(hh2, dirs, order=order)
+        assert jet.order == order
+        for got, want in zip(jet.matrices, full.matrices):
+            assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+def test_empty_batch_gives_empty_jets_and_constants(hh2):
+    """A batch of no directions yields (0, n, n) matrices and empty
+    traces rather than a jet without orders."""
+    dirs = np.zeros((0, hh2.dim))
+    jet = curvature_jet(hh2, dirs, order=3)
+    assert jet.order == 3
+    assert [m.shape for m in jet.matrices] == [(0, hh2.dim, hh2.dim)] * 4
+    consts = direction_constants(hh2, dirs)
+    for trace in (consts.c, consts.h, consts.l, consts.odd_first,
+                  consts.even_second):
+        assert trace.shape == (0,)

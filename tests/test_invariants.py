@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 from hmlab.errors import DegreeTooHigh
 from hmlab.geometry import geometry_from_algebra, scale_bracket
-from hmlab.invariants import (beta_tensor, direction_constants,
+from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, R_CUBE_SPEC,
+                              beta_tensor, direction_constants,
                               grad_quad_tensor, gradient_adjusted_cubics,
-                              mc_average, point_invariants, r_cube_tensor,
-                              random_directions, sphere_average,
+                              mc_average, perfect_matchings, point_invariants,
+                              r_cube_tensor, random_directions, sphere_average,
                               verify_average_identities,
                               verify_einstein_identities, verify_harmonicity)
 
@@ -109,6 +110,57 @@ def test_sphere_average_odd_degree_is_zero(rng):
 def test_sphere_average_degree_cap():
     with pytest.raises(DegreeTooHigh):
         sphere_average(np.zeros((2,) * 10))
+    c = np.eye(3)
+    with pytest.raises(DegreeTooHigh):
+        sphere_average('ab,cd,ef,gh,ij->abcdefghij', c, c, c, c, c)
+
+
+def reference_sphere_average(tensor):
+    """Pairing sum over a materialized coefficient tensor, the way the
+    averages were taken before the factor form; kept here only to check it."""
+    d = tensor.ndim
+    total = 0.0
+    for matching in perfect_matchings(list(range(d))):
+        labels = [""] * d
+        for letter, (i, j) in zip("abcd", matching):
+            labels[i] = labels[j] = letter
+        total += float(np.einsum("".join(labels) + "->", tensor))
+    denom = 1.0
+    for t in range(d // 2):
+        denom *= tensor.shape[0] + 2 * t
+    return total / denom
+
+
+@pytest.mark.parametrize("key", ["hh3", "ns12"])
+def test_factor_averages_equal_materialized_averages(all_spaces, key):
+    """Contracting the curvature factors under each pairing gives exactly
+    the average of the built coefficient tensor."""
+    geo = all_spaces[key]
+    r, s1 = geo.r, geo.nabla_r
+    for spec, factors, builder in ((BETA_SPEC, (r, r, r), beta_tensor),
+                                   (GRAD_QUAD_SPEC, (s1, s1), grad_quad_tensor),
+                                   (R_CUBE_SPEC, (r, r, r), r_cube_tensor)):
+        tensor = builder(geo)
+        want = reference_sphere_average(tensor)
+        assert sphere_average(tensor) == want, spec
+        assert sphere_average(spec, *factors) == want, spec
+
+
+def test_factor_average_odd_degree_and_scalar(rng):
+    t = rng.standard_normal((4, 4))
+    assert sphere_average('ab,c->abc', t, t[0]) == 0.0
+    assert sphere_average('aa->', t) == pytest.approx(float(np.trace(t)))
+
+
+def test_batched_direction_constants_match_single_directions(ns12, rng):
+    dirs = random_directions(12, 5, rng)
+    batch = direction_constants(ns12, dirs)
+    for k, u in enumerate(dirs):
+        one = direction_constants(ns12, u)
+        for name in ("c", "h", "l", "odd_first", "even_second"):
+            assert isinstance(getattr(one, name), float)
+            assert_allclose(getattr(batch, name)[k], getattr(one, name),
+                            rtol=1e-12, atol=1e-12)
 
 
 def test_sphere_average_matches_montecarlo_for_quadratic(rng):

@@ -8,6 +8,7 @@ import pytest
 from hmlab.errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
                           SymbolAbsent)
 from hmlab.exactlinalg import det, rank
+from hmlab.geometry import constant_curvature_geometry
 from hmlab.invariants import beta_tensor, point_invariants, sphere_average
 from hmlab.radial import radial_density
 from hmlab.sis import (IdentitySpace, IdentityVector, ball_boundary_vector,
@@ -16,7 +17,7 @@ from hmlab.sis import (IdentitySpace, IdentityVector, ball_boundary_vector,
                        extended_generators, gradient_square_vector,
                        lichnerowicz_vector, moment_gram, noise_wave,
                        rank_and_membership, ricci_square_vector,
-                       theta_power_vector)
+                       theta_power_vector, _poly_average)
 
 
 def basis_values(geo):
@@ -215,3 +216,14 @@ def test_moment_gram_constant_block_is_rank_one(ns12):
 def test_moment_gram_single_gradient_vector(ns12):
     gram = moment_gram(ns12, [gradient_square_vector(12)])
     assert gram[0][0] == pytest.approx(576.0 ** 2, rel=1e-9)
+
+
+def test_poly_average_follows_each_geometry():
+    """Space forms of curvature 1 and 2 built in turn reuse freed object
+    ids; every slot average must still be that of its own geometry.  On a
+    space form R_u = kappa (1 - u u^T), so C H = kappa^3 (n-1)^2."""
+    for i in range(50):
+        kappa = 1.0 + i % 2
+        geo = constant_curvature_geometry(6, kappa)
+        assert _poly_average(geo, "CH") == pytest.approx(25.0 * kappa ** 3,
+                                                         rel=1e-12)

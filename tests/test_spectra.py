@@ -8,10 +8,14 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
+from hmlab import spectra
 from hmlab.clifford import build_j_map
-from hmlab.errors import (ConvergenceFailure, DegenerateBoundary, DegreeTooHigh,
-                          FamilyMismatch, NotComplexStructure, SpectraDiffer,
+from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
+                          DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
+                          NotComplexStructure, SpectraDiffer,
                           ZeroLatticeVector)
+from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
+                            scale_bracket)
 from hmlab.polynomials import CRat
 from hmlab.spectra import (RadialOperator, ball_bundle_spectrum,
                            build_hnm_basis, conjugacy_check,
@@ -208,6 +212,27 @@ def test_isospectrality_of_the_pair(hh3, ns12):
         for cell in block["cells"]:
             assert cell["dim_a"] == cell["dim_b"]
             assert cell["agree"]
+
+
+def test_isospectrality_report_needs_clifford_data(ch2):
+    """A space form and a perturbed group carry no J-map, so neither can
+    enter the comparison; the report says so with a typed error."""
+    assert (ch2.module_dim, ch2.center_dim) == (2, 1)
+    perturbed = geometry_from_algebra(scale_bracket(ch2.algebra, 0, 1, 1.25))
+    for other in (constant_curvature_geometry(4), perturbed):
+        assert (other.jmap, other.module_dim, other.center_dim) == \
+            (None, None, None)
+        for pair in ((ch2, other), (other, ch2)):
+            with pytest.raises(FamilyMismatch):
+                isospectrality_report(*pair, [(1,)], degrees=(0,), count=2)
+
+
+def test_hnm_basis_dimension_count_is_checked(hh3, monkeypatch):
+    rows = unit_j_rows(hh3.jmap, (1, 0, 0))
+    monkeypatch.setattr(spectra, "harmonic_space_dimension",
+                        lambda k, degree: -1)
+    with pytest.raises(ConsistencyFailure):
+        build_hnm_basis(rows, 1)
 
 
 def test_isospectrality_negative_control(hh3, ns12):

@@ -99,6 +99,8 @@ def to_json(payload):
 
 
 def cmd_verify(args):
+    if args.directions < 1:
+        raise UsageError(f"--directions must be at least 1, got {args.directions}")
     l, members = parse_family(args.family)
     reports = []
     all_passed = True

@@ -37,6 +37,10 @@ class StepFailure(HmlabError):
     """ODE integration diverged or produced non-finite samples."""
 
 
+class InvalidSampling(HmlabError):
+    """An oracle was asked for no samples, or for a radius that is not > 0."""
+
+
 class DegreeMismatch(HmlabError):
     """Proper elimination attempted across unequal (or absent) degrees."""
 

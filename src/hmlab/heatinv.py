@@ -22,8 +22,8 @@ import numpy as np
 from .errors import FitIllConditioned
 from .geometry import curvature_jet
 from .invariants import point_invariants, random_directions
-from .radial import (density_series, harmonic_trace_c6, jacobi_series,
-                     shape_trace_series)
+from .radial import (_jacobi_flow, density_series, harmonic_trace_c6,
+                     jacobi_series, shape_trace_series)
 from .series import TruncatedSeries
 
 
@@ -348,21 +348,34 @@ def sphere_intrinsic_curvature(geometry, u, radius, steps_per_unit=4096):
     equation on the tangent space of the sphere (the orthogonal complement
     of the radial direction).
     """
+    _, (sample,) = _sphere_curvature_samples(geometry, u, [radius],
+                                             steps_per_unit)
+    return sample
+
+
+def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
+    """Sphere curvature samples at each radius from one Jacobi-flow march.
+
+    Returns the radii in sorted order and the samples in that order.
+    """
     u = np.asarray(u, dtype=float)
-    state = _integrate_full(geometry, u, radius, steps_per_unit)
-    u_end, q_end, a_end, b_end = state
-    sigma = b_end @ np.linalg.inv(a_end)
+    radii, states = _jacobi_flow(geometry, u, radii, steps_per_unit)
     # tangent basis of the sphere: complement of the (constant) radial
     # direction in the parallel frame
     basis = _complement_basis(u)
-    frame = basis @ q_end.T
-    rt = _conjugate4(geometry.r, frame)
-    st = basis @ sigma @ basis.T
-    gauss = rt + np.einsum('ad,bc->abcd', st, st) - np.einsum('ac,bd->abcd', st, st)
-    ric = np.einsum('cabc->ab', gauss)
-    return SphereCurvatureSample(radius=radius,
-                                 ric_sq=float(np.sum(ric * ric)),
-                                 riem_sq=float(np.sum(gauss * gauss)))
+    samples = []
+    for radius, (_, q_end, a_end, b_end) in zip(radii, states):
+        sigma = b_end @ np.linalg.inv(a_end)
+        frame = basis @ q_end.T
+        rt = _conjugate4(geometry.r, frame)
+        st = basis @ sigma @ basis.T
+        gauss = (rt + np.einsum('ad,bc->abcd', st, st)
+                 - np.einsum('ac,bd->abcd', st, st))
+        ric = np.einsum('cabc->ab', gauss)
+        samples.append(SphereCurvatureSample(
+            radius=float(radius), ric_sq=float(np.sum(ric * ric)),
+            riem_sq=float(np.sum(gauss * gauss))))
+    return radii, samples
 
 
 def _conjugate4(tensor, m):
@@ -371,26 +384,6 @@ def _conjugate4(tensor, m):
     out = np.tensordot(m, out, axes=([1], [2]))
     out = np.tensordot(m, out, axes=([1], [3]))
     return out.transpose(3, 2, 1, 0)
-
-
-def _integrate_full(geometry, u, r_target, steps_per_unit):
-    from .radial import _flow_derivative
-    n = geometry.dim
-    steps = max(16, int(math.ceil(r_target * steps_per_unit)))
-    h = r_target / steps
-    state = (np.asarray(u, dtype=float).copy(), np.eye(n), np.zeros((n, n)),
-             np.eye(n))
-    for _ in range(steps):
-        k1 = _flow_derivative(geometry, state)
-        s2 = tuple(x + 0.5 * h * k for x, k in zip(state, k1))
-        k2 = _flow_derivative(geometry, s2)
-        s3 = tuple(x + 0.5 * h * k for x, k in zip(state, k2))
-        k3 = _flow_derivative(geometry, s3)
-        s4 = tuple(x + h * k for x, k in zip(state, k3))
-        k4 = _flow_derivative(geometry, s4)
-        state = tuple(x + (h / 6.0) * (p + 2 * q2 + 2 * q3 + q4)
-                      for x, p, q2, q3, q4 in zip(state, k1, k2, k3, k4))
-    return state
 
 
 def _complement_basis(u):
@@ -421,12 +414,10 @@ def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
     """
     if radii is None:
         radii = np.geomspace(0.08, 0.45, 8)
-    radii = np.asarray(radii, dtype=float)
-    delta = []
-    for r in radii:
-        s1 = sphere_intrinsic_curvature(geometry, u1, r, steps_per_unit)
-        s2 = sphere_intrinsic_curvature(geometry, u2, r, steps_per_unit)
-        delta.append(s1.ric_sq - s2.ric_sq)
+    radii, samples1 = _sphere_curvature_samples(geometry, u1, radii,
+                                                steps_per_unit)
+    _, samples2 = _sphere_curvature_samples(geometry, u2, radii, steps_per_unit)
+    delta = [s1.ric_sq - s2.ric_sq for s1, s2 in zip(samples1, samples2)]
     design = np.stack([radii ** p for p in powers], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, np.asarray(delta), rcond=None)
     fitted = float(coeffs[powers.index(2)])
@@ -443,15 +434,16 @@ def sphere_intrinsic_oracle(geometry, u, radii=None, powers=(-4, -2, 0, 1, 2, 3)
     Returns fitted coefficients of |Ric^S|^2 and |R^S|^2 at the given
     powers; the r^2 coefficient's direction-dependent part is the oracle
     for (1/16) tr R'R' (compare across directions, which cancels the
-    unknown constant part).
+    unknown constant part).  The samples come from one Jacobi-flow march
+    through the sorted radii, which must be positive, so the fit does not
+    depend on the order the radii are given in.
     """
     if radii is None:
         radii = np.geomspace(0.05, 0.4, 6)
-    radii = np.asarray(radii, dtype=float)
     if len(radii) < len(powers):
         raise FitIllConditioned("fewer radii than fitted powers")
-    samples = [sphere_intrinsic_curvature(geometry, u, r, steps_per_unit)
-               for r in radii]
+    radii, samples = _sphere_curvature_samples(geometry, u, radii,
+                                               steps_per_unit)
     design = np.stack([radii ** p for p in powers], axis=1)
     cond = np.linalg.cond(design)
     if not np.isfinite(cond) or cond > 1e12:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DegreeTooHigh
+from .errors import DegreeTooHigh, InvalidSampling
 from .geometry import curvature_jet, ricci
 
 
@@ -345,79 +345,78 @@ def verify_average_identities(geometry, tol=1e-7):
 # -- Monte Carlo averages ----------------------------------------------------
 
 
-def _symmetric_monomials(dim, degree):
-    """Multi-indices (nondecreasing) and permutation multiplicities."""
-    combos = list(itertools.combinations_with_replacement(range(dim), degree))
-    mults = []
-    for combo in combos:
-        counts = {}
-        for idx in combo:
-            counts[idx] = counts.get(idx, 0) + 1
-        m = math.factorial(degree)
-        for v in counts.values():
-            m //= math.factorial(v)
-        mults.append(m)
-    return combos, np.array(mults, dtype=float)
+# Directions per Monte Carlo block.  A grad_quad block holds its (364, m)
+# monomials and their (144, m) image, ~16 MB at m = 4096 and n = 12.
+MC_BLOCK = 4096
 
 
-def _symmetrize(tensor, slots):
-    out = np.zeros_like(tensor)
-    perms = list(itertools.permutations(slots))
-    for perm in perms:
-        order = list(range(tensor.ndim))
-        for src, dst in zip(slots, perm):
-            order[src] = dst
-        out += np.transpose(tensor, axes=order)
-    return out / len(perms)
+def _symmetric_factor(tensor, degree):
+    """Fold the first ``degree`` direction slots onto symmetric monomials.
+
+    Returns the nondecreasing multi-indices, one per row, and the factor
+    matrix whose row k sums the tensor's rows (flattened over the trailing
+    slots) over every ordering of index row k, so that T(u, ..., u) equals
+    the sum over k of u_{idx[k, 0]} ... u_{idx[k, d-1]} factor[k].
+    """
+    n = tensor.shape[0]
+    full = np.indices((n,) * degree).reshape(degree, -1).T
+    idx, row = np.unique(np.sort(full, axis=1), axis=0, return_inverse=True)
+    rows = tensor.reshape(n ** degree, -1)
+    factor = np.zeros((len(idx), rows.shape[1]))
+    np.add.at(factor, row.reshape(-1), rows)
+    return idx, factor
 
 
-def _monomial_matrix(directions, combos):
-    cols = [np.prod(directions[:, list(combo)], axis=1) for combo in combos]
-    return np.stack(cols, axis=1)
+def _monomials(dt, idx):
+    """Monomials of the directions in the columns of ``dt`` (n, m): row k is
+    the product of the rows of ``dt`` named by idx[k]."""
+    w = dt[idx[:, 0]]
+    for col in idx[:, 1:].T:
+        w *= dt[col]
+    return w
 
 
-def mc_average(geometry, quantity, n_samples=1_000_000, seed=0, chunk=50_000):
+def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     """Seeded Monte Carlo direction average with a standard error.
 
-    ``quantity`` is 'beta' or 'grad_quad'; both are accumulated through a
-    low-rank factorization so a million samples stay in BLAS.
+    ``quantity`` is 'beta' or 'grad_quad'.  Directions are drawn and
+    evaluated ``MC_BLOCK`` at a time; each block becomes one array of
+    symmetric monomials in row layout (one row per monomial, one column
+    per direction), and the quantity is a small GEMM on it: beta(u) is the
+    quadratic form of a folded Gram matrix on the degree-2 monomials, and
+    tr R_u'R_u' the squared norm of the degree-3 monomials times a folded
+    factor.  The sample stream does not depend on the block size.
     """
     n = geometry.dim
+    if n_samples < 1:
+        raise InvalidSampling(f"Monte Carlo average needs n_samples >= 1, "
+                              f"got {n_samples}")
     rng = np.random.default_rng(seed)
     if quantity == "beta":
-        t = _symmetrize(np.einsum('iabj->abij', geometry.r), [0, 1])
-        combos, mults = _symmetric_monomials(n, 2)
-        fmat = np.stack([mults[i] * t[c].reshape(n * n)
-                         for i, c in enumerate(combos)])
+        idx, fmat = _symmetric_factor(np.einsum('iabj->abij', geometry.r), 2)
         kmat = np.einsum('jiqm->qimj', geometry.r).reshape(n * n, n * n)
+        gram = fmat @ kmat @ fmat.T
 
         def evaluate(w):
-            ru = w @ fmat
-            return np.sum((ru @ kmat) * ru, axis=1)
+            return np.sum((gram @ w) * w, axis=0)
     elif quantity == "grad_quad":
-        s1 = np.einsum('ciabj->cabij', geometry.nabla_r)
-        s1 = _symmetrize(s1, [0, 1, 2])
-        combos, mults = _symmetric_monomials(n, 3)
-        fmat = np.stack([mults[i] * s1[c].reshape(n * n)
-                         for i, c in enumerate(combos)])
+        idx, fmat = _symmetric_factor(
+            np.einsum('ciabj->cabij', geometry.nabla_r), 3)
 
         def evaluate(w):
-            r1 = w @ fmat
-            return np.sum(r1 * r1, axis=1)
+            r1 = fmat.T @ w
+            return np.sum(r1 * r1, axis=0)
     else:
         raise ValueError(f"unknown Monte Carlo quantity {quantity!r}")
 
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        dirs = random_directions(n, m, rng)
-        w = _monomial_matrix(dirs, combos)
-        vals = evaluate(w)
+    for done in range(0, n_samples, MC_BLOCK):
+        m = min(MC_BLOCK, n_samples - done)
+        dt = np.ascontiguousarray(random_directions(n, m, rng).T)
+        vals = evaluate(_monomials(dt, idx))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        done += m
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     stderr = math.sqrt(var / n_samples)

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OrderUnsupported, StepFailure, ZeroLeadingCoefficient
+from .errors import (InvalidSampling, OrderUnsupported, StepFailure,
+                     ZeroLeadingCoefficient)
 from .series import TruncatedSeries
 
 
@@ -229,15 +230,61 @@ class OdeResult:
     a_final: np.ndarray
 
 
-def _flow_derivative(geometry, state):
-    u, q, a, b = state
-    gamma = geometry.gamma
-    du = -np.einsum('i,ijm,j->m', u, gamma, u)
-    g = np.einsum('i,imd->dm', u, gamma)
-    dq = -g @ q
-    r4 = np.einsum('aefd,e,f->ad', geometry.r, u, u)
-    r_par = q.T @ r4 @ q
-    return du, dq, b, -r_par @ a
+def _flow_derivative(gamma_rows, r_rows, y):
+    """d/dr of the flat flow state y = (u, q, a, b).
+
+    ``gamma_rows`` is gamma[i, j, m] with rows i and columns (j, m), and
+    ``r_rows`` is r[a, e, f, d] with rows (a, d) and columns (e, f), so the
+    connection along u and the Jacobi operator r[a, u, u, d] are one
+    matrix product each.
+    """
+    n = gamma_rows.shape[0]
+    u = y[:n]
+    q, a, b = y[n:].reshape(3, n, n)
+    g = (u @ gamma_rows).reshape(n, n)
+    r_u = (r_rows @ np.outer(u, u).ravel()).reshape(n, n)
+    r_par = q.T @ r_u @ q
+    return np.concatenate([-(u @ g), (-g.T @ q).ravel(), b.ravel(),
+                           (-r_par @ a).ravel()])
+
+
+def _jacobi_flow(geometry, u, radii, steps_per_unit):
+    """States (u, q, a, b) of the Jacobi flow at each radius, in sorted order.
+
+    One fixed-step RK4 march from r = 0 passes through the sorted radii.
+    The segment ending at radius r_k is split into
+    ceil(max(dr * steps_per_unit, 16 dr / r_k)) equal steps, so no step is
+    longer than 1/steps_per_unit or r_k/16.  Returns the sorted radii and
+    the list of states; every radius must be finite and positive.
+    """
+    radii = np.sort(np.asarray(radii, dtype=float))
+    if radii.size == 0 or not np.all(np.isfinite(radii)) or radii[0] <= 0.0:
+        raise InvalidSampling(
+            f"the Jacobi flow needs finite radii > 0, got {radii.tolist()}")
+    n = geometry.dim
+    gamma_rows = geometry.gamma.reshape(n, n * n)
+    r_rows = geometry.r.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    eye = np.eye(n).ravel()
+    y = np.concatenate([np.asarray(u, dtype=float), eye, np.zeros_like(eye),
+                        eye])
+    states = []
+    r_prev = 0.0
+    for r_target in radii:
+        dr = r_target - r_prev
+        steps = int(math.ceil(max(dr * steps_per_unit, 16.0 * dr / r_target)))
+        h = dr / max(steps, 1)
+        for _ in range(steps):
+            k1 = _flow_derivative(gamma_rows, r_rows, y)
+            k2 = _flow_derivative(gamma_rows, r_rows, y + 0.5 * h * k1)
+            k3 = _flow_derivative(gamma_rows, r_rows, y + 0.5 * h * k2)
+            k4 = _flow_derivative(gamma_rows, r_rows, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        state = (y[:n], *y[n:].reshape(3, n, n))
+        if not np.all(np.isfinite(state[2])):
+            raise StepFailure(f"non-finite Jacobi endomorphism at r = {r_target}")
+        states.append(state)
+        r_prev = r_target
+    return radii, states
 
 
 def ode_oracle(geometry, u, radii, steps_per_unit=2048):
@@ -246,34 +293,15 @@ def ode_oracle(geometry, u, radii, steps_per_unit=2048):
     State: direction and parallel frame in the left-invariant trivialization
     plus the Jacobi endomorphism and its derivative.  Structure constants are
     frame-constant, so the curvature entering the flow is the frozen tensor
-    conjugated by the frame.
+    conjugated by the frame.  One march from r = 0 passes through the sorted
+    radii, which must be positive; the result lists them in sorted order.
     """
     n = geometry.dim
-    u = np.asarray(u, dtype=float)
-    radii = np.sort(np.asarray(radii, dtype=float))
-    thetas = []
-    a_final = None
-    for r_target in radii:
-        steps = max(16, int(math.ceil(r_target * steps_per_unit)))
-        h = r_target / steps
-        state = (u.copy(), np.eye(n), np.zeros((n, n)), np.eye(n))
-        for _ in range(steps):
-            k1 = _flow_derivative(geometry, state)
-            s2 = tuple(x + 0.5 * h * k for x, k in zip(state, k1))
-            k2 = _flow_derivative(geometry, s2)
-            s3 = tuple(x + 0.5 * h * k for x, k in zip(state, k2))
-            k3 = _flow_derivative(geometry, s3)
-            s4 = tuple(x + h * k for x, k in zip(state, k3))
-            k4 = _flow_derivative(geometry, s4)
-            state = tuple(x + (h / 6.0) * (p + 2 * q2 + 2 * q3 + q4)
-                          for x, p, q2, q3, q4 in zip(state, k1, k2, k3, k4))
-        a = state[2]
-        if not np.all(np.isfinite(a)):
-            raise StepFailure(f"non-finite Jacobi endomorphism at r = {r_target}")
-        det = float(np.linalg.det(a))
-        thetas.append(det / r_target ** n)
-        a_final = a
-    return OdeResult(radii=radii, theta_normalized=np.array(thetas), a_final=a_final)
+    radii, states = _jacobi_flow(geometry, u, radii, steps_per_unit)
+    thetas = [float(np.linalg.det(a)) / r ** n
+              for r, (_, _, a, _) in zip(radii, states)]
+    return OdeResult(radii=radii, theta_normalized=np.array(thetas),
+                     a_final=states[-1][2])
 
 
 def peel_coefficients(values, radii, powers):

@@ -58,6 +58,15 @@ def test_usage_failures_exit_two(capsys):
     assert err.count("error:") == 4
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_direction_count_below_one(count, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", "--family", "1:1,0", "--directions", count,
+                 "--out", str(out)]) == 2
+    assert "--directions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_clean_family(tmp_path):
     rc, text = run_to_dir(
         ["verify", "--family", "1:1,0", "--directions", "8"],

@@ -174,6 +174,22 @@ def test_flat_oracle_reads_off_the_inverse_quartic():
     assert_allclose(fit["ric_sq"][1:], 0.0, atol=1e-5)
 
 
+def test_oracle_fit_does_not_depend_on_radius_order(ns12):
+    """The oracles march once through the sorted radii, so a shuffled radius
+    list gives the same samples and the same fit."""
+    radii = np.geomspace(0.1, 0.5, 6)
+    shuffled = radii[[3, 0, 5, 1, 4, 2]]
+    u = np.eye(12)[4]
+    fit = sphere_intrinsic_oracle(ns12, u, radii=radii, steps_per_unit=512)
+    assert sphere_intrinsic_oracle(ns12, u, radii=shuffled,
+                                   steps_per_unit=512) == fit
+    u2 = np.eye(12)[9]
+    assert (alpha2_cross_difference(ns12, u, u2, radii=shuffled,
+                                    steps_per_unit=512)
+            == alpha2_cross_difference(ns12, u, u2, radii=radii,
+                                       steps_per_unit=512))
+
+
 def test_oracle_rejects_underdetermined_fit(ns12):
     with pytest.raises(FitIllConditioned):
         sphere_intrinsic_oracle(ns12, np.eye(12)[0], radii=np.array([0.1, 0.2]),

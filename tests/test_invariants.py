@@ -1,12 +1,16 @@
 """Direction traces, curvature scalars and exact sphere averages."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmlab.errors import DegreeTooHigh
+from hmlab.errors import DegreeTooHigh, InvalidSampling
 from hmlab.geometry import geometry_from_algebra, scale_bracket
-from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, R_CUBE_SPEC,
+from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
+                              _monomials, _symmetric_factor,
                               beta_tensor, direction_constants,
                               grad_quad_tensor, gradient_adjusted_cubics,
                               mc_average, perfect_matchings, point_invariants,
@@ -182,6 +186,102 @@ def test_mc_average_within_errorbars(ns12, quantity, tensor_builder, scale_power
     mean, se = mc_average(ns12, quantity, n_samples=100_000, seed=3)
     assert se > 0
     assert abs(mean - exact) < 5 * se
+
+
+# The column-by-column Monte Carlo path the row-layout sampler replaced,
+# kept here as its reference.
+
+def reference_symmetric_monomials(dim, degree):
+    combos = list(itertools.combinations_with_replacement(range(dim), degree))
+    mults = []
+    for combo in combos:
+        m = math.factorial(degree)
+        for idx in set(combo):
+            m //= math.factorial(combo.count(idx))
+        mults.append(m)
+    return combos, np.array(mults, dtype=float)
+
+
+def reference_symmetrize(tensor, slots):
+    out = np.zeros_like(tensor)
+    perms = list(itertools.permutations(slots))
+    for perm in perms:
+        order = list(range(tensor.ndim))
+        for src, dst in zip(slots, perm):
+            order[src] = dst
+        out += np.transpose(tensor, axes=order)
+    return out / len(perms)
+
+
+def reference_monomial_matrix(directions, combos):
+    cols = [np.prod(directions[:, list(combo)], axis=1) for combo in combos]
+    return np.stack(cols, axis=1)
+
+
+def reference_factor(tensor, degree):
+    combos, mults = reference_symmetric_monomials(tensor.shape[0], degree)
+    t = reference_symmetrize(tensor, list(range(degree)))
+    return combos, np.stack([mults[i] * t[c].reshape(-1)
+                             for i, c in enumerate(combos)])
+
+
+def reference_mc_average(geometry, quantity, n_samples, seed, chunk=50_000):
+    n = geometry.dim
+    rng = np.random.default_rng(seed)
+    if quantity == "beta":
+        combos, fmat = reference_factor(np.einsum('iabj->abij', geometry.r), 2)
+        kmat = np.einsum('jiqm->qimj', geometry.r).reshape(n * n, n * n)
+
+        def evaluate(w):
+            ru = w @ fmat
+            return np.sum((ru @ kmat) * ru, axis=1)
+    else:
+        combos, fmat = reference_factor(
+            np.einsum('ciabj->cabij', geometry.nabla_r), 3)
+
+        def evaluate(w):
+            r1 = w @ fmat
+            return np.sum(r1 * r1, axis=1)
+    total = total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        vals = evaluate(reference_monomial_matrix(
+            random_directions(n, m, rng), combos))
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += m
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_row_layout_monomials_equal_the_column_path(degree, rng):
+    dirs = random_directions(12, 300, rng)
+    idx, _ = _symmetric_factor(np.zeros((12,) * degree + (1,)), degree)
+    combos, _ = reference_symmetric_monomials(12, degree)
+    assert idx.tolist() == [list(c) for c in combos]
+    w = _monomials(np.ascontiguousarray(dirs.T), idx)
+    assert np.array_equal(w.T, reference_monomial_matrix(dirs, combos))
+
+
+@pytest.mark.parametrize("quantity", ["beta", "grad_quad"])
+def test_mc_average_matches_the_column_path(ns12, quantity):
+    """Same sample stream through both paths; only the summation order
+    differs.  The count is not a multiple of the block size."""
+    n_samples = 100_000
+    assert n_samples % MC_BLOCK
+    mean, se = mc_average(ns12, quantity, n_samples=n_samples, seed=3)
+    ref_mean, ref_se = reference_mc_average(ns12, quantity, n_samples, seed=3)
+    assert_allclose(mean, ref_mean, rtol=1e-12)
+    assert_allclose(se, ref_se, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_mc_average_needs_a_sample(ns12, n_samples):
+    with pytest.raises(InvalidSampling):
+        mc_average(ns12, "beta", n_samples=n_samples)
 
 
 def test_cube_average_tensor_consistency(ns12):

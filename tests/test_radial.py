@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmlab.errors import OrderUnsupported, ZeroLeadingCoefficient
+from hmlab.errors import (InvalidSampling, OrderUnsupported,
+                          ZeroLeadingCoefficient)
 from hmlab.geometry import curvature_jet
+from hmlab.heatinv import (_complement_basis, _conjugate4,
+                           _sphere_curvature_samples,
+                           sphere_intrinsic_curvature)
 from hmlab.invariants import direction_constants, point_invariants
 from hmlab.radial import (density_series, harmonic_shape_expectations,
                           harmonic_trace_c6, jacobi_series, ode_oracle,
@@ -153,6 +157,96 @@ def test_ode_oracle_matches_series_on_quaternionic_member(hh2):
     ode = ode_oracle(hh2, u, radii, steps_per_unit=2048)
     series_vals = np.array([dens.normalized(r) for r in radii])
     assert_allclose(ode.theta_normalized, series_vals, rtol=2e-6)
+
+
+def restart_flow(geometry, u, r_target, steps_per_unit):
+    """Flow state (u, q, a, b) at one radius by an RK4 run from r = 0.
+
+    The path the single march replaced: every radius restarts at r = 0 and
+    takes max(16, ceil(r * steps_per_unit)) steps of the einsum derivative.
+    """
+    def derivative(state):
+        u, q, a, b = state
+        gamma = geometry.gamma
+        du = -np.einsum('i,ijm,j->m', u, gamma, u)
+        g = np.einsum('i,imd->dm', u, gamma)
+        r4 = np.einsum('aefd,e,f->ad', geometry.r, u, u)
+        return du, -g @ q, b, -(q.T @ r4 @ q) @ a
+
+    n = geometry.dim
+    steps = max(16, int(math.ceil(r_target * steps_per_unit)))
+    h = r_target / steps
+    state = (np.asarray(u, dtype=float).copy(), np.eye(n), np.zeros((n, n)),
+             np.eye(n))
+    for _ in range(steps):
+        k1 = derivative(state)
+        k2 = derivative(tuple(x + 0.5 * h * k for x, k in zip(state, k1)))
+        k3 = derivative(tuple(x + 0.5 * h * k for x, k in zip(state, k2)))
+        k4 = derivative(tuple(x + h * k for x, k in zip(state, k3)))
+        state = tuple(x + (h / 6.0) * (p + 2 * q2 + 2 * q3 + q4)
+                      for x, p, q2, q3, q4 in zip(state, k1, k2, k3, k4))
+    return state
+
+
+def flow_direction(dim):
+    u = np.arange(1.0, dim + 1.0) * (-1.0) ** np.arange(dim)
+    return u / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("space", ["hh2", "ns12"])
+def test_ode_oracle_matches_restart_per_radius(space, request):
+    """One march through the sorted radii against an RK4 run from r = 0 for
+    each radius; the radii are given unsorted."""
+    geo = request.getfixturevalue(space)
+    u = flow_direction(geo.dim)
+    radii = [0.3, 0.1, 0.25]
+    ode = ode_oracle(geo, u, radii, steps_per_unit=512)
+    assert list(ode.radii) == sorted(radii)
+    for r, theta in zip(ode.radii, ode.theta_normalized):
+        a = restart_flow(geo, u, r, 512)[2]
+        assert_allclose(theta, np.linalg.det(a) / r ** geo.dim, rtol=1e-12)
+    # a is the reference endomorphism at the largest radius
+    assert_allclose(ode.a_final, a, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("space", ["hh2", "ns12"])
+def test_sphere_curvature_matches_restart_flow(space, request):
+    """Single radius, and one march through unsorted radii, against the
+    Gauss equation on restarted flow states."""
+    geo = request.getfixturevalue(space)
+    u = flow_direction(geo.dim)
+    basis = _complement_basis(u)
+
+    def reference(r):
+        _, q, a, b = restart_flow(geo, u, r, 512)
+        st = basis @ b @ np.linalg.inv(a) @ basis.T
+        gauss = (_conjugate4(geo.r, basis @ q.T)
+                 + np.einsum('ad,bc->abcd', st, st)
+                 - np.einsum('ac,bd->abcd', st, st))
+        ric = np.einsum('cabc->ab', gauss)
+        return np.sum(ric * ric), np.sum(gauss * gauss)
+
+    sample = sphere_intrinsic_curvature(geo, u, 0.2, steps_per_unit=512)
+    assert sample.radius == 0.2
+    assert_allclose((sample.ric_sq, sample.riem_sq), reference(0.2), rtol=1e-12)
+    radii, samples = _sphere_curvature_samples(geo, u, [0.3, 0.1, 0.25], 512)
+    assert list(radii) == [0.1, 0.25, 0.3]
+    for r, s in zip(radii, samples):
+        assert s.radius == r
+        assert_allclose((s.ric_sq, s.riem_sq), reference(r), rtol=1e-12)
+
+
+@pytest.mark.parametrize("radii", [[0.0, 0.1], [0.1, -0.2], [],
+                                   [0.1, math.nan], [math.inf]])
+def test_ode_oracle_rejects_radii_that_are_not_positive(hh2, radii):
+    with pytest.raises(InvalidSampling):
+        ode_oracle(hh2, np.eye(8)[5], radii)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.2, math.nan, math.inf])
+def test_sphere_curvature_rejects_radius_that_is_not_positive(hh2, radius):
+    with pytest.raises(InvalidSampling):
+        sphere_intrinsic_curvature(hh2, np.eye(8)[5], radius)
 
 
 def test_peel_recovers_leading_density_coefficients(hh2):

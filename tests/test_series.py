@@ -51,6 +51,49 @@ def test_inverse_roundtrip(cs, offset):
         assert p.coefficient(k) == 0
 
 
+def scaled_close(got, want, coeffs, power):
+    """Equal up to float round-off, measured against the size a power-``power``
+    coefficient built from these input coefficients can reach."""
+    scale = (1 + sum(abs(float(c)) for c in coeffs)) ** max(power, 1)
+    return abs(float(got) - float(want)) <= 1e-13 * scale
+
+
+@given(st.lists(coeff, min_size=1, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_log_exp_roundtrip(cs):
+    """exp(log s) = s for s = 1 + ..., and log(exp t) = t for t = O(r)."""
+    s = TruncatedSeries([Fraction(1)] + list(cs), offset=0)
+    again = s.log().exp()
+    assert again.top == s.top
+    for k in range(s.top + 1):
+        assert scaled_close(again.coefficient(k), s.coefficient(k), cs, k)
+    t = TruncatedSeries(list(cs), offset=1)
+    back = t.exp().log()
+    assert back.top == t.top
+    for k in range(1, t.top + 1):
+        assert scaled_close(back.coefficient(k), t.coefficient(k), cs, k)
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.data())
+@settings(max_examples=25, deadline=None)
+def test_det_matches_cofactor_expansion(dim, length, data):
+    """det via exp(tr log) against the Laplace expansion, on matrix series
+    with leading identity and Fraction entries."""
+    entries = data.draw(st.lists(coeff, min_size=dim * dim * length,
+                                 max_size=dim * dim * length))
+    higher = np.array(entries, dtype=object).reshape(length, dim, dim)
+    lead = np.array([[Fraction(int(i == j)) for j in range(dim)]
+                     for i in range(dim)], dtype=object)
+    m = TruncatedSeries([lead] + list(higher), offset=0)
+    via_explog = m.det()
+    via_minors = det_cofactor(m)
+    assert via_explog.top == via_minors.top == length
+    for k in range(length + 1):
+        assert scaled_close(via_explog.coefficient(k), via_minors.coefficient(k),
+                            entries, k)
+
+
 def test_inverse_needs_invertible_lead():
     with pytest.raises(SingularSeries):
         TruncatedSeries([0.0, 1.0], offset=0).inverse()

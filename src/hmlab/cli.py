@@ -336,7 +336,6 @@ def build_parser():
         p.add_argument("--mode", choices=("natural", "normalized"),
                        default="normalized")
         p.add_argument("--out", default=None, help="directory for reports")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the identity batteries")
     common(p_verify)
@@ -348,6 +347,8 @@ def build_parser():
     p_counter = sub.add_parser("counterexample",
                                help="side-by-side invariant table")
     common(p_counter)
+    # the one report with a CSV layout; other commands reject --format
+    p_counter.add_argument("--format", choices=("json", "csv"), default="json")
     p_counter.set_defaults(func=cmd_counterexample)
 
     p_iso = sub.add_parser("isospec", help="lattice-sector spectral comparison")
@@ -376,7 +377,6 @@ def build_parser():
     p_spec.add_argument("--grid", type=int, default=128)
     p_spec.add_argument("--count", type=int, default=6)
     p_spec.add_argument("--out", default=None)
-    p_spec.add_argument("--format", choices=("json", "csv"), default="json")
     p_spec.set_defaults(func=cmd_spectrum)
     return parser
 

@@ -9,63 +9,101 @@ package ever touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class CRat:
-    """Gaussian rational a + bi with exact Fraction parts."""
+    """Gaussian rational a + bi with exact Fraction parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Immutable and hashable.  The constructor coerces both parts to
+    Fraction; arithmetic results, whose parts already are Fractions, go
+    through the trusted ``_from_parts``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=Fraction(0), im=Fraction(0)):
+        _set_re(self, Fraction(re))
+        _set_im(self, Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CRat is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CRat is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return CRat, (self.re, self.im)
+
+    def __eq__(self, other):
+        if other.__class__ is CRat:
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = _crat(other)
-        return CRat(self.re + other.re, self.im + other.im)
+        if other.__class__ is not CRat:
+            other = _crat(other)
+        return _from_parts(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _crat(other)
-        return CRat(self.re - other.re, self.im - other.im)
+        if other.__class__ is not CRat:
+            other = _crat(other)
+        return _from_parts(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return _crat(other) - self
 
     def __mul__(self, other):
-        other = _crat(other)
-        return CRat(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
+        if other.__class__ is CRat:
+            return _from_parts(self.re * other.re - self.im * other.im,
+                               self.re * other.im + self.im * other.re)
+        if isinstance(other, (int, Fraction)):
+            # a real factor needs two products, not the four of a complex one
+            return _from_parts(self.re * other, self.im * other)
+        return self * _crat(other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _crat(other)
+        if other.__class__ is not CRat:
+            other = _crat(other)
         d = other.re * other.re + other.im * other.im
         if not d:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return CRat((self.re * other.re + self.im * other.im) / d,
-                    (self.im * other.re - self.re * other.im) / d)
+        return _from_parts((self.re * other.re + self.im * other.im) / d,
+                           (self.im * other.re - self.re * other.im) / d)
 
     def __neg__(self):
-        return CRat(-self.re, -self.im)
+        return _from_parts(-self.re, -self.im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
     def conjugate(self):
-        return CRat(self.re, -self.im)
+        return _from_parts(self.re, -self.im)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+
+
+_set_re = CRat.re.__set__
+_set_im = CRat.im.__set__
+
+
+def _from_parts(re, im):
+    """Trusted CRat constructor: ``re`` and ``im`` must already be Fractions."""
+    z = object.__new__(CRat)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 CRAT_ZERO = CRat()
@@ -182,25 +220,38 @@ class CPoly:
         return CPoly(self.nvars, out)
 
     def laplacian(self):
-        out = CPoly(self.nvars)
-        for i in range(self.nvars):
-            out = out + self.partial(i).partial(i)
-        return out
+        out = {}
+        for mono, coef in self.terms.items():
+            for i, e in enumerate(mono):
+                if e > 1:
+                    down = mono[:i] + (e - 2,) + mono[i + 1:]
+                    term = coef * (e * (e - 1))
+                    prev = out.get(down)
+                    out[down] = term if prev is None else prev + term
+        return CPoly(self.nvars, out)
 
     def rotation_derivative(self, j_rows):
         """Derivative along the flow X -> exp(sJ)X: sum_a (JX)_a d_a.
 
         ``j_rows`` is J as rows of Fractions.
         """
-        out = CPoly(self.nvars)
-        for a in range(self.nvars):
-            da = self.partial(a)
-            if da.is_zero():
-                continue
-            row = j_rows[a]
-            lin = CPoly.linear_form([CRat(Fraction(x)) for x in row])
-            out = out + lin * da
-        return out
+        rows = [[(b, Fraction(x)) for b, x in enumerate(row) if x]
+                for row in j_rows]
+        out = {}
+        for mono, coef in self.terms.items():
+            for a, e in enumerate(mono):
+                if not e:
+                    continue
+                for b, x in rows[a]:
+                    # x_b d_a: one power moves from variable a to variable b
+                    moved = list(mono)
+                    moved[a] -= 1
+                    moved[b] += 1
+                    target = tuple(moved)
+                    term = coef * (e * x)
+                    prev = out.get(target)
+                    out[target] = term if prev is None else prev + term
+        return CPoly(self.nvars, out)
 
     def evaluate(self, point):
         total = complex(0.0)

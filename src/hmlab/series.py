@@ -29,6 +29,13 @@ def _zero_like(c):
     return type(c)(0) if isinstance(c, Fraction) else 0.0 * c
 
 
+def _is_fraction(c):
+    """Whether a coefficient holds Fractions: a Fraction or a matrix of them."""
+    if _is_matrix(c):
+        return c.dtype == object and isinstance(c.flat[0], Fraction)
+    return isinstance(c, Fraction)
+
+
 def _coef_mul(a, b):
     if _is_matrix(a) and _is_matrix(b):
         return a @ b
@@ -226,14 +233,18 @@ class TruncatedSeries:
         if self.offset != 0:
             raise ValueError("log needs a series starting at power 0")
         lead = self.coeffs[0]
+        rational = _is_fraction(lead)
         if _is_matrix(lead):
             if not np.allclose(lead, np.eye(lead.shape[0])):
                 raise ValueError("matrix log implemented for leading identity only")
-            one = TruncatedSeries([np.eye(lead.shape[0])], 0, exact=True)
+            dim = lead.shape[0]
+            eye = np.array([[Fraction(int(i == j)) for j in range(dim)]
+                            for i in range(dim)]) if rational else np.eye(dim)
+            one = TruncatedSeries([eye], 0, exact=True)
         else:
             if not np.isclose(float(lead), 1.0):
                 raise ValueError("scalar log implemented for leading 1 only")
-            one = TruncatedSeries.constant(1.0)
+            one = TruncatedSeries.constant(Fraction(1) if rational else 1.0)
         n = self - one
         n = n.trim()
         top = self.top
@@ -243,7 +254,8 @@ class TruncatedSeries:
         power = n
         k = 1
         while power.offset <= top:
-            term = power.scale((-1) ** (k + 1) / k)
+            sign = (-1) ** (k + 1)
+            term = power.scale(Fraction(sign, k) if rational else sign / k)
             acc = term if acc is None else acc + term
             nxt = (power * n).truncate(top)
             if nxt.offset > top or (nxt.offset == power.offset and len(nxt.coeffs) == 0):
@@ -263,14 +275,16 @@ class TruncatedSeries:
         top = self.top
         if top is _INF:
             top = self.offset + len(self.coeffs) - 1
-        acc = TruncatedSeries.constant(1.0)
-        term = TruncatedSeries.constant(1.0)
+        rational = _is_fraction(self.coeffs[0])
+        one = Fraction(1) if rational else 1.0
+        acc = TruncatedSeries.constant(one)
+        term = TruncatedSeries.constant(one)
         k = 1
         while True:
             term = (term * self).truncate(top)
             if term.offset > top:
                 break
-            acc = acc + term.scale(1.0 / math.factorial(k))
+            acc = acc + term.scale(one / math.factorial(k))
             if k * max(self.offset, 1) > top:
                 break
             k += 1
@@ -303,11 +317,12 @@ def det_cofactor(series, top=None):
         top = series.top
     entries = [[series.entry(i, j).truncate(top) for j in range(dim)]
                for i in range(dim)]
+    one = Fraction(1) if _is_fraction(series.coeffs[0]) else 1.0
     cache = {}
 
     def minor(mask):
         if mask == 0:
-            return TruncatedSeries.constant(1.0)
+            return TruncatedSeries.constant(one)
         got = cache.get(mask)
         if got is not None:
             return got

@@ -12,6 +12,7 @@ across one grid doubling and carry that difference as an error bar.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -101,19 +102,33 @@ def _check_complex_structure(j_rows):
 
 
 def _independent_subset(polys, monomial_index):
+    """The polynomials that are not in the span of those chosen before them.
+
+    Rows are sparse ``{column: CRat}`` maps reduced against the echelon rows
+    in increasing pivot order; a row's pivot is its first nonzero column.
+    """
     echelon = {}
+    pivots = []
     chosen = []
     for poly in polys:
-        vec = poly.coefficient_vector(monomial_index)
-        for col in sorted(echelon):
-            if vec[col]:
-                factor = vec[col]
-                vec = [a - factor * b for a, b in zip(vec, echelon[col])]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
+        row = {monomial_index[mono]: coef for mono, coef in poly.terms.items()}
+        for col in pivots:
+            factor = row.get(col)
+            if factor is None:
+                continue
+            for c, v in echelon[col].items():
+                prev = row.get(c)
+                new = -(factor * v) if prev is None else prev - factor * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+        if not row:
             continue
-        lead = vec[pivot]
-        echelon[pivot] = [x / lead for x in vec]
+        pivot = min(row)
+        lead = row[pivot]
+        echelon[pivot] = {c: v / lead for c, v in row.items()}
+        insort(pivots, pivot)
         chosen.append(poly)
     return chosen
 
@@ -472,6 +487,23 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
     if (ka, la) != (kb, lb):
         raise FamilyMismatch(
             f"members live on different bundles: ({ka},{la}) vs ({kb},{lb})")
+    # Lattice vectors on one ray share their unit J, and undetuned members
+    # share every radial operator: build each basis and solve each operator
+    # once per call, keyed on content.
+    bases = {}
+    solved = {}
+
+    def basis(rows, degree):
+        key = (tuple(map(tuple, rows)), degree)
+        if key not in bases:
+            bases[key] = build_hnm_basis(rows, degree)
+        return bases[key]
+
+    def spectrum(op):
+        if op not in solved:
+            solved[op] = radial_spectrum(op, t_domain, bc, grid, count)
+        return solved[op]
+
     blocks = []
     all_agree = True
     for z in lattice_vectors:
@@ -487,15 +519,15 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
         for degree in degrees:
             if rows_a is None or rows_b is None:
                 continue
-            basis_a = build_hnm_basis(rows_a, degree)
-            basis_b = build_hnm_basis(rows_b, degree)
+            basis_a = basis(rows_a, degree)
+            basis_b = basis(rows_b, degree)
             for m in sorted(set(basis_a.dims) | set(basis_b.dims)):
                 dim_a = basis_a.dims.get(m, 0)
                 dim_b = basis_b.dims.get(m, 0)
                 op_a = operator_for_sector(ka, degree, m, sym_a.mu)
                 op_b = operator_for_sector(kb, degree, m, sym_b.mu * mu_scale_b)
-                rep_a = radial_spectrum(op_a, t_domain, bc, grid, count)
-                rep_b = radial_spectrum(op_b, t_domain, bc, grid, count)
+                rep_a = spectrum(op_a)
+                rep_b = spectrum(op_b)
                 diff = float(np.max(np.abs(rep_a.eigenvalues - rep_b.eigenvalues)))
                 budget = float(np.max(rep_a.error_bars + rep_b.error_bars))
                 agree = dim_a == dim_b and diff <= max(budget, 1e-12)

@@ -158,6 +158,24 @@ def test_counterexample_csv_layout(tmp_path):
     assert lines[3].startswith("mark,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "1:1,0"],
+    ["isospec", "--family", "1:1,0;1,0"],
+    ["sis", "--family", "1:1,0"],
+    ["expand", "--family", "1:1,0"],
+    ["spectrum", "--k", "2"],
+])
+def test_format_is_rejected_where_no_csv_exists(argv, capsys):
+    """Only counterexample writes CSV; elsewhere --format would be ignored,
+    so it is a usage error rather than a silent JSON report."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--format" in captured.err
+    assert captured.out == ""
+
+
 def test_isospec_pair_and_detuned_control(tmp_path):
     base = ["isospec", "--family", "3:2,0;1,1", "--max-degree", "0",
             "--grid", "64"]

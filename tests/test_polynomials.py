@@ -1,6 +1,8 @@
 """Gaussian-rational polynomial calculus and harmonic decomposition."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from hmlab.polynomials import (CPoly, CRat, adapted_coordinates,
                                gram_schmidt_pairs, harmonic_decomposition,
                                harmonic_projection, harmonic_space_dimension,
                                monomials_of_degree, radius_square)
+from hmlab.spectra import build_hnm_basis, laplacian_symbol
 
 fr = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -127,3 +130,98 @@ def test_partial_derivative_drops_degree():
     sq = p * p
     assert sq.partial(0).terms == {(1, 0): CRat(Fraction(2))}
     assert sq.partial(1).is_zero()
+
+
+def test_crat_is_immutable():
+    x = CRat(Fraction(1, 2), Fraction(-3))
+    with pytest.raises(AttributeError):
+        x.re = Fraction(5)
+    with pytest.raises(AttributeError):
+        del x.im
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert (x.re, x.im) == (Fraction(1, 2), Fraction(-3))
+    assert copy.deepcopy(x) == x
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+@given(fr, fr, fr, fr)
+@settings(max_examples=40, deadline=None)
+def test_crat_equal_values_hash_equally(a, b, c, d):
+    """Values built by the public constructor and by arithmetic (the trusted
+    path) compare and hash by value."""
+    x = CRat(a, b)
+    y = CRat(c, d)
+    same = (x + y) - y
+    assert same == x and hash(same) == hash(x)
+    assert x * 1 == x and hash(x * 1) == hash(x)
+    assert len({x, same, x * Fraction(1), -(-x)}) == 1
+    assert CRat(a.numerator, 0) == CRat(Fraction(a.numerator))
+    # the parts are Fractions whichever path built the value
+    for z in (x, same, x * y, x * 3, -x, x.conjugate()):
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (x == y) == ((a, b) == (c, d))
+    assert x != (a, b)
+
+
+# -- the kernels against the paths they replaced ---------------------------------
+
+
+def reference_laplacian(poly):
+    """Sum over variables of the second partial, one polynomial each."""
+    out = CPoly(poly.nvars)
+    for i in range(poly.nvars):
+        out = out + poly.partial(i).partial(i)
+    return out
+
+
+def reference_rotation_derivative(poly, j_rows):
+    """sum_a (JX)_a d_a, with (JX)_a built as a linear form per row."""
+    out = CPoly(poly.nvars)
+    for a in range(poly.nvars):
+        da = poly.partial(a)
+        if da.is_zero():
+            continue
+        lin = CPoly.linear_form([CRat(Fraction(x)) for x in j_rows[a]])
+        out = out + lin * da
+    return out
+
+
+@st.composite
+def gaussian_polys(draw):
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    degree = draw(st.integers(min_value=0, max_value=4))
+    monos = monomials_of_degree(nvars, degree)
+    picked = draw(st.lists(st.sampled_from(monos), max_size=8))
+    terms = {m: CRat(draw(fr), draw(fr)) for m in picked}
+    rows = draw(st.lists(st.lists(fr | st.just(Fraction(0)), min_size=nvars,
+                                  max_size=nvars),
+                         min_size=nvars, max_size=nvars))
+    return CPoly(nvars, terms), rows
+
+
+@given(gaussian_polys())
+@settings(max_examples=60, deadline=None)
+def test_kernels_match_reference_paths(case):
+    poly, rows = case
+    assert poly.laplacian().terms == reference_laplacian(poly).terms
+    assert poly.rotation_derivative(rows).terms == \
+        reference_rotation_derivative(poly, rows).terms
+
+
+def test_kernels_match_reference_paths_on_the_pair_bases():
+    """Every bidegree basis element of both 12-dim members to degree 2, for
+    two complex structures, and its adapted coordinates."""
+    for a, b in ((2, 0), (1, 1)):
+        jmap = build_j_map(3, a, b)
+        for z in ((1, 0, 0), (1, 2, 2)):
+            rows = laplacian_symbol(jmap, z).j_unit_rows
+            polys = list(adapted_coordinates(rows))
+            for degree in range(3):
+                for basis in build_hnm_basis(rows, degree).per_m.values():
+                    polys.extend(basis)
+            for poly in polys:
+                assert poly.laplacian().terms == \
+                    reference_laplacian(poly).terms
+                assert poly.rotation_derivative(rows).terms == \
+                    reference_rotation_derivative(poly, rows).terms

@@ -58,20 +58,32 @@ def scaled_close(got, want, coeffs, power):
     return abs(float(got) - float(want)) <= 1e-13 * scale
 
 
+def all_fractions(series):
+    return all(isinstance(c, Fraction) for c in series.coeffs)
+
+
 @given(st.lists(coeff, min_size=1, max_size=5))
 @settings(max_examples=25, deadline=None)
 def test_log_exp_roundtrip(cs):
-    """exp(log s) = s for s = 1 + ..., and log(exp t) = t for t = O(r)."""
+    """exp(log s) = s for s = 1 + ..., and log(exp t) = t for t = O(r);
+    over Fractions every intermediate stays a Fraction, so both round-trips
+    are exact."""
     s = TruncatedSeries([Fraction(1)] + list(cs), offset=0)
-    again = s.log().exp()
+    log_s = s.log()
+    again = log_s.exp()
+    assert all_fractions(log_s) and all_fractions(again)
     assert again.top == s.top
     for k in range(s.top + 1):
         assert scaled_close(again.coefficient(k), s.coefficient(k), cs, k)
+        assert again.coefficient(k) == s.coefficient(k)
     t = TruncatedSeries(list(cs), offset=1)
-    back = t.exp().log()
+    exp_t = t.exp()
+    back = exp_t.log()
+    assert all_fractions(exp_t) and all_fractions(back)
     assert back.top == t.top
     for k in range(1, t.top + 1):
         assert scaled_close(back.coefficient(k), t.coefficient(k), cs, k)
+        assert back.coefficient(k) == t.coefficient(k)
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
@@ -88,10 +100,12 @@ def test_det_matches_cofactor_expansion(dim, length, data):
     m = TruncatedSeries([lead] + list(higher), offset=0)
     via_explog = m.det()
     via_minors = det_cofactor(m)
+    assert all_fractions(via_explog) and all_fractions(via_minors)
     assert via_explog.top == via_minors.top == length
     for k in range(length + 1):
         assert scaled_close(via_explog.coefficient(k), via_minors.coefficient(k),
                             entries, k)
+        assert via_explog.coefficient(k) == via_minors.coefficient(k)
 
 
 def test_inverse_needs_invertible_lead():

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hmlab import spectra
@@ -16,7 +18,7 @@ from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
                           ZeroLatticeVector)
 from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
                             scale_bracket)
-from hmlab.polynomials import CRat
+from hmlab.polynomials import CPoly, CRat, monomials_of_degree
 from hmlab.spectra import (RadialOperator, ball_bundle_spectrum,
                            build_hnm_basis, conjugacy_check,
                            diamond_coefficients, glz_parameter_map,
@@ -89,6 +91,73 @@ def test_bidegree_eigen_relation_is_exact(ns12):
             rotated = h.rotation_derivative(rows)
             target = h.scale(CRat(Fraction(0), Fraction(-m)))
             assert (rotated - target).is_zero()
+
+
+def dense_independent_subset(polys, monomial_index):
+    """Dense-vector elimination, pivots re-sorted for every polynomial."""
+    echelon = {}
+    chosen = []
+    for poly in polys:
+        vec = poly.coefficient_vector(monomial_index)
+        for col in sorted(echelon):
+            if vec[col]:
+                factor = vec[col]
+                vec = [a - factor * b for a, b in zip(vec, echelon[col])]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            continue
+        lead = vec[pivot]
+        echelon[pivot] = [x / lead for x in vec]
+        chosen.append(poly)
+    return chosen
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_independent_subset_matches_dense_reference(nvars, degree, data):
+    """Random Gaussian-rational polynomials, some of them combinations of
+    earlier ones, so both the kept and the dropped branch run."""
+    monos = monomials_of_degree(nvars, degree)
+    index = {m: i for i, m in enumerate(monos)}
+    polys = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        if polys and data.draw(st.booleans()):
+            poly = CPoly(nvars)
+            for p in polys:
+                weight = CRat(data.draw(small), data.draw(small))
+                poly = poly + p.scale(weight)
+        else:
+            picked = data.draw(st.lists(st.sampled_from(monos), max_size=5))
+            poly = CPoly(nvars, {m: CRat(data.draw(small), data.draw(small))
+                                 for m in picked})
+        polys.append(poly)
+    assert spectra._independent_subset(polys, index) == \
+        dense_independent_subset(polys, index)
+
+
+def test_independent_subset_matches_dense_reference_on_the_pair(monkeypatch):
+    """Every elimination the pair's bases to degree 2 run, checked against
+    the dense path on the same input."""
+    sparse = spectra._independent_subset
+    calls = []
+
+    def both(polys, monomial_index):
+        got = sparse(polys, monomial_index)
+        assert got == dense_independent_subset(polys, monomial_index)
+        calls.append(len(polys))
+        return got
+
+    monkeypatch.setattr(spectra, "_independent_subset", both)
+    for a, b in ((2, 0), (1, 1)):
+        jmap = build_j_map(3, a, b)
+        for z in ((1, 0, 0), (1, 2, 2)):
+            for degree in range(3):
+                build_hnm_basis(unit_j_rows(jmap, z), degree)
+    assert len(calls) == 2 * 2 * (1 + 2 + 3)
 
 
 def test_bidegree_degree_cap(hh3):
@@ -233,6 +302,42 @@ def test_hnm_basis_dimension_count_is_checked(hh3, monkeypatch):
                         lambda k, degree: -1)
     with pytest.raises(ConsistencyFailure):
         build_hnm_basis(rows, 1)
+
+
+def counting(monkeypatch, name):
+    calls = []
+    real = getattr(spectra, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+def test_isospectrality_builds_and_solves_each_distinct_input_once(
+        hh3, ns12, monkeypatch):
+    """(2,0,0) has the unit J of (1,0,0): 2 members x 3 degrees = 6 builds,
+    not 12.  Undetuned members share every operator, so each of the 12
+    cells solves once; detuned, both members' operators are solved."""
+    builds = counting(monkeypatch, "build_hnm_basis")
+    solves = counting(monkeypatch, "radial_spectrum")
+    lattice = [(1, 0, 0), (2, 0, 0)]
+    report = isospectrality_report(hh3, ns12, lattice, degrees=(0, 1, 2),
+                                   grid=64, count=2)
+    assert report.isospectral
+    cells = sum(len(block["cells"]) for block in report.blocks)
+    assert cells == 12
+    assert len(builds) == 6
+    assert len(solves) == 12
+    builds.clear()
+    solves.clear()
+    detuned = isospectrality_report(hh3, ns12, lattice, degrees=(0, 1, 2),
+                                    grid=64, count=2, mu_scale_b=1.05)
+    assert not detuned.isospectral
+    assert len(builds) == 6
+    assert len(solves) == 24
 
 
 def test_isospectrality_negative_control(hh3, ns12):

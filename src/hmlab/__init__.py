@@ -18,10 +18,11 @@ from .heatinv import (a2_integrand, alpha_beta_parts, averaged_boundary_r3,
 from .invariants import (direction_constants, mc_average, point_invariants,
                          sphere_average, verify_average_identities,
                          verify_einstein_identities, verify_harmonicity)
-from .radial import (density_series, harmonic_shape_expectations,
-                     harmonic_trace_c6, jacobi_series, ode_oracle,
-                     peel_coefficients, radial_density, shape_trace_series,
-                     vk_recursion, volume_series)
+from .radial import (density_series, harmonic_density, harmonic_series,
+                     harmonic_shape_expectations, harmonic_trace_c6,
+                     jacobi_series, ode_oracle, peel_coefficients,
+                     radial_density, shape_trace_series, vk_recursion,
+                     volume_series)
 from .series import TruncatedSeries, det_cofactor
 from .sis import (IdentitySpace, IdentityVector, canonical_generators,
                   eliminate, lichnerowicz_vector, noise_wave,

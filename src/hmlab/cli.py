@@ -20,11 +20,10 @@ import numpy as np
 from .errors import (DegenerateBoundary, DegenerateGram, DegreeMismatch,
                      DegreeTooHigh, FamilyMismatch, HmlabError)
 from .geometry import damek_ricci_geometry, geometry_from_algebra, scale_bracket
-from .heatinv import alpha_beta_parts, averaged_boundary_r3
+from .heatinv import averaged_boundary_r3
 from .invariants import (point_invariants, verify_average_identities,
                          verify_einstein_identities, verify_harmonicity)
-from .radial import (density_series, harmonic_trace_c6, jacobi_series,
-                     radial_density, shape_trace_series)
+from .radial import harmonic_series, radial_density
 from .sis import (ball_boundary_vector, ball_volume_vector,
                   canonical_generators, eliminate, lichnerowicz_vector,
                   moment_gram, noise_wave, rank_and_membership)
@@ -138,8 +137,7 @@ COLUMNS = ("C", "H", "L", "A2", "A4", "A6", "grad_R_sq", "R_hat", "R_ring",
 def member_row(geo):
     pi = point_invariants(geo)
     dens = radial_density(geo)
-    probe = np.ones(geo.dim) / np.sqrt(geo.dim)
-    ab = alpha_beta_parts(geo, probe)
+    avg_alpha, avg_beta = pi.alpha_beta_averages()
     r3 = averaged_boundary_r3(geo)
     return {
         "C": pi.c, "H": pi.h, "L": pi.l,
@@ -147,8 +145,8 @@ def member_row(geo):
         "A4": float(dens.normalized.coefficient(4)),
         "A6": float(dens.normalized.coefficient(6)),
         "grad_R_sq": pi.grad_r_sq, "R_hat": pi.r_hat, "R_ring": pi.r_ring,
-        "avg_alpha2_direction": ab.average_alpha2_direction,
-        "avg_beta2_direction": ab.average_beta2_direction,
+        "avg_alpha2_direction": avg_alpha,
+        "avg_beta2_direction": avg_beta,
         "p2_r3": r3["p2"], "p3_dirichlet_r3": r3["p3_dirichlet"],
         "p3_neumann_r3": r3["p3_neumann"],
     }
@@ -268,10 +266,7 @@ def cmd_expand(args):
     rng = np.random.default_rng(args.seed)
     u = rng.standard_normal(geo.dim)
     u = u / np.linalg.norm(u)
-    jet = curvature_jet(geo, u, order=3)
-    a5 = jacobi_series(jet, order=5)
-    dens = density_series(a5, trace_c6=harmonic_trace_c6(jet))
-    shape = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
+    dens, shape = harmonic_series(curvature_jet(geo, u, order=3))
 
     def series_dict(s):
         return {"offset": s.offset,
@@ -281,7 +276,6 @@ def cmd_expand(args):
         "schema_version": SCHEMA_VERSION, "command": "expand",
         "member": label, "seed": args.seed,
         "direction": [float(x) for x in u],
-        "mode": args.mode,
         "density_normalized": series_dict(dens.normalized),
         "density": series_dict(dens.density),
         "tr_sigma": series_dict(shape.tr_sigma),
@@ -328,17 +322,16 @@ def build_parser():
                     "family built here")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand registers only the flags it reads
     def common(p):
         p.add_argument("--family", required=True,
                        help="members as 'l:a,b;a,b'")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--mode", choices=("natural", "normalized"),
-                       default="normalized")
         p.add_argument("--out", default=None, help="directory for reports")
 
     p_verify = sub.add_parser("verify", help="run the identity batteries")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--directions", type=int, default=100)
     p_verify.add_argument("--perturb", type=float, default=1.0,
                           help="bracket detuning factor; != 1 expects red")
@@ -347,8 +340,11 @@ def build_parser():
     p_counter = sub.add_parser("counterexample",
                                help="side-by-side invariant table")
     common(p_counter)
+    p_counter.add_argument("--tol", type=float, default=1e-8)
     # the one report with a CSV layout; other commands reject --format
     p_counter.add_argument("--format", choices=("json", "csv"), default="json")
+    # accepted for scripts that pass it; the table draws nothing at random
+    p_counter.add_argument("--seed", type=int, default=0)
     p_counter.set_defaults(func=cmd_counterexample)
 
     p_iso = sub.add_parser("isospec", help="lattice-sector spectral comparison")
@@ -365,6 +361,7 @@ def build_parser():
 
     p_expand = sub.add_parser("expand", help="dump density and trace series")
     common(p_expand)
+    p_expand.add_argument("--seed", type=int, default=0)
     p_expand.set_defaults(func=cmd_expand)
 
     p_spec = sub.add_parser("spectrum", help="solve one radial problem")

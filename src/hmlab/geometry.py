@@ -52,6 +52,11 @@ class DirectionalCurvatureJet:
     def order(self):
         return len(self.matrices) - 1
 
+    def direction(self, k):
+        """The one-direction jet of direction ``k`` of a batch (views)."""
+        return DirectionalCurvatureJet(u=self.u[k],
+                                       matrices=[m[k] for m in self.matrices])
+
     def taylor_coefficient(self, k):
         """Matrix coefficient of r**k in the operator's Taylor series."""
         out = self.matrices[k].copy()

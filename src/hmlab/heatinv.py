@@ -13,7 +13,6 @@ their averages are reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,8 +21,7 @@ import numpy as np
 from .errors import FitIllConditioned
 from .geometry import curvature_jet
 from .invariants import point_invariants, random_directions
-from .radial import (_jacobi_flow, density_series, harmonic_trace_c6,
-                     jacobi_series, shape_trace_series)
+from .radial import _jacobi_flow, harmonic_series
 from .series import TruncatedSeries
 
 
@@ -72,11 +70,7 @@ def alpha_beta_parts(geometry, u):
     ru = jet.matrices[0]
     beta = float(np.einsum('jiqm,qi,mj->', geometry.r, ru, ru))
     beta_dir = 4.0 * beta / 9.0
-    pi = point_invariants(geometry)
-    n = geometry.dim
-    avg_alpha = 3.0 * pi.grad_r_sq / (16.0 * n * (n + 2) * (n + 4))
-    avg_beta = (4.0 / 9.0) * (n * pi.c ** 3 + 2.0 * pi.r_ring - 0.25 * pi.r_hat) \
-        / (n * (n + 2))
+    avg_alpha, avg_beta = point_invariants(geometry).alpha_beta_averages()
     return AlphaBeta(direction=u, alpha2_direction=alpha_dir,
                      beta2_direction=beta_dir,
                      average_alpha2_direction=avg_alpha,
@@ -234,14 +228,6 @@ class DecompositionFit:
         }
 
 
-def _shape_data(geometry, u):
-    jet = curvature_jet(geometry, u, order=3)
-    a5 = jacobi_series(jet, order=5)
-    dens = density_series(a5, trace_c6=harmonic_trace_c6(jet))
-    shape = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
-    return jet, dens, shape
-
-
 def boundary_decomposition(geometry, n_directions=16, seed=0,
                            mode="normalized", snap_limit=10000):
     """Fit the r^3 coefficients of P2/P3 against tr R'R' over directions.
@@ -249,59 +235,46 @@ def boundary_decomposition(geometry, n_directions=16, seed=0,
     On a harmonic space only tr R'R' varies with direction, so each r^3
     coefficient is affine in it; the design degenerates on symmetric
     members (tr R'R' identically zero), which raises FitIllConditioned.
+    All directions share one order-3 jet; each is expanded from its slice.
     """
     inv = point_invariants(geometry)
     rng = np.random.default_rng(seed)
     dirs = random_directions(geometry.dim, n_directions, rng)
-    rows = {"p2": [], "p3_dirichlet": [], "p3_neumann": []}
-    ps = []
-    avg_density = None
-    per_dir = []
-    for u in dirs:
-        jet, dens, shape = _shape_data(geometry, u)
-        per_dir.append((jet, dens, shape, u))
-        ps.append(float(np.trace(jet.matrices[1] @ jet.matrices[1])))
-    if mode == "normalized":
-        avg_coeffs = [np.mean([float(d.normalized.coefficient(k))
-                               for _, d, _, _ in per_dir]) for k in range(7)]
-        avg_density = TruncatedSeries(avg_coeffs, offset=0)
-    for jet, dens, shape, u in per_dir:
-        bp = boundary_polynomials(shape, jet, inv, mode=mode,
-                                  density=dens.normalized,
-                                  averaged_density=avg_density)
-        for key in rows:
-            rows[key].append(bp.r3[key])
-    ps = np.asarray(ps)
-    spread = ps.max() - ps.min()
-    scale = max(abs(ps).max(), 1.0)
-    if spread <= 1e-12 * scale:
+    batch = curvature_jet(geometry, dirs, order=3)
+    r1 = batch.matrices[1]
+    ps = np.trace(r1 @ r1, axis1=1, axis2=2)
+    if ps.max() - ps.min() <= 1e-12 * max(abs(ps).max(), 1.0):
         raise FitIllConditioned(
             "tr R'R' constant over sampled directions; slope unidentifiable")
-    structural = structural_p_decompositions(geometry.dim)
+    jets = [batch.direction(k) for k in range(len(dirs))]
+    expansions = [harmonic_series(jet) for jet in jets]
+    avg_density = None
+    if mode == "normalized":
+        avg_coeffs = [np.mean([float(d.normalized.coefficient(k))
+                               for d, _ in expansions]) for k in range(7)]
+        avg_density = TruncatedSeries(avg_coeffs, offset=0)
+    r3 = [boundary_polynomials(shape, jet, inv, mode=mode,
+                               density=dens.normalized,
+                               averaged_density=avg_density).r3
+          for jet, (dens, shape) in zip(jets, expansions)]
     c3 = Fraction(inv.c).limit_denominator(10 ** 9) ** 3
     ch = Fraction(inv.c).limit_denominator(10 ** 9) \
         * Fraction(inv.h).limit_denominator(10 ** 9)
     lfrac = Fraction(inv.l).limit_denominator(10 ** 9)
     fits = {}
     design = np.stack([np.ones_like(ps), ps], axis=1)
-    for key, values in rows.items():
-        sol, *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
+    for key, basis in structural_p_decompositions(geometry.dim).items():
+        values = np.array([r[key] for r in r3])
+        sol, *_ = np.linalg.lstsq(design, values, rcond=None)
         intercept, slope = float(sol[0]), float(sol[1])
-        predicted = design @ sol
-        resid = float(np.max(np.abs(predicted - np.asarray(values))))
-        basis = structural[key] if structural else {}
-        if basis:
-            struct_intercept = float(basis["C3"] * c3 + basis["CH"] * ch
-                                     + basis["L"] * lfrac)
-        else:
-            struct_intercept = math.nan
         fits[key] = DecompositionFit(
             quantity=key, degree=3, basis=basis,
             slope_fitted=slope,
             slope_snapped=Fraction(slope).limit_denominator(snap_limit),
             intercept_fitted=intercept,
-            intercept_structural=struct_intercept,
-            fit_residual=resid)
+            intercept_structural=float(basis["C3"] * c3 + basis["CH"] * ch
+                                       + basis["L"] * lfrac),
+            fit_residual=float(np.max(np.abs(design @ sol - values))))
     return fits
 
 
@@ -313,11 +286,11 @@ def averaged_boundary_r3(geometry):
     members where the per-direction fit degenerates.
     """
     inv = point_invariants(geometry)
-    n = geometry.dim
-    avg_p = 3.0 * inv.grad_r_sq / (n * (n + 2) * (n + 4))
+    # 16 times the (1/16) tr R'R' average; a power-of-two scaling is exact
+    avg_p = 16.0 * inv.alpha_beta_averages()[0]
     values = {"C3": inv.c ** 3, "CH": inv.c * inv.h, "L": inv.l,
               "TrRpRp": avg_p}
-    struct = structural_p_decompositions(n)
+    struct = structural_p_decompositions(geometry.dim)
     return {name: sum(float(coef) * values[slot]
                       for slot, coef in table.items())
             for name, table in struct.items()}
@@ -421,9 +394,9 @@ def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
     design = np.stack([radii ** p for p in powers], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, np.asarray(delta), rcond=None)
     fitted = float(coeffs[powers.index(2)])
-    jet1 = curvature_jet(geometry, np.asarray(u1, float), order=1).matrices[1]
-    jet2 = curvature_jet(geometry, np.asarray(u2, float), order=1).matrices[1]
-    predicted = (float(np.trace(jet1 @ jet1)) - float(np.trace(jet2 @ jet2))) / 16.0
+    r1 = curvature_jet(geometry, np.asarray([u1, u2], float), order=1).matrices[1]
+    p1, p2 = np.trace(r1 @ r1, axis1=1, axis2=2)
+    predicted = (float(p1) - float(p2)) / 16.0
     return fitted, predicted
 
 
@@ -437,6 +410,11 @@ def sphere_intrinsic_oracle(geometry, u, radii=None, powers=(-4, -2, 0, 1, 2, 3)
     unknown constant part).  The samples come from one Jacobi-flow march
     through the sorted radii, which must be positive, so the fit does not
     depend on the order the radii are given in.
+
+    The default design (six radii in geomspace(0.05, 0.4), powers -4..3)
+    has condition number about 4.4e8.  Its r^1..r^3 coefficients therefore
+    carry no error estimate: a 1e-14 relative change in the samples has
+    moved them by up to 2.5e-4 relative.  The r^-4 coefficients are stable.
     """
     if radii is None:
         radii = np.geomspace(0.05, 0.4, 6)

@@ -85,6 +85,15 @@ class PointInvariants:
         d["probe"] = [float(x) for x in self.probe]
         return d
 
+    def alpha_beta_averages(self):
+        """Exact unit-sphere averages of (1/16) tr R_u'R_u' and (4/9) beta(u),
+        the direction parts of ``heatinv.alpha_beta_parts``."""
+        n = self.dim
+        alpha = 3.0 * self.grad_r_sq / (16.0 * n * (n + 2) * (n + 4))
+        beta = (4.0 / 9.0) * (n * self.c ** 3 + 2.0 * self.r_ring
+                              - 0.25 * self.r_hat) / (n * (n + 2))
+        return alpha, beta
+
 
 def _probe_direction(dim):
     u = np.ones(dim)

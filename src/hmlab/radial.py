@@ -25,25 +25,19 @@ from .errors import (InvalidSampling, OrderUnsupported, StepFailure,
 from .series import TruncatedSeries
 
 
-def jacobi_series(jet, order=5, convention="jacobi"):
+def jacobi_series(jet, order=5):
     """Normalized Jacobi endomorphism a(r) through r**order (order <= 5).
 
-    ``convention`` names the sign convention of the supplied jet matrices:
-    'jacobi' means the Jacobi equation reads A'' + R A = 0 with these
-    matrices; 'reversed' means they carry the opposite sign and are negated
-    on entry.  The recursion (j+2)(j+1) a_{j+2} = -sum R_i a_m is run on
-    Taylor coefficients R_i = R^(i)/i!.
+    The jet matrices are those of the Jacobi equation A'' + R A = 0.  The
+    recursion (j+2)(j+1) a_{j+2} = -sum R_i a_m is run on Taylor
+    coefficients R_i = R^(i)/i!.
     """
-    if convention not in ("jacobi", "reversed"):
-        raise ValueError(f"unknown convention {convention!r}")
     if order < 0 or order > 5:
         raise OrderUnsupported(f"jacobi series order {order} outside 0..5")
     if order > jet.order + 2:
         raise OrderUnsupported(
             f"series order {order} needs jet order >= {order - 2}, got {jet.order}")
     taylor = [jet.taylor_coefficient(k) for k in range(jet.order + 1)]
-    if convention == "reversed":
-        taylor = [-m for m in taylor]
     dim = taylor[0].shape[0]
     zero = np.zeros((dim, dim))
     a = [zero, np.eye(dim)]
@@ -115,6 +109,13 @@ def density_series(a_series, trace_c6=None):
                          density=theta.shift(dim - 1), a_series=a_series)
 
 
+def harmonic_density(jet):
+    """Density series of one order-3 ``jet``: the order-5 Jacobi series
+    closed through r^6 by the harmonic trace (the one place it is applied)."""
+    return density_series(jacobi_series(jet, order=5),
+                          trace_c6=harmonic_trace_c6(jet))
+
+
 def radial_density(geometry, u=None, order=6):
     """Density series for one direction, with the harmonic r^6 closure."""
     from .geometry import curvature_jet
@@ -123,9 +124,9 @@ def radial_density(geometry, u=None, order=6):
     if order < 0 or order > 6:
         raise OrderUnsupported(f"density order {order} outside 0..6")
     jet = curvature_jet(geometry, u, order=3)
-    a_series = jacobi_series(jet, order=min(order, 5))
-    trace_c6 = harmonic_trace_c6(jet) if order == 6 else None
-    return density_series(a_series, trace_c6=trace_c6)
+    if order == 6:
+        return harmonic_density(jet)
+    return density_series(jacobi_series(jet, order=order))
 
 
 # -- shape operator traces ---------------------------------------------------
@@ -169,6 +170,13 @@ def shape_trace_series(a_series, jet, r4_trace=0.0):
     return ShapeTraces(tr_sigma=tr_sigma, tr_sigma_sq=tr_sigma_sq,
                        tr_sigma_cube=tr_sigma_cube, tr_curv_sigma=tr_curv_sigma,
                        sigma=sigma)
+
+
+def harmonic_series(jet):
+    """(``RadialDensity``, ``ShapeTraces``) of one order-3 ``jet`` of a
+    harmonic candidate, closed through r^6."""
+    dens = harmonic_density(jet)
+    return dens, shape_trace_series(dens.a_series, jet)
 
 
 def harmonic_shape_expectations(n, c, h, l, p):

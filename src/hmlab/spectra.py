@@ -178,7 +178,7 @@ def build_hnm_basis(j_rows, degree):
         for h in basis:
             rot = h.rotation_derivative(j_rows)
             want = h.scale(CRat(Fraction(0), Fraction(-m)))
-            if not (rot - want).is_zero():
+            if rot.terms != want.terms:
                 raise ConsistencyFailure(
                     f"basis element of group m={m} is no rotation eigenvector")
         per_m[m] = basis
@@ -282,14 +282,8 @@ def diamond_coefficients(f_coeffs, k, n, m, mu):
 
 def restricted_apply(f_coeffs, h_poly, mu, j_rows):
     """Exact application of the lattice-restricted operator to f(|X|^2) H."""
-    k = h_poly.nvars
-    t = radius_square(k)
-    f = CPoly.constant(k, 0)
-    t_pow = CPoly.constant(k, 1)
-    for c in f_coeffs:
-        f = f + t_pow.scale(CRat(Fraction(c)))
-        t_pow = t_pow * t
-    big = f * h_poly
+    t = radius_square(h_poly.nvars)
+    big = polynomial_to_series(f_coeffs, h_poly)
     mu = Fraction(mu)
     lap = big.laplacian()
     rot = big.rotation_derivative(j_rows).scale(CRat(Fraction(0), 2 * mu))
@@ -299,6 +293,7 @@ def restricted_apply(f_coeffs, h_poly, mu, j_rows):
 
 
 def polynomial_to_series(coeffs, h_poly):
+    """f(|X|^2) H, where ``coeffs`` are the coefficients of f in t = |X|^2."""
     k = h_poly.nvars
     t = radius_square(k)
     out = CPoly.constant(k, 0)

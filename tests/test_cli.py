@@ -5,12 +5,14 @@ argument parsing, exit codes, report structure, and determinism of the
 emitted files.
 """
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from hmlab.cli import COLUMNS, UsageError, main, member_label, parse_family
+from hmlab.cli import (COLUMNS, UsageError, build_parser, main, member_label,
+                       parse_family)
 from hmlab.errors import FamilyMismatch
 
 
@@ -176,6 +178,50 @@ def test_format_is_rejected_where_no_csv_exists(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--family", "1:1,0"], ["--mode", "natural"]),
+    (["counterexample", "--family", "1:1,0;1,0"], ["--mode", "natural"]),
+    (["isospec", "--family", "1:1,0;1,0"], ["--mode", "natural"]),
+    (["sis", "--family", "1:1,0"], ["--mode", "natural"]),
+    (["expand", "--family", "1:1,0"], ["--mode", "natural"]),
+    (["isospec", "--family", "1:1,0;1,0"], ["--tol", "1e-6"]),
+    (["sis", "--family", "1:1,0"], ["--tol", "1e-6"]),
+    (["expand", "--family", "1:1,0"], ["--tol", "1e-6"]),
+    (["isospec", "--family", "1:1,0;1,0"], ["--seed", "1"]),
+    (["sis", "--family", "1:1,0"], ["--seed", "1"]),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, flag, capsys):
+    """A flag the subcommand would ignore is a usage error, not a no-op."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err
+    assert captured.out == ""
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads():
+    """counterexample keeps --seed, unread, for scripts that pass it."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {opt for action in sub._actions
+                    for opt in action.option_strings} - {"-h", "--help"}
+             for name, sub in subparsers.choices.items()}
+    assert flags == {
+        "verify": {"--family", "--out", "--seed", "--tol", "--directions",
+                   "--perturb"},
+        "counterexample": {"--family", "--out", "--tol", "--format",
+                           "--seed"},
+        "isospec": {"--family", "--out", "--max-degree", "--grid",
+                    "--detune"},
+        "sis": {"--family", "--out"},
+        "expand": {"--family", "--out", "--seed"},
+        "spectrum": {"--k", "--n", "--m", "--mu", "--t-domain", "--bc",
+                     "--grid", "--count", "--out"},
+    }
+    assert sum(len(v) for v in flags.values()) == 30
+
+
 def test_isospec_pair_and_detuned_control(tmp_path):
     base = ["isospec", "--family", "3:2,0;1,1", "--max-degree", "0",
             "--grid", "64"]
@@ -220,6 +266,7 @@ def test_expand_reports_series(tmp_path):
     tr = payload["tr_sigma"]
     assert tr["offset"] == -1
     assert np.isclose(tr["coeffs"][0], 11.0)
+    assert "mode" not in payload
     # same seed reproduces the file, another seed moves the direction
     _, again = run_to_dir(argv, tmp_path, "expand.json", sub="b")
     assert again == text

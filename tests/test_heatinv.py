@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hmlab import geometry, heatinv
 from hmlab.errors import FitIllConditioned
 from hmlab.geometry import constant_curvature_geometry, curvature_jet
 from hmlab.heatinv import (P3_WEIGHTS, alpha2_cross_difference,
@@ -16,9 +17,11 @@ from hmlab.heatinv import (P3_WEIGHTS, alpha2_cross_difference,
                            p3_rank_check, sphere_intrinsic_curvature,
                            sphere_intrinsic_oracle, structural_p_decompositions,
                            structural_r3_table)
-from hmlab.invariants import point_invariants, sphere_average, beta_tensor
+from hmlab.invariants import (point_invariants, random_directions,
+                              sphere_average, beta_tensor)
 from hmlab.radial import (density_series, harmonic_trace_c6, jacobi_series,
                           shape_trace_series)
+from hmlab.series import TruncatedSeries
 
 
 def test_interior_coefficient_dual_routes(all_spaces):
@@ -49,6 +52,17 @@ def test_alpha_beta_averages(ns12, hh3):
     ab_sym = alpha_beta_parts(hh3, u)
     assert_allclose(ab_sym.average_alpha2_direction, 0.0, atol=1e-12)
     assert_allclose(ab_sym.alpha2_direction, 0.0, atol=1e-10)
+
+
+def test_tr_rprime_average_is_sixteen_alpha_averages(all_spaces):
+    """averaged_boundary_r3 reads the tr R'R' average as 16 times the alpha
+    average; the power-of-two scaling reproduces the direct closed form
+    bit for bit."""
+    for geo in all_spaces.values():
+        pi = point_invariants(geo)
+        n = pi.dim
+        alpha, _ = pi.alpha_beta_averages()
+        assert 16.0 * alpha == 3.0 * pi.grad_r_sq / (n * (n + 2) * (n + 4))
 
 
 def test_alpha_direction_part_has_the_right_average(ns12, rng):
@@ -102,6 +116,76 @@ def test_boundary_fit_snaps_to_structural_slopes(ns12):
         assert_allclose(fit.intercept_fitted, fit.intercept_structural,
                         rtol=1e-8)
         assert_allclose(fit.slope_fitted, float(expected[key]), rtol=1e-8)
+
+
+def per_direction_fits(geo, n_directions, seed):
+    """Reference for ``boundary_decomposition``: the per-direction path it
+    replaced, with one order-3 jet and one written-out series closure per
+    direction, then the same normalized-mode affine fit.  Returns
+    {key: (intercept, slope)}."""
+    inv = point_invariants(geo)
+    dirs = random_directions(geo.dim, n_directions,
+                             np.random.default_rng(seed))
+    per_dir = []
+    for u in dirs:
+        jet = curvature_jet(geo, u, order=3)
+        dens = density_series(jacobi_series(jet, order=5),
+                              trace_c6=harmonic_trace_c6(jet))
+        shape = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
+        per_dir.append((jet, dens, shape))
+    avg = TruncatedSeries(
+        [np.mean([float(d.normalized.coefficient(k)) for _, d, _ in per_dir])
+         for k in range(7)], offset=0)
+    ps = np.array([float(np.trace(jet.matrices[1] @ jet.matrices[1]))
+                   for jet, _, _ in per_dir])
+    design = np.stack([np.ones_like(ps), ps], axis=1)
+    out = {}
+    for key in ("p2", "p3_dirichlet", "p3_neumann"):
+        values = [boundary_polynomials(shape, jet, inv, density=d.normalized,
+                                       averaged_density=avg).r3[key]
+                  for jet, d, shape in per_dir]
+        sol, *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
+        out[key] = (float(sol[0]), float(sol[1]))
+    return out
+
+
+def test_boundary_fit_matches_the_per_direction_reference(ns12):
+    fits = boundary_decomposition(ns12, n_directions=12, seed=2)
+    reference = per_direction_fits(ns12, 12, 2)
+    assert set(fits) == set(reference)
+    for key, (intercept, slope) in reference.items():
+        assert_allclose(fits[key].intercept_fitted, intercept, rtol=1e-12)
+        assert_allclose(fits[key].slope_fitted, slope, rtol=1e-12)
+
+
+def recorded_jets(monkeypatch):
+    """Record (order, shape of u) of every jet taken by heatinv or through
+    the geometry module."""
+    calls = []
+    original = geometry.curvature_jet
+
+    def counted(geo, u, order=3):
+        calls.append((order, np.shape(u)))
+        return original(geo, u, order=order)
+
+    monkeypatch.setattr(heatinv, "curvature_jet", counted)
+    monkeypatch.setattr(geometry, "curvature_jet", counted)
+    return calls
+
+
+def test_boundary_fit_takes_one_jet_for_all_directions(ns12, monkeypatch):
+    """One batched order-3 jet serves every direction of the fit."""
+    calls = recorded_jets(monkeypatch)
+    boundary_decomposition(ns12, n_directions=12, seed=2)
+    assert [c for c in calls if c[0] == 3] == [(3, (12, 12))]
+
+
+def test_cross_difference_predicts_from_one_jet(ns12, monkeypatch):
+    calls = recorded_jets(monkeypatch)
+    alpha2_cross_difference(ns12, np.eye(12)[0], np.eye(12)[5],
+                            radii=np.geomspace(0.1, 0.4, 4), powers=(2, 3),
+                            steps_per_unit=64)
+    assert calls == [(1, (2, 12))]
 
 
 def test_boundary_fit_degenerates_on_symmetric_member(hh3):

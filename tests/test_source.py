@@ -17,9 +17,9 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_one_jacobi_flow_integrator():
-    """The flow derivative is stepped in one place only: radial._jacobi_flow.
-    A second RK4 loop would have to call it from somewhere else."""
+def calls_by_scope(name):
+    """(module, enclosing function) of every call to ``name`` in the package;
+    the scope of a module-level call is '<module>'."""
     callers = set()
     for path in sorted(Path(hmlab.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -30,7 +30,20 @@ def test_one_jacobi_flow_integrator():
                                 else scope.get(node, "<module>"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name == "_flow_derivative":
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == name:
                     callers.add((path.stem, scope[node]))
-    assert callers == {("radial", "_jacobi_flow")}
+    return callers
+
+
+def test_one_jacobi_flow_integrator():
+    """The flow derivative is stepped in one place only: radial._jacobi_flow.
+    A second RK4 loop would have to call it from somewhere else."""
+    assert calls_by_scope("_flow_derivative") == {("radial", "_jacobi_flow")}
+
+
+def test_one_harmonic_series_closure():
+    """The r^6 trace closure is applied in radial.harmonic_density only;
+    every density or shape series that needs it goes through that one."""
+    assert calls_by_scope("harmonic_trace_c6") == {("radial", "harmonic_density")}
+

@@ -18,7 +18,7 @@ from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
                           ZeroLatticeVector)
 from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
                             scale_bracket)
-from hmlab.polynomials import CPoly, CRat, monomials_of_degree
+from hmlab.polynomials import CPoly, CRat, monomials_of_degree, radius_square
 from hmlab.spectra import (RadialOperator, ball_bundle_spectrum,
                            build_hnm_basis, conjugacy_check,
                            diamond_coefficients, glz_parameter_map,
@@ -191,6 +191,34 @@ def test_restricted_apply_matches_diamond_coefficients():
     bad = diamond_coefficients(f_coeffs, k=2, n=1, m=label, mu=mu)
     assert (applied - polynomial_to_series(good, h)).is_zero()
     assert not (applied - polynomial_to_series(bad, h)).is_zero()
+
+
+def test_restricted_apply_builds_the_product_it_replaced():
+    """f(|X|^2) H through polynomial_to_series equals the t-power sum the
+    operator used to build itself; exact arithmetic, so term for term."""
+    jm = build_j_map(1, 1, 0)
+    rows = [[Fraction(int(x)) for x in r] for r in jm.j_of_center_basis(0)]
+    for polys in build_hnm_basis(rows, 2).per_m.values():
+        for h in polys:
+            t = radius_square(h.nvars)
+            f_coeffs = [Fraction(2), Fraction(0), Fraction(-3, 7)]
+            f = CPoly.constant(h.nvars, 0)
+            t_pow = CPoly.constant(h.nvars, 1)
+            for c in f_coeffs:
+                f = f + t_pow.scale(CRat(c))
+                t_pow = t_pow * t
+            assert (polynomial_to_series(f_coeffs, h).terms
+                    == (f * h).terms)
+
+
+def test_hnm_basis_rotation_eigenvectors_are_checked(monkeypatch):
+    """A basis element that is no rotation eigenvector raises."""
+    jm = build_j_map(1, 1, 0)
+    rows = [[Fraction(int(x)) for x in r] for r in jm.j_of_center_basis(0)]
+    monkeypatch.setattr(CPoly, "rotation_derivative",
+                        lambda self, j_rows: self)
+    with pytest.raises(ConsistencyFailure, match="rotation eigenvector"):
+        build_hnm_basis(rows, 1)
 
 
 # -- eigenvalue solver ------------------------------------------------------------

@@ -27,13 +27,20 @@ from .radial import harmonic_series, radial_density
 from .sis import (ball_boundary_vector, ball_volume_vector,
                   canonical_generators, eliminate, lichnerowicz_vector,
                   moment_gram, noise_wave, rank_and_membership)
-from .spectra import RadialOperator, isospectrality_report, radial_spectrum
+from .spectra import (MAX_DEGREE, MIN_GRID, RadialOperator,
+                      isospectrality_report, radial_spectrum)
 
 SCHEMA_VERSION = 1
 
 
 class UsageError(Exception):
     pass
+
+
+def require(ok, flag, value, bound):
+    """A usage error naming ``flag`` unless ``ok``; checked before any work."""
+    if not ok:
+        raise UsageError(f"{flag} must be {bound}, got {value}")
 
 
 def parse_family(text):
@@ -98,8 +105,7 @@ def to_json(payload):
 
 
 def cmd_verify(args):
-    if args.directions < 1:
-        raise UsageError(f"--directions must be at least 1, got {args.directions}")
+    require(args.directions >= 1, "--directions", args.directions, "at least 1")
     l, members = parse_family(args.family)
     reports = []
     all_passed = True
@@ -118,12 +124,11 @@ def cmd_verify(args):
     payload = {"schema_version": SCHEMA_VERSION, "command": "verify",
                "perturb": args.perturb, "members": reports,
                "passed": all_passed}
+    ok = all_passed
     if args.perturb != 1.0:
-        payload["control_tripped"] = not all_passed
-        emit(args, "verify.json", to_json(payload))
-        return 0 if not all_passed else 1
+        payload["control_tripped"] = ok = not all_passed
     emit(args, "verify.json", to_json(payload))
-    return 0 if all_passed else 1
+    return 0 if ok else 1
 
 
 # -- counterexample table ---------------------------------------------------------
@@ -138,7 +143,7 @@ def member_row(geo):
     pi = point_invariants(geo)
     dens = radial_density(geo)
     avg_alpha, avg_beta = pi.alpha_beta_averages()
-    r3 = averaged_boundary_r3(geo)
+    r3 = averaged_boundary_r3(pi)
     return {
         "C": pi.c, "H": pi.h, "L": pi.l,
         "A2": float(dens.normalized.coefficient(2)),
@@ -198,6 +203,9 @@ def default_lattice(l):
 
 
 def cmd_isospec(args):
+    require(0 <= args.max_degree <= MAX_DEGREE, "--max-degree",
+            args.max_degree, f"in 0..{MAX_DEGREE}")
+    require(args.grid >= MIN_GRID, "--grid", args.grid, f"at least {MIN_GRID}")
     l, members = parse_family(args.family)
     if len(members) != 2:
         raise UsageError("isospectrality comparison needs exactly two members")
@@ -291,6 +299,10 @@ def cmd_expand(args):
 
 
 def cmd_spectrum(args):
+    require(args.grid >= MIN_GRID, "--grid", args.grid, f"at least {MIN_GRID}")
+    require(args.count >= 1, "--count", args.count, "at least 1")
+    require(0 < args.t_domain < float("inf"), "--t-domain", args.t_domain,
+            "positive and finite")
     try:
         a_str, b_str = args.bc.split(",")
         bc = (float(a_str), float(b_str))

@@ -38,7 +38,7 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """An oracle was asked for no samples, or for a radius that is not > 0."""
+    """Too few samples or grid cells were asked for, or a radius not > 0."""
 
 
 class DegreeMismatch(HmlabError):
@@ -63,6 +63,10 @@ class NotComplexStructure(HmlabError):
 
 class DegenerateBoundary(HmlabError):
     """Robin data (A, B) does not define a boundary condition."""
+
+
+class NonIntegrableWeight(HmlabError):
+    """Radial measure weight t^(s-1) with s = (k + 2n)/2 <= 0."""
 
 
 class ConvergenceFailure(HmlabError):

@@ -17,8 +17,9 @@ import numpy as np
 from .clifford import build_j_map
 from .errors import NotHType, OrderUnsupported
 
-# Directions per jet contraction block.  From order 2 up each direction of a
-# block holds one n^4 intermediate (two at order 3), ~166 KB each at n = 12.
+# Directions per jet contraction block.  From order 2 up a block holds nabla R
+# with two or three direction pairs folded in, (m, 3, n^3) at most, ~1.3 MB
+# at m = 32 and n = 12, and one transposed n^5 copy of nabla R.
 JET_BLOCK = 32
 
 
@@ -31,9 +32,6 @@ class MetricLieAlgebra:
     @property
     def dim(self):
         return self.c.shape[0]
-
-    def bracket(self, x, y):
-        return np.einsum('i,j,ijm->m', x, y, self.c)
 
 
 @dataclass
@@ -188,11 +186,12 @@ class Geometry:
     """A homogeneous geometry probed through one base point.
 
     Bundles the connection and curvature in the frame at the base point and
-    caches the first two full covariant derivatives of curvature.  For
-    group geometries these are built from structure constants; the constant
-    curvature model prescribes curvature directly with a parallel frame.
-    ``jmap`` is the Clifford data of a Damek-Ricci member and None for any
-    other geometry; ``module_dim`` and ``center_dim`` are read from it.
+    caches the first covariant derivative of curvature, from which every
+    curvature jet is built.  For group geometries these are built from
+    structure constants; the constant curvature model prescribes curvature
+    directly with a parallel frame.  ``jmap`` is the Clifford data of a
+    Damek-Ricci member and None for any other geometry; ``module_dim`` and
+    ``center_dim`` are read from it.
     """
 
     def __init__(self, gamma, r, algebra=None, name="geometry", jmap=None):
@@ -202,7 +201,6 @@ class Geometry:
         self.name = name
         self.jmap = jmap
         self._s1 = None
-        self._s2 = None
 
     @property
     def dim(self):
@@ -221,12 +219,6 @@ class Geometry:
         if self._s1 is None:
             self._s1 = covariant_derivative(self.gamma, self.r)
         return self._s1
-
-    @property
-    def nabla2_r(self):
-        if self._s2 is None:
-            self._s2 = covariant_derivative(self.gamma, self.nabla_r)
-        return self._s2
 
 
 def geometry_from_algebra(algebra, name="group", jmap=None):
@@ -260,9 +252,8 @@ def curvature_jet(geometry, u, order=3):
     ``u`` is one unit direction of shape (n,) or a batch of shape (m, n).
     Returns matrices [R, R', R'', R'''][:order+1] in a parallel frame, each
     of shape (n, n) for one direction and (m, n, n) for a batch.  Directions
-    are contracted ``JET_BLOCK`` at a time with planned einsums; the third
-    derivative is assembled directionally from the second covariant
-    derivative so the rank-seven array never materializes.
+    are contracted ``JET_BLOCK`` at a time.  Every order is built from
+    nabla R alone; no higher covariant derivative is formed.
     """
     if order < 0 or order > 3:
         raise OrderUnsupported(f"jet order {order} outside supported range 0..3")
@@ -280,34 +271,43 @@ def curvature_jet(geometry, u, order=3):
 def _jet_block(geometry, u, order):
     """Jet matrices, each (m, n, n), for a block of directions ``u`` (m, n).
 
-    Contractions against the curvature tensors are planned (BLAS); the
-    folds over the direction batch have nothing to plan and stay plain.
+    A covariant derivative along u, contracted with vectors, takes one
+    -gamma_u correction per slot, so every order comes from nabla R.  With
+    T(x, q) = nabla R[x, ., a, b, .] q[a, b], gu = gamma_u and v = gu u,
+    R'' = -(X + gu R' + R' gu^T) where X = T(v, uu) + T(u, uv + vu) puts v
+    in one direction slot; R''' corrects every slot of R'' alike, and its
+    direction slots take p = gamma_v u + gu v once or v twice.
     """
-    def fold(t, q):
-        return np.einsum('kiabj,kab->kij', t, q)
+    def outer(x, y, sym=False):
+        xy = np.einsum('ka,kb->kab', x, y)
+        return xy + np.swapaxes(xy, 1, 2) if sym else xy
 
-    uu = np.einsum('ka,kb->kab', u, u)
+    def sandwich(g, m):
+        return g @ m + m @ np.swapaxes(g, 1, 2)
+
+    uu = outer(u, u)
     mats = [np.einsum('iabj,kab->kij', geometry.r, uu, optimize=True)]
     if order >= 1:
         mats.append(np.einsum('ciabj,kc,kab->kij', geometry.nabla_r, u, uu,
                               optimize=True))
     if order >= 2:
-        s2 = geometry.nabla2_r
-        # both derivative slots along u: (m, n^4), the block's largest array.
-        # A plain GEMM; einsum's planner would put s2 first and copy it.
-        u2 = np.tensordot(uu, s2, axes=2)
-        mats.append(fold(u2, uu))
-    if order >= 3:
-        # u . (third covariant derivative) takes one -gamma_u correction per
-        # slot of the second (gu = gamma_u, v = gamma_u u).  The two
-        # curvature slots fold onto R''; the four direction slots each put
-        # v in one place and u in the other three, which w collects.
-        gu = np.einsum('kg,gbm->kbm', u, geometry.gamma, optimize=True)
+        gu = np.tensordot(u, geometry.gamma, axes=1)
         v = np.einsum('ka,kam->km', u, gu)
-        w = np.einsum('ka,kb->kab', u, v)
-        w += np.swapaxes(w, 1, 2)
-        r2 = mats[2]
-        r3 = gu @ r2 + r2 @ np.swapaxes(gu, 1, 2) + fold(u2, w)
-        r3 += fold(np.tensordot(w, s2, axes=2), uu)
-        mats.append(-r3)
+        pairs = [uu, outer(u, v, sym=True)]
+        if order >= 3:
+            gv = np.tensordot(v, geometry.gamma, axes=1)
+            p = np.einsum('ka,kam->km', u, gv) + np.einsum('ka,kam->km', v, gu)
+            pairs.append(outer(u, p, sym=True) + 2.0 * outer(v, v))
+        # one GEMM folds each pair into the two inner direction slots
+        folded = np.tensordot(np.stack(pairs, axis=1), geometry.nabla_r,
+                              axes=([2, 3], [2, 3]))
+
+        def t(x, s):
+            return np.einsum('kc,kcij->kij', x, folded[:, s])
+
+        x = t(v, 0) + t(u, 1)
+        mats.append(-(x + sandwich(gu, mats[1])))
+    if order >= 3:
+        mats.append(sandwich(gu, x - mats[2]) + sandwich(gv, mats[1])
+                    + t(p, 0) + 2.0 * t(v, 1) + t(u, 2))
     return mats

@@ -13,7 +13,7 @@ their averages are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -109,26 +109,23 @@ def _combine(table_rows, weights):
     return out
 
 
-def structural_p_decompositions(n):
-    """r^3 decompositions of P2 and the two cubic boundary polynomials."""
-    n = int(n)
-    t = structural_r3_table(n)
-    f = Fraction
-    # P2 = (20n - 8) C tr(sigma) + 16 tr(R_nu sigma); tr(sigma)'s r^3
-    # coefficient is -H/45, so the C-weighted term lands in CH.
-    p2 = _combine([t["curv_sigma"]], [f(16)])
-    p2["CH"] += f(-(20 * n - 8), 45)
-    p3_d = _combine([t["cube"], t["mixed"], t["pure_cube"]],
-                    [f(40, 21), f(-88, 7), f(320, 21)])
-    p3_n = _combine([t["cube"], t["mixed"], t["pure_cube"]],
-                    [f(40, 3), f(8), f(32, 3)])
-    return {"p2": p2, "p3_dirichlet": p3_d, "p3_neumann": p3_n}
-
-
 P3_WEIGHTS = {
     "p3_dirichlet": (Fraction(40, 21), Fraction(-88, 7), Fraction(320, 21)),
     "p3_neumann": (Fraction(40, 3), Fraction(8), Fraction(32, 3)),
 }
+
+
+def structural_p_decompositions(n):
+    """r^3 decompositions of P2 and the two cubic boundary polynomials."""
+    n = int(n)
+    t = structural_r3_table(n)
+    # P2 = (20n - 8) C tr(sigma) + 16 tr(R_nu sigma); tr(sigma)'s r^3
+    # coefficient is -H/45, so the C-weighted term lands in CH.
+    out = {"p2": _combine([t["curv_sigma"]], [Fraction(16)])}
+    out["p2"]["CH"] += Fraction(-(20 * n - 8), 45)
+    for name, weights in P3_WEIGHTS.items():
+        out[name] = _combine([t["cube"], t["mixed"], t["pure_cube"]], weights)
+    return out
 
 
 @dataclass
@@ -140,35 +137,22 @@ class BoundaryPolynomials:
     coefficient; ``decomposition`` holds the structural rationals.
     """
 
-    condition: str
-    mode: str
     p1: float
     p2: TruncatedSeries
     p3_dirichlet: TruncatedSeries
     p3_neumann: TruncatedSeries
     r3: dict
-    decomposition: dict = field(default_factory=dict)
-
-    @property
-    def p3(self):
-        return self.p3_dirichlet if self.condition == "dirichlet" else self.p3_neumann
+    decomposition: dict
 
 
-def boundary_polynomials(shape, jet, inv, condition="dirichlet",
-                         mode="normalized", density=None, averaged_density=None):
+def boundary_polynomials(shape, inv, density=None, averaged_density=None):
     """Assemble the boundary polynomials from transverse trace series.
 
-    ``mode='natural'`` multiplies each series by the direction's normalized
-    density before coefficient extraction; 'normalized' divides the natural
-    series by the averaged density, which collapses to the raw traces when
-    the density is a radial function (the harmonic case).  The structural
-    decomposition is attached in normalized mode only, where the frozen
-    rationals apply.
+    Given the direction's normalized ``density`` and the
+    ``averaged_density``, each series is multiplied by their ratio before
+    coefficient extraction; the ratio is one when the density is a radial
+    function (the harmonic case), which leaves the raw traces.
     """
-    if condition not in ("dirichlet", "neumann"):
-        raise ValueError(f"unknown boundary condition {condition!r}")
-    if mode not in ("natural", "normalized"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = inv.dim
     c = inv.c
     tr1 = shape.tr_sigma
@@ -180,21 +164,16 @@ def boundary_polynomials(shape, jet, inv, condition="dirichlet",
     for name, (w1, w2, w3) in P3_WEIGHTS.items():
         series[name] = cube.scale(float(w1)) + mixed.scale(float(w2)) \
             + pure.scale(float(w3))
-    if mode == "natural":
-        if density is None:
-            raise ValueError("natural mode needs the direction's density series")
-        series = {k: (s * density).truncate(3) for k, s in series.items()}
-    elif density is not None and averaged_density is not None:
+    if density is not None and averaged_density is not None:
         factor = density * averaged_density.inverse()
         series = {k: (s * factor).truncate(3) for k, s in series.items()}
     r3 = {k: float(s.coefficient(3)) for k, s in series.items()}
-    decomposition = structural_p_decompositions(n) if mode == "normalized" else {}
-    return BoundaryPolynomials(condition=condition, mode=mode,
-                               p1=a2_integrand(inv),
+    return BoundaryPolynomials(p1=a2_integrand(inv),
                                p2=series["p2"],
                                p3_dirichlet=series["p3_dirichlet"],
                                p3_neumann=series["p3_neumann"],
-                               r3=r3, decomposition=decomposition)
+                               r3=r3,
+                               decomposition=structural_p_decompositions(n))
 
 
 @dataclass
@@ -229,7 +208,7 @@ class DecompositionFit:
 
 
 def boundary_decomposition(geometry, n_directions=16, seed=0,
-                           mode="normalized", snap_limit=10000):
+                           snap_limit=10000):
     """Fit the r^3 coefficients of P2/P3 against tr R'R' over directions.
 
     On a harmonic space only tr R'R' varies with direction, so each r^3
@@ -246,17 +225,14 @@ def boundary_decomposition(geometry, n_directions=16, seed=0,
     if ps.max() - ps.min() <= 1e-12 * max(abs(ps).max(), 1.0):
         raise FitIllConditioned(
             "tr R'R' constant over sampled directions; slope unidentifiable")
-    jets = [batch.direction(k) for k in range(len(dirs))]
-    expansions = [harmonic_series(jet) for jet in jets]
-    avg_density = None
-    if mode == "normalized":
-        avg_coeffs = [np.mean([float(d.normalized.coefficient(k))
-                               for d, _ in expansions]) for k in range(7)]
-        avg_density = TruncatedSeries(avg_coeffs, offset=0)
-    r3 = [boundary_polynomials(shape, jet, inv, mode=mode,
-                               density=dens.normalized,
+    expansions = [harmonic_series(batch.direction(k))
+                  for k in range(len(dirs))]
+    avg_density = TruncatedSeries(
+        [np.mean([float(d.normalized.coefficient(k)) for d, _ in expansions])
+         for k in range(7)], offset=0)
+    r3 = [boundary_polynomials(shape, inv, density=dens.normalized,
                                averaged_density=avg_density).r3
-          for jet, (dens, shape) in zip(jets, expansions)]
+          for dens, shape in expansions]
     c3 = Fraction(inv.c).limit_denominator(10 ** 9) ** 3
     ch = Fraction(inv.c).limit_denominator(10 ** 9) \
         * Fraction(inv.h).limit_denominator(10 ** 9)
@@ -278,19 +254,19 @@ def boundary_decomposition(geometry, n_directions=16, seed=0,
     return fits
 
 
-def averaged_boundary_r3(geometry):
-    """Direction-averaged r^3 coefficients of the boundary polynomials.
+def averaged_boundary_r3(inv):
+    """Direction-averaged r^3 coefficients of the boundary polynomials,
+    from the member's :class:`PointInvariants`.
 
     Averaging the affine dependence on tr R'R' replaces it by its exact
     sphere average, so the result needs no fitting and exists on symmetric
     members where the per-direction fit degenerates.
     """
-    inv = point_invariants(geometry)
     # 16 times the (1/16) tr R'R' average; a power-of-two scaling is exact
     avg_p = 16.0 * inv.alpha_beta_averages()[0]
     values = {"C3": inv.c ** 3, "CH": inv.c * inv.h, "L": inv.l,
               "TrRpRp": avg_p}
-    struct = structural_p_decompositions(geometry.dim)
+    struct = structural_p_decompositions(inv.dim)
     return {name: sum(float(coef) * values[slot]
                       for slot, coef in table.items())
             for name, table in struct.items()}

@@ -354,8 +354,9 @@ def verify_average_identities(geometry, tol=1e-7):
 # -- Monte Carlo averages ----------------------------------------------------
 
 
-# Directions per Monte Carlo block.  A grad_quad block holds its (364, m)
-# monomials and their (144, m) image, ~16 MB at m = 4096 and n = 12.
+# Directions per Monte Carlo block.  A call allocates its monomials, a gather
+# array and the GEMM image once, ~29 MB for grad_quad at m = 4096 and n = 12,
+# rather than mapping and unmapping fresh multi-MB arrays block by block.
 MC_BLOCK = 4096
 
 
@@ -376,13 +377,15 @@ def _symmetric_factor(tensor, degree):
     return idx, factor
 
 
-def _monomials(dt, idx):
-    """Monomials of the directions in the columns of ``dt`` (n, m): row k is
-    the product of the rows of ``dt`` named by idx[k]."""
-    w = dt[idx[:, 0]]
+def _monomials(dt, idx, out, gather):
+    """Fill ``out`` with the monomials of the directions in the columns of
+    ``dt`` (n, m): row k is the product of the rows of ``dt`` named by
+    idx[k].  ``gather`` is a work array shaped like ``out``; mode='clip' (a
+    no-op on valid rows) lets ``np.take`` write into them unbuffered."""
+    np.take(dt, idx[:, 0], axis=0, out=out, mode='clip')
     for col in idx[:, 1:].T:
-        w *= dt[col]
-    return w
+        out *= np.take(dt, col, axis=0, out=gather, mode='clip')
+    return out
 
 
 def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
@@ -404,26 +407,27 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     if quantity == "beta":
         idx, fmat = _symmetric_factor(np.einsum('iabj->abij', geometry.r), 2)
         kmat = np.einsum('jiqm->qimj', geometry.r).reshape(n * n, n * n)
-        gram = fmat @ kmat @ fmat.T
-
-        def evaluate(w):
-            return np.sum((gram @ w) * w, axis=0)
+        image = fmat @ kmat @ fmat.T
     elif quantity == "grad_quad":
         idx, fmat = _symmetric_factor(
             np.einsum('ciabj->cabij', geometry.nabla_r), 3)
-
-        def evaluate(w):
-            r1 = fmat.T @ w
-            return np.sum(r1 * r1, axis=0)
+        image = fmat.T
     else:
         raise ValueError(f"unknown Monte Carlo quantity {quantity!r}")
 
-    total = 0.0
-    total_sq = 0.0
+    # flat buffers, so a short last block takes a contiguous leading part
+    rows = (len(idx), len(idx), len(image))
+    bufs = [np.empty(r * MC_BLOCK) for r in rows]
+    total = total_sq = 0.0
     for done in range(0, n_samples, MC_BLOCK):
         m = min(MC_BLOCK, n_samples - done)
+        w, gather, img = (b[:r * m].reshape(r, m) for b, r in zip(bufs, rows))
         dt = np.ascontiguousarray(random_directions(n, m, rng).T)
-        vals = evaluate(_monomials(dt, idx))
+        _monomials(dt, idx, w, gather)
+        np.matmul(image, w, out=img)
+        # beta(u) = w . (image w); tr R_u'R_u' = |image w|^2
+        img *= w if quantity == "beta" else img
+        vals = img.sum(axis=0)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     mean = total / n_samples

@@ -21,10 +21,14 @@ import scipy.linalg
 
 from .errors import (ConsistencyFailure, ConvergenceFailure,
                      DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
-                     NotComplexStructure, SpectraDiffer, ZeroLatticeVector)
+                     InvalidSampling, NonIntegrableWeight, NotComplexStructure,
+                     SpectraDiffer, ZeroLatticeVector)
 from .polynomials import (CPoly, CRat, adapted_coordinates,
                           harmonic_projection, harmonic_space_dimension,
                           monomials_of_degree, radius_square)
+
+MAX_DEGREE = 6  # of the exact bidegree bases
+MIN_GRID = 64  # cells of a radial grid
 
 # -- symbol of the lattice-restricted operator ---------------------------------
 
@@ -143,8 +147,9 @@ def build_hnm_basis(j_rows, degree):
     formula for homogeneous harmonics; a violation of either raises
     :class:`ConsistencyFailure`.
     """
-    if degree > 6:
-        raise DegreeTooHigh("bidegree bases are capped at total degree 6")
+    if degree > MAX_DEGREE:
+        raise DegreeTooHigh(
+            f"bidegree bases are capped at total degree {MAX_DEGREE}")
     j_rows = [[Fraction(x) for x in row] for row in j_rows]
     _check_complex_structure(j_rows)
     k = len(j_rows)
@@ -251,9 +256,6 @@ class RadialOperator:
     def s_exponent(self):
         return 0.5 * (self.k + 2 * self.n)
 
-    def potential(self, t):
-        return 2.0 * self.m * self.mu + 4.0 * self.mu ** 2 + self.mu ** 2 * t
-
 
 def operator_for_sector(k, degree, m_label, mu):
     """Radial operator acting on the (degree, m_label) harmonic sector.
@@ -358,10 +360,11 @@ def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6,
     error.  A spread exceeding ``rel_threshold`` of the eigenvalue scale
     means the grid never reached the asymptotic regime.
     """
-    if grid < 64:
-        raise ValueError("grid must be at least 64 cells")
+    if grid < MIN_GRID:
+        raise InvalidSampling(f"grid must be at least {MIN_GRID} cells")
     if op.s_exponent <= 0:
-        raise ValueError("measure weight t^(s-1) needs s = (k + 2n)/2 > 0")
+        raise NonIntegrableWeight(
+            "measure weight t^(s-1) needs s = (k + 2n)/2 > 0")
     if bc[0] == 0.0 and bc[1] == 0.0:
         raise DegenerateBoundary("Robin pair (0, 0) fixes nothing")
     coarse = _solve_grid(op, t_domain, bc, grid, count)

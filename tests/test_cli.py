@@ -69,6 +69,32 @@ def test_verify_rejects_direction_count_below_one(count, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["isospec", "--max-degree", "-1"], "--max-degree"),
+    (["isospec", "--max-degree", "7"], "--max-degree"),
+    (["isospec", "--grid", "63"], "--grid"),
+    (["spectrum", "--k", "2", "--grid", "32"], "--grid"),
+    (["spectrum", "--k", "2", "--count", "0"], "--count"),
+    (["spectrum", "--k", "2", "--t-domain", "0"], "--t-domain"),
+    (["spectrum", "--k", "2", "--t-domain", "-4"], "--t-domain"),
+    (["spectrum", "--k", "2", "--t-domain", "nan"], "--t-domain"),
+    (["spectrum", "--k", "2", "--t-domain", "inf"], "--t-domain"),
+])
+def test_out_of_range_inputs_are_usage_errors_before_any_work(
+        argv, flag, monkeypatch, capsys):
+    import hmlab.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the inputs were checked")
+
+    monkeypatch.setattr(hmlab.cli, "build_members", no_work)
+    monkeypatch.setattr(hmlab.cli, "radial_spectrum", no_work)
+    if argv[0] == "isospec":
+        argv = argv + ["--family", "3:2,0;1,1"]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_verify_clean_family(tmp_path):
     rc, text = run_to_dir(
         ["verify", "--family", "1:1,0", "--directions", "8"],

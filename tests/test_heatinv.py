@@ -141,9 +141,9 @@ def per_direction_fits(geo, n_directions, seed):
     design = np.stack([np.ones_like(ps), ps], axis=1)
     out = {}
     for key in ("p2", "p3_dirichlet", "p3_neumann"):
-        values = [boundary_polynomials(shape, jet, inv, density=d.normalized,
+        values = [boundary_polynomials(shape, inv, density=d.normalized,
                                        averaged_density=avg).r3[key]
-                  for jet, d, shape in per_dir]
+                  for _, d, shape in per_dir]
         sol, *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
         out[key] = (float(sol[0]), float(sol[1]))
     return out
@@ -194,8 +194,8 @@ def test_boundary_fit_degenerates_on_symmetric_member(hh3):
 
 
 def test_averaged_boundary_r3_distinguishes_the_pair(hh3, ns12):
-    sym = averaged_boundary_r3(hh3)
-    mixed = averaged_boundary_r3(ns12)
+    sym = averaged_boundary_r3(point_invariants(hh3))
+    mixed = averaged_boundary_r3(point_invariants(ns12))
     # C, H, L agree across the pair, so the offsets are the slope times the
     # average of tr R'R', which vanishes only on the symmetric member
     n = 12
@@ -216,15 +216,11 @@ def test_normalized_mode_with_matching_density_is_raw(hh2):
     dens = density_series(jacobi_series(jet, order=5),
                           trace_c6=harmonic_trace_c6(jet))
     shape = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
-    raw = boundary_polynomials(shape, jet, inv, mode="normalized")
-    cooked = boundary_polynomials(shape, jet, inv, mode="normalized",
-                                  density=dens.normalized,
+    raw = boundary_polynomials(shape, inv)
+    cooked = boundary_polynomials(shape, inv, density=dens.normalized,
                                   averaged_density=dens.normalized)
     for key in raw.r3:
         assert_allclose(cooked.r3[key], raw.r3[key], rtol=1e-10)
-    natural = boundary_polynomials(shape, jet, inv, mode="natural",
-                                   density=dens.normalized)
-    assert natural.decomposition == {}
     assert raw.decomposition != {}
 
 

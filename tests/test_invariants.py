@@ -262,7 +262,8 @@ def test_row_layout_monomials_equal_the_column_path(degree, rng):
     idx, _ = _symmetric_factor(np.zeros((12,) * degree + (1,)), degree)
     combos, _ = reference_symmetric_monomials(12, degree)
     assert idx.tolist() == [list(c) for c in combos]
-    w = _monomials(np.ascontiguousarray(dirs.T), idx)
+    w = _monomials(np.ascontiguousarray(dirs.T), idx,
+                   np.empty((len(idx), 300)), np.empty((len(idx), 300)))
     assert np.array_equal(w.T, reference_monomial_matrix(dirs, combos))
 
 

@@ -47,3 +47,9 @@ def test_one_harmonic_series_closure():
     every density or shape series that needs it goes through that one."""
     assert calls_by_scope("harmonic_trace_c6") == {("radial", "harmonic_density")}
 
+
+
+def test_covariant_derivatives_stop_at_nabla_r():
+    """Jets of every order are built from nabla R; no second covariant
+    derivative (an n^6 array) is formed anywhere in the package."""
+    assert calls_by_scope("covariant_derivative") == {("geometry", "nabla_r")}

@@ -14,6 +14,7 @@ from hmlab import spectra
 from hmlab.clifford import build_j_map
 from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
                           DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
+                          InvalidSampling, NonIntegrableWeight,
                           NotComplexStructure, SpectraDiffer,
                           ZeroLatticeVector)
 from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
@@ -266,8 +267,10 @@ def test_degenerate_boundary_pair():
     op = RadialOperator(k=2, n=0, m=0, mu=0.0)
     with pytest.raises(DegenerateBoundary):
         radial_spectrum(op, 10.0, bc=(0.0, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSampling):
         radial_spectrum(op, 10.0, grid=32)
+    with pytest.raises(NonIntegrableWeight):
+        radial_spectrum(RadialOperator(k=0, n=0, m=0, mu=0.0), 10.0)
 
 
 def test_unresolved_potential_raises():

@@ -12,13 +12,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DegenerateBoundary, DegenerateGram, DegreeMismatch,
-                     DegreeTooHigh, FamilyMismatch, HmlabError)
+from .errors import (DegenerateBoundary, DegreeMismatch, DegreeTooHigh,
+                     FamilyMismatch, HmlabError)
 from .geometry import damek_ricci_geometry, geometry_from_algebra, scale_bracket
 from .heatinv import averaged_boundary_r3
 from .invariants import (point_invariants, verify_average_identities,
@@ -106,6 +106,8 @@ def to_json(payload):
 
 def cmd_verify(args):
     require(args.directions >= 1, "--directions", args.directions, "at least 1")
+    require(0 < args.tol < math.inf, "--tol", args.tol, "positive and finite")
+    require(math.isfinite(args.perturb), "--perturb", args.perturb, "finite")
     l, members = parse_family(args.family)
     reports = []
     all_passed = True
@@ -158,6 +160,7 @@ def member_row(geo):
 
 
 def cmd_counterexample(args):
+    require(0 < args.tol < math.inf, "--tol", args.tol, "positive and finite")
     l, members = parse_family(args.family)
     if len(members) < 2:
         raise UsageError("comparison table needs at least two members")
@@ -206,6 +209,7 @@ def cmd_isospec(args):
     require(0 <= args.max_degree <= MAX_DEGREE, "--max-degree",
             args.max_degree, f"in 0..{MAX_DEGREE}")
     require(args.grid >= MIN_GRID, "--grid", args.grid, f"at least {MIN_GRID}")
+    require(math.isfinite(args.detune), "--detune", args.detune, "finite")
     l, members = parse_family(args.family)
     if len(members) != 2:
         raise UsageError("isospectrality comparison needs exactly two members")
@@ -258,7 +262,7 @@ def cmd_sis(args):
     try:
         moment_gram(geo, space.generators)
         transcript["moment_gram"] = "available"
-    except (DegreeTooHigh, DegenerateGram) as exc:
+    except DegreeTooHigh as exc:
         transcript["moment_gram"] = f"{type(exc).__name__}: {exc}"
     emit(args, "sis.json", to_json(transcript))
     return code
@@ -300,14 +304,17 @@ def cmd_expand(args):
 
 def cmd_spectrum(args):
     require(args.grid >= MIN_GRID, "--grid", args.grid, f"at least {MIN_GRID}")
-    require(args.count >= 1, "--count", args.count, "at least 1")
-    require(0 < args.t_domain < float("inf"), "--t-domain", args.t_domain,
+    require(1 <= args.count <= args.grid, "--count", args.count,
+            f"in 1..{args.grid} (--grid)")
+    require(0 < args.t_domain < math.inf, "--t-domain", args.t_domain,
             "positive and finite")
+    require(math.isfinite(args.mu), "--mu", args.mu, "finite")
     try:
         a_str, b_str = args.bc.split(",")
         bc = (float(a_str), float(b_str))
     except ValueError as exc:
         raise UsageError(f"bad Robin pair {args.bc!r}, expected 'A,B'") from exc
+    require(all(map(math.isfinite, bc)), "--bc", args.bc, "two finite numbers")
     if args.k + 2 * args.n <= 0:
         raise UsageError("k + 2n must be positive for an integrable measure")
     op = RadialOperator(k=args.k, n=args.n, m=args.m, mu=args.mu)

@@ -22,7 +22,9 @@ class OrderUnsupported(HmlabError):
 
 
 class DegreeTooHigh(HmlabError):
-    """Exact sphere averaging limited to polynomial degree <= 8."""
+    """A degree beyond an exact engine's cap: sphere averages of direction
+    polynomials above degree 8, bidegree bases above ``MAX_DEGREE``, and
+    moment Grams of vectors touching the degree-6 (C^3, CH, L) slots."""
 
 
 class SingularSeries(HmlabError):

@@ -1,9 +1,10 @@
 """Exact linear algebra over any field with +, -, *, / and truth testing.
 
-Works on lists of lists; used with Fraction and with the Gaussian-rational
-scalars from :mod:`hmlab.polynomials`.  No pivoting heuristics are needed
-because arithmetic is exact; the first nonzero entry in a column is the
-pivot, and the pivot trail records which columns carried one.
+Works on lists of lists; the package uses it with Fraction only (the
+bidegree bases of :mod:`hmlab.spectra` run their own sparse elimination
+over Gaussian rationals).  No pivoting heuristics are needed because
+arithmetic is exact; the first nonzero entry in a column is the pivot, and
+the pivot trail records which columns carried one.
 """
 
 from __future__ import annotations

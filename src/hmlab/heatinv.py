@@ -38,7 +38,8 @@ def a2_integrand(inv):
 
 
 def a2_integrand_from_traces(inv):
-    """Same combination with |R|^2 folded through the H identity."""
+    """Same combination with |R|^2 folded through the H identity; the H
+    route to ``BoundaryPolynomials.p1``, checked against ``a2_integrand``."""
     n, c, h = inv.dim, inv.c, inv.h
     return (5.0 * (n * c) ** 2 - 2.0 * n * c * c
             + (4.0 * n / 3.0) * ((n + 2) * h - c * c)) / 360.0
@@ -180,8 +181,9 @@ def boundary_polynomials(shape, inv, density=None, averaged_density=None):
 class DecompositionFit:
     """Per-direction linear fit of an r^3 coefficient against tr R'R'.
 
-    The slope is reported raw and snapped to a small rational; the
-    structural intercept is the exact (C^3, CH, L) combination.
+    The slope is reported raw and snapped to a rational with denominator
+    at most 10000; the structural intercept is the exact (C^3, CH, L)
+    combination.
     """
 
     quantity: str
@@ -207,8 +209,7 @@ class DecompositionFit:
         }
 
 
-def boundary_decomposition(geometry, n_directions=16, seed=0,
-                           snap_limit=10000):
+def boundary_decomposition(geometry, n_directions=16, seed=0):
     """Fit the r^3 coefficients of P2/P3 against tr R'R' over directions.
 
     On a harmonic space only tr R'R' varies with direction, so each r^3
@@ -246,7 +247,7 @@ def boundary_decomposition(geometry, n_directions=16, seed=0,
         fits[key] = DecompositionFit(
             quantity=key, degree=3, basis=basis,
             slope_fitted=slope,
-            slope_snapped=Fraction(slope).limit_denominator(snap_limit),
+            slope_snapped=Fraction(slope).limit_denominator(10000),
             intercept_fitted=intercept,
             intercept_structural=float(basis["C3"] * c3 + basis["CH"] * ch
                                        + basis["L"] * lfrac),
@@ -270,13 +271,6 @@ def averaged_boundary_r3(inv):
     return {name: sum(float(coef) * values[slot]
                       for slot, coef in table.items())
             for name, table in struct.items()}
-
-
-def p3_rank_check():
-    """Exact rank of the Dirichlet/Neumann weight vectors (must be 2)."""
-    from .exactlinalg import rank
-    rows = [list(P3_WEIGHTS["p3_dirichlet"]), list(P3_WEIGHTS["p3_neumann"])]
-    return rank(rows)
 
 
 # -- intrinsic geodesic-sphere oracle -----------------------------------------

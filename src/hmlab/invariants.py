@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -66,8 +66,9 @@ def direction_constants(geometry, u):
 class PointInvariants:
     """Direction-independent curvature scalars at the base point.
 
-    ``c``, ``h``, ``l`` are sampled at ``probe`` (constant over directions on
-    a harmonic space; harmonicity is certified separately).
+    ``c``, ``h``, ``l`` are sampled along the unit diagonal direction
+    (constant over directions on a harmonic space; harmonicity is certified
+    separately).
     """
 
     dim: int
@@ -78,12 +79,6 @@ class PointInvariants:
     r_hat: float
     r_ring: float
     grad_r_sq: float
-    probe: np.ndarray = field(repr=False)
-
-    def as_dict(self):
-        d = asdict(self)
-        d["probe"] = [float(x) for x in self.probe]
-        return d
 
     def alpha_beta_averages(self):
         """Exact unit-sphere averages of (1/16) tr R_u'R_u' and (4/9) beta(u),
@@ -95,17 +90,10 @@ class PointInvariants:
         return alpha, beta
 
 
-def _probe_direction(dim):
-    u = np.ones(dim)
-    return u / math.sqrt(dim)
-
-
-def point_invariants(geometry, probe=None):
+def point_invariants(geometry):
     r = geometry.r
     n = geometry.dim
-    if probe is None:
-        probe = _probe_direction(n)
-    dc = direction_constants(geometry, probe)
+    dc = direction_constants(geometry, np.ones(n) / math.sqrt(n))
     s1 = geometry.nabla_r
     norm_r_sq = float(np.einsum('ijkl,ijkl->', r, r))
     # cubic scalars, normalized so the unit sphere gives 4n(n-1) and
@@ -115,7 +103,7 @@ def point_invariants(geometry, probe=None):
     grad_r_sq = float(np.einsum('cijkl,cijkl->', s1, s1))
     return PointInvariants(dim=n, c=dc.c, h=dc.h, l=dc.l,
                            norm_r_sq=norm_r_sq, r_hat=r_hat, r_ring=r_ring,
-                           grad_r_sq=grad_r_sq, probe=np.asarray(probe, dtype=float))
+                           grad_r_sq=grad_r_sq)
 
 
 def gradient_adjusted_cubics(pi):
@@ -199,7 +187,7 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     return ResidualReport(space=geometry.name, rows=rows)
 
 
-def verify_einstein_identities(geometry, tol=1e-8, probe=None):
+def verify_einstein_identities(geometry, tol=1e-8):
     """Einstein property plus the three scalar curvature identities.
 
     The quadratic identity ties |R|^2 to C and H; the degree-six identity
@@ -207,7 +195,7 @@ def verify_einstein_identities(geometry, tol=1e-8, probe=None):
     Lichnerowicz-type identity must vanish.  All three hold on every member
     of the families built here and pin the normalization of each scalar.
     """
-    pi = point_invariants(geometry, probe=probe)
+    pi = point_invariants(geometry)
     n, c, h, l = pi.dim, pi.c, pi.h, pi.l
     ric = ricci(geometry.r)
     einstein_dev = float(np.max(np.abs(ric - c * np.eye(n))))
@@ -291,8 +279,6 @@ def sphere_average(tensor, *factors):
 # are the direction slots.  The builders below materialize them; the sphere
 # averages contract the factors directly.
 
-C_SPEC = 'iabi->ab'
-H_SPEC = 'iabj,jcdi->abcd'
 R_CUBE_SPEC = 'iabj,jcdk,kefi->abcdef'
 GRAD_QUAD_SPEC = 'ciabj,diefj->cabdef'
 # beta contracts one bare curvature against two Jacobi operators; the index
@@ -300,16 +286,9 @@ GRAD_QUAD_SPEC = 'ciabj,diefj->cabdef'
 BETA_SPEC = 'jiqm,qabi,mcdj->abcd'
 
 
-def c_tensor(geometry):
-    return np.einsum(C_SPEC, geometry.r)
-
-
-def h_tensor(geometry):
-    r = geometry.r
-    return np.einsum(H_SPEC, r, r, optimize=True)
-
-
 def r_cube_tensor(geometry):
+    """Coefficient tensor of tr R_u^3; the materialized reference that the
+    factor form of ``sphere_average`` is checked against."""
     r = geometry.r
     return np.einsum(R_CUBE_SPEC, r, r, r, optimize=True)
 

@@ -108,7 +108,6 @@ def _from_parts(re, im):
 
 CRAT_ZERO = CRat()
 CRAT_ONE = CRat(Fraction(1))
-CRAT_I = CRat(Fraction(0), Fraction(1))
 
 
 def _crat(x):
@@ -132,10 +131,6 @@ class CPoly:
                 coef = _crat(coef) if not isinstance(coef, CRat) else coef
                 if coef:
                     self.terms[tuple(mono)] = coef
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
 
     @classmethod
     def constant(cls, nvars, value):

@@ -96,13 +96,10 @@ class RadialDensity:
         return float(self.normalized.coefficient(k))
 
 
-def density_series(a_series, trace_c6=None):
-    """Volume density series from the normalized Jacobi endomorphism.
-
-    With ``trace_c6`` the order-5 endomorphism is closed through r^6 first.
-    """
-    if trace_c6 is not None:
-        a_series = extend_with_trace(a_series, trace_c6)
+def density_series(a_series, trace_c6):
+    """Volume density series from the normalized Jacobi endomorphism, the
+    order-5 endomorphism closed through r^6 by ``trace_c6`` first."""
+    a_series = extend_with_trace(a_series, trace_c6)
     dim = a_series.coeffs[0].shape[0]
     theta = a_series.det()
     return RadialDensity(dim=dim, normalized=theta,
@@ -116,17 +113,12 @@ def harmonic_density(jet):
                           trace_c6=harmonic_trace_c6(jet))
 
 
-def radial_density(geometry, u=None, order=6):
+def radial_density(geometry, u=None):
     """Density series for one direction, with the harmonic r^6 closure."""
     from .geometry import curvature_jet
     if u is None:
         u = np.ones(geometry.dim) / math.sqrt(geometry.dim)
-    if order < 0 or order > 6:
-        raise OrderUnsupported(f"density order {order} outside 0..6")
-    jet = curvature_jet(geometry, u, order=3)
-    if order == 6:
-        return harmonic_density(jet)
-    return density_series(jacobi_series(jet, order=order))
+    return harmonic_density(curvature_jet(geometry, u, order=3))
 
 
 # -- shape operator traces ---------------------------------------------------

@@ -70,10 +70,6 @@ class TruncatedSeries:
     def monomial(cls, value, power):
         return cls([value], power, exact=True)
 
-    @classmethod
-    def identity(cls, dim, dtype=float):
-        return cls([np.eye(dim, dtype=dtype)], 0, exact=True)
-
     # -- bookkeeping ------------------------------------------------------
 
     @property

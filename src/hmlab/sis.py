@@ -81,14 +81,10 @@ class IdentityVector:
 
 @dataclass
 class IdentitySpace:
-    dim_space: int
     generators: list = field(default_factory=list)
 
     def add(self, vec):
         self.generators.append(vec)
-
-    def matrix(self):
-        return [list(v.coeffs) for v in self.generators]
 
 
 def density_vector(n):
@@ -126,7 +122,7 @@ def gradient_square_vector(n):
 
 
 def canonical_generators(n):
-    space = IdentitySpace(dim_space=int(n))
+    space = IdentitySpace()
     space.add(density_vector(n))
     space.add(ricci_square_vector(n))
     space.add(gradient_square_vector(n))
@@ -170,13 +166,6 @@ def theta_power_vector(n, k):
     coeffs += [Fraction(0), Fraction(0), Fraction(0)]
     return IdentityVector(name=f"density-power-{k}-r6", coeffs=tuple(coeffs),
                           degree=6, provenance=f"theta_power:{k}")
-
-
-def extended_generators(n, powers=(1, 2, 3)):
-    space = canonical_generators(n)
-    for k in powers:
-        space.add(theta_power_vector(n, k))
-    return space
 
 
 @dataclass
@@ -304,69 +293,23 @@ def euclidean_gram(vectors):
 def moment_gram(geometry, vectors):
     """Gram from exact sphere moments of the slot realizations.
 
-    The constant slots realize as constant functions, the (C^3, CH, L)
-    slots as degree-six direction polynomials.  Products of two degree-six
-    realizations exceed the implemented moment engine, so any pair of
-    vectors both touching the constant-block slots is out of reach; a pair
-    living purely in the constant realizations collapses to a rank-one
-    bilinear form.
+    The main slots realize as constant functions, the (C^3, CH, L) slots as
+    degree-six direction polynomials.  A vector touching the constant block
+    pairs with itself at degree twelve, beyond the moment engine, so it
+    raises DegreeTooHigh.  Vectors living purely in the main slots realize
+    as constants, and their Gram is the rank-one outer product of their
+    values.
     """
+    if any(any(v.const_terms) for v in vectors):
+        raise DegreeTooHigh(
+            "product of two degree-6 slot realizations needs "
+            "degree-12 sphere moments")
     from .invariants import point_invariants
     pi = point_invariants(geometry)
-    const_values = {"R_hat": pi.r_hat, "R_ring": pi.r_ring,
-                    "grad_R_sq": pi.grad_r_sq}
-
-    def poly_degree(vec):
-        return 6 if any(vec.coeffs[:CONST_SLOTS]) else 0
-
-    gram = []
-    for v in vectors:
-        row = []
-        for w in vectors:
-            if poly_degree(v) + poly_degree(w) > 8:
-                raise DegreeTooHigh(
-                    "product of two degree-6 slot realizations needs "
-                    "degree-12 sphere moments")
-            acc = 0.0
-            for ci, ni in zip(v.coeffs, BASIS):
-                if not ci:
-                    continue
-                for cj, nj in zip(w.coeffs, BASIS):
-                    if not cj:
-                        continue
-                    acc += float(ci) * float(cj) \
-                        * _realization_product_average(geometry, pi, ni, nj,
-                                                       const_values)
-            row.append(acc)
-        gram.append(row)
-    return gram
-
-
-def _realization_product_average(geometry, pi, ni, nj, const_values):
-    if ni in const_values and nj in const_values:
-        return const_values[ni] * const_values[nj]
-    if ni in const_values or nj in const_values:
-        const = const_values[ni] if ni in const_values else const_values[nj]
-        poly = nj if ni in const_values else ni
-        return const * _poly_average(geometry, poly)
-    raise DegreeTooHigh("degree-12 moment requested")
-
-
-def _poly_average(geometry, slot):
-    """Sphere average of the degree-6 realization of a constant-block slot."""
-    from .invariants import (GRAD_QUAD_SPEC, R_CUBE_SPEC, c_tensor, h_tensor,
-                             sphere_average)
-    if slot == "C3":
-        c2 = c_tensor(geometry)
-        return sphere_average('ab,cd,ef->abcdef', c2, c2, c2)
-    if slot == "CH":
-        return sphere_average('ab,cdef->abcdef', c_tensor(geometry),
-                              h_tensor(geometry))
-    if slot == "L":
-        r, s1 = geometry.r, geometry.nabla_r
-        return 32.0 * sphere_average(R_CUBE_SPEC, r, r, r) \
-            - 9.0 * sphere_average(GRAD_QUAD_SPEC, s1, s1)
-    raise KeyError(slot)
+    values = dict.fromkeys(BASIS[:CONST_SLOTS], 0.0)
+    values.update(R_hat=pi.r_hat, R_ring=pi.r_ring, grad_R_sq=pi.grad_r_sq)
+    realized = [v.evaluate(values) for v in vectors]
+    return [[a * b for b in realized] for a in realized]
 
 
 @dataclass

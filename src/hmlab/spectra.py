@@ -29,6 +29,8 @@ from .polynomials import (CPoly, CRat, adapted_coordinates,
 
 MAX_DEGREE = 6  # of the exact bidegree bases
 MIN_GRID = 64  # cells of a radial grid
+BAR_SAFETY = 2.0  # error bars as a multiple of the Richardson estimate
+MAX_SPREAD = 0.05  # grid-doubling spread, relative, above which a solve fails
 
 # -- symbol of the lattice-restricted operator ---------------------------------
 
@@ -268,7 +270,8 @@ def operator_for_sector(k, degree, m_label, mu):
 
 
 def diamond_coefficients(f_coeffs, k, n, m, mu):
-    """Exact coefficients of the radial operator applied to a t-polynomial."""
+    """Exact coefficients of the radial operator applied to a t-polynomial;
+    with ``restricted_apply`` it pins the sign of ``operator_for_sector``."""
     f = [Fraction(x) for x in f_coeffs]
     mu = Fraction(mu)
     out = [Fraction(0)] * (len(f) + 1)
@@ -283,7 +286,8 @@ def diamond_coefficients(f_coeffs, k, n, m, mu):
 
 
 def restricted_apply(f_coeffs, h_poly, mu, j_rows):
-    """Exact application of the lattice-restricted operator to f(|X|^2) H."""
+    """Exact application of the lattice-restricted operator to f(|X|^2) H;
+    the side of the audit that pins the sign of ``operator_for_sector``."""
     t = radius_square(h_poly.nvars)
     big = polynomial_to_series(f_coeffs, h_poly)
     mu = Fraction(mu)
@@ -295,7 +299,8 @@ def restricted_apply(f_coeffs, h_poly, mu, j_rows):
 
 
 def polynomial_to_series(coeffs, h_poly):
-    """f(|X|^2) H, where ``coeffs`` are the coefficients of f in t = |X|^2."""
+    """f(|X|^2) H, where ``coeffs`` are the coefficients of f in t = |X|^2;
+    it states both sides of the ``operator_for_sector`` sign audit."""
     k = h_poly.nvars
     t = radius_square(k)
     out = CPoly.constant(k, 0)
@@ -344,24 +349,25 @@ def _solve_grid(op, t_domain, bc, n_cells, count):
     scale = 1.0 / np.sqrt(mass)
     sym_diag = diag * scale * scale
     sym_off = off * scale[:-1] * scale[1:]
-    count = min(count, n_cells)
     lam = scipy.linalg.eigh_tridiagonal(
         sym_diag, sym_off, select='i', select_range=(0, count - 1),
         eigvals_only=True)
     return -4.0 * lam
 
 
-def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6,
-                    safety=2.0, rel_threshold=0.05):
-    """Leading eigenvalues with one grid-doubling Richardson pass.
+def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6):
+    """Leading ``count`` (1..``grid``) eigenvalues with one grid-doubling
+    Richardson pass.
 
     The scheme is second order in the cell width, so lam = (4 lam_fine
     - lam_coarse)/3 and the spread between grids bounds the remaining
-    error.  A spread exceeding ``rel_threshold`` of the eigenvalue scale
+    error.  A spread exceeding ``MAX_SPREAD`` of the eigenvalue scale
     means the grid never reached the asymptotic regime.
     """
     if grid < MIN_GRID:
         raise InvalidSampling(f"grid must be at least {MIN_GRID} cells")
+    if not 1 <= count <= grid:
+        raise InvalidSampling(f"count must be in 1..{grid}, got {count}")
     if op.s_exponent <= 0:
         raise NonIntegrableWeight(
             "measure weight t^(s-1) needs s = (k + 2n)/2 > 0")
@@ -371,10 +377,10 @@ def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6,
     fine = _solve_grid(op, t_domain, bc, 2 * grid, count)
     extrap = (4.0 * fine - coarse) / 3.0
     spread = np.abs(fine - coarse)
-    bars = safety * spread / 3.0
+    bars = BAR_SAFETY * spread / 3.0
     scale = np.maximum(np.abs(extrap), 1.0)
     worst = float(np.max(spread / scale))
-    if worst > rel_threshold:
+    if worst > MAX_SPREAD:
         raise ConvergenceFailure(
             f"grid doubling moved an eigenvalue by {worst:.2e} relative")
     return SpectrumReport(operator=op, t_domain=t_domain, bc=tuple(bc),
@@ -383,7 +389,8 @@ def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6,
 
 
 def laguerre_eigenvalue(op, index):
-    """Whole-space eigenvalue -mu (4N + k + 2n + 2m) - 4 mu^2."""
+    """Whole-space eigenvalue -mu (4N + k + 2n + 2m) - 4 mu^2; the exact
+    reference that ``radial_spectrum`` is checked against."""
     return -op.mu * (4 * index + op.k + 2 * op.n + 2 * op.m) \
         - 4.0 * op.mu ** 2
 

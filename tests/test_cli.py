@@ -79,6 +79,19 @@ def test_verify_rejects_direction_count_below_one(count, tmp_path, capsys):
     (["spectrum", "--k", "2", "--t-domain", "-4"], "--t-domain"),
     (["spectrum", "--k", "2", "--t-domain", "nan"], "--t-domain"),
     (["spectrum", "--k", "2", "--t-domain", "inf"], "--t-domain"),
+    (["spectrum", "--k", "2", "--count", "500", "--grid", "64"], "--count"),
+    (["spectrum", "--k", "2", "--mu", "nan"], "--mu"),
+    (["spectrum", "--k", "2", "--mu", "inf"], "--mu"),
+    (["spectrum", "--k", "2", "--bc", "1,nan"], "--bc"),
+    (["spectrum", "--k", "2", "--bc", "inf,1"], "--bc"),
+    (["isospec", "--detune", "nan"], "--detune"),
+    (["isospec", "--detune", "inf"], "--detune"),
+    (["verify", "--family", "1:1,0", "--perturb", "nan"], "--perturb"),
+    (["verify", "--family", "1:1,0", "--tol", "nan"], "--tol"),
+    (["verify", "--family", "1:1,0", "--tol", "inf"], "--tol"),
+    (["counterexample", "--family", "3:2,0;1,1", "--tol", "nan"], "--tol"),
+    (["counterexample", "--family", "3:2,0;1,1", "--tol", "inf"], "--tol"),
+    (["counterexample", "--family", "3:2,0;1,1", "--tol", "0"], "--tol"),
 ])
 def test_out_of_range_inputs_are_usage_errors_before_any_work(
         argv, flag, monkeypatch, capsys):

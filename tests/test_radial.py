@@ -42,7 +42,7 @@ def sin_over_r_power(exponent, top):
 
 
 def test_sphere_density_matches_cubed_sinc(sphere4):
-    dens = radial_density(sphere4, np.eye(4)[0], order=6)
+    dens = radial_density(sphere4, np.eye(4)[0])
     oracle = sin_over_r_power(3, 6)
     for k in range(7):
         assert_allclose(dens.coefficient(k), float(oracle[k]), atol=1e-12)
@@ -51,7 +51,7 @@ def test_sphere_density_matches_cubed_sinc(sphere4):
 def test_hyperbolic_density_flips_signs():
     from hmlab.geometry import constant_curvature_geometry
     geo = constant_curvature_geometry(4, -1.0)
-    dens = radial_density(geo, np.eye(4)[1], order=6)
+    dens = radial_density(geo, np.eye(4)[1])
     oracle = sin_over_r_power(3, 6)
     for k in range(7):
         # sinh expansion: same magnitudes, all positive
@@ -60,7 +60,7 @@ def test_hyperbolic_density_flips_signs():
 
 def test_density_is_even(hh2):
     u = np.eye(8)[0]
-    dens = radial_density(hh2, u, order=6)
+    dens = radial_density(hh2, u)
     for k in (1, 3, 5):
         assert abs(dens.coefficient(k)) < 1e-13
     assert dens.coefficient(0) == 1.0
@@ -152,7 +152,7 @@ def test_vk_leading_coefficient_guard():
 
 def test_ode_oracle_matches_series_on_quaternionic_member(hh2):
     u = np.eye(8)[5]
-    dens = radial_density(hh2, u, order=6)
+    dens = radial_density(hh2, u)
     radii = np.array([0.1, 0.15, 0.2, 0.3])
     ode = ode_oracle(hh2, u, radii, steps_per_unit=2048)
     series_vals = np.array([dens.normalized(r) for r in radii])
@@ -252,7 +252,7 @@ def test_sphere_curvature_rejects_radius_that_is_not_positive(hh2, radius):
 def test_peel_recovers_leading_density_coefficients(hh2):
     """Integrate the flow, subtract 1, then peel r^2 and r^4 coefficients."""
     u = np.eye(8)[5]
-    dens = radial_density(hh2, u, order=6)
+    dens = radial_density(hh2, u)
     radii = np.geomspace(0.05, 0.4, 6)
     ode = ode_oracle(hh2, u, radii, steps_per_unit=2048)
     values = ode.theta_normalized - 1.0

@@ -8,16 +8,14 @@ import pytest
 from hmlab.errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
                           SymbolAbsent)
 from hmlab.exactlinalg import det, rank
-from hmlab.geometry import constant_curvature_geometry
 from hmlab.invariants import beta_tensor, point_invariants, sphere_average
 from hmlab.radial import radial_density
 from hmlab.sis import (IdentitySpace, IdentityVector, ball_boundary_vector,
                        ball_volume_vector, canonical_generators,
                        density_vector, eliminate, euclidean_gram,
-                       extended_generators, gradient_square_vector,
-                       lichnerowicz_vector, moment_gram, noise_wave,
-                       rank_and_membership, ricci_square_vector,
-                       theta_power_vector, _poly_average)
+                       gradient_square_vector, lichnerowicz_vector,
+                       moment_gram, noise_wave, rank_and_membership,
+                       ricci_square_vector, theta_power_vector)
 
 
 def basis_values(geo):
@@ -48,7 +46,7 @@ def test_ricci_square_row_evaluates_to_the_beta_average(ns12):
 def test_theta_powers_match_actual_density_powers(hh2):
     """Multinomial r^6 bookkeeping against the series machinery, exactly."""
     vals = basis_values(hh2)
-    dens = radial_density(hh2, np.eye(8)[0], order=6).normalized
+    dens = radial_density(hh2, np.eye(8)[0]).normalized
     power = dens
     for k in (1, 2, 3):
         actual = power.coefficient(6)
@@ -124,8 +122,10 @@ def test_membership_recovers_exact_combination():
 def test_extended_space_spans_everything_yet_grading_still_refuses():
     """Throwing in density powers inflates the plain span to the whole
     six-dimensional space; the graded question is unchanged."""
-    ext = extended_generators(12)
-    assert rank(ext.matrix()) == 6
+    ext = canonical_generators(12)
+    for k in (1, 2, 3):
+        ext.add(theta_power_vector(12, k))
+    assert rank([list(g.coeffs) for g in ext.generators]) == 6
     plain = rank_and_membership(ext, lichnerowicz_vector(12))
     assert plain.member
     graded = rank_and_membership(ext, lichnerowicz_vector(12), graded=True)
@@ -196,9 +196,17 @@ def test_noise_wave_of_a_member_is_zero():
     assert all(r == 0 for r in report.residual)
 
 
-def test_moment_gram_degree_cap(ns12):
-    with pytest.raises(DegreeTooHigh):
-        moment_gram(ns12, canonical_generators(12).generators)
+@pytest.mark.parametrize("vectors", [
+    canonical_generators(12).generators,
+    [density_vector(12)],
+    [ricci_square_vector(12)],
+    [gradient_square_vector(12), density_vector(12)],
+], ids=["canonical", "density", "ricci-square", "gradient-and-density"])
+def test_moment_gram_degree_cap(vectors, ns12):
+    """Any vector touching (C^3, CH, L) pairs with itself at degree 12."""
+    with pytest.raises(DegreeTooHigh, match=r"^product of two degree-6 slot "
+                       r"realizations needs degree-12 sphere moments$"):
+        moment_gram(ns12, vectors)
 
 
 def test_moment_gram_constant_block_is_rank_one(ns12):
@@ -207,7 +215,7 @@ def test_moment_gram_constant_block_is_rank_one(ns12):
     rhat = IdentityVector(name="pure-r-hat", coeffs=(0, 0, 0, 1, 0, 0))
     rring = IdentityVector(name="pure-r-ring", coeffs=(0, 0, 0, 0, 1, 0))
     gram = moment_gram(ns12, [rhat, rring])
-    space = IdentitySpace(dim_space=12, generators=[rhat, rring])
+    space = IdentitySpace(generators=[rhat, rring])
     cand = gradient_square_vector(12)
     with pytest.raises(DegenerateGram):
         noise_wave(cand, space, gram=gram, gram_kind="moment")
@@ -218,12 +226,12 @@ def test_moment_gram_single_gradient_vector(ns12):
     assert gram[0][0] == pytest.approx(576.0 ** 2, rel=1e-9)
 
 
-def test_poly_average_follows_each_geometry():
-    """Space forms of curvature 1 and 2 built in turn reuse freed object
-    ids; every slot average must still be that of its own geometry.  On a
-    space form R_u = kappa (1 - u u^T), so C H = kappa^3 (n-1)^2."""
-    for i in range(50):
-        kappa = 1.0 + i % 2
-        geo = constant_curvature_geometry(6, kappa)
-        assert _poly_average(geo, "CH") == pytest.approx(25.0 * kappa ** 3,
-                                                         rel=1e-12)
+def test_moment_gram_of_main_slot_vectors_is_their_outer_product(ns12):
+    vals = basis_values(ns12)
+    vectors = [gradient_square_vector(12),
+               IdentityVector(name="pure-r-hat", coeffs=(0, 0, 0, 1, 0, 0)),
+               IdentityVector(name="mixed",
+                              coeffs=(0, 0, 0, Fraction(-1, 4), 2, 3))]
+    values = [v.evaluate(vals) for v in vectors]
+    assert moment_gram(ns12, vectors) == [[a * b for b in values]
+                                          for a in values]

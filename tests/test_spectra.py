@@ -269,6 +269,9 @@ def test_degenerate_boundary_pair():
         radial_spectrum(op, 10.0, bc=(0.0, 0.0))
     with pytest.raises(InvalidSampling):
         radial_spectrum(op, 10.0, grid=32)
+    for count in (0, 65):
+        with pytest.raises(InvalidSampling):
+            radial_spectrum(op, 10.0, grid=64, count=count)
     with pytest.raises(NonIntegrableWeight):
         radial_spectrum(RadialOperator(k=0, n=0, m=0, mu=0.0), 10.0)
 

@@ -303,6 +303,8 @@ def cmd_expand(args):
 
 
 def cmd_spectrum(args):
+    require(args.k >= 0, "--k", args.k, "at least 0 (a module dimension)")
+    require(args.n >= 0, "--n", args.n, "at least 0 (a harmonic degree)")
     require(args.grid >= MIN_GRID, "--grid", args.grid, f"at least {MIN_GRID}")
     require(1 <= args.count <= args.grid, "--count", args.count,
             f"in 1..{args.grid} (--grid)")

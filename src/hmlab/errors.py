@@ -40,7 +40,8 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """Too few samples or grid cells were asked for, or a radius not > 0."""
+    """Too few samples or grid cells were asked for, a radius not > 0, or a
+    Monte Carlo quantity that does not exist."""
 
 
 class DegreeMismatch(HmlabError):

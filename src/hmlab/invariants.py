@@ -333,8 +333,8 @@ def verify_average_identities(geometry, tol=1e-7):
 # -- Monte Carlo averages ----------------------------------------------------
 
 
-# Directions per Monte Carlo block.  A call allocates its monomials, a gather
-# array and the GEMM image once, ~29 MB for grad_quad at m = 4096 and n = 12,
+# Directions per Monte Carlo block.  A call allocates its buffers once,
+# (2 * live monomials + live image rows) * MC_BLOCK floats (see _mc_plan),
 # rather than mapping and unmapping fresh multi-MB arrays block by block.
 MC_BLOCK = 4096
 
@@ -367,6 +367,37 @@ def _monomials(dt, idx, out, gather):
     return out
 
 
+def _mc_plan(geometry, quantity):
+    """Monomials and GEMM image of a Monte Carlo quantity, live part only.
+
+    Returns ``idx`` (one row of direction indices per symmetric monomial)
+    and ``image`` with one column per row of ``idx``.  beta(u) is w . (image
+    w), with image the folded Gram matrix on the degree-2 monomials w;
+    tr R_u'R_u' is |image w|^2, with image the transposed folded factor on
+    the degree-3 monomials.  Only the monomials (columns) and image rows
+    that hold a nonzero entry are kept: the dropped ones add exact zeros.
+    beta keeps one live set for the rows and the columns of its Gram, so
+    the image stays square.
+    """
+    n = geometry.dim
+    if quantity == "beta":
+        idx, fmat = _symmetric_factor(np.einsum('iabj->abij', geometry.r), 2)
+        kmat = np.einsum('jiqm->qimj', geometry.r).reshape(n * n, n * n)
+        image = fmat @ kmat @ fmat.T
+        nonzero = image != 0.0
+        rows = cols = nonzero.any(axis=0) | nonzero.any(axis=1)
+    elif quantity == "grad_quad":
+        idx, fmat = _symmetric_factor(
+            np.einsum('ciabj->cabij', geometry.nabla_r), 3)
+        image = fmat.T
+        nonzero = image != 0.0
+        rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    else:
+        raise InvalidSampling(f"unknown Monte Carlo quantity {quantity!r}; "
+                              f"expected 'beta' or 'grad_quad'")
+    return idx[cols], image[np.ix_(rows, cols)]
+
+
 def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     """Seeded Monte Carlo direction average with a standard error.
 
@@ -376,23 +407,17 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     per direction), and the quantity is a small GEMM on it: beta(u) is the
     quadratic form of a folded Gram matrix on the degree-2 monomials, and
     tr R_u'R_u' the squared norm of the degree-3 monomials times a folded
-    factor.  The sample stream does not depend on the block size.
+    factor.  Only the live monomials and image rows are built (see
+    ``_mc_plan``); where none is live, as for grad_quad on a symmetric
+    space, every sample is 0.  The sample stream does not depend on the
+    block size or on the live set.
     """
     n = geometry.dim
     if n_samples < 1:
         raise InvalidSampling(f"Monte Carlo average needs n_samples >= 1, "
                               f"got {n_samples}")
+    idx, image = _mc_plan(geometry, quantity)
     rng = np.random.default_rng(seed)
-    if quantity == "beta":
-        idx, fmat = _symmetric_factor(np.einsum('iabj->abij', geometry.r), 2)
-        kmat = np.einsum('jiqm->qimj', geometry.r).reshape(n * n, n * n)
-        image = fmat @ kmat @ fmat.T
-    elif quantity == "grad_quad":
-        idx, fmat = _symmetric_factor(
-            np.einsum('ciabj->cabij', geometry.nabla_r), 3)
-        image = fmat.T
-    else:
-        raise ValueError(f"unknown Monte Carlo quantity {quantity!r}")
 
     # flat buffers, so a short last block takes a contiguous leading part
     rows = (len(idx), len(idx), len(image))

@@ -156,20 +156,29 @@ def build_hnm_basis(j_rows, degree):
     _check_complex_structure(j_rows)
     k = len(j_rows)
     zs = adapted_coordinates(j_rows)
-    zbars = [z.conjugate() for z in zs]
+    factors = zs + [z.conjugate() for z in zs]
     d = len(zs)
+    # z^p zbar^q keyed by the exponents p + q; each is the product one
+    # factor lower times one more factor.  Products of the top degree are
+    # used once, so only the lower ones are kept.
+    products = {(0,) * (2 * d): CPoly.constant(k, 1)}
+
+    def product(exps):
+        if exps in products:
+            return products[exps]
+        i = max(j for j, e in enumerate(exps) if e)
+        lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        poly = product(lower) * factors[i]
+        if sum(exps) < degree:
+            products[exps] = poly
+        return poly
+
     buckets = {}
     for total_p in range(degree + 1):
         total_q = degree - total_p
         for p in monomials_of_degree(d, total_p):
             for q in monomials_of_degree(d, total_q):
-                poly = CPoly.constant(k, 1)
-                for i in range(d):
-                    for _ in range(p[i]):
-                        poly = poly * zs[i]
-                    for _ in range(q[i]):
-                        poly = poly * zbars[i]
-                h = harmonic_projection(poly)
+                h = harmonic_projection(product(p + q))
                 if h.is_zero():
                     continue
                 m = sum(q) - sum(p)

@@ -92,6 +92,10 @@ def test_verify_rejects_direction_count_below_one(count, tmp_path, capsys):
     (["counterexample", "--family", "3:2,0;1,1", "--tol", "nan"], "--tol"),
     (["counterexample", "--family", "3:2,0;1,1", "--tol", "inf"], "--tol"),
     (["counterexample", "--family", "3:2,0;1,1", "--tol", "0"], "--tol"),
+    (["spectrum", "--k", "4", "--n", "-1", "--grid", "64", "--count", "2"],
+     "--n"),
+    (["spectrum", "--k", "-2", "--n", "2", "--grid", "64", "--count", "2"],
+     "--k"),
 ])
 def test_out_of_range_inputs_are_usage_errors_before_any_work(
         argv, flag, monkeypatch, capsys):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmlab.errors import DegreeTooHigh, InvalidSampling
+from hmlab.errors import DegreeTooHigh, HmlabError, InvalidSampling
 from hmlab.geometry import geometry_from_algebra, scale_bracket
 from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
-                              _monomials, _symmetric_factor,
+                              _mc_plan, _monomials, _symmetric_factor,
                               beta_tensor, direction_constants,
                               grad_quad_tensor, gradient_adjusted_cubics,
                               mc_average, perfect_matchings, point_invariants,
@@ -283,6 +283,39 @@ def test_mc_average_matches_the_column_path(ns12, quantity):
 def test_mc_average_needs_a_sample(ns12, n_samples):
     with pytest.raises(InvalidSampling):
         mc_average(ns12, "beta", n_samples=n_samples)
+
+
+def test_mc_average_rejects_an_unknown_quantity(ns12):
+    with pytest.raises(InvalidSampling, match="'other'") as info:
+        mc_average(ns12, "other", n_samples=10)
+    assert isinstance(info.value, HmlabError)
+
+
+@pytest.fixture(scope="module")
+def ns12_perturbed(ns12):
+    """ns12 with one module bracket rescaled: not harmonic, and most of its
+    grad_quad image is live."""
+    return geometry_from_algebra(scale_bracket(ns12.algebra, 0, 11, 1.25))
+
+
+@pytest.mark.parametrize("space,live", [("ns12", (48, 32)),
+                                        ("hh3", (0, 0)),
+                                        ("ns12_perturbed", (205, 126))])
+def test_grad_quad_on_its_live_part_matches_the_full_image(space, live,
+                                                           request):
+    """The sampler keeps only the monomials and image rows with a nonzero
+    entry; the column path multiplies the full image on the same stream.
+    hh3 (3:2,0) is symmetric, so nothing is live and every sample is 0."""
+    geometry = request.getfixturevalue(space)
+    idx, image = _mc_plan(geometry, "grad_quad")
+    assert (len(idx), len(image)) == live
+    mean, se = mc_average(geometry, "grad_quad", n_samples=100_000, seed=3)
+    ref_mean, ref_se = reference_mc_average(geometry, "grad_quad", 100_000,
+                                            seed=3)
+    assert_allclose(mean, ref_mean, rtol=1e-12)
+    assert_allclose(se, ref_se, rtol=1e-10)
+    if not live[0]:
+        assert (mean, se) == (0.0, 0.0)
 
 
 def test_cube_average_tensor_consistency(ns12):

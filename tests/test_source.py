@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hmlab
@@ -53,3 +56,17 @@ def test_covariant_derivatives_stop_at_nabla_r():
     """Jets of every order are built from nabla R; no second covariant
     derivative (an n^6 array) is formed anywhere in the package."""
     assert calls_by_scope("covariant_derivative") == {("geometry", "nabla_r")}
+
+
+def test_the_command_line_imports_no_sparse_scipy():
+    """Importing scipy.sparse would add to the start-up of every command
+    (9-16 ms on top of hmlab.cli, measured on a 2-vCPU host), and nothing in
+    the package needs it: exact elimination keeps its own sparse rows, and
+    the live Monte Carlo block is small enough for a dense GEMM."""
+    src = str(Path(hmlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, hmlab.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

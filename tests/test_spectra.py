@@ -19,7 +19,9 @@ from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
                           ZeroLatticeVector)
 from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
                             scale_bracket)
-from hmlab.polynomials import CPoly, CRat, monomials_of_degree, radius_square
+from hmlab.polynomials import (CPoly, CRat, adapted_coordinates,
+                               harmonic_projection, monomials_of_degree,
+                               radius_square)
 from hmlab.spectra import (RadialOperator, ball_bundle_spectrum,
                            build_hnm_basis, conjugacy_check,
                            diamond_coefficients, glz_parameter_map,
@@ -92,6 +94,43 @@ def test_bidegree_eigen_relation_is_exact(ns12):
             rotated = h.rotation_derivative(rows)
             target = h.scale(CRat(Fraction(0), Fraction(-m)))
             assert (rotated - target).is_zero()
+
+
+def factor_by_factor_bases(rows, degree):
+    """Bidegree bases with each z^p zbar^q multiplied up from 1 one factor
+    at a time, the build that products of lower degree replaced."""
+    k = len(rows)
+    zs = adapted_coordinates(rows)
+    zbars = [z.conjugate() for z in zs]
+    d = len(zs)
+    buckets = {}
+    for total_p in range(degree + 1):
+        for p in monomials_of_degree(d, total_p):
+            for q in monomials_of_degree(d, degree - total_p):
+                poly = CPoly.constant(k, 1)
+                for i in range(d):
+                    for _ in range(p[i]):
+                        poly = poly * zs[i]
+                    for _ in range(q[i]):
+                        poly = poly * zbars[i]
+                h = harmonic_projection(poly)
+                if not h.is_zero():
+                    buckets.setdefault(sum(q) - sum(p), []).append(h)
+    index = {mono: i for i, mono in enumerate(monomials_of_degree(k, degree))}
+    return {m: spectra._independent_subset(polys, index)
+            for m, polys in sorted(buckets.items())}
+
+
+def test_bidegree_bases_equal_the_factor_by_factor_build(hh3, ns12):
+    for geo in (hh3, ns12):
+        rows = unit_j_rows(geo.jmap, (1, 0, 0))
+        for degree in range(3):
+            got = build_hnm_basis(rows, degree).per_m
+            want = factor_by_factor_bases(rows, degree)
+            assert list(got) == list(want), (geo.name, degree)
+            for m in want:
+                assert [h.terms for h in got[m]] == \
+                    [h.terms for h in want[m]], (geo.name, degree, m)
 
 
 def dense_independent_subset(polys, monomial_index):

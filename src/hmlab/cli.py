@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import (DegenerateBoundary, DegreeMismatch, DegreeTooHigh,
-                     FamilyMismatch, HmlabError)
+                     FamilyMismatch, HmlabError, UnsupportedCenterDimension)
 from .geometry import damek_ricci_geometry, geometry_from_algebra, scale_bracket
 from .heatinv import averaged_boundary_r3
 from .invariants import (point_invariants, verify_average_identities,
@@ -404,7 +404,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, FamilyMismatch, DegenerateBoundary) as exc:
+    except (UsageError, FamilyMismatch, DegenerateBoundary,
+            UnsupportedCenterDimension) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HmlabError as exc:

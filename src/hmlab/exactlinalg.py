@@ -1,10 +1,11 @@
 """Exact linear algebra over any field with +, -, *, / and truth testing.
 
-Works on lists of lists; the package uses it with Fraction only (the
-bidegree bases of :mod:`hmlab.spectra` run their own sparse elimination
-over Gaussian rationals).  No pivoting heuristics are needed because
-arithmetic is exact; the first nonzero entry in a column is the pivot, and
-the pivot trail records which columns carried one.
+Works on lists of lists; the package uses it with Fraction only, and it is
+the package's one exact elimination (the bidegree bases of
+:mod:`hmlab.spectra` choose their monomials so that they need none).  No
+pivoting heuristics are needed because arithmetic is exact; the first
+nonzero entry in a column is the pivot, and the pivot trail records which
+columns carried one.
 """
 
 from __future__ import annotations

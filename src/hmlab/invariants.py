@@ -178,12 +178,8 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     rows = []
     for name, vals in zip(names, (dc.c, dc.h, dc.l, dc.odd_first,
                                   dc.even_second)):
-        lo, hi = float(vals.min()), float(vals.max())
-        spread = hi - lo
-        scale = max(abs(lo), abs(hi), 1.0)
-        rows.append(ResidualRow(identity=f"spread[{name}]", lhs=hi, rhs=lo,
-                                abs_residual=spread, rel_residual=spread / scale,
-                                tolerance=tol, passed=spread / scale <= tol))
+        rows.append(_residual_row(f"spread[{name}]", float(vals.max()),
+                                  float(vals.min()), tol))
     return ResidualReport(space=geometry.name, rows=rows)
 
 

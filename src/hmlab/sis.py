@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
                      SymbolAbsent)
 from .exactlinalg import rank, rref, solve
+from .heatinv import structural_p_decompositions
 
 BASIS = ("C3", "CH", "L", "R_hat", "R_ring", "grad_R_sq")
 _INDEX = {name: i for i, name in enumerate(BASIS)}
@@ -371,16 +372,17 @@ def noise_wave(candidate, space, gram=None, gram_kind="euclidean"):
 def ball_boundary_vector(n):
     """Sphere-averaged boundary r^3 data cast as a ball-problem identity.
 
-    Uses the structural decomposition of the curvature-weighted trace
-    polynomial with tr R'R' replaced by its exact average; lives at the
-    odd ball degree n + 1.
+    Uses the structural r^3 decomposition of P2
+    (``heatinv.structural_p_decompositions``) with tr R'R' replaced by its
+    exact average; lives at the odd ball degree n + 1.
     """
     n = int(n)
     avg_p = Fraction(3, n * (n + 2) * (n + 4))
+    p2 = structural_p_decompositions(n)["p2"]
     return IdentityVector(
         name=f"ball-boundary-r{n + 1}",
-        coeffs=(Fraction(0), Fraction(-(20 * n - 8), 45), Fraction(-1, 90),
-                Fraction(0), Fraction(0), avg_p * Fraction(1, 6)),
+        coeffs=(p2["C3"], p2["CH"], p2["L"],
+                Fraction(0), Fraction(0), avg_p * p2["TrRpRp"]),
         degree=n + 1, origin="ball", provenance="boundary-demo")
 
 

@@ -12,7 +12,6 @@ across one grid doubling and carry that difference as an error bar.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,46 +106,16 @@ def _check_complex_structure(j_rows):
                     "direction does not define a complex structure")
 
 
-def _independent_subset(polys, monomial_index):
-    """The polynomials that are not in the span of those chosen before them.
-
-    Rows are sparse ``{column: CRat}`` maps reduced against the echelon rows
-    in increasing pivot order; a row's pivot is its first nonzero column.
-    """
-    echelon = {}
-    pivots = []
-    chosen = []
-    for poly in polys:
-        row = {monomial_index[mono]: coef for mono, coef in poly.terms.items()}
-        for col in pivots:
-            factor = row.get(col)
-            if factor is None:
-                continue
-            for c, v in echelon[col].items():
-                prev = row.get(c)
-                new = -(factor * v) if prev is None else prev - factor * v
-                if new:
-                    row[c] = new
-                else:
-                    del row[c]
-        if not row:
-            continue
-        pivot = min(row)
-        lead = row[pivot]
-        echelon[pivot] = {c: v / lead for c, v in row.items()}
-        insort(pivots, pivot)
-        chosen.append(poly)
-    return chosen
-
-
 def build_hnm_basis(j_rows, degree):
     """Harmonic bidegree spaces for one complex structure.
 
-    Monomials in the adapted coordinates z_i and their conjugates are
-    harmonically projected and grouped by the rotation eigenvalue
-    m = sum(q_i - p_i); each group is reduced to an exact independent
-    basis.  The dimension count across groups must reproduce the closed
-    formula for homogeneous harmonics; a violation of either raises
+    Monomials z^p zbar^q in the adapted coordinates are harmonically
+    projected and grouped by the rotation eigenvalue m = sum(q_i - p_i).
+    Only those free of z_d zbar_d are projected: P_(p,q) = H_(p,q) +
+    |X|^2 P_(p-1,q-1) with |X|^2 = sum w_i z_i zbar_i, w_i > 0, so the kept
+    projections are a basis.  Every element must be an exact rotation
+    eigenvector and the dimension count across groups must reproduce the
+    closed formula for homogeneous harmonics; a violation of either raises
     :class:`ConsistencyFailure`.
     """
     if degree > MAX_DEGREE:
@@ -178,19 +147,15 @@ def build_hnm_basis(j_rows, degree):
         total_q = degree - total_p
         for p in monomials_of_degree(d, total_p):
             for q in monomials_of_degree(d, total_q):
+                if p[-1] and q[-1]:
+                    continue
                 h = harmonic_projection(product(p + q))
                 if h.is_zero():
                     continue
-                m = sum(q) - sum(p)
-                buckets.setdefault(m, []).append(h)
-    monomial_index = {mono: i for i, mono
-                      in enumerate(monomials_of_degree(k, degree))}
+                buckets.setdefault(total_q - total_p, []).append(h)
     per_m = {}
     dims = {}
-    for m, polys in sorted(buckets.items()):
-        basis = _independent_subset(polys, monomial_index)
-        if not basis:
-            continue
+    for m, basis in sorted(buckets.items()):
         for h in basis:
             rot = h.rotation_derivative(j_rows)
             want = h.scale(CRat(Fraction(0), Fraction(-m)))
@@ -220,21 +185,24 @@ def hnm_basis_for_lattice(jmap, z_u, degree):
 def hnm_multiplicity_oracle(j_rows, degree):
     """Rotation-eigenvalue multiplicities from a float eigendecomposition.
 
-    Independent route: build real harmonics by projecting raw monomials,
-    restrict the rotation derivative to that space with a least-squares
-    solve, and read multiplicities off the spectrum of i times the matrix.
+    Independent route: build real harmonics by projecting the raw
+    monomials whose last exponent is at most one (modulo |X|^2, x_k^2 x^a
+    is -sum_(i<k) x_i^2 x^a, so the rest add nothing), restrict the
+    rotation derivative to that space with a least-squares solve, and read
+    multiplicities off the spectrum of i times the matrix.
     """
     j_rows = [[Fraction(x) for x in row] for row in j_rows]
     k = len(j_rows)
     monos = monomials_of_degree(k, degree)
     monomial_index = {mono: i for i, mono in enumerate(monos)}
-    projected = []
+    basis = []
     for mono in monos:
-        poly = CPoly(k, {mono: CRat(Fraction(1))})
-        h = harmonic_projection(poly)
+        if mono[-1] > 1:
+            continue
+        h = harmonic_projection(CPoly(k, {mono: CRat(Fraction(1))}))
         if not h.is_zero():
-            projected.append(h)
-    basis = _independent_subset(projected, monomial_index)
+            basis.append(h)
+
     def to_col(poly):
         return np.array([complex(c) for c in poly.coefficient_vector(monomial_index)])
     bmat = np.stack([to_col(h) for h in basis], axis=1)
@@ -335,7 +303,7 @@ class SpectrumReport:
     fine: np.ndarray = field(repr=False, default=None)
 
 
-def _solve_grid(op, t_domain, bc, n_cells, count):
+def _assemble_grid(op, t_domain, bc, n_cells):
     a_rob, b_rob = bc
     h = t_domain / n_cells
     denom = a_rob / h + b_rob / 2.0
@@ -356,11 +324,31 @@ def _solve_grid(op, t_domain, bc, n_cells, count):
     const_pot = 2.0 * op.m * op.mu + 4.0 * op.mu ** 2
     diag = diag + 0.25 * (const_pot * mass + op.mu ** 2 * mom1)
     scale = 1.0 / np.sqrt(mass)
-    sym_diag = diag * scale * scale
-    sym_off = off * scale[:-1] * scale[1:]
-    lam = scipy.linalg.eigh_tridiagonal(
-        sym_diag, sym_off, select='i', select_range=(0, count - 1),
-        eigvals_only=True)
+    return diag * scale * scale, off * scale[:-1] * scale[1:]
+
+
+def _solve_grid(op, t_domain, bc, n_cells, count):
+    """Leading ``count`` eigenvalues on one grid.  A float overflow or
+    division by zero, a non-finite matrix or a solver that does not
+    converge raises :class:`ConvergenceFailure`."""
+    try:
+        with np.errstate(all='ignore'):
+            sym_diag, sym_off = _assemble_grid(op, t_domain, bc, n_cells)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConvergenceFailure(
+            f"assembling the radial operator on {n_cells} cells failed: "
+            f"{exc}") from exc
+    if not (np.isfinite(sym_diag).all() and np.isfinite(sym_off).all()):
+        raise ConvergenceFailure(
+            f"the radial operator is not finite on {n_cells} cells")
+    try:
+        lam = scipy.linalg.eigh_tridiagonal(
+            sym_diag, sym_off, select='i', select_range=(0, count - 1),
+            eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(
+            f"the tridiagonal eigensolver failed on {n_cells} cells "
+            f"({exc})") from exc
     return -4.0 * lam
 
 
@@ -384,7 +372,10 @@ def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6):
         raise DegenerateBoundary("Robin pair (0, 0) fixes nothing")
     coarse = _solve_grid(op, t_domain, bc, grid, count)
     fine = _solve_grid(op, t_domain, bc, 2 * grid, count)
-    extrap = (4.0 * fine - coarse) / 3.0
+    with np.errstate(over='ignore', invalid='ignore'):
+        extrap = (4.0 * fine - coarse) / 3.0
+    if not np.isfinite(extrap).all():
+        raise ConvergenceFailure("Richardson extrapolation overflows")
     spread = np.abs(fine - coarse)
     bars = BAR_SAFETY * spread / 3.0
     scale = np.maximum(np.abs(extrap), 1.0)

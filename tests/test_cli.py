@@ -343,6 +343,30 @@ def test_spectrum_error_paths(capsys):
     assert "ConvergenceFailure" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("extra", [["--t-domain", "1e-200"],
+                                   ["--t-domain", "1e300"],
+                                   ["--mu", "1e200"],
+                                   ["--t-domain", "5e-324"],
+                                   ["--mu", "6e153"]])
+def test_spectrum_extreme_finite_inputs_fail_with_one_line(extra, capsys):
+    argv = ["spectrum", "--k", "2", "--grid", "64", "--count", "2"]
+    assert main(argv + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ConvergenceFailure: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "counterexample", "isospec"])
+@pytest.mark.parametrize("center", ["0", "4"])
+def test_unsupported_center_dimension_is_a_usage_error(command, center,
+                                                        capsys):
+    assert main([command, "--family", f"{center}:1,0;0,1"]) == 2
+    assert f"center dimension {center} outside" in capsys.readouterr().err
+
+
 def test_stdout_emission_without_out_dir(capsys):
     rc = main(["verify", "--family", "1:1,0", "--directions", "4"])
     assert rc == 0

@@ -67,6 +67,16 @@ def test_parity_guard():
     assert ball_volume_vector(12).degree == 17
 
 
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 24])
+def test_ball_boundary_vector_reads_the_p2_decomposition(n):
+    """The structural P2 row, with tr R'R' at its exact average, equals the
+    coefficients the vector used to spell out by hand."""
+    avg_p = Fraction(3, n * (n + 2) * (n + 4))
+    assert ball_boundary_vector(n).coeffs == (
+        Fraction(0), Fraction(-(20 * n - 8), 45), Fraction(-1, 90),
+        Fraction(0), Fraction(0), avg_p * Fraction(1, 6))
+
+
 def test_canonical_main_matrix_rank_and_det():
     gens = canonical_generators(12).generators
     main = [list(v.main_terms) for v in gens]

@@ -6,8 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hmlab import spectra
@@ -20,8 +18,8 @@ from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
 from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
                             scale_bracket)
 from hmlab.polynomials import (CPoly, CRat, adapted_coordinates,
-                               harmonic_projection, monomials_of_degree,
-                               radius_square)
+                               harmonic_projection, harmonic_space_dimension,
+                               monomials_of_degree, radius_square)
 from hmlab.spectra import (RadialOperator, ball_bundle_spectrum,
                            build_hnm_basis, conjugacy_check,
                            diamond_coefficients, glz_parameter_map,
@@ -96,43 +94,6 @@ def test_bidegree_eigen_relation_is_exact(ns12):
             assert (rotated - target).is_zero()
 
 
-def factor_by_factor_bases(rows, degree):
-    """Bidegree bases with each z^p zbar^q multiplied up from 1 one factor
-    at a time, the build that products of lower degree replaced."""
-    k = len(rows)
-    zs = adapted_coordinates(rows)
-    zbars = [z.conjugate() for z in zs]
-    d = len(zs)
-    buckets = {}
-    for total_p in range(degree + 1):
-        for p in monomials_of_degree(d, total_p):
-            for q in monomials_of_degree(d, degree - total_p):
-                poly = CPoly.constant(k, 1)
-                for i in range(d):
-                    for _ in range(p[i]):
-                        poly = poly * zs[i]
-                    for _ in range(q[i]):
-                        poly = poly * zbars[i]
-                h = harmonic_projection(poly)
-                if not h.is_zero():
-                    buckets.setdefault(sum(q) - sum(p), []).append(h)
-    index = {mono: i for i, mono in enumerate(monomials_of_degree(k, degree))}
-    return {m: spectra._independent_subset(polys, index)
-            for m, polys in sorted(buckets.items())}
-
-
-def test_bidegree_bases_equal_the_factor_by_factor_build(hh3, ns12):
-    for geo in (hh3, ns12):
-        rows = unit_j_rows(geo.jmap, (1, 0, 0))
-        for degree in range(3):
-            got = build_hnm_basis(rows, degree).per_m
-            want = factor_by_factor_bases(rows, degree)
-            assert list(got) == list(want), (geo.name, degree)
-            for m in want:
-                assert [h.terms for h in got[m]] == \
-                    [h.terms for h in want[m]], (geo.name, degree, m)
-
-
 def dense_independent_subset(polys, monomial_index):
     """Dense-vector elimination, pivots re-sorted for every polynomial."""
     echelon = {}
@@ -152,52 +113,80 @@ def dense_independent_subset(polys, monomial_index):
     return chosen
 
 
-small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+def factor_by_factor_bases(rows, degree):
+    """Bidegree bases with each z^p zbar^q multiplied up from 1 one factor
+    at a time and every projection eliminated densely: the build that
+    products of lower degree and the z_d zbar_d rule replaced."""
+    k = len(rows)
+    zs = adapted_coordinates(rows)
+    zbars = [z.conjugate() for z in zs]
+    d = len(zs)
+    buckets = {}
+    for total_p in range(degree + 1):
+        for p in monomials_of_degree(d, total_p):
+            for q in monomials_of_degree(d, degree - total_p):
+                poly = CPoly.constant(k, 1)
+                for i in range(d):
+                    for _ in range(p[i]):
+                        poly = poly * zs[i]
+                    for _ in range(q[i]):
+                        poly = poly * zbars[i]
+                h = harmonic_projection(poly)
+                if not h.is_zero():
+                    buckets.setdefault(sum(q) - sum(p), []).append(h)
+    index = {mono: i for i, mono in enumerate(monomials_of_degree(k, degree))}
+    return {m: dense_independent_subset(polys, index)
+            for m, polys in sorted(buckets.items())}
 
 
-@given(st.integers(min_value=1, max_value=3),
-       st.integers(min_value=1, max_value=3), st.data())
-@settings(max_examples=40, deadline=None)
-def test_independent_subset_matches_dense_reference(nvars, degree, data):
-    """Random Gaussian-rational polynomials, some of them combinations of
-    earlier ones, so both the kept and the dropped branch run."""
-    monos = monomials_of_degree(nvars, degree)
-    index = {m: i for i, m in enumerate(monos)}
-    polys = []
-    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
-        if polys and data.draw(st.booleans()):
-            poly = CPoly(nvars)
-            for p in polys:
-                weight = CRat(data.draw(small), data.draw(small))
-                poly = poly + p.scale(weight)
-        else:
-            picked = data.draw(st.lists(st.sampled_from(monos), max_size=5))
-            poly = CPoly(nvars, {m: CRat(data.draw(small), data.draw(small))
-                                 for m in picked})
-        polys.append(poly)
-    assert spectra._independent_subset(polys, index) == \
-        dense_independent_subset(polys, index)
+def test_bidegree_bases_equal_the_factor_by_factor_build(hh3, ns12):
+    """The bases from the monomials free of z_d zbar_d equal those that an
+    elimination over every projected monomial keeps, term for term."""
+    cases = [(hh3.jmap, (1, 0, 0), 2), (ns12.jmap, (1, 0, 0), 2)]
+    for l, members, lattice in ((1, ((1, 0), (2, 0), (1, 1)), ((1,), (2,))),
+                                (2, ((1, 0),), ((1, 0), (3, 4)))):
+        for a, b in members:
+            cases += [(build_j_map(l, a, b), z, 4) for z in lattice]
+    for jmap, z, top in cases:
+        rows = unit_j_rows(jmap, z)
+        for degree in range(top + 1):
+            got = build_hnm_basis(rows, degree).per_m
+            want = factor_by_factor_bases(rows, degree)
+            label = (jmap.center_dim, jmap.pos, jmap.neg, z, degree)
+            assert list(got) == list(want), label
+            for m in want:
+                assert [h.terms for h in got[m]] == \
+                    [h.terms for h in want[m]], label + (m,)
 
 
-def test_independent_subset_matches_dense_reference_on_the_pair(monkeypatch):
-    """Every elimination the pair's bases to degree 2 run, checked against
-    the dense path on the same input."""
-    sparse = spectra._independent_subset
-    calls = []
-
-    def both(polys, monomial_index):
-        got = sparse(polys, monomial_index)
-        assert got == dense_independent_subset(polys, monomial_index)
-        calls.append(len(polys))
-        return got
-
-    monkeypatch.setattr(spectra, "_independent_subset", both)
+@pytest.mark.parametrize("degree, projections", [(2, 35), (3, 112)])
+def test_bidegree_bases_project_only_what_they_keep(degree, projections,
+                                                    monkeypatch):
+    """On both 12-dim members every projection becomes a basis element:
+    harmonic_space_dimension(8, degree) of them, where projecting every
+    z^p zbar^q would take 36 and 120."""
+    calls = counting(monkeypatch, "harmonic_projection")
     for a, b in ((2, 0), (1, 1)):
-        jmap = build_j_map(3, a, b)
-        for z in ((1, 0, 0), (1, 2, 2)):
-            for degree in range(3):
-                build_hnm_basis(unit_j_rows(jmap, z), degree)
-    assert len(calls) == 2 * 2 * (1 + 2 + 3)
+        rows = unit_j_rows(build_j_map(3, a, b), (1, 2, 2))
+        calls.clear()
+        basis = build_hnm_basis(rows, degree)
+        assert len(calls) == basis.total_dim == projections
+        assert harmonic_space_dimension(8, degree) == projections
+
+
+@pytest.mark.parametrize("nvars", [2, 4, 8])
+def test_real_harmonics_keep_the_monomials_of_last_exponent_at_most_one(
+        nvars):
+    """The oracle's rule: eliminating over the projections of every real
+    monomial in monomials_of_degree order keeps exactly the monomials whose
+    last exponent is at most one."""
+    for degree in range(4):
+        monos = monomials_of_degree(nvars, degree)
+        index = {mono: i for i, mono in enumerate(monos)}
+        projected = {mono: harmonic_projection(CPoly(nvars, {mono: CRat(1)}))
+                     for mono in monos}
+        kept = dense_independent_subset(list(projected.values()), index)
+        assert kept == [projected[mono] for mono in monos if mono[-1] <= 1]
 
 
 def test_bidegree_degree_cap(hh3):
@@ -319,6 +308,23 @@ def test_unresolved_potential_raises():
     op = RadialOperator(k=2, n=0, m=0, mu=40.0)
     with pytest.raises(ConvergenceFailure):
         radial_spectrum(op, 10.0, grid=64)
+
+
+@pytest.mark.parametrize("t_domain, mu, cause", [
+    (1e-200, 0.0, "eigensolver failed"),
+    (1e300, 0.0, "not finite"),
+    (10.0, 1e200, "assembling the radial operator"),
+    (5e-324, 0.0, "assembling the radial operator"),
+    (10.0, 6e153, "Richardson extrapolation overflows"),
+])
+def test_extreme_finite_inputs_raise_convergence_failure(t_domain, mu, cause):
+    """Each way a finite input leaves the float range is a typed failure:
+    the solver's LinAlgError, a non-finite matrix, a float overflow, a cell
+    width that underflows to zero, two finite grids whose extrapolation
+    overflows."""
+    op = RadialOperator(k=2, n=0, m=0, mu=mu)
+    with pytest.raises(ConvergenceFailure, match=cause):
+        radial_spectrum(op, t_domain, grid=64, count=2)
 
 
 # -- conjugacy and isospectrality --------------------------------------------------

@@ -108,6 +108,7 @@ def cmd_verify(args):
     require(args.directions >= 1, "--directions", args.directions, "at least 1")
     require(0 < args.tol < math.inf, "--tol", args.tol, "positive and finite")
     require(math.isfinite(args.perturb), "--perturb", args.perturb, "finite")
+    require(args.seed >= 0, "--seed", args.seed, "at least 0")
     l, members = parse_family(args.family)
     reports = []
     all_passed = True
@@ -161,6 +162,7 @@ def member_row(geo):
 
 def cmd_counterexample(args):
     require(0 < args.tol < math.inf, "--tol", args.tol, "positive and finite")
+    require(args.seed >= 0, "--seed", args.seed, "at least 0")
     l, members = parse_family(args.family)
     if len(members) < 2:
         raise UsageError("comparison table needs at least two members")
@@ -273,6 +275,7 @@ def cmd_sis(args):
 
 def cmd_expand(args):
     from .geometry import curvature_jet
+    require(args.seed >= 0, "--seed", args.seed, "at least 0")
     l, members = parse_family(args.family)
     label, geo = build_members(l, members)[0]
     rng = np.random.default_rng(args.seed)

@@ -9,7 +9,9 @@ contractions (degree at most eight): a polynomial is given either as its
 coefficient tensor or as the einsum of curvature factors that would build
 it, and in the factor form each pairing contracts the factors straight to
 a scalar, so no coefficient tensor is built.  Seeded Monte Carlo averages
-cross-check them independently.
+cross-check them independently: each sampled quantity is folded once into
+coefficients on its live monomials, and a sample is that coefficient
+vector times monomials of the raw Gaussian draw.
 """
 
 from __future__ import annotations
@@ -158,6 +160,16 @@ def _residual_row(name, lhs, rhs, tol, scale=None):
                        rel_residual=rel, tolerance=tol, passed=rel <= tol)
 
 
+# Directions per block in verify_harmonicity and mc_average; a multiple of
+# geometry.JET_BLOCK, so a block splits into the same jet blocks as the
+# whole draw.  Each call draws and evaluates MC_BLOCK directions at a time,
+# so its memory does not grow with the count.  mc_average allocates its
+# buffers once, (halves + terms + max(halves, terms)) * MC_BLOCK floats
+# (see _mc_plan), rather than mapping and unmapping fresh multi-MB arrays
+# block by block.
+MC_BLOCK = 4096
+
+
 def random_directions(dim, count, rng):
     g = rng.standard_normal((count, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -169,17 +181,26 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     Constancy of all five certifies the radial density depends on distance
     only, through the orders probed here.  The two trace combinations built
     from odd derivative counts flip sign under u -> -u, so a small spread
-    already forces them to vanish.
+    already forces them to vanish.  Directions are drawn and evaluated
+    ``MC_BLOCK`` at a time, keeping a running maximum and minimum; the
+    draws are those of one ``random_directions`` call.
     """
+    if n_directions < 1:
+        raise InvalidSampling(f"harmonicity check needs n_directions >= 1, "
+                              f"got {n_directions}")
     rng = np.random.default_rng(seed)
-    dirs = random_directions(geometry.dim, n_directions, rng)
-    dc = direction_constants(geometry, dirs)
+    hi = np.full(5, -np.inf)
+    lo = np.full(5, np.inf)
+    for done in range(0, n_directions, MC_BLOCK):
+        dirs = random_directions(geometry.dim,
+                                 min(MC_BLOCK, n_directions - done), rng)
+        dc = direction_constants(geometry, dirs)
+        vals = np.array([dc.c, dc.h, dc.l, dc.odd_first, dc.even_second])
+        hi = np.maximum(hi, vals.max(axis=1))
+        lo = np.minimum(lo, vals.min(axis=1))
     names = ("C", "H", "L", "tr(R R')", "tr(R R'') + tr(R' R')")
-    rows = []
-    for name, vals in zip(names, (dc.c, dc.h, dc.l, dc.odd_first,
-                                  dc.even_second)):
-        rows.append(_residual_row(f"spread[{name}]", float(vals.max()),
-                                  float(vals.min()), tol))
+    rows = [_residual_row(f"spread[{name}]", float(h), float(l), tol)
+            for name, h, l in zip(names, hi, lo)]
     return ResidualReport(space=geometry.name, rows=rows)
 
 
@@ -329,12 +350,6 @@ def verify_average_identities(geometry, tol=1e-7):
 # -- Monte Carlo averages ----------------------------------------------------
 
 
-# Directions per Monte Carlo block.  A call allocates its buffers once,
-# (2 * live monomials + live image rows) * MC_BLOCK floats (see _mc_plan),
-# rather than mapping and unmapping fresh multi-MB arrays block by block.
-MC_BLOCK = 4096
-
-
 def _symmetric_factor(tensor, degree):
     """Fold the first ``degree`` direction slots onto symmetric monomials.
 
@@ -355,8 +370,10 @@ def _symmetric_factor(tensor, degree):
 def _monomials(dt, idx, out, gather):
     """Fill ``out`` with the monomials of the directions in the columns of
     ``dt`` (n, m): row k is the product of the rows of ``dt`` named by
-    idx[k].  ``gather`` is a work array shaped like ``out``; mode='clip' (a
-    no-op on valid rows) lets ``np.take`` write into them unbuffered."""
+    idx[k].  ``gather`` is a work array at least as tall as ``out``;
+    mode='clip' (a no-op on valid rows) lets ``np.take`` write into it
+    unbuffered."""
+    gather = gather[:len(idx)]
     np.take(dt, idx[:, 0], axis=0, out=out, mode='clip')
     for col in idx[:, 1:].T:
         out *= np.take(dt, col, axis=0, out=gather, mode='clip')
@@ -364,47 +381,60 @@ def _monomials(dt, idx, out, gather):
 
 
 def _mc_plan(geometry, quantity):
-    """Monomials and GEMM image of a Monte Carlo quantity, live part only.
+    """A Monte Carlo quantity as a folded polynomial on its live monomials.
 
-    Returns ``idx`` (one row of direction indices per symmetric monomial)
-    and ``image`` with one column per row of ``idx``.  beta(u) is w . (image
-    w), with image the folded Gram matrix on the degree-2 monomials w;
-    tr R_u'R_u' is |image w|^2, with image the transposed folded factor on
-    the degree-3 monomials.  Only the monomials (columns) and image rows
-    that hold a nonzero entry are kept: the dropped ones add exact zeros.
-    beta keeps one live set for the rows and the columns of its Gram, so
-    the image stays square.
+    Both quantities are quadratic forms w . (G w) in the degree-k symmetric
+    monomials w of the direction: beta (k = 2) with the folded Gram
+    G = F K F^T, tr R_u'R_u' = |F^T w|^2 (k = 3) with G = F F^T, F the
+    folded factor.  Each nonzero G[a, b] is folded onto the degree-2k
+    monomial idx[a] + idx[b] (an integer key per sorted multi-index, summed
+    by ``np.bincount``), and the monomials whose coefficient is exactly 0.0
+    are dropped.  Each kept monomial is written as the product of two
+    degree-k halves, the first (a, b) pair that reached it.
+
+    Returns ``halves`` (one row of direction indices per live degree-k
+    monomial, shape (h, k)), ``pa`` and ``pb`` (the rows of ``halves``
+    whose product is each term) and ``coef``, so that the quantity is
+    sum_t coef[t] * w[pa[t]] * w[pb[t]] with w the monomials of ``halves``.
     """
     n = geometry.dim
     if quantity == "beta":
         idx, fmat = _symmetric_factor(np.einsum('iabj->abij', geometry.r), 2)
         kmat = np.einsum('jiqm->qimj', geometry.r).reshape(n * n, n * n)
-        image = fmat @ kmat @ fmat.T
-        nonzero = image != 0.0
-        rows = cols = nonzero.any(axis=0) | nonzero.any(axis=1)
+        gram = fmat @ kmat @ fmat.T
     elif quantity == "grad_quad":
         idx, fmat = _symmetric_factor(
             np.einsum('ciabj->cabij', geometry.nabla_r), 3)
-        image = fmat.T
-        nonzero = image != 0.0
-        rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+        gram = fmat @ fmat.T
     else:
         raise InvalidSampling(f"unknown Monte Carlo quantity {quantity!r}; "
                               f"expected 'beta' or 'grad_quad'")
-    return idx[cols], image[np.ix_(rows, cols)]
+    a, b = np.nonzero(gram)
+    merged = np.sort(np.concatenate([idx[a], idx[b]], axis=1), axis=1)
+    key = merged @ n ** np.arange(merged.shape[1])
+    _, first, term = np.unique(key, return_index=True, return_inverse=True)
+    coef = np.bincount(term.reshape(-1), weights=gram[a, b],
+                       minlength=len(first))
+    live = coef != 0.0
+    first = first[live]
+    halves, pair = np.unique(np.concatenate([a[first], b[first]]),
+                             return_inverse=True)
+    pa, pb = pair.reshape(2, -1)
+    return idx[halves], pa, pb, coef[live]
 
 
 def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     """Seeded Monte Carlo direction average with a standard error.
 
-    ``quantity`` is 'beta' or 'grad_quad'.  Directions are drawn and
-    evaluated ``MC_BLOCK`` at a time; each block becomes one array of
-    symmetric monomials in row layout (one row per monomial, one column
-    per direction), and the quantity is a small GEMM on it: beta(u) is the
-    quadratic form of a folded Gram matrix on the degree-2 monomials, and
-    tr R_u'R_u' the squared norm of the degree-3 monomials times a folded
-    factor.  Only the live monomials and image rows are built (see
-    ``_mc_plan``); where none is live, as for grad_quad on a symmetric
+    ``quantity`` is 'beta' or 'grad_quad', held as a folded polynomial of
+    degree 2k on its live monomials (see ``_mc_plan``).  Gaussian draws g
+    are taken ``MC_BLOCK`` at a time, exactly the draws of
+    ``random_directions``, but not normalised: the polynomial is
+    homogeneous, so its value at g / |g| is its value at g divided by
+    s^k, s = |g|^2.  Each block fills the live degree-k halves in row
+    layout (one row per monomial, one column per direction), multiplies
+    them pairwise into the terms and sums the terms against the
+    coefficients.  Where nothing is live, as for grad_quad on a symmetric
     space, every sample is 0.  The sample stream does not depend on the
     block size or on the live set.
     """
@@ -412,22 +442,27 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     if n_samples < 1:
         raise InvalidSampling(f"Monte Carlo average needs n_samples >= 1, "
                               f"got {n_samples}")
-    idx, image = _mc_plan(geometry, quantity)
+    if seed < 0:
+        raise InvalidSampling(f"Monte Carlo average needs seed >= 0, "
+                              f"got {seed}")
+    halves, pa, pb, coef = _mc_plan(geometry, quantity)
+    k = halves.shape[1]
     rng = np.random.default_rng(seed)
 
     # flat buffers, so a short last block takes a contiguous leading part
-    rows = (len(idx), len(idx), len(image))
+    rows = (len(halves), len(coef), max(len(halves), len(coef)))
     bufs = [np.empty(r * MC_BLOCK) for r in rows]
     total = total_sq = 0.0
     for done in range(0, n_samples, MC_BLOCK):
         m = min(MC_BLOCK, n_samples - done)
-        w, gather, img = (b[:r * m].reshape(r, m) for b, r in zip(bufs, rows))
-        dt = np.ascontiguousarray(random_directions(n, m, rng).T)
-        _monomials(dt, idx, w, gather)
-        np.matmul(image, w, out=img)
-        # beta(u) = w . (image w); tr R_u'R_u' = |image w|^2
-        img *= w if quantity == "beta" else img
-        vals = img.sum(axis=0)
+        w, terms, gather = (b[:r * m].reshape(r, m)
+                            for b, r in zip(bufs, rows))
+        g = rng.standard_normal((m, n))
+        _monomials(np.ascontiguousarray(g.T), halves, w, gather)
+        np.take(w, pa, axis=0, out=terms, mode='clip')
+        terms *= np.take(w, pb, axis=0, out=gather[:len(coef)], mode='clip')
+        vals = coef @ terms
+        vals /= np.einsum('ij,ij->i', g, g) ** k
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     mean = total / n_samples

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConsistencyFailure, ConvergenceFailure,
                      DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
@@ -341,6 +340,7 @@ def _solve_grid(op, t_domain, bc, n_cells, count):
     if not (np.isfinite(sym_diag).all() and np.isfinite(sym_off).all()):
         raise ConvergenceFailure(
             f"the radial operator is not finite on {n_cells} cells")
+    import scipy.linalg  # at first use: it adds ~0.1 s to every start-up
     try:
         lam = scipy.linalg.eigh_tridiagonal(
             sym_diag, sym_off, select='i', select_range=(0, count - 1),
@@ -406,6 +406,7 @@ class ConjugacyReport:
 
 
 def _canonical_skew_frame(j):
+    import scipy.linalg  # at first use, as in _solve_grid
     t, u = scipy.linalg.schur(np.asarray(j, dtype=float), output='real')
     n = t.shape[0]
     scale = max(1.0, float(np.max(np.abs(t))))

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hmlab.errors import DegreeTooHigh, HmlabError, InvalidSampling
-from hmlab.geometry import geometry_from_algebra, scale_bracket
+from hmlab.geometry import JET_BLOCK, geometry_from_algebra, scale_bracket
 from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
                               _mc_plan, _monomials, _symmetric_factor,
                               beta_tensor, direction_constants,
@@ -225,9 +226,10 @@ def reference_factor(tensor, degree):
                              for i, c in enumerate(combos)])
 
 
-def reference_mc_average(geometry, quantity, n_samples, seed, chunk=50_000):
+def reference_evaluator(geometry, quantity):
+    """The monomials and the per-sample Gram quadratic form of the column
+    path: beta(u) = w F K F^T w, tr R_u'R_u' = |w F|^2."""
     n = geometry.dim
-    rng = np.random.default_rng(seed)
     if quantity == "beta":
         combos, fmat = reference_factor(np.einsum('iabj->abij', geometry.r), 2)
         kmat = np.einsum('jiqm->qimj', geometry.r).reshape(n * n, n * n)
@@ -242,6 +244,13 @@ def reference_mc_average(geometry, quantity, n_samples, seed, chunk=50_000):
         def evaluate(w):
             r1 = w @ fmat
             return np.sum(r1 * r1, axis=1)
+    return combos, evaluate
+
+
+def reference_mc_average(geometry, quantity, n_samples, seed, chunk=50_000):
+    n = geometry.dim
+    rng = np.random.default_rng(seed)
+    combos, evaluate = reference_evaluator(geometry, quantity)
     total = total_sq = 0.0
     done = 0
     while done < n_samples:
@@ -298,24 +307,113 @@ def ns12_perturbed(ns12):
     return geometry_from_algebra(scale_bracket(ns12.algebra, 0, 11, 1.25))
 
 
-@pytest.mark.parametrize("space,live", [("ns12", (48, 32)),
-                                        ("hh3", (0, 0)),
-                                        ("ns12_perturbed", (205, 126))])
+@pytest.mark.parametrize("space,live", [
+    ("ns12", {"beta": (78, 12), "grad_quad": (48, 48)}),
+    ("hh3", {"beta": (78, 12), "grad_quad": (0, 0)}),
+    ("ns12_perturbed", {"beta": (84, 21), "grad_quad": (411, 115)})])
 def test_grad_quad_on_its_live_part_matches_the_full_image(space, live,
                                                            request):
-    """The sampler keeps only the monomials and image rows with a nonzero
-    entry; the column path multiplies the full image on the same stream.
-    hh3 (3:2,0) is symmetric, so nothing is live and every sample is 0."""
+    """The sampler keeps only the degree-2k terms with a nonzero
+    coefficient, each a product of two live degree-k halves (pinned as
+    (terms, halves) for both quantities); the column path multiplies the
+    full factor on the same stream.  hh3 (3:2,0) is symmetric, so nothing
+    is live in grad_quad and every sample is 0."""
     geometry = request.getfixturevalue(space)
-    idx, image = _mc_plan(geometry, "grad_quad")
-    assert (len(idx), len(image)) == live
+    for quantity, sizes in live.items():
+        halves, pa, pb, coef = _mc_plan(geometry, quantity)
+        assert (len(coef), len(halves)) == sizes
     mean, se = mc_average(geometry, "grad_quad", n_samples=100_000, seed=3)
     ref_mean, ref_se = reference_mc_average(geometry, "grad_quad", 100_000,
                                             seed=3)
     assert_allclose(mean, ref_mean, rtol=1e-12)
     assert_allclose(se, ref_se, rtol=1e-10)
-    if not live[0]:
+    if not live["grad_quad"][0]:
         assert (mean, se) == (0.0, 0.0)
+
+
+def plan_sphere_moment(geometry, quantity):
+    """Exact sphere average of the folded plan: sum_alpha c_alpha
+    prod (alpha_i - 1)!! / (n (n+2) ... (n+2k-2)) over even alpha."""
+    n = geometry.dim
+    halves, pa, pb, coef = _mc_plan(geometry, quantity)
+    degree = 2 * halves.shape[1]
+    total = 0.0
+    for a, b, c in zip(pa, pb, coef):
+        alpha = np.bincount(np.concatenate([halves[a], halves[b]]),
+                            minlength=n)
+        if not (alpha % 2).any():
+            total += c * math.prod(math.prod(range(1, e, 2))
+                                   for e in alpha.tolist())
+    return total / math.prod(n + 2 * t for t in range(degree // 2))
+
+
+@pytest.mark.parametrize("space", ["ns12", "hh3", "ns12_perturbed"])
+def test_the_folded_plan_has_the_pairing_averages(space, request):
+    geometry = request.getfixturevalue(space)
+    r, s1 = geometry.r, geometry.nabla_r
+    for quantity, want in (("beta", sphere_average(BETA_SPEC, r, r, r)),
+                           ("grad_quad",
+                            sphere_average(GRAD_QUAD_SPEC, s1, s1))):
+        got = plan_sphere_moment(geometry, quantity)
+        assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("space", ["ns12", "ns12_perturbed"])
+@pytest.mark.parametrize("quantity", ["beta", "grad_quad"])
+def test_the_folded_polynomial_equals_the_gram_form(space, quantity,
+                                                    request, rng):
+    """Per sample, sum_t coef[t] w[pa[t]] w[pb[t]] on the live halves is
+    the quadratic form of the full folded factor."""
+    geometry = request.getfixturevalue(space)
+    dirs = random_directions(12, 500, rng)
+    halves, pa, pb, coef = _mc_plan(geometry, quantity)
+    w = _monomials(np.ascontiguousarray(dirs.T), halves,
+                   np.empty((len(halves), 500)), np.empty((len(halves), 500)))
+    got = coef @ (w[pa] * w[pb])
+    combos, evaluate = reference_evaluator(geometry, quantity)
+    want = evaluate(reference_monomial_matrix(dirs, combos))
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_mc_average_rejects_a_negative_seed(ns12):
+    with pytest.raises(InvalidSampling, match="seed"):
+        mc_average(ns12, "beta", n_samples=10, seed=-1)
+
+
+def reference_harmonicity_rows(geometry, n_directions, seed):
+    """All directions drawn and evaluated at once: the unblocked path."""
+    dirs = random_directions(geometry.dim, n_directions,
+                             np.random.default_rng(seed))
+    dc = direction_constants(geometry, dirs)
+    names = ("C", "H", "L", "tr(R R')", "tr(R R'') + tr(R' R')")
+    return [(f"spread[{name}]", float(vals.max()), float(vals.min()))
+            for name, vals in zip(names, (dc.c, dc.h, dc.l, dc.odd_first,
+                                          dc.even_second))]
+
+
+def test_harmonicity_in_blocks_equals_the_whole_draw(ns12):
+    assert MC_BLOCK % JET_BLOCK == 0
+    count = MC_BLOCK + 37
+    report = verify_harmonicity(ns12, n_directions=count, seed=5, tol=1e-8)
+    rows = [(r.identity, r.lhs, r.rhs) for r in report.rows]
+    assert rows == reference_harmonicity_rows(ns12, count, 5)
+
+
+def test_harmonicity_memory_is_bounded_in_the_direction_count(ns12):
+    """All 20 000 directions at once peak at ~140 MB of numpy arrays (about
+    6.8 KB a direction); blocks of MC_BLOCK stay near 30 MB."""
+    tracemalloc.start()
+    try:
+        verify_harmonicity(ns12, n_directions=20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_harmonicity_needs_a_direction(ns12):
+    with pytest.raises(InvalidSampling):
+        verify_harmonicity(ns12, n_directions=0)
 
 
 def test_cube_average_tensor_consistency(ns12):

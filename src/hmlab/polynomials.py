@@ -1,158 +1,76 @@
-"""Exact complex-rational polynomials and harmonic decomposition.
+"""Exact complex-rational polynomials and harmonic projection.
 
 Everything here runs over Gaussian rationals so that Laplacians, rotation
 derivatives and rank computations are exact; no float enters until a caller
-asks for evaluation.  Polynomials are dictionaries from exponent tuples to
-coefficients, which is plenty for the homogeneous degrees (<= 6) this
-package ever touches.
+asks for evaluation.  A polynomial is a dictionary from exponent tuples to
+integer pairs (re, im) over one common denominator, which is plenty for the
+homogeneous degrees (<= 6) this package ever touches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, gcd, lcm
 
 
-class CRat:
-    """Gaussian rational a + bi with exact Fraction parts.
-
-    Immutable and hashable.  The constructor coerces both parts to
-    Fraction; arithmetic results, whose parts already are Fractions, go
-    through the trusted ``_from_parts``.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=Fraction(0), im=Fraction(0)):
-        _set_re(self, Fraction(re))
-        _set_im(self, Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CRat is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CRat is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return CRat, (self.re, self.im)
-
-    def __eq__(self, other):
-        if other.__class__ is CRat:
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        if other.__class__ is not CRat:
-            other = _crat(other)
-        return _from_parts(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other.__class__ is not CRat:
-            other = _crat(other)
-        return _from_parts(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _crat(other) - self
-
-    def __mul__(self, other):
-        if other.__class__ is CRat:
-            return _from_parts(self.re * other.re - self.im * other.im,
-                               self.re * other.im + self.im * other.re)
-        if isinstance(other, (int, Fraction)):
-            # a real factor needs two products, not the four of a complex one
-            return _from_parts(self.re * other, self.im * other)
-        return self * _crat(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if other.__class__ is not CRat:
-            other = _crat(other)
-        d = other.re * other.re + other.im * other.im
-        if not d:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return _from_parts((self.re * other.re + self.im * other.im) / d,
-                           (self.im * other.re - self.re * other.im) / d)
-
-    def __neg__(self):
-        return _from_parts(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def conjugate(self):
-        return _from_parts(self.re, -self.im)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-_set_re = CRat.re.__set__
-_set_im = CRat.im.__set__
-
-
-def _from_parts(re, im):
-    """Trusted CRat constructor: ``re`` and ``im`` must already be Fractions."""
-    z = object.__new__(CRat)
-    _set_re(z, re)
-    _set_im(z, im)
-    return z
-
-
-CRAT_ZERO = CRat()
-CRAT_ONE = CRat(Fraction(1))
-
-
-def _crat(x):
-    if isinstance(x, CRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CRat(Fraction(x))
-    raise TypeError(f"cannot coerce {type(x).__name__} to a Gaussian rational")
+def _over_one_denominator(values):
+    """Integers n_i and one d > 0 with n_i / d == values[i], for a sequence
+    of ints and Fractions."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class CPoly:
-    """Polynomial in nvars real variables with Gaussian rational coefficients."""
+    """Polynomial in nvars real variables with Gaussian rational coefficients.
 
-    __slots__ = ("nvars", "terms")
+    ``terms`` maps exponent tuples to integer pairs (re, im), all over the
+    one denominator ``den``.  The form is always reduced: ``den > 0``, no
+    zero term, and no factor shared by ``den`` and every numerator.  So
+    equal values have equal ``terms`` and ``den``, and ``==`` compares
+    values.
+    """
 
-    def __init__(self, nvars, terms=None):
+    __slots__ = ("nvars", "terms", "den")
+
+    def __init__(self, nvars, terms=None, den=1):
+        if den <= 0:
+            raise ValueError(f"CPoly denominator must be positive, not {den}")
+        terms = {m: c for m, c in terms.items() if c[0] or c[1]} if terms else {}
+        g = gcd(den, *(v for c in terms.values() for v in c))
+        if g > 1:
+            den //= g
+            terms = {m: (x // g, y // g) for m, (x, y) in terms.items()}
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for mono, coef in terms.items():
-                coef = _crat(coef) if not isinstance(coef, CRat) else coef
-                if coef:
-                    self.terms[tuple(mono)] = coef
+        self.terms = terms
+        self.den = den if terms else 1
 
     @classmethod
     def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: _crat(value)})
+        return cls(nvars, {(0,) * nvars: (1, 0)}).scale(value)
 
     @classmethod
     def variable(cls, nvars, index):
         mono = [0] * nvars
         mono[index] = 1
-        return cls(nvars, {tuple(mono): CRAT_ONE})
+        return cls(nvars, {tuple(mono): (1, 0)})
 
     @classmethod
-    def linear_form(cls, coeffs):
-        n = len(coeffs)
+    def linear_form(cls, re, im):
+        """sum_a (re_a + i im_a) x_a for two equally long lists of rationals."""
+        n = len(re)
+        nums, den = _over_one_denominator(list(re) + list(im))
         terms = {}
-        for i, c in enumerate(coeffs):
-            c = c if isinstance(c, CRat) else _crat(c)
-            if c:
-                mono = [0] * n
-                mono[i] = 1
-                terms[tuple(mono)] = c
-        return cls(n, terms)
+        for a in range(n):
+            mono = [0] * n
+            mono[a] = 1
+            terms[tuple(mono)] = (nums[a], nums[n + a])
+        return cls(n, terms, den)
+
+    def __eq__(self, other):
+        if other.__class__ is not CPoly:
+            return NotImplemented
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.terms == other.terms)
 
     def is_zero(self):
         return not self.terms
@@ -162,116 +80,117 @@ class CPoly:
             return -1
         return max(sum(m) for m in self.terms)
 
+    def coefficient(self, mono):
+        """The exact coefficient of ``mono`` as a pair of Fractions."""
+        x, y = self.terms.get(mono, (0, 0))
+        return Fraction(x, self.den), Fraction(y, self.den)
+
     def __add__(self, other):
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            s = out.get(mono, CRAT_ZERO) + coef
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return CPoly(self.nvars, out)
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        out = {m: (x * fa, y * fa) for m, (x, y) in self.terms.items()}
+        for m, (x, y) in other.terms.items():
+            prev = out.get(m)
+            out[m] = (x * fb, y * fb) if prev is None else \
+                (prev[0] + x * fb, prev[1] + y * fb)
+        return CPoly(self.nvars, out, self.den * fa)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return CPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return CPoly(self.nvars, {m: (-x, -y) for m, (x, y) in self.terms.items()},
+                     self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            return self.scale(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, CRAT_ZERO) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return CPoly(self.nvars, out)
+        for m1, (a, b) in self.terms.items():
+            for m2, (c, d) in other.terms.items():
+                mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                x, y = a * c - b * d, a * d + b * c
+                prev = out.get(mono)
+                out[mono] = (x, y) if prev is None else (prev[0] + x, prev[1] + y)
+        return CPoly(self.nvars, out, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def scale(self, factor):
-        factor = _crat(factor) if not isinstance(factor, CRat) else factor
-        if not factor:
-            return CPoly(self.nvars)
-        return CPoly(self.nvars, {m: c * factor for m, c in self.terms.items()})
+    def scale(self, re, im=0):
+        """Multiply by the Gaussian rational re + i im."""
+        (a, b), den = _over_one_denominator((re, im))
+        return CPoly(self.nvars, {m: (x * a - y * b, x * b + y * a)
+                                  for m, (x, y) in self.terms.items()},
+                     self.den * den)
 
     def conjugate(self):
-        return CPoly(self.nvars, {m: c.conjugate() for m, c in self.terms.items()})
+        return CPoly(self.nvars, {m: (x, -y) for m, (x, y) in self.terms.items()},
+                     self.den)
 
     def partial(self, index):
         out = {}
-        for mono, coef in self.terms.items():
+        for mono, (x, y) in self.terms.items():
             e = mono[index]
             if e == 0:
                 continue
             down = list(mono)
             down[index] = e - 1
-            out[tuple(down)] = coef * e
-        return CPoly(self.nvars, out)
+            out[tuple(down)] = (x * e, y * e)
+        return CPoly(self.nvars, out, self.den)
 
     def laplacian(self):
         out = {}
-        for mono, coef in self.terms.items():
+        for mono, (x, y) in self.terms.items():
             for i, e in enumerate(mono):
                 if e > 1:
                     down = mono[:i] + (e - 2,) + mono[i + 1:]
-                    term = coef * (e * (e - 1))
+                    f = e * (e - 1)
                     prev = out.get(down)
-                    out[down] = term if prev is None else prev + term
-        return CPoly(self.nvars, out)
+                    out[down] = (x * f, y * f) if prev is None else \
+                        (prev[0] + x * f, prev[1] + y * f)
+        return CPoly(self.nvars, out, self.den)
 
     def rotation_derivative(self, j_rows):
         """Derivative along the flow X -> exp(sJ)X: sum_a (JX)_a d_a.
 
-        ``j_rows`` is J as rows of Fractions.
+        ``j_rows`` is J as rows of rationals.
         """
-        rows = [[(b, Fraction(x)) for b, x in enumerate(row) if x]
-                for row in j_rows]
+        k = len(j_rows)
+        nums, j_den = _over_one_denominator([x for row in j_rows for x in row])
+        rows = [[(b, nums[a * k + b]) for b in range(k) if nums[a * k + b]]
+                for a in range(k)]
         out = {}
-        for mono, coef in self.terms.items():
+        for mono, (x, y) in self.terms.items():
             for a, e in enumerate(mono):
                 if not e:
                     continue
-                for b, x in rows[a]:
+                for b, j in rows[a]:
                     # x_b d_a: one power moves from variable a to variable b
                     moved = list(mono)
                     moved[a] -= 1
                     moved[b] += 1
                     target = tuple(moved)
-                    term = coef * (e * x)
+                    f = e * j
                     prev = out.get(target)
-                    out[target] = term if prev is None else prev + term
-        return CPoly(self.nvars, out)
+                    out[target] = (x * f, y * f) if prev is None else \
+                        (prev[0] + x * f, prev[1] + y * f)
+        return CPoly(self.nvars, out, self.den * j_den)
 
     def evaluate(self, point):
         total = complex(0.0)
-        for mono, coef in self.terms.items():
-            v = complex(coef)
-            for x, e in zip(point, mono):
+        for mono, (x, y) in self.terms.items():
+            v = complex(x / self.den, y / self.den)
+            for p, e in zip(point, mono):
                 if e:
-                    v *= x ** e
+                    v *= p ** e
             total += v
         return total
-
-    def coefficient_vector(self, monomial_index):
-        vec = [CRAT_ZERO] * len(monomial_index)
-        for mono, coef in self.terms.items():
-            vec[monomial_index[mono]] = coef
-        return vec
 
     def __repr__(self):
         if not self.terms:
             return "CPoly(0)"
         bits = []
         for mono in sorted(self.terms):
+            x, y = self.terms[mono]
             factors = "".join(f"x{i}^{e}" for i, e in enumerate(mono) if e)
-            bits.append(f"{self.terms[mono]}{factors or '1'}")
-        return "CPoly(" + " + ".join(bits) + ")"
+            bits.append(f"({x}{y:+}i){factors or '1'}")
+        return "CPoly((" + " + ".join(bits) + f")/{self.den})"
 
 
 def radius_square(nvars):
@@ -279,7 +198,7 @@ def radius_square(nvars):
     for i in range(nvars):
         mono = [0] * nvars
         mono[i] = 2
-        terms[tuple(mono)] = CRAT_ONE
+        terms[tuple(mono)] = (1, 0)
     return CPoly(nvars, terms)
 
 
@@ -298,51 +217,31 @@ def monomials_of_degree(nvars, degree):
     return out
 
 
-def harmonic_decomposition(poly):
-    """Split a homogeneous polynomial as sum_j |X|^(2j) h_(d-2j), h harmonic.
-
-    Triangular back-substitution on iterated Laplacians: the m-th Laplacian
-    of |X|^(2j) h_(d-2j) is K(m, j) |X|^(2(j-m)) h with an explicit rational
-    K, nonzero exactly when m <= j.
-    """
-    k = poly.nvars
-    d = poly.degree()
-    if d < 0:
-        return []
-    top = d // 2
-
-    def kfactor(m, j):
-        deg = d - 2 * j
-        val = Fraction(1)
-        for t in range(m):
-            val *= 2 * (j - t) * (2 * (j - t) + 2 * deg + k - 2)
-        return val
-
-    lap_powers = [poly]
-    for _ in range(top):
-        lap_powers.append(lap_powers[-1].laplacian())
-    r2 = radius_square(k)
-    r2_powers = [CPoly.constant(k, 1)]
-    for _ in range(top):
-        r2_powers.append(r2_powers[-1] * r2)
-    parts = [None] * (top + 1)
-    for m in range(top, -1, -1):
-        rhs = lap_powers[m]
-        for j in range(m + 1, top + 1):
-            scale = CRat(kfactor(m, j))
-            rhs = rhs - (r2_powers[j - m] * parts[j]).scale(scale)
-        parts[m] = rhs.scale(CRat(Fraction(1) / kfactor(m, m)))
-    return parts
-
-
 def harmonic_projection(poly):
-    parts = harmonic_decomposition(poly)
-    return parts[0] if parts else poly
+    """Harmonic part h_d of a homogeneous polynomial p of degree d in k
+    variables, where p = sum_j |X|^(2j) h_(d-2j) with every h harmonic:
+
+        h_d = sum_j (-1)^j |X|^(2j) Lap^j p / (2^j j! prod_(i=1..j) (k+2d-2-2i)).
+
+    Evaluated from the highest nonzero Laplacian down, one |X|^2 at a time.
+    """
+    k, d = poly.nvars, poly.degree()
+    laps = [poly]
+    for _ in range(d // 2):
+        lap = laps[-1].laplacian()
+        if lap.is_zero():
+            break
+        laps.append(lap)
+    r2 = radius_square(k)
+    out = laps.pop()
+    for j in range(len(laps), 0, -1):
+        out = laps[j - 1] + (r2 * out).scale(
+            Fraction(-1, 2 * j * (k + 2 * d - 2 - 2 * j)))
+    return out
 
 
 def harmonic_space_dimension(nvars, degree):
     """dim of homogeneous harmonics: (k+2n-2) (k+n-3)! / (n! (k-2)!)."""
-    from math import factorial
     k, n = nvars, degree
     if n == 0:
         return 1
@@ -387,8 +286,4 @@ def gram_schmidt_pairs(j_rows):
 def adapted_coordinates(j_rows):
     """Linear forms z_i = <Q_i, X> + i <J Q_i, X> for the exact pair basis."""
     pairs = gram_schmidt_pairs(j_rows)
-    zs = []
-    for q, jq in pairs:
-        coeffs = [CRat(a, b) for a, b in zip(q, jq)]
-        zs.append(CPoly.linear_form(coeffs))
-    return zs
+    return [CPoly.linear_form(q, jq) for q, jq in pairs]

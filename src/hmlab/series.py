@@ -184,9 +184,8 @@ class TruncatedSeries:
             if lead == 0:
                 raise SingularSeries("leading coefficient is zero")
             lead_inv = (Fraction(1) / lead) if isinstance(lead, Fraction) else 1.0 / lead
-        length = len(self.coeffs) if not self.exact else len(self.coeffs)
         inv = [lead_inv]
-        for m in range(1, length):
+        for m in range(1, len(self.coeffs)):
             acc = None
             for j in range(1, m + 1):
                 if j < len(self.coeffs):

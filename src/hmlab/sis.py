@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
                      SymbolAbsent)
-from .exactlinalg import rank, rref, solve
+from .exactlinalg import det, in_span, rank, rref, solve
 from .heatinv import structural_p_decompositions
 
 BASIS = ("C3", "CH", "L", "R_hat", "R_ring", "grad_R_sq")
@@ -199,9 +199,8 @@ class MembershipReport:
 
 
 def _main_det(rows):
-    from .exactlinalg import det
     if len(rows) == 3:
-        return det([list(r) for r in rows])
+        return det(rows)
     return Fraction(0)
 
 
@@ -224,11 +223,10 @@ def rank_and_membership(space, candidate, graded=False):
         usable = gens
     rows = [list(g.coeffs) for g in usable]
     if rows:
-        _, pivots = rref([row[:] for row in rows])
+        _, pivots = rref(rows)
     else:
         pivots = ()
     r0 = len(pivots)
-    from .exactlinalg import in_span
     if rows:
         member, combo = in_span(rows, list(candidate.coeffs))
     else:
@@ -347,12 +345,11 @@ def noise_wave(candidate, space, gram=None, gram_kind="euclidean"):
         gram = euclidean_gram(gens)
         gram_kind = "euclidean"
     g = [[_fr(x) for x in row] for row in gram]
-    from .exactlinalg import det
-    if not gens or not det([row[:] for row in g]):
+    if not gens or not det(g):
         raise DegenerateGram("generator gram matrix is singular")
     rhs = [sum(a * b for a, b in zip(v.coeffs, candidate.coeffs))
            for v in gens]
-    sol = solve([row[:] for row in g], list(rhs))
+    sol = solve(g, rhs)
     if sol is None:
         raise DegenerateGram("normal equations inconsistent")
     projection = [Fraction(0)] * len(BASIS)

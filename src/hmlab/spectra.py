@@ -21,7 +21,7 @@ from .errors import (ConsistencyFailure, ConvergenceFailure,
                      DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
                      InvalidSampling, NonIntegrableWeight, NotComplexStructure,
                      SpectraDiffer, ZeroLatticeVector)
-from .polynomials import (CPoly, CRat, adapted_coordinates,
+from .polynomials import (CPoly, adapted_coordinates,
                           harmonic_projection, harmonic_space_dimension,
                           monomials_of_degree, radius_square)
 
@@ -157,8 +157,8 @@ def build_hnm_basis(j_rows, degree):
     for m, basis in sorted(buckets.items()):
         for h in basis:
             rot = h.rotation_derivative(j_rows)
-            want = h.scale(CRat(Fraction(0), Fraction(-m)))
-            if rot.terms != want.terms:
+            want = h.scale(0, -m)
+            if rot != want:
                 raise ConsistencyFailure(
                     f"basis element of group m={m} is no rotation eigenvector")
         per_m[m] = basis
@@ -193,17 +193,16 @@ def hnm_multiplicity_oracle(j_rows, degree):
     j_rows = [[Fraction(x) for x in row] for row in j_rows]
     k = len(j_rows)
     monos = monomials_of_degree(k, degree)
-    monomial_index = {mono: i for i, mono in enumerate(monos)}
     basis = []
     for mono in monos:
         if mono[-1] > 1:
             continue
-        h = harmonic_projection(CPoly(k, {mono: CRat(Fraction(1))}))
+        h = harmonic_projection(CPoly(k, {mono: (1, 0)}))
         if not h.is_zero():
             basis.append(h)
 
     def to_col(poly):
-        return np.array([complex(c) for c in poly.coefficient_vector(monomial_index)])
+        return np.array([complex(*poly.coefficient(mono)) for mono in monos])
     bmat = np.stack([to_col(h) for h in basis], axis=1)
     amat = np.stack([to_col(h.rotation_derivative(j_rows)) for h in basis], axis=1)
     mat, *_ = np.linalg.lstsq(bmat, amat, rcond=None)
@@ -268,9 +267,8 @@ def restricted_apply(f_coeffs, h_poly, mu, j_rows):
     big = polynomial_to_series(f_coeffs, h_poly)
     mu = Fraction(mu)
     lap = big.laplacian()
-    rot = big.rotation_derivative(j_rows).scale(CRat(Fraction(0), 2 * mu))
-    pot = (big + (t * big).scale(CRat(Fraction(1, 4)))).scale(
-        CRat(-4 * mu * mu))
+    rot = big.rotation_derivative(j_rows).scale(0, 2 * mu)
+    pot = (big + (t * big).scale(Fraction(1, 4))).scale(-4 * mu * mu)
     return lap + rot + pot
 
 
@@ -282,7 +280,7 @@ def polynomial_to_series(coeffs, h_poly):
     out = CPoly.constant(k, 0)
     t_pow = CPoly.constant(k, 1)
     for c in coeffs:
-        out = out + (t_pow * h_poly).scale(CRat(Fraction(c)))
+        out = out + (t_pow * h_poly).scale(c)
         t_pow = t_pow * t
     return out
 

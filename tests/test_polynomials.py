@@ -1,8 +1,6 @@
 """Gaussian-rational polynomial calculus and harmonic decomposition."""
 
-import copy
 import math
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmlab.clifford import build_j_map
-from hmlab.polynomials import (CPoly, CRat, adapted_coordinates,
-                               gram_schmidt_pairs, harmonic_decomposition,
+from hmlab import spectra
+from hmlab.polynomials import (CPoly, adapted_coordinates, gram_schmidt_pairs,
                                harmonic_projection, harmonic_space_dimension,
                                monomials_of_degree, radius_square)
 from hmlab.spectra import build_hnm_basis, laplacian_symbol
@@ -19,25 +17,10 @@ from hmlab.spectra import build_hnm_basis, laplacian_symbol
 fr = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
-@given(fr, fr, fr, fr)
-@settings(max_examples=60, deadline=None)
-def test_crat_field_operations(a, b, c, d):
-    x = CRat(a, b)
-    y = CRat(c, d)
-    assert (x + y) - y == x
-    assert x * y == y * x
-    if y:
-        assert (x * y) / y == x
-    # conjugation is multiplicative and |x|^2 = x * conj(x) is real
-    prod = x * x.conjugate()
-    assert prod.im == 0
-    assert prod.re == a * a + b * b
-
-
 def test_cpoly_multiplication_agrees_with_evaluation():
     x0 = CPoly.variable(3, 0)
     x1 = CPoly.variable(3, 1)
-    p = x0 * x0 + x1.scale(CRat(Fraction(0), Fraction(1)))   # x0^2 + i x1
+    p = x0 * x0 + x1.scale(0, 1)   # x0^2 + i x1
     q = x0 - x1
     point = (0.5, -2.0, 3.0)
     lhs = (p * q).evaluate(point)
@@ -51,7 +34,7 @@ def test_laplacian_known_values():
     harm = x0 * x0 - x1 * x1
     assert harm.laplacian().is_zero()
     r2 = radius_square(2)
-    assert r2.laplacian().terms == CPoly.constant(2, CRat(Fraction(4))).terms
+    assert r2.laplacian() == CPoly.constant(2, 4)
 
 
 def test_monomials_count():
@@ -68,15 +51,58 @@ def test_harmonic_space_dimensions():
     assert harmonic_space_dimension(5, 1) == 5
 
 
+def from_fractions(nvars, coeffs):
+    """sum_m c_m x^m for Gaussian rationals c_m given as (re, im) pairs."""
+    out = CPoly(nvars)
+    for mono, (re, im) in coeffs.items():
+        out = out + CPoly(nvars, {mono: (1, 0)}).scale(re, im)
+    return out
+
+
+def reference_decomposition(poly):
+    """Split a homogeneous polynomial as sum_j |X|^(2j) h_(d-2j), h harmonic,
+    by the triangular back-substitution that harmonic_projection's closed
+    form replaced: the m-th Laplacian of |X|^(2j) h_(d-2j) is
+    K(m, j) |X|^(2(j-m)) h with an explicit rational K, nonzero exactly when
+    m <= j.  Returns [h_d, h_(d-2), ...]."""
+    k = poly.nvars
+    d = poly.degree()
+    if d < 0:
+        return []
+    top = d // 2
+
+    def kfactor(m, j):
+        deg = d - 2 * j
+        val = Fraction(1)
+        for t in range(m):
+            val *= 2 * (j - t) * (2 * (j - t) + 2 * deg + k - 2)
+        return val
+
+    lap_powers = [poly]
+    for _ in range(top):
+        lap_powers.append(lap_powers[-1].laplacian())
+    r2 = radius_square(k)
+    r2_powers = [CPoly.constant(k, 1)]
+    for _ in range(top):
+        r2_powers.append(r2_powers[-1] * r2)
+    parts = [None] * (top + 1)
+    for m in range(top, -1, -1):
+        rhs = lap_powers[m]
+        for j in range(m + 1, top + 1):
+            rhs = rhs - (r2_powers[j - m] * parts[j]).scale(kfactor(m, j))
+        parts[m] = rhs.scale(1 / kfactor(m, m))
+    return parts
+
+
 @given(st.lists(fr, min_size=15, max_size=15))
 @settings(max_examples=15, deadline=None)
 def test_harmonic_decomposition_reconstructs_exactly(coeff_list):
-    """Random degree-4 polynomial in 4 variables: the r^2-graded pieces must
-    be harmonic and must sum back to the original, all in exact arithmetic."""
+    """Random degree-4 polynomial in 4 variables: the r^2-graded pieces of
+    the reference decomposition must be harmonic and must sum back to the
+    original, all in exact arithmetic, and the top piece is the projection."""
     monos = monomials_of_degree(4, 4)
-    terms = {m: CRat(c) for m, c in zip(monos, coeff_list[: len(monos)]) if c}
-    poly = CPoly(4, terms)
-    parts = harmonic_decomposition(poly)
+    poly = from_fractions(4, {m: (c, 0) for m, c in zip(monos, coeff_list)})
+    parts = reference_decomposition(poly)
     r2 = radius_square(4)
     rebuilt = CPoly(4)
     for m, h in enumerate(parts):
@@ -85,14 +111,54 @@ def test_harmonic_decomposition_reconstructs_exactly(coeff_list):
         for _ in range(m):
             piece = piece * r2
         rebuilt = rebuilt + piece
-    assert (rebuilt - poly).is_zero()
+    assert rebuilt == poly
+    assert harmonic_projection(poly) == (parts[0] if parts else poly)
+
+
+@st.composite
+def homogeneous_polys(draw):
+    """Gaussian-rational homogeneous polynomials, k <= 4 and degree <= 6."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    degree = draw(st.integers(min_value=0, max_value=6))
+    monos = monomials_of_degree(nvars, degree)
+    picked = draw(st.lists(st.sampled_from(monos), max_size=8))
+    return from_fractions(nvars, {m: (draw(fr), draw(fr)) for m in picked})
+
+
+@given(homogeneous_polys())
+@settings(max_examples=80, deadline=None)
+def test_harmonic_projection_matches_the_back_substitution(poly):
+    projected = harmonic_projection(poly)
+    assert projected == (reference_decomposition(poly) or [poly])[0]
+    assert projected.laplacian().is_zero()
+
+
+def test_harmonic_projection_matches_the_back_substitution_on_the_pair(
+        monkeypatch):
+    """Every monomial the bases of both 12-dim members project, for two
+    complex structures and degrees 0-3: 2 x 2 x (1 + 8 + 35 + 112)."""
+    projected = []
+
+    def recorded(poly):
+        projected.append(poly)
+        return harmonic_projection(poly)
+
+    monkeypatch.setattr(spectra, "harmonic_projection", recorded)
+    for a, b in ((2, 0), (1, 1)):
+        for z in ((1, 0, 0), (1, 2, 2)):
+            rows = laplacian_symbol(build_j_map(3, a, b), z).j_unit_rows
+            for degree in range(4):
+                build_hnm_basis(rows, degree)
+    assert len(projected) == 624
+    for poly in projected:
+        assert harmonic_projection(poly) == reference_decomposition(poly)[0]
 
 
 def test_harmonic_projection_of_radius_power():
     """r^4 has no top harmonic part: its projection must vanish."""
     r2 = radius_square(3)
     proj = harmonic_projection(r2 * r2)
-    assert proj.is_zero() or all(not c for c in proj.terms.values())
+    assert proj.is_zero()
 
 
 def test_gram_schmidt_pairs_are_orthogonal():
@@ -118,50 +184,18 @@ def test_adapted_coordinate_is_rotation_eigenvector():
     z = zs[0]
     dz = z.rotation_derivative(j_rows)
     # D z = i z exactly
-    assert (dz - z.scale(CRat(Fraction(0), Fraction(1)))).is_zero()
+    assert dz == z.scale(0, 1)
     # and the conjugate rotates the other way
     zbar = z.conjugate()
     dzbar = zbar.rotation_derivative(j_rows)
-    assert (dzbar + zbar.scale(CRat(Fraction(0), Fraction(1)))).is_zero()
+    assert dzbar == zbar.scale(0, -1)
 
 
 def test_partial_derivative_drops_degree():
     p = CPoly.variable(2, 0)
     sq = p * p
-    assert sq.partial(0).terms == {(1, 0): CRat(Fraction(2))}
+    assert sq.partial(0) == CPoly(2, {(1, 0): (2, 0)})
     assert sq.partial(1).is_zero()
-
-
-def test_crat_is_immutable():
-    x = CRat(Fraction(1, 2), Fraction(-3))
-    with pytest.raises(AttributeError):
-        x.re = Fraction(5)
-    with pytest.raises(AttributeError):
-        del x.im
-    with pytest.raises(AttributeError):
-        x.extra = 1
-    assert (x.re, x.im) == (Fraction(1, 2), Fraction(-3))
-    assert copy.deepcopy(x) == x
-    assert pickle.loads(pickle.dumps(x)) == x
-
-
-@given(fr, fr, fr, fr)
-@settings(max_examples=40, deadline=None)
-def test_crat_equal_values_hash_equally(a, b, c, d):
-    """Values built by the public constructor and by arithmetic (the trusted
-    path) compare and hash by value."""
-    x = CRat(a, b)
-    y = CRat(c, d)
-    same = (x + y) - y
-    assert same == x and hash(same) == hash(x)
-    assert x * 1 == x and hash(x * 1) == hash(x)
-    assert len({x, same, x * Fraction(1), -(-x)}) == 1
-    assert CRat(a.numerator, 0) == CRat(Fraction(a.numerator))
-    # the parts are Fractions whichever path built the value
-    for z in (x, same, x * y, x * 3, -x, x.conjugate()):
-        assert type(z.re) is Fraction and type(z.im) is Fraction
-    assert (x == y) == ((a, b) == (c, d))
-    assert x != (a, b)
 
 
 # -- the kernels against the paths they replaced ---------------------------------
@@ -182,7 +216,7 @@ def reference_rotation_derivative(poly, j_rows):
         da = poly.partial(a)
         if da.is_zero():
             continue
-        lin = CPoly.linear_form([CRat(Fraction(x)) for x in j_rows[a]])
+        lin = CPoly.linear_form(j_rows[a], [0] * poly.nvars)
         out = out + lin * da
     return out
 
@@ -193,20 +227,20 @@ def gaussian_polys(draw):
     degree = draw(st.integers(min_value=0, max_value=4))
     monos = monomials_of_degree(nvars, degree)
     picked = draw(st.lists(st.sampled_from(monos), max_size=8))
-    terms = {m: CRat(draw(fr), draw(fr)) for m in picked}
+    terms = {m: (draw(fr), draw(fr)) for m in picked}
     rows = draw(st.lists(st.lists(fr | st.just(Fraction(0)), min_size=nvars,
                                   max_size=nvars),
                          min_size=nvars, max_size=nvars))
-    return CPoly(nvars, terms), rows
+    return from_fractions(nvars, terms), rows
 
 
 @given(gaussian_polys())
 @settings(max_examples=60, deadline=None)
 def test_kernels_match_reference_paths(case):
     poly, rows = case
-    assert poly.laplacian().terms == reference_laplacian(poly).terms
-    assert poly.rotation_derivative(rows).terms == \
-        reference_rotation_derivative(poly, rows).terms
+    assert poly.laplacian() == reference_laplacian(poly)
+    assert poly.rotation_derivative(rows) == \
+        reference_rotation_derivative(poly, rows)
 
 
 def test_kernels_match_reference_paths_on_the_pair_bases():
@@ -221,7 +255,60 @@ def test_kernels_match_reference_paths_on_the_pair_bases():
                 for basis in build_hnm_basis(rows, degree).per_m.values():
                     polys.extend(basis)
             for poly in polys:
-                assert poly.laplacian().terms == \
-                    reference_laplacian(poly).terms
-                assert poly.rotation_derivative(rows).terms == \
-                    reference_rotation_derivative(poly, rows).terms
+                assert poly.laplacian() == reference_laplacian(poly)
+                assert poly.rotation_derivative(rows) == \
+                    reference_rotation_derivative(poly, rows)
+
+
+# -- value semantics of the reduced form -----------------------------------------
+
+
+def assert_reduced(poly):
+    """den > 0, no zero term, and no factor common to den and every
+    numerator; the zero polynomial has den 1."""
+    assert poly.den > 0
+    assert all(x or y for x, y in poly.terms.values())
+    assert math.gcd(poly.den, *(v for c in poly.terms.values() for v in c)) == 1
+    assert poly.terms or poly.den == 1
+    assert all(type(v) is int for c in poly.terms.values() for v in c)
+
+
+@given(gaussian_polys(), fr, fr)
+@settings(max_examples=60, deadline=None)
+def test_cpoly_is_reduced_and_compares_by_value(case, a, b):
+    """Values reached by different routes are equal term for term, and the
+    exact coefficients follow Fraction arithmetic."""
+    p, rows = case
+    q = p.rotation_derivative(rows) + CPoly.constant(p.nvars, 1).scale(b, a)
+    results = [p + q, (p + q) - q, -p, p * q, p.scale(a, b), p.conjugate(),
+               p.conjugate().conjugate(), p.laplacian(), p - p, p.scale(0)]
+    for r in results:
+        assert_reduced(r)
+    assert (p + q) - q == p
+    assert p.conjugate().conjugate() == p
+    assert p - p == CPoly(p.nvars) == p.scale(0)
+    if a or b:
+        n = a * a + b * b
+        assert p.scale(a, b).scale(a / n, -b / n) == p
+        assert p.scale(a, b) != p or (a, b) == (1, 0) or p.is_zero()
+    for mono in set(p.terms) | set(q.terms):
+        pr, pi = p.coefficient(mono)
+        qr, qi = q.coefficient(mono)
+        assert (p + q).coefficient(mono) == (pr + qr, pi + qi)
+        assert p.scale(a, b).coefficient(mono) == (pr * a - pi * b,
+                                                   pr * b + pi * a)
+        assert p.conjugate().coefficient(mono) == (pr, -pi)
+
+
+def test_cpoly_equality_ignores_how_the_value_was_written():
+    mono = (1, 0)
+    assert CPoly(2, {mono: (2, 4)}, 6) == CPoly(2, {mono: (1, 2)}, 3)
+    assert CPoly(2, {mono: (2, 4)}, 6).den == 3
+    assert CPoly(2, {mono: (0, 0)}, 7) == CPoly(2)
+    assert CPoly(2, {mono: (1, 2)}, 3).coefficient(mono) == (Fraction(1, 3),
+                                                             Fraction(2, 3))
+    assert CPoly(2, {mono: (1, 0)}) != CPoly(3, {(1, 0, 0): (1, 0)})
+    assert CPoly(2, {mono: (1, 0)}, 2) != CPoly(2, {mono: (1, 0)})
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            CPoly(2, {mono: (1, 0)}, den)

@@ -39,6 +39,21 @@ def calls_by_scope(name):
     return callers
 
 
+def test_only_polynomials_reads_the_coefficient_representation():
+    """CPoly's integer pairs over one denominator are read through its
+    methods; a module reading ``.terms`` or ``.den`` itself would have to
+    change with the representation."""
+    found = []
+    for path in sorted(Path(hmlab.__file__).parent.rglob("*.py")):
+        if path.stem == "polynomials":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("terms", "den")]
+    assert found == []
+
+
 def test_one_jacobi_flow_integrator():
     """The flow derivative is stepped in one place only: radial._jacobi_flow.
     A second RK4 loop would have to call it from somewhere else."""
@@ -49,7 +64,6 @@ def test_one_harmonic_series_closure():
     """The r^6 trace closure is applied in radial.harmonic_density only;
     every density or shape series that needs it goes through that one."""
     assert calls_by_scope("harmonic_trace_c6") == {("radial", "harmonic_density")}
-
 
 
 def test_covariant_derivatives_stop_at_nabla_r():

@@ -1,5 +1,6 @@
 """Radial spectral solver, bidegree bases and the conjugacy machinery."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
                           ZeroLatticeVector)
 from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
                             scale_bracket)
-from hmlab.polynomials import (CPoly, CRat, adapted_coordinates,
+from hmlab.polynomials import (CPoly, adapted_coordinates,
                                harmonic_projection, harmonic_space_dimension,
                                monomials_of_degree, radius_square)
 from hmlab.spectra import (RadialOperator, ball_bundle_spectrum,
@@ -90,25 +91,28 @@ def test_bidegree_eigen_relation_is_exact(ns12):
     for m, polys in basis.per_m.items():
         for h in polys:
             rotated = h.rotation_derivative(rows)
-            target = h.scale(CRat(Fraction(0), Fraction(-m)))
-            assert (rotated - target).is_zero()
+            assert rotated == h.scale(0, -m)
 
 
-def dense_independent_subset(polys, monomial_index):
-    """Dense-vector elimination, pivots re-sorted for every polynomial."""
+def dense_independent_subset(polys, monos):
+    """Dense-vector elimination on exact (re, im) Fraction pairs over the
+    monomials ``monos``, pivots re-sorted for every polynomial."""
     echelon = {}
     chosen = []
     for poly in polys:
-        vec = poly.coefficient_vector(monomial_index)
+        vec = [poly.coefficient(mono) for mono in monos]
         for col in sorted(echelon):
-            if vec[col]:
-                factor = vec[col]
-                vec = [a - factor * b for a, b in zip(vec, echelon[col])]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
+            if any(vec[col]):
+                fr, fi = vec[col]
+                vec = [(a - fr * c + fi * d, b - fr * d - fi * c)
+                       for (a, b), (c, d) in zip(vec, echelon[col])]
+        pivot = next((i for i, x in enumerate(vec) if any(x)), None)
         if pivot is None:
             continue
-        lead = vec[pivot]
-        echelon[pivot] = [x / lead for x in vec]
+        lr, li = vec[pivot]
+        norm = lr * lr + li * li
+        echelon[pivot] = [((a * lr + b * li) / norm, (b * lr - a * li) / norm)
+                          for a, b in vec]
         chosen.append(poly)
     return chosen
 
@@ -134,14 +138,14 @@ def factor_by_factor_bases(rows, degree):
                 h = harmonic_projection(poly)
                 if not h.is_zero():
                     buckets.setdefault(sum(q) - sum(p), []).append(h)
-    index = {mono: i for i, mono in enumerate(monomials_of_degree(k, degree))}
-    return {m: dense_independent_subset(polys, index)
+    monos = monomials_of_degree(k, degree)
+    return {m: dense_independent_subset(polys, monos)
             for m, polys in sorted(buckets.items())}
 
 
 def test_bidegree_bases_equal_the_factor_by_factor_build(hh3, ns12):
     """The bases from the monomials free of z_d zbar_d equal those that an
-    elimination over every projected monomial keeps, term for term."""
+    elimination over every projected monomial keeps, as exact values."""
     cases = [(hh3.jmap, (1, 0, 0), 2), (ns12.jmap, (1, 0, 0), 2)]
     for l, members, lattice in ((1, ((1, 0), (2, 0), (1, 1)), ((1,), (2,))),
                                 (2, ((1, 0),), ((1, 0), (3, 4)))):
@@ -155,8 +159,44 @@ def test_bidegree_bases_equal_the_factor_by_factor_build(hh3, ns12):
             label = (jmap.center_dim, jmap.pos, jmap.neg, z, degree)
             assert list(got) == list(want), label
             for m in want:
-                assert [h.terms for h in got[m]] == \
-                    [h.terms for h in want[m]], label + (m,)
+                assert got[m] == want[m], label + (m,)
+
+
+# SHA-256 of canonical_bases_text(), taken from the bases built with one
+# Fraction pair per coefficient before the integer-pair representation.
+BASES_SHA256 = \
+    "b8ca2eacdc41dee0aa40ebafa094aab6bba9b19a6232404ac682636ee124c18b"
+
+
+def canonical_bases_text():
+    """Both 12-dim members at (1,0,0) and (1,2,2) to degree 3, and the l = 1
+    and l = 2 cases of the factor-by-factor comparison to degree 4: m keys
+    and elements in order, each element as its nonzero coefficients on the
+    sorted monomials, reduced re and im."""
+    cases = [(3, a, b, z, 3) for a, b in ((2, 0), (1, 1))
+             for z in ((1, 0, 0), (1, 2, 2))]
+    for l, members, lattice in ((1, ((1, 0), (2, 0), (1, 1)), ((1,), (2,))),
+                                (2, ((1, 0),), ((1, 0), (3, 4)))):
+        cases += [(l, a, b, z, 4) for a, b in members for z in lattice]
+    lines = []
+    for l, a, b, z, top in cases:
+        rows = unit_j_rows(build_j_map(l, a, b), z)
+        for degree in range(top + 1):
+            lines.append(f"case {l} {a} {b} {z} {degree}")
+            monos = sorted(monomials_of_degree(len(rows), degree))
+            for m, polys in build_hnm_basis(rows, degree).per_m.items():
+                lines.append(f"m {m}")
+                for h in polys:
+                    lines.append(" ".join(
+                        f"{mono}:{re}:{im}" for mono in monos
+                        for re, im in [h.coefficient(mono)] if re or im))
+    return "\n".join(lines)
+
+
+def test_bidegree_bases_equal_the_pinned_digest():
+    text = canonical_bases_text()
+    assert len(text.splitlines()) == 1176
+    assert hashlib.sha256(text.encode()).hexdigest() == BASES_SHA256
 
 
 @pytest.mark.parametrize("degree, projections", [(2, 35), (3, 112)])
@@ -182,10 +222,9 @@ def test_real_harmonics_keep_the_monomials_of_last_exponent_at_most_one(
     last exponent is at most one."""
     for degree in range(4):
         monos = monomials_of_degree(nvars, degree)
-        index = {mono: i for i, mono in enumerate(monos)}
-        projected = {mono: harmonic_projection(CPoly(nvars, {mono: CRat(1)}))
+        projected = {mono: harmonic_projection(CPoly(nvars, {mono: (1, 0)}))
                      for mono in monos}
-        kept = dense_independent_subset(list(projected.values()), index)
+        kept = dense_independent_subset(list(projected.values()), monos)
         assert kept == [projected[mono] for mono in monos if mono[-1] <= 1]
 
 
@@ -234,10 +273,9 @@ def test_restricted_apply_builds_the_product_it_replaced():
             f = CPoly.constant(h.nvars, 0)
             t_pow = CPoly.constant(h.nvars, 1)
             for c in f_coeffs:
-                f = f + t_pow.scale(CRat(c))
+                f = f + t_pow.scale(c)
                 t_pow = t_pow * t
-            assert (polynomial_to_series(f_coeffs, h).terms
-                    == (f * h).terms)
+            assert polynomial_to_series(f_coeffs, h) == f * h
 
 
 def test_hnm_basis_rotation_eigenvectors_are_checked(monkeypatch):

@@ -234,6 +234,7 @@ def cmd_isospec(args):
 
 def cmd_sis(args):
     l, members = parse_family(args.family)
+    require(len(members) == 1, "--family", args.family, "one member")
     label, geo = build_members(l, members)[0]
     n = geo.dim
     space = canonical_generators(n)
@@ -277,6 +278,7 @@ def cmd_expand(args):
     from .geometry import curvature_jet
     require(args.seed >= 0, "--seed", args.seed, "at least 0")
     l, members = parse_family(args.family)
+    require(len(members) == 1, "--family", args.family, "one member")
     label, geo = build_members(l, members)[0]
     rng = np.random.default_rng(args.seed)
     u = rng.standard_normal(geo.dim)

@@ -40,8 +40,9 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """Too few samples or grid cells were asked for, a radius not > 0, or a
-    Monte Carlo quantity that does not exist."""
+    """Too few samples or grid cells were asked for, a radius not > 0, a
+    negative harmonic degree, or a Monte Carlo quantity that does not
+    exist."""
 
 
 class DegreeMismatch(HmlabError):
@@ -61,7 +62,8 @@ class ZeroLatticeVector(HmlabError):
 
 
 class NotComplexStructure(HmlabError):
-    """J_Z^2 != -id, so Z does not induce a complex structure on X."""
+    """J_Z^2 != -id or J_Z is not skew, so Z does not induce an orthogonal
+    complex structure on X."""
 
 
 class DegenerateBoundary(HmlabError):

@@ -61,18 +61,10 @@ def laplacian_symbol(jmap, z_gamma):
         raise ZeroLatticeVector("lattice vector must be nonzero")
     j_rows_exact = None
     norm = _rational_sqrt(norm_sq)
-    k = jmap.j_of_center_basis(0).shape[0]
-    j_raw = [[Fraction(0)] * k for _ in range(k)]
-    for a, za in enumerate(z):
-        if not za:
-            continue
-        ja = jmap.j_of_center_basis(a)
-        for r in range(k):
-            for c in range(k):
-                j_raw[r][c] += za * Fraction(int(ja[r, c]))
+    j_raw = jmap.j_of(z)
     if norm is not None:
         j_rows_exact = [[x / norm for x in row] for row in j_raw]
-    j_float = np.array([[float(x) for x in row] for row in j_raw])
+    j_float = j_raw.astype(float)
     return LatticeSymbol(z_gamma=np.array([float(x) for x in z]),
                          mu=math.pi * math.sqrt(float(norm_sq)),
                          j_matrix=j_float,
@@ -92,21 +84,23 @@ class HnmBasis:
 
 
 def _check_complex_structure(j_rows):
+    """J must be skew-symmetric and square to minus the identity."""
     k = len(j_rows)
-    for r in range(k):
-        for c in range(k):
-            acc = Fraction(0)
-            for t in range(k):
-                acc += j_rows[r][t] * j_rows[t][c]
-            expected = Fraction(-1) if r == c else Fraction(0)
-            if acc != expected:
-                raise NotComplexStructure(
-                    "J squared is not minus the identity; the lattice "
-                    "direction does not define a complex structure")
+    skew = all(j_rows[r][c] == -j_rows[c][r]
+               for r in range(k) for c in range(k))
+    square = all(sum(j_rows[r][t] * j_rows[t][c] for t in range(k))
+                 == (-1 if r == c else 0)
+                 for r in range(k) for c in range(k))
+    if not (skew and square):
+        raise NotComplexStructure(
+            "J is not skew with J^2 = -I; the lattice direction does not "
+            "define a complex structure")
 
 
-def build_hnm_basis(j_rows, degree):
-    """Harmonic bidegree spaces for one complex structure.
+def build_hnm_basis(j_rows, max_degree):
+    """Harmonic bidegree spaces of one complex structure, as the list of
+    degrees 0..``max_degree``: J is checked, and the adapted coordinates
+    and the table of their products are built, once for all degrees.
 
     Monomials z^p zbar^q in the adapted coordinates are harmonically
     projected and grouped by the rotation eigenvalue m = sum(q_i - p_i).
@@ -117,7 +111,7 @@ def build_hnm_basis(j_rows, degree):
     closed formula for homogeneous harmonics; a violation of either raises
     :class:`ConsistencyFailure`.
     """
-    if degree > MAX_DEGREE:
+    if max_degree > MAX_DEGREE:
         raise DegreeTooHigh(
             f"bidegree bases are capped at total degree {MAX_DEGREE}")
     j_rows = [[Fraction(x) for x in row] for row in j_rows]
@@ -137,39 +131,40 @@ def build_hnm_basis(j_rows, degree):
         i = max(j for j, e in enumerate(exps) if e)
         lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
         poly = product(lower) * factors[i]
-        if sum(exps) < degree:
+        if sum(exps) < max_degree:
             products[exps] = poly
         return poly
 
-    buckets = {}
-    for total_p in range(degree + 1):
-        total_q = degree - total_p
-        for p in monomials_of_degree(d, total_p):
-            for q in monomials_of_degree(d, total_q):
-                if p[-1] and q[-1]:
-                    continue
-                h = harmonic_projection(product(p + q))
-                if h.is_zero():
-                    continue
-                buckets.setdefault(total_q - total_p, []).append(h)
-    per_m = {}
-    dims = {}
-    for m, basis in sorted(buckets.items()):
-        for h in basis:
-            rot = h.rotation_derivative(j_rows)
-            want = h.scale(0, -m)
-            if rot != want:
-                raise ConsistencyFailure(
-                    f"basis element of group m={m} is no rotation eigenvector")
-        per_m[m] = basis
-        dims[m] = len(basis)
-    total = sum(dims.values())
-    expected = harmonic_space_dimension(k, degree)
-    if total != expected:
-        raise ConsistencyFailure(
-            f"bidegree bases span {total} dimensions, harmonics need {expected}")
-    return HnmBasis(nvars=k, degree=degree, per_m=per_m, dims=dims,
-                    total_dim=total)
+    bases = []
+    for degree in range(max_degree + 1):
+        buckets = {}
+        for total_p in range(degree + 1):
+            total_q = degree - total_p
+            for p in monomials_of_degree(d, total_p):
+                for q in monomials_of_degree(d, total_q):
+                    if p[-1] and q[-1]:
+                        continue
+                    h = harmonic_projection(product(p + q))
+                    if h.is_zero():
+                        continue
+                    buckets.setdefault(total_q - total_p, []).append(h)
+        per_m = dict(sorted(buckets.items()))
+        for m, basis in per_m.items():
+            for h in basis:
+                if h.rotation_derivative(j_rows) != h.scale(0, -m):
+                    raise ConsistencyFailure(
+                        f"basis element of group m={m} is no rotation "
+                        "eigenvector")
+        dims = {m: len(basis) for m, basis in per_m.items()}
+        total = sum(dims.values())
+        expected = harmonic_space_dimension(k, degree)
+        if total != expected:
+            raise ConsistencyFailure(
+                f"bidegree bases span {total} dimensions, harmonics need "
+                f"{expected}")
+        bases.append(HnmBasis(nvars=k, degree=degree, per_m=per_m,
+                              dims=dims, total_dim=total))
+    return bases
 
 
 def hnm_basis_for_lattice(jmap, z_u, degree):
@@ -178,7 +173,7 @@ def hnm_basis_for_lattice(jmap, z_u, degree):
     if sym.j_unit_rows is None:
         raise NotComplexStructure(
             "lattice vector has irrational norm; no exact unit structure")
-    return build_hnm_basis(sym.j_unit_rows, degree)
+    return build_hnm_basis(sym.j_unit_rows, degree)[degree]
 
 
 def hnm_multiplicity_oracle(j_rows, degree):
@@ -191,6 +186,7 @@ def hnm_multiplicity_oracle(j_rows, degree):
     multiplicities off the spectrum of i times the matrix.
     """
     j_rows = [[Fraction(x) for x in row] for row in j_rows]
+    _check_complex_structure(j_rows)
     k = len(j_rows)
     monos = monomials_of_degree(k, degree)
     basis = []
@@ -491,16 +487,19 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
     if (ka, la) != (kb, lb):
         raise FamilyMismatch(
             f"members live on different bundles: ({ka},{la}) vs ({kb},{lb})")
+    if min(degrees, default=0) < 0:
+        raise InvalidSampling(f"harmonic degrees must be at least 0: {degrees}")
     # Lattice vectors on one ray share their unit J, and undetuned members
-    # share every radial operator: build each basis and solve each operator
-    # once per call, keyed on content.
+    # share every radial operator: build the bases of every degree once per
+    # unit J and solve each operator once per call, keyed on content.
+    top = max(degrees, default=0)
     bases = {}
     solved = {}
 
-    def basis(rows, degree):
-        key = (tuple(map(tuple, rows)), degree)
+    def basis(rows):
+        key = tuple(map(tuple, rows))
         if key not in bases:
-            bases[key] = build_hnm_basis(rows, degree)
+            bases[key] = build_hnm_basis(rows, top)
         return bases[key]
 
     def spectrum(op):
@@ -523,8 +522,8 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
         for degree in degrees:
             if rows_a is None or rows_b is None:
                 continue
-            basis_a = basis(rows_a, degree)
-            basis_b = basis(rows_b, degree)
+            basis_a = basis(rows_a)[degree]
+            basis_b = basis(rows_b)[degree]
             for m in sorted(set(basis_a.dims) | set(basis_b.dims)):
                 dim_a = basis_a.dims.get(m, 0)
                 dim_b = basis_b.dims.get(m, 0)

@@ -72,6 +72,15 @@ def test_covariant_derivatives_stop_at_nabla_r():
     assert calls_by_scope("covariant_derivative") == {("geometry", "nabla_r")}
 
 
+def test_one_complex_structure_check_and_adaptation_per_build():
+    """J is checked and its adapted coordinates are built once per bidegree
+    build, for all degrees; the multiplicity oracle checks its own J."""
+    assert calls_by_scope("adapted_coordinates") == \
+        {("spectra", "build_hnm_basis")}
+    assert calls_by_scope("_check_complex_structure") == \
+        {("spectra", "build_hnm_basis"), ("spectra", "hnm_multiplicity_oracle")}
+
+
 def test_the_command_line_imports_no_sparse_scipy():
     """Importing scipy.sparse would add to the start-up of every command
     (9-16 ms on top of hmlab.cli, measured on a 2-vCPU host), and nothing in

@@ -10,6 +10,7 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from hmlab import spectra
+from hmlab.cli import default_lattice
 from hmlab.clifford import build_j_map
 from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
                           DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
@@ -53,6 +54,24 @@ def test_lattice_symbol_irrational_norm(hh3):
         hnm_basis_for_lattice(hh3.jmap, (1, 1, 0), 2)
 
 
+def test_lattice_symbol_is_the_exact_j_of_the_vector(hh3, ns12):
+    """J_Z summed over the center basis in Fractions: exact unit rows when
+    |Z| is rational, their float image times |Z|, and mu = pi |Z|."""
+    half = Fraction(1, 2)
+    for geo in (hh3, ns12):
+        gens = geo.jmap.all_j()
+        for z, norm in (((1, 0, 0), 1), ((1, 2, 2), 3), ((0, 3, 4), 5),
+                        ((half, 1, 1), Fraction(3, 2))):
+            sym = laplacian_symbol(geo.jmap, z)
+            j = [[sum(Fraction(za) * int(g[r, c]) for za, g in zip(z, gens))
+                  for c in range(8)] for r in range(8)]
+            assert sym.j_unit_rows == [[x / norm for x in row] for row in j]
+            assert all(type(x) is Fraction
+                       for row in sym.j_unit_rows for x in row)
+            assert (sym.j_matrix == np.array(j, dtype=float)).all()
+            assert sym.mu == math.pi * float(norm)
+
+
 def test_zero_lattice_vector(hh3):
     with pytest.raises(ZeroLatticeVector):
         laplacian_symbol(hh3.jmap, (0, 0, 0))
@@ -70,15 +89,15 @@ def test_bidegree_dimensions_for_both_members(hh3, ns12):
                 0: {0: 1}}
     for geo in (hh3, ns12):
         rows = unit_j_rows(geo.jmap, (1, 0, 0))
-        for degree in range(4):
-            basis = build_hnm_basis(rows, degree)
+        for degree, basis in enumerate(build_hnm_basis(rows, 3)):
             assert basis.dims == expected[degree], (geo.name, degree)
 
 
 def test_bidegree_against_eigen_oracle(hh3):
     rows = unit_j_rows(hh3.jmap, (0, 1, 0))
+    bases = build_hnm_basis(rows, 3)
     for degree in (1, 2, 3):
-        constructive = build_hnm_basis(rows, degree).dims
+        constructive = bases[degree].dims
         oracle = hnm_multiplicity_oracle(rows, degree)
         assert constructive == oracle
 
@@ -87,7 +106,7 @@ def test_bidegree_eigen_relation_is_exact(ns12):
     """Every basis element must satisfy D h = -i m_label h... the stored
     label convention is checked member by member against the operator."""
     rows = unit_j_rows(ns12.jmap, (1, 0, 0))
-    basis = build_hnm_basis(rows, 2)
+    basis = build_hnm_basis(rows, 2)[2]
     for m, polys in basis.per_m.items():
         for h in polys:
             rotated = h.rotation_derivative(rows)
@@ -153,8 +172,8 @@ def test_bidegree_bases_equal_the_factor_by_factor_build(hh3, ns12):
             cases += [(build_j_map(l, a, b), z, 4) for z in lattice]
     for jmap, z, top in cases:
         rows = unit_j_rows(jmap, z)
-        for degree in range(top + 1):
-            got = build_hnm_basis(rows, degree).per_m
+        for degree, basis in enumerate(build_hnm_basis(rows, top)):
+            got = basis.per_m
             want = factor_by_factor_bases(rows, degree)
             label = (jmap.center_dim, jmap.pos, jmap.neg, z, degree)
             assert list(got) == list(want), label
@@ -181,10 +200,10 @@ def canonical_bases_text():
     lines = []
     for l, a, b, z, top in cases:
         rows = unit_j_rows(build_j_map(l, a, b), z)
-        for degree in range(top + 1):
+        for degree, basis in enumerate(build_hnm_basis(rows, top)):
             lines.append(f"case {l} {a} {b} {z} {degree}")
             monos = sorted(monomials_of_degree(len(rows), degree))
-            for m, polys in build_hnm_basis(rows, degree).per_m.items():
+            for m, polys in basis.per_m.items():
                 lines.append(f"m {m}")
                 for h in polys:
                     lines.append(" ".join(
@@ -203,14 +222,15 @@ def test_bidegree_bases_equal_the_pinned_digest():
 def test_bidegree_bases_project_only_what_they_keep(degree, projections,
                                                     monkeypatch):
     """On both 12-dim members every projection becomes a basis element:
-    harmonic_space_dimension(8, degree) of them, where projecting every
-    z^p zbar^q would take 36 and 120."""
+    harmonic_space_dimension(8, degree) of them at the top degree, where
+    projecting every z^p zbar^q would take 36 and 120."""
     calls = counting(monkeypatch, "harmonic_projection")
     for a, b in ((2, 0), (1, 1)):
         rows = unit_j_rows(build_j_map(3, a, b), (1, 2, 2))
         calls.clear()
-        basis = build_hnm_basis(rows, degree)
-        assert len(calls) == basis.total_dim == projections
+        bases = build_hnm_basis(rows, degree)
+        assert len(calls) == sum(basis.total_dim for basis in bases)
+        assert bases[-1].total_dim == projections
         assert harmonic_space_dimension(8, degree) == projections
 
 
@@ -226,6 +246,22 @@ def test_real_harmonics_keep_the_monomials_of_last_exponent_at_most_one(
                      for mono in monos}
         kept = dense_independent_subset(list(projected.values()), monos)
         assert kept == [projected[mono] for mono in monos if mono[-1] <= 1]
+
+
+@pytest.mark.parametrize("j", [
+    [[1, -2], [1, -1]],
+    np.kron(np.eye(2, dtype=int), [[1, -2], [1, -1]]).tolist(),
+    [[0, -2], [2, 0]],
+])
+def test_only_a_skew_square_root_of_minus_one_is_a_complex_structure(j):
+    """J^2 = -I without J^T = -J (alone and as a 4x4 block diagonal), and a
+    skew J with J^2 = -4I: the build and the oracle both refuse them, rather
+    than failing a rotation check or returning multiplicities."""
+    for degree in (1, 2):
+        with pytest.raises(NotComplexStructure):
+            build_hnm_basis(j, degree)
+        with pytest.raises(NotComplexStructure):
+            hnm_multiplicity_oracle(j, degree)
 
 
 def test_bidegree_degree_cap(hh3):
@@ -249,7 +285,7 @@ def test_restricted_apply_matches_diamond_coefficients():
     radial recursion; the match picks out exactly one sign of m."""
     jm = build_j_map(1, 1, 0)
     rows = [[Fraction(int(x)) for x in r] for r in jm.j_of_center_basis(0)]
-    basis = build_hnm_basis(rows, 1)
+    basis = build_hnm_basis(rows, 1)[1]
     (label, polys), = [(m, p) for m, p in basis.per_m.items() if m == 1]
     h = polys[0]
     f_coeffs = [Fraction(2), Fraction(-1), Fraction(1, 3)]   # f(t) = 2 - t + t^2/3
@@ -266,7 +302,7 @@ def test_restricted_apply_builds_the_product_it_replaced():
     operator used to build itself; exact arithmetic, so term for term."""
     jm = build_j_map(1, 1, 0)
     rows = [[Fraction(int(x)) for x in r] for r in jm.j_of_center_basis(0)]
-    for polys in build_hnm_basis(rows, 2).per_m.values():
+    for polys in build_hnm_basis(rows, 2)[2].per_m.values():
         for h in polys:
             t = radius_square(h.nvars)
             f_coeffs = [Fraction(2), Fraction(0), Fraction(-3, 7)]
@@ -435,9 +471,10 @@ def counting(monkeypatch, name):
 
 def test_isospectrality_builds_and_solves_each_distinct_input_once(
         hh3, ns12, monkeypatch):
-    """(2,0,0) has the unit J of (1,0,0): 2 members x 3 degrees = 6 builds,
-    not 12.  Undetuned members share every operator, so each of the 12
-    cells solves once; detuned, both members' operators are solved."""
+    """(2,0,0) has the unit J of (1,0,0), and one build covers every
+    degree: 2 builds, one per member, not 12.  Undetuned members share every
+    operator, so each of the 12 cells solves once; detuned, both members'
+    operators are solved."""
     builds = counting(monkeypatch, "build_hnm_basis")
     solves = counting(monkeypatch, "radial_spectrum")
     lattice = [(1, 0, 0), (2, 0, 0)]
@@ -446,15 +483,32 @@ def test_isospectrality_builds_and_solves_each_distinct_input_once(
     assert report.isospectral
     cells = sum(len(block["cells"]) for block in report.blocks)
     assert cells == 12
-    assert len(builds) == 6
+    assert len(builds) == 2
     assert len(solves) == 12
     builds.clear()
     solves.clear()
     detuned = isospectrality_report(hh3, ns12, lattice, degrees=(0, 1, 2),
                                     grid=64, count=2, mu_scale_b=1.05)
     assert not detuned.isospectral
-    assert len(builds) == 6
+    assert len(builds) == 2
     assert len(solves) == 24
+
+
+def test_isospec_checks_and_adapts_each_unit_structure_once(hh3, ns12,
+                                                            monkeypatch):
+    """isospec --max-degree 3 on the pair's default lattice meets four unit
+    complex structures ((1,0,0) and (2,0,0) share theirs, on each member):
+    each is checked and adapted once for all four degrees, not per degree."""
+    checks = counting(monkeypatch, "_check_complex_structure")
+    adapted = counting(monkeypatch, "adapted_coordinates")
+    isospectrality_report(hh3, ns12, default_lattice(3),
+                          degrees=tuple(range(4)), grid=64, count=2)
+    assert len(checks) == len(adapted) == 4
+
+
+def test_isospectrality_rejects_a_negative_degree(hh3, ns12):
+    with pytest.raises(InvalidSampling, match="at least 0"):
+        isospectrality_report(hh3, ns12, [(1, 0, 0)], degrees=(-1, 1))
 
 
 def test_isospectrality_negative_control(hh3, ns12):

@@ -73,14 +73,13 @@ def extend_with_trace(a_series, trace_c6):
     through r^6 come out exactly right, but the individual matrix entries
     at r^5 of derived quotients are not meaningful.
     """
-    if a_series.top != 5:
-        raise OrderUnsupported("trace closure extends an order-5 series only")
+    if a_series.offset != 0 or a_series.top != 5:
+        raise OrderUnsupported(
+            "trace closure extends an offset-0 order-5 series only")
     dim = a_series.coeffs[0].shape[0]
     coeffs = [c.copy() for c in a_series.coeffs]
-    while len(coeffs) < 6:
-        coeffs.append(np.zeros((dim, dim)))
     coeffs.append((trace_c6 / dim) * np.eye(dim))
-    return TruncatedSeries(coeffs, offset=a_series.offset)
+    return TruncatedSeries(coeffs)
 
 
 @dataclass
@@ -150,10 +149,10 @@ def shape_trace_series(a_series, jet, r4_trace=0.0):
     dim = a_series.coeffs[0].shape[0]
     a_full = a_series.shift(1)
     sigma = a_full.derivative() * a_full.inverse()
-    tr_sigma = sigma.trace() - TruncatedSeries.monomial(1.0, -1)
+    tr_sigma = sigma.trace().plus_term(-1.0, -1)
     sigma_sq = sigma * sigma
-    tr_sigma_sq = sigma_sq.trace() - TruncatedSeries.monomial(1.0, -2)
-    tr_sigma_cube = (sigma_sq * sigma).trace() - TruncatedSeries.monomial(1.0, -3)
+    tr_sigma_sq = sigma_sq.trace().plus_term(-1.0, -2)
+    tr_sigma_cube = (sigma_sq * sigma).trace().plus_term(-1.0, -3)
     r_coeffs = [jet.taylor_coefficient(k) for k in range(jet.order + 1)]
     if jet.order >= 3:
         r_coeffs.append((r4_trace / dim) * np.eye(dim))
@@ -198,7 +197,7 @@ def volume_series(normalized_density, dim):
     """
     area = normalized_density.shift(dim - 1)
     ball_coeffs = [c / (dim + k) for k, c in enumerate(normalized_density.coeffs)]
-    ball = TruncatedSeries(ball_coeffs, offset=dim, exact=normalized_density.exact)
+    ball = TruncatedSeries(ball_coeffs, offset=dim)
     return area, ball
 
 

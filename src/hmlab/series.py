@@ -1,10 +1,11 @@
 """Truncated one-variable power series with an explicit leading exponent.
 
 A series is sum_i coeffs[i] * r**(offset + i), reliable through the power
-``top``; every operation tracks how far its result stays reliable, so
-singular objects like (n-1)/r + O(r) are first class.  Coefficients may be
-Python scalars (float, Fraction) or square numpy arrays; matrix coefficients
-multiply with ``@``, everything else with ``*``.
+``top = offset + len(coeffs) - 1``; every operation tracks how far its
+result stays reliable, so singular objects like (n-1)/r + O(r) are first
+class.  Coefficients may be Python scalars (float, Fraction) or square
+numpy arrays; matrix coefficients multiply with ``@``, everything else
+with ``*``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SingularSeries
-
-_INF = math.inf
 
 
 def _is_matrix(c):
@@ -45,37 +44,26 @@ def _coef_mul(a, b):
 class TruncatedSeries:
     """Power series known modulo r**(top+1).
 
-    ``exact=True`` marks a series whose stored coefficients describe it to
-    all orders (constants, monomials, exact polynomials); its ``top`` is
-    treated as +infinity in truncation bookkeeping.
+    The window is the one rule: a series knows the powers offset..top and
+    nothing above.  A sum knows what both summands know, a product what
+    each factor's window reaches; a single term joins with ``plus_term``.
     """
 
-    __slots__ = ("offset", "coeffs", "exact")
+    __slots__ = ("offset", "coeffs")
 
-    def __init__(self, coeffs, offset=0, exact=False):
+    def __init__(self, coeffs, offset=0):
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("series needs at least one coefficient")
         self.coeffs = coeffs
         self.offset = int(offset)
-        self.exact = bool(exact)
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def constant(cls, value):
-        return cls([value], 0, exact=True)
-
-    @classmethod
-    def monomial(cls, value, power):
-        return cls([value], power, exact=True)
 
     # -- bookkeeping ------------------------------------------------------
 
     @property
     def top(self):
         """Highest power whose coefficient is reliable."""
-        return _INF if self.exact else self.offset + len(self.coeffs) - 1
+        return self.offset + len(self.coeffs) - 1
 
     @property
     def is_matrix_valued(self):
@@ -90,87 +78,79 @@ class TruncatedSeries:
             return self.coeffs[i]
         return _zero_like(self.coeffs[0])
 
-    def _zero(self):
-        return _zero_like(self.coeffs[0])
-
     def trim(self):
         """Drop exactly-zero leading coefficients (keeps the window)."""
         coeffs, offset = self.coeffs, self.offset
         while len(coeffs) > 1 and not np.any(coeffs[0]):
             coeffs = coeffs[1:]
             offset += 1
-        return TruncatedSeries(coeffs, offset, self.exact)
+        return TruncatedSeries(coeffs, offset)
 
     def truncate(self, top):
         if top >= self.top:
             return self
-        keep = int(top) - self.offset + 1
+        keep = top - self.offset + 1
         if keep < 1:
             # nothing representable below the offset; keep one zero slot
-            return TruncatedSeries([self._zero()], int(top), False)
-        return TruncatedSeries(self.coeffs[:keep], self.offset, False)
+            return TruncatedSeries([_zero_like(self.coeffs[0])], top)
+        return TruncatedSeries(self.coeffs[:keep], self.offset)
 
     def shift(self, delta):
         """Multiply by r**delta."""
-        return TruncatedSeries(self.coeffs, self.offset + delta, self.exact)
+        return TruncatedSeries(self.coeffs, self.offset + delta)
 
     # -- ring operations --------------------------------------------------
 
+    def plus_term(self, value, power):
+        """self + value * r**power.  The window widens with zeros down to a
+        power below the offset; a term above ``top`` is dropped."""
+        offset = min(self.offset, power)
+        zero = _zero_like(self.coeffs[0])
+        out = [zero] * (self.top - offset + 1)
+        for i, c in enumerate(self.coeffs):
+            out[self.offset - offset + i] = zero + c
+        if power <= self.top:
+            out[power - offset] = out[power - offset] + value
+        return TruncatedSeries(out, offset)
+
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.offset, self.exact)
+        return TruncatedSeries([-c for c in self.coeffs], self.offset)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other)
+            return self.plus_term(other, 0)
         top = min(self.top, other.top)
         offset = min(self.offset, other.offset)
-        if top is _INF:
-            top = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs)) - 1
-        length = int(top) - offset + 1
-        zero = self._zero() if len(self.coeffs) else other._zero()
-        out = [zero for _ in range(length)]
+        length = top - offset + 1
+        out = [_zero_like(self.coeffs[0])] * length
         for src in (self, other):
             for i, c in enumerate(src.coeffs):
                 p = src.offset + i
                 if p - offset < length:
                     out[p - offset] = out[p - offset] + c
-        return TruncatedSeries(out, offset, self.exact and other.exact)
-
-    def __radd__(self, other):
-        return self.__add__(other)
+        return TruncatedSeries(out, offset)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other)
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+            return self.plus_term(-other, 0)
+        return self + (-other)
 
     def scale(self, factor):
-        return TruncatedSeries([_coef_mul(factor, c) if _is_matrix(c) else factor * c
-                                for c in self.coeffs], self.offset, self.exact)
+        return TruncatedSeries([_coef_mul(factor, c) for c in self.coeffs], self.offset)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         top = min(self.top + other.offset, other.top + self.offset)
         offset = self.offset + other.offset
-        if top is _INF:
-            top = offset + len(self.coeffs) + len(other.coeffs) - 2
-        length = int(top) - offset + 1
-        zero = _coef_mul(self.coeffs[0], other.coeffs[0])
-        zero = _zero_like(zero)
-        out = [zero for _ in range(length)]
+        length = top - offset + 1
+        out = [_zero_like(_coef_mul(self.coeffs[0], other.coeffs[0]))] * length
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 k = i + j
                 if k < length:
                     out[k] = out[k] + _coef_mul(a, b)
-        return TruncatedSeries(out, offset, self.exact and other.exact)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return TruncatedSeries(out, offset)
 
     def inverse(self):
         """Multiplicative inverse; requires an invertible leading coefficient."""
@@ -186,42 +166,25 @@ class TruncatedSeries:
             lead_inv = (Fraction(1) / lead) if isinstance(lead, Fraction) else 1.0 / lead
         inv = [lead_inv]
         for m in range(1, len(self.coeffs)):
-            acc = None
-            for j in range(1, m + 1):
-                if j < len(self.coeffs):
-                    term = _coef_mul(self.coeffs[j], inv[m - j])
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                inv.append(_zero_like(lead_inv))
-            else:
-                inv.append(-_coef_mul(lead_inv, acc))
+            acc = _coef_mul(self.coeffs[1], inv[m - 1])
+            for j in range(2, m + 1):
+                acc = acc + _coef_mul(self.coeffs[j], inv[m - j])
+            inv.append(-_coef_mul(lead_inv, acc))
         # window: relative length is preserved by the recursion
-        exact = self.exact and len(self.coeffs) == 1
-        return TruncatedSeries(inv, -self.offset, exact)
-
-    def __truediv__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self.scale(1 / other if not isinstance(other, Fraction) else Fraction(1) / other)
-        return self * other.inverse()
+        return TruncatedSeries(inv, -self.offset)
 
     def derivative(self):
         """d/dr, power by power; a power-0 term differentiates to nothing."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            p = self.offset + i
-            if isinstance(c, Fraction):
-                out.append(Fraction(p) * c)
-            else:
-                out.append(p * c)
-        return TruncatedSeries(out, self.offset - 1, self.exact)
+        return TruncatedSeries([(self.offset + i) * c for i, c in enumerate(self.coeffs)],
+                               self.offset - 1)
 
     # -- matrix helpers ----------------------------------------------------
 
     def trace(self):
-        return TruncatedSeries([np.trace(c) for c in self.coeffs], self.offset, self.exact)
+        return TruncatedSeries([np.trace(c) for c in self.coeffs], self.offset)
 
     def entry(self, i, j):
-        return TruncatedSeries([c[i, j] for c in self.coeffs], self.offset, self.exact)
+        return TruncatedSeries([c[i, j] for c in self.coeffs], self.offset)
 
     def log(self):
         """log of a series with leading term 1 (scalar) or identity (matrix)."""
@@ -233,56 +196,40 @@ class TruncatedSeries:
             if not np.allclose(lead, np.eye(lead.shape[0])):
                 raise ValueError("matrix log implemented for leading identity only")
             dim = lead.shape[0]
-            eye = np.array([[Fraction(int(i == j)) for j in range(dim)]
+            one = np.array([[Fraction(int(i == j)) for j in range(dim)]
                             for i in range(dim)]) if rational else np.eye(dim)
-            one = TruncatedSeries([eye], 0, exact=True)
         else:
             if not np.isclose(float(lead), 1.0):
                 raise ValueError("scalar log implemented for leading 1 only")
-            one = TruncatedSeries.constant(Fraction(1) if rational else 1.0)
-        n = self - one
-        n = n.trim()
+            one = Fraction(1) if rational else 1.0
+        n = self.plus_term(-one, 0).trim()
         top = self.top
-        if top is _INF:
-            top = self.offset + len(self.coeffs) - 1
-        acc = None
-        power = n
-        k = 1
-        while power.offset <= top:
+        acc = power = n
+        for k in range(2, top + 3):
+            power = (power * n).truncate(top)
+            if power.offset > top:
+                break
             sign = (-1) ** (k + 1)
-            term = power.scale(Fraction(sign, k) if rational else sign / k)
-            acc = term if acc is None else acc + term
-            nxt = (power * n).truncate(top)
-            if nxt.offset > top or (nxt.offset == power.offset and len(nxt.coeffs) == 0):
-                break
-            power = nxt
-            k += 1
-            if k > int(top) + 2:
-                break
-        if acc is None:
-            acc = TruncatedSeries([self._zero()], 1)
+            acc = acc + power.scale(Fraction(sign, k) if rational else sign / k)
         return acc.truncate(top)
 
     def exp(self):
         """exp of a scalar series with zero constant term."""
-        if self.offset <= 0 and np.any(self.coefficient(0, strict=False)):
-            raise ValueError("exp implemented for series vanishing at 0")
+        if self.is_matrix_valued or (self.offset <= 0
+                                     and np.any(self.coefficient(0, strict=False))):
+            raise ValueError("exp implemented for scalar series vanishing at 0")
         top = self.top
-        if top is _INF:
-            top = self.offset + len(self.coeffs) - 1
-        rational = _is_fraction(self.coeffs[0])
-        one = Fraction(1) if rational else 1.0
-        acc = TruncatedSeries.constant(one)
-        term = TruncatedSeries.constant(one)
+        one = Fraction(1) if _is_fraction(self.coeffs[0]) else 1.0
+        # 1 through the window, so that the sum below keeps its window
+        acc = TruncatedSeries([one] + [0 * one] * top)
+        term = self
         k = 1
-        while True:
-            term = (term * self).truncate(top)
-            if term.offset > top:
-                break
+        while term.offset <= top:
             acc = acc + term.scale(one / math.factorial(k))
             if k * max(self.offset, 1) > top:
                 break
             k += 1
+            term = (term * self).truncate(top)
         return acc.truncate(top)
 
     def det(self):
@@ -312,16 +259,16 @@ def det_cofactor(series, top=None):
         top = series.top
     entries = [[series.entry(i, j).truncate(top) for j in range(dim)]
                for i in range(dim)]
-    one = Fraction(1) if _is_fraction(series.coeffs[0]) else 1.0
     cache = {}
 
     def minor(mask):
-        if mask == 0:
-            return TruncatedSeries.constant(one)
+        row = dim - bin(mask).count("1")
+        if row == dim - 1:
+            # a one-column minor is its entry
+            return entries[row][mask.bit_length() - 1]
         got = cache.get(mask)
         if got is not None:
             return got
-        row = dim - bin(mask).count("1")
         acc = None
         sign = 1
         for j in range(dim):

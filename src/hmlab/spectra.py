@@ -111,6 +111,8 @@ def build_hnm_basis(j_rows, max_degree):
     closed formula for homogeneous harmonics; a violation of either raises
     :class:`ConsistencyFailure`.
     """
+    if max_degree < 0:
+        raise InvalidSampling(f"degree must be at least 0, got {max_degree}")
     if max_degree > MAX_DEGREE:
         raise DegreeTooHigh(
             f"bidegree bases are capped at total degree {MAX_DEGREE}")
@@ -185,6 +187,8 @@ def hnm_multiplicity_oracle(j_rows, degree):
     rotation derivative to that space with a least-squares solve, and read
     multiplicities off the spectrum of i times the matrix.
     """
+    if degree < 0:
+        raise InvalidSampling(f"degree must be at least 0, got {degree}")
     j_rows = [[Fraction(x) for x in row] for row in j_rows]
     _check_complex_structure(j_rows)
     k = len(j_rows)

@@ -188,6 +188,24 @@ def test_counterexample_marks_split_by_degree(tmp_path):
     assert abs(ns["grad_R_sq"] - 576.0) < 1e-6
 
 
+def test_counterexample_on_the_16_dim_pair(tmp_path):
+    """The 16-dim pair 3:3,0;2,1 splits like the 12-dim one: it agrees
+    through A6 and differs in ||grad R||^2, 0 on the symmetric member."""
+    rc, text = run_to_dir(["counterexample", "--family", "3:3,0;2,1"],
+                          tmp_path, "counterexample.json")
+    assert rc == 0
+    payload = json.loads(text)
+    assert [row["member"] for row in payload["rows"]] == \
+        ["l3-a3b0", "l3-a2b1"]
+    marks = payload["marks"]
+    for col in ("C", "H", "L", "A2", "A4", "A6"):
+        assert marks[col] == "agree", col
+    assert marks["grad_R_sq"] == "differ"
+    sym, ns = payload["rows"]
+    assert abs(sym["grad_R_sq"]) < 1e-10
+    assert abs(ns["grad_R_sq"] - 1152.0) < 1e-6
+
+
 def test_counterexample_reruns_byte_identical(tmp_path):
     argv = ["counterexample", "--family", "3:2,0;1,1"]
     _, first = run_to_dir(argv, tmp_path, "counterexample.json", sub="a")

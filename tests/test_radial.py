@@ -14,8 +14,10 @@ from hmlab.heatinv import (_complement_basis, _conjugate4,
                            _sphere_curvature_samples,
                            sphere_intrinsic_curvature)
 from hmlab.invariants import direction_constants, point_invariants
-from hmlab.radial import (density_series, harmonic_shape_expectations,
-                          harmonic_trace_c6, jacobi_series, ode_oracle,
+from hmlab.series import TruncatedSeries
+from hmlab.radial import (density_series, extend_with_trace,
+                          harmonic_shape_expectations, harmonic_trace_c6,
+                          jacobi_series, ode_oracle,
                           peel_coefficients, radial_density,
                           shape_trace_series, vk_recursion, volume_series)
 
@@ -275,3 +277,16 @@ def test_trace_closure_consistency(hh2, ns12):
             rtol=1e-12)
         dens = density_series(jacobi_series(jet, order=5), trace_c6=c6)
         assert dens.normalized.top >= 6
+
+
+def test_trace_closure_takes_only_an_offset_zero_order_five_series():
+    """The r^6 trace lands right after r^5 only on the series it closes; a
+    shifted series with the same top would put it at a wrong power."""
+    eye = np.eye(2)
+    with pytest.raises(OrderUnsupported):
+        extend_with_trace(TruncatedSeries([eye] * 4, offset=2), 1.0)
+    with pytest.raises(OrderUnsupported):
+        extend_with_trace(TruncatedSeries([eye] * 5), 1.0)
+    closed = extend_with_trace(TruncatedSeries([eye] * 6), 1.0)
+    assert closed.offset == 0 and closed.top == 6
+    assert_allclose(closed.coefficient(6), 0.5 * eye)

@@ -160,3 +160,37 @@ def test_trim_drops_exact_leading_zeros():
     s = TruncatedSeries([0.0, 0.0, 7.0], offset=0).trim()
     assert s.offset == 2
     assert s.coefficient(2) == 7.0
+
+
+def test_scalar_sum_widens_the_window_down_to_power_zero():
+    s = TruncatedSeries([1.0, 2.0], offset=3) + 5.0
+    assert s.offset == 0 and s.coeffs == [5.0, 0.0, 0.0, 1.0, 2.0]
+    t = TruncatedSeries([1.0, 2.0], offset=-3) + 5.0
+    assert t.offset == -3 and t.coeffs == [1.0, 2.0]
+
+
+def test_plus_term_below_the_offset_pads_with_zeros():
+    s = TruncatedSeries([1.0, 2.0], offset=1).plus_term(3.0, -1)
+    assert s.offset == -1 and s.top == 2
+    assert s.coeffs == [3.0, 0.0, 1.0, 2.0]
+
+
+def test_plus_term_inside_the_window_adds_in_place():
+    s = TruncatedSeries([1.0, 2.0, 3.0], offset=0).plus_term(4.0, 1)
+    assert s.offset == 0 and s.coeffs == [1.0, 6.0, 3.0]
+
+
+def test_plus_term_above_the_window_is_dropped():
+    s = TruncatedSeries([1.0, 2.0], offset=0).plus_term(4.0, 2)
+    assert s.offset == 0 and s.top == 1 and s.coeffs == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("series", [
+    TruncatedSeries([np.zeros((2, 2)), np.eye(2)], offset=0),
+    TruncatedSeries([np.eye(2)], offset=1),
+])
+def test_exp_refuses_matrix_series(series):
+    """exp is scalar only; on a matrix series it would add a scalar 1 to a
+    matrix or broadcast it over every entry."""
+    with pytest.raises(ValueError, match="scalar"):
+        series.exp()

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import hmlab
+from hmlab.series import TruncatedSeries
 
 
 def test_no_assert_statements_in_the_package():
@@ -79,6 +80,12 @@ def test_one_complex_structure_check_and_adaptation_per_build():
         {("spectra", "build_hnm_basis")}
     assert calls_by_scope("_check_complex_structure") == \
         {("spectra", "build_hnm_basis"), ("spectra", "hnm_multiplicity_oracle")}
+
+
+def test_truncated_series_has_one_window_rule():
+    """A series knows the powers offset..offset + len(coeffs) - 1; any
+    further slot would be hidden state for a second window mode."""
+    assert TruncatedSeries.__slots__ == ("offset", "coeffs")
 
 
 def test_the_command_line_imports_no_sparse_scipy():

@@ -270,6 +270,18 @@ def test_bidegree_degree_cap(hh3):
         build_hnm_basis(rows, 7)
 
 
+def test_negative_bidegree_degree_is_refused(hh3):
+    """A negative degree is an InvalidSampling at every entry point, not an
+    empty list, an IndexError or numpy's stacking error."""
+    rows = unit_j_rows(hh3.jmap, (1, 0, 0))
+    with pytest.raises(InvalidSampling):
+        build_hnm_basis(rows, -1)
+    with pytest.raises(InvalidSampling):
+        hnm_basis_for_lattice(build_j_map(3, 2, 0), (1, 0, 0), -1)
+    with pytest.raises(InvalidSampling):
+        hnm_multiplicity_oracle(rows, -1)
+
+
 # -- the radial operator and its sign audit --------------------------------------
 
 

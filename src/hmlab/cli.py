@@ -13,13 +13,15 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .errors import (DegenerateBoundary, DegreeMismatch, DegreeTooHigh,
                      FamilyMismatch, HmlabError, UnsupportedCenterDimension)
-from .geometry import damek_ricci_geometry, geometry_from_algebra, scale_bracket
+from .geometry import (curvature_jet, damek_ricci_geometry,
+                       geometry_from_algebra, scale_bracket)
 from .heatinv import averaged_boundary_r3
 from .invariants import (point_invariants, verify_average_identities,
                          verify_einstein_identities, verify_harmonicity)
@@ -88,7 +90,6 @@ def build_members(l, members):
 
 def emit(args, name, text):
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, name)
         with open(path, "w") as fh:
@@ -275,7 +276,6 @@ def cmd_sis(args):
 
 
 def cmd_expand(args):
-    from .geometry import curvature_jet
     require(args.seed >= 0, "--seed", args.seed, "at least 0")
     l, members = parse_family(args.family)
     require(len(members) == 1, "--family", args.family, "one member")

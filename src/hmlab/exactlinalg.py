@@ -18,11 +18,19 @@ def rref(rows):
 
     Returns ``(reduced, pivot_columns)``; ``reduced`` is a new list of lists.
     """
+    reduced, pivots, _ = _gauss_jordan(rows)
+    return reduced, pivots
+
+
+def _gauss_jordan(rows):
+    """The elimination behind :func:`rref`; also returns the product of the
+    pivots it divides by, times the sign of its row swaps."""
     m = [list(r) for r in rows]
     if not m:
-        return [], []
+        return [], [], 1
     nrow, ncol = len(m), len(m[0])
     pivots = []
+    product = 1
     r = 0
     for c in range(ncol):
         pivot_row = None
@@ -32,8 +40,11 @@ def rref(rows):
                 break
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            product = -product
         inv = m[r][c]
+        product = product * inv
         m[r] = [v / inv for v in m[r]]
         for i in range(nrow):
             if i != r and m[i][c]:
@@ -43,7 +54,7 @@ def rref(rows):
         r += 1
         if r == nrow:
             break
-    return m, pivots
+    return m, pivots, product
 
 
 def rank(rows):
@@ -51,31 +62,20 @@ def rank(rows):
 
 
 def det(rows):
-    """Determinant by fraction-free-ish elimination (exact division each step)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
+    """Determinant of square ``rows``, read off the elimination of
+    :func:`rref`.
+
+    A row swap flips the sign of the determinant and dividing a row by its
+    pivot divides it by the pivot; the other row operations keep it.  Rows
+    of full rank end at the identity, so their determinant is the signed
+    pivot product; a column without a pivot makes it zero.
+    """
+    if not rows:
         return Fraction(1)
-    sign = 1
-    out = None
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            zero = m[0][0] - m[0][0]
-            return zero
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        out = m[c][c] if out is None else out * m[c][c]
-    return out if sign == 1 else -out
+    _, pivots, product = _gauss_jordan(rows)
+    if pivots != list(range(len(rows))):
+        return rows[0][0] - rows[0][0]
+    return product
 
 
 def solve(rows, rhs):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FitIllConditioned
-from .geometry import curvature_jet
+from .geometry import curvature_jet, ricci
 from .invariants import point_invariants, random_directions
 from .radial import _jacobi_flow, harmonic_series
 from .series import TruncatedSeries
@@ -286,62 +286,53 @@ class SphereCurvatureSample:
 def sphere_intrinsic_curvature(geometry, u, radius, steps_per_unit=4096):
     """|Ric|^2 and |R|^2 of the geodesic sphere through exp(r u).
 
-    Integrates the Jacobi flow for the shape operator and conjugates the
-    ambient curvature into the parallel frame, then applies the Gauss
+    Integrates the Jacobi flow for the shape operator and applies the Gauss
     equation on the tangent space of the sphere (the orthogonal complement
-    of the radial direction).
+    of the radial direction), as in :func:`_sphere_curvature_samples`.
     """
-    _, (sample,) = _sphere_curvature_samples(geometry, u, [radius],
-                                             steps_per_unit)
-    return sample
+    radii, ric_sq, riem_sq = _sphere_curvature_samples(
+        geometry, u, [radius], steps_per_unit)
+    return SphereCurvatureSample(radius=float(radii[0]),
+                                 ric_sq=float(ric_sq[0]),
+                                 riem_sq=float(riem_sq[0]))
 
 
 def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
-    """Sphere curvature samples at each radius from one Jacobi-flow march.
+    """Sphere curvature norms at each radius from one Jacobi-flow march.
 
-    Returns the radii in sorted order and the samples in that order.
+    Returns the sorted radii and the arrays ``ric_sq`` and ``riem_sq`` in that
+    order.  The Gauss equation R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is
+    applied in the base frame: with v the flow's velocity, P = I - v v^T and
+    S = P q sigma q^T P (sigma = b a^-1 in the parallel frame q),
+      Ric^S = P (Ric - R_v) P + tr(S) S - S^2,   R_v[a, b] = R[v, a, b, v].
+    For |R^S|^2 expand each of the four projectors of R as I - v v^T.  One v
+    gives -|R(v, ., ., .)|^2 per slot; two v's fill a skew pair (ab) or (cd)
+    and vanish, or straddle them and give +|R_v|^2 four times; three or four
+    always fill a pair.  The cross term is 4 R_abcd S_ad S_bc by the skew in
+    (cd), and the S-S term is 2 (tr S^2)^2 - 2 tr S^4, so
+      |R^S|^2 = |R|^2 - 4|R(v)|^2 + 4|R_v|^2 + 4 R_abcd S_ad S_bc
+                + 2 (tr S^2)^2 - 2 tr S^4   (no rank-4 array is built).
     """
-    u = np.asarray(u, dtype=float)
     radii, states = _jacobi_flow(geometry, u, radii, steps_per_unit)
-    # tangent basis of the sphere: complement of the (constant) radial
-    # direction in the parallel frame
-    basis = _complement_basis(u)
-    samples = []
-    for radius, (_, q_end, a_end, b_end) in zip(radii, states):
-        sigma = b_end @ np.linalg.inv(a_end)
-        frame = basis @ q_end.T
-        rt = _conjugate4(geometry.r, frame)
-        st = basis @ sigma @ basis.T
-        gauss = (rt + np.einsum('ad,bc->abcd', st, st)
-                 - np.einsum('ac,bd->abcd', st, st))
-        ric = np.einsum('cabc->ab', gauss)
-        samples.append(SphereCurvatureSample(
-            radius=float(radius), ric_sq=float(np.sum(ric * ric)),
-            riem_sq=float(np.sum(gauss * gauss))))
-    return radii, samples
-
-
-def _conjugate4(tensor, m):
-    out = np.tensordot(m, tensor, axes=([1], [0]))
-    out = np.tensordot(m, out, axes=([1], [1]))
-    out = np.tensordot(m, out, axes=([1], [2]))
-    out = np.tensordot(m, out, axes=([1], [3]))
-    return out.transpose(3, 2, 1, 0)
-
-
-def _complement_basis(u):
-    n = u.shape[0]
-    full = np.eye(n)
-    idx = int(np.argmax(np.abs(u)))
-    cols = [full[i] for i in range(n) if i != idx]
-    basis = []
-    for v in cols:
-        w = v - (v @ u) * u
-        for b in basis:
-            w = w - (w @ b) * b
-        w = w / np.linalg.norm(w)
-        basis.append(w)
-    return np.stack(basis)
+    r = geometry.r
+    n = r.shape[0]
+    r_flat = r.reshape(n, -1)
+    ric = ricci(r)
+    norm_r_sq = float(np.sum(r * r))
+    ric_sq, riem_sq = [], []
+    for v, q, a, b in states:
+        proj = np.eye(n) - np.outer(v, v)
+        s = proj @ q @ b @ np.linalg.inv(a) @ q.T @ proj
+        s2 = s @ s
+        r_v_rows = v @ r_flat                      # R(v, ., ., .), flattened
+        r_v = (r_v_rows.reshape(n * n, n) @ v).reshape(n, n)
+        ric_s = proj @ (ric - r_v) @ proj + np.trace(s) * s - s2
+        ric_sq.append(np.sum(ric_s * ric_s))
+        riem_sq.append(norm_r_sq - 4.0 * (r_v_rows @ r_v_rows)
+                       + 4.0 * np.sum(r_v * r_v)
+                       + 4.0 * np.einsum('abcd,ad,bc->', r, s, s)
+                       + 2.0 * np.trace(s2) ** 2 - 2.0 * np.sum(s2 * s2.T))
+    return radii, np.array(ric_sq), np.array(riem_sq)
 
 
 def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
@@ -357,12 +348,11 @@ def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
     """
     if radii is None:
         radii = np.geomspace(0.08, 0.45, 8)
-    radii, samples1 = _sphere_curvature_samples(geometry, u1, radii,
-                                                steps_per_unit)
-    _, samples2 = _sphere_curvature_samples(geometry, u2, radii, steps_per_unit)
-    delta = [s1.ric_sq - s2.ric_sq for s1, s2 in zip(samples1, samples2)]
+    radii, ric1, _ = _sphere_curvature_samples(geometry, u1, radii,
+                                               steps_per_unit)
+    _, ric2, _ = _sphere_curvature_samples(geometry, u2, radii, steps_per_unit)
     design = np.stack([radii ** p for p in powers], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, np.asarray(delta), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(design, ric1 - ric2, rcond=None)
     fitted = float(coeffs[powers.index(2)])
     r1 = curvature_jet(geometry, np.asarray([u1, u2], float), order=1).matrices[1]
     p1, p2 = np.trace(r1 @ r1, axis1=1, axis2=2)
@@ -390,14 +380,13 @@ def sphere_intrinsic_oracle(geometry, u, radii=None, powers=(-4, -2, 0, 1, 2, 3)
         radii = np.geomspace(0.05, 0.4, 6)
     if len(radii) < len(powers):
         raise FitIllConditioned("fewer radii than fitted powers")
-    radii, samples = _sphere_curvature_samples(geometry, u, radii,
-                                               steps_per_unit)
+    radii, ric_sq, riem_sq = _sphere_curvature_samples(geometry, u, radii,
+                                                       steps_per_unit)
     design = np.stack([radii ** p for p in powers], axis=1)
     cond = np.linalg.cond(design)
     if not np.isfinite(cond) or cond > 1e12:
         raise FitIllConditioned(f"fit design condition number {cond:.2e}")
-    ric_coeffs, *_ = np.linalg.lstsq(design, [s.ric_sq for s in samples], rcond=None)
-    riem_coeffs, *_ = np.linalg.lstsq(design, [s.riem_sq for s in samples], rcond=None)
-    return {"powers": list(powers),
-            "ric_sq": [float(x) for x in ric_coeffs],
-            "riem_sq": [float(x) for x in riem_coeffs]}
+    coeffs, *_ = np.linalg.lstsq(design, np.stack([ric_sq, riem_sq], axis=1),
+                                 rcond=None)
+    return {"powers": list(powers), "ric_sq": coeffs[:, 0].tolist(),
+            "riem_sq": coeffs[:, 1].tolist()}

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (InvalidSampling, OrderUnsupported, StepFailure,
                      ZeroLeadingCoefficient)
+from .geometry import curvature_jet
 from .series import TruncatedSeries
 
 
@@ -114,7 +115,6 @@ def harmonic_density(jet):
 
 def radial_density(geometry, u=None):
     """Density series for one direction, with the harmonic r^6 closure."""
-    from .geometry import curvature_jet
     if u is None:
         u = np.ones(geometry.dim) / math.sqrt(geometry.dim)
     return harmonic_density(curvature_jet(geometry, u, order=3))
@@ -297,9 +297,13 @@ def ode_oracle(geometry, u, radii, steps_per_unit=2048):
     """
     n = geometry.dim
     radii, states = _jacobi_flow(geometry, u, radii, steps_per_unit)
-    thetas = [float(np.linalg.det(a)) / r ** n
-              for r, (_, _, a, _) in zip(radii, states)]
-    return OdeResult(radii=radii, theta_normalized=np.array(thetas),
+    thetas = np.array([float(np.linalg.det(a)) / r ** n
+                       for r, (_, _, a, _) in zip(radii, states)])
+    if not np.all(np.isfinite(thetas)):
+        # det(a) can overflow while a is still finite
+        bad = radii[~np.isfinite(thetas)][0]
+        raise StepFailure(f"non-finite density at r = {bad}")
+    return OdeResult(radii=radii, theta_normalized=thetas,
                      a_final=states[-1][2])
 
 

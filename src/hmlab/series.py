@@ -214,10 +214,10 @@ class TruncatedSeries:
         return acc.truncate(top)
 
     def exp(self):
-        """exp of a scalar series with zero constant term."""
-        if self.is_matrix_valued or (self.offset <= 0
-                                     and np.any(self.coefficient(0, strict=False))):
-            raise ValueError("exp implemented for scalar series vanishing at 0")
+        """exp of a scalar series with no nonzero term at a power <= 0."""
+        if self.is_matrix_valued or any(self.coeffs[:max(0, 1 - self.offset)]):
+            raise ValueError("exp implemented for scalar series with no "
+                             "nonzero term at powers <= 0")
         top = self.top
         one = Fraction(1) if _is_fraction(self.coeffs[0]) else 1.0
         # 1 through the window, so that the sum below keeps its window

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
                      SymbolAbsent)
-from .exactlinalg import det, in_span, rank, rref, solve
+from .exactlinalg import det, in_span, rref, solve
 from .heatinv import structural_p_decompositions
+from .invariants import point_invariants
 
 BASIS = ("C3", "CH", "L", "R_hat", "R_ring", "grad_R_sq")
 _INDEX = {name: i for i, name in enumerate(BASIS)}
@@ -231,11 +232,10 @@ def rank_and_membership(space, candidate, graded=False):
         member, combo = in_span(rows, list(candidate.coeffs))
     else:
         member, combo = (not any(candidate.coeffs)), None
-    r1 = r0 if member else rank(rows + [list(candidate.coeffs)])
     main_rows = [list(g.main_terms) for g in usable]
     return MembershipReport(
         rank_generators=r0,
-        rank_with_candidate=r1,
+        rank_with_candidate=r0 + (not member),
         member=member,
         combination=combo,
         graded=graded,
@@ -303,7 +303,6 @@ def moment_gram(geometry, vectors):
         raise DegreeTooHigh(
             "product of two degree-6 slot realizations needs "
             "degree-12 sphere moments")
-    from .invariants import point_invariants
     pi = point_invariants(geometry)
     values = dict.fromkeys(BASIS[:CONST_SLOTS], 0.0)
     values.update(R_hat=pi.r_hat, R_ring=pi.r_ring, grad_R_sq=pi.grad_r_sq)

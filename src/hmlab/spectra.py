@@ -480,7 +480,8 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
     construction; the numerical comparison is still carried out and
     reported.  ``mu_scale_b`` deliberately detunes the second member for
     negative controls.  Both members need Clifford data (a ``jmap``); a
-    space form or a perturbed group raises :class:`FamilyMismatch`.
+    space form or a perturbed group raises :class:`FamilyMismatch`, and a
+    lattice vector of irrational norm :class:`NotComplexStructure`.
     """
     for member in (member_a, member_b):
         if member.jmap is None:
@@ -511,23 +512,26 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
             solved[op] = radial_spectrum(op, t_domain, bc, grid, count)
         return solved[op]
 
+    # every lattice vector needs an exact unit structure before any solve,
+    # so no vector is dropped from the comparison
+    symbols = [(z, laplacian_symbol(member_a.jmap, z),
+                laplacian_symbol(member_b.jmap, z)) for z in lattice_vectors]
+    for z, sym_a, sym_b in symbols:
+        if sym_a.j_unit_rows is None or sym_b.j_unit_rows is None:
+            raise NotComplexStructure(
+                f"lattice vector {tuple(z)} has irrational norm; "
+                "no exact unit structure")
     blocks = []
     all_agree = True
-    for z in lattice_vectors:
-        sym_a = laplacian_symbol(member_a.jmap, z)
-        sym_b = laplacian_symbol(member_b.jmap, z)
+    for z, sym_a, sym_b in symbols:
         conj = conjugacy_check(sym_a.j_matrix, sym_b.j_matrix)
         entry = {"z_gamma": [float(Fraction(x)) for x in z],
                  "mu": sym_a.mu,
                  "conjugacy_residual": conj.residual,
                  "cells": []}
-        rows_a = sym_a.j_unit_rows
-        rows_b = sym_b.j_unit_rows
         for degree in degrees:
-            if rows_a is None or rows_b is None:
-                continue
-            basis_a = basis(rows_a)[degree]
-            basis_b = basis(rows_b)[degree]
+            basis_a = basis(sym_a.j_unit_rows)[degree]
+            basis_b = basis(sym_b.j_unit_rows)[degree]
             for m in sorted(set(basis_a.dims) | set(basis_b.dims)):
                 dim_a = basis_a.dims.get(m, 0)
                 dim_b = basis_b.dims.get(m, 0)

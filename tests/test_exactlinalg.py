@@ -1,5 +1,6 @@
 """Exact rational elimination: rank, determinant, solve, span membership."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -21,6 +22,36 @@ def test_rank_of_obviously_dependent_rows():
 def test_det_known_matrix():
     assert det(frows([[1, 2], [3, 4]])) == Fraction(-2)
     assert det(frows([[1, 2], [2, 4]])) == 0
+
+
+def leibniz_det(rows):
+    """Sum over permutations: no elimination, so no pivots or swaps."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in
+                         itertools.combinations(range(len(perm)), 2))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]) | fr,
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=80, deadline=None)
+def test_det_matches_the_permutation_sum(rows):
+    """The signed pivot product of the rref elimination, zero pivots and row
+    swaps included (the sampled zeros force both)."""
+    assert det(rows) == leibniz_det(rows)
+
+
+def test_det_of_a_row_swap_and_of_the_empty_matrix():
+    assert det(frows([[0, 1], [1, 0]])) == -1
+    assert det(frows([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
+    assert det(frows([[0, 1], [0, 2]])) == 0
+    assert det([]) == 1
 
 
 @given(st.lists(st.lists(fr, min_size=3, max_size=3), min_size=3, max_size=3))

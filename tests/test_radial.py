@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmlab.errors import (InvalidSampling, OrderUnsupported,
+from hmlab.errors import (InvalidSampling, OrderUnsupported, StepFailure,
                           ZeroLeadingCoefficient)
 from hmlab.geometry import curvature_jet
-from hmlab.heatinv import (_complement_basis, _conjugate4,
-                           _sphere_curvature_samples,
-                           sphere_intrinsic_curvature)
+from hmlab.heatinv import _sphere_curvature_samples, sphere_intrinsic_curvature
 from hmlab.invariants import direction_constants, point_invariants
 from hmlab.series import TruncatedSeries
 from hmlab.radial import (density_series, extend_with_trace,
@@ -211,18 +209,44 @@ def test_ode_oracle_matches_restart_per_radius(space, request):
     assert_allclose(ode.a_final, a, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("space", ["hh2", "ns12"])
+def conjugate4(tensor, m):
+    """m_ai m_bj m_ck m_dl tensor_ijkl: the tensor read in the frame rows of m."""
+    out = np.tensordot(m, tensor, axes=([1], [0]))
+    out = np.tensordot(m, out, axes=([1], [1]))
+    out = np.tensordot(m, out, axes=([1], [2]))
+    out = np.tensordot(m, out, axes=([1], [3]))
+    return out.transpose(3, 2, 1, 0)
+
+
+def complement_basis(u):
+    """Orthonormal rows spanning the complement of the unit vector u."""
+    n = u.shape[0]
+    full = np.eye(n)
+    idx = int(np.argmax(np.abs(u)))
+    cols = [full[i] for i in range(n) if i != idx]
+    basis = []
+    for v in cols:
+        w = v - (v @ u) * u
+        for b in basis:
+            w = w - (w @ b) * b
+        w = w / np.linalg.norm(w)
+        basis.append(w)
+    return np.stack(basis)
+
+
+@pytest.mark.parametrize("space", ["hh2", "ns12", "ch2", "hh3", "sphere4"])
 def test_sphere_curvature_matches_restart_flow(space, request):
     """Single radius, and one march through unsorted radii, against the
-    Gauss equation on restarted flow states."""
+    Gauss equation in tensor form: the ambient curvature conjugated into an
+    (n-1)-dim sphere frame of restarted flow states."""
     geo = request.getfixturevalue(space)
     u = flow_direction(geo.dim)
-    basis = _complement_basis(u)
+    basis = complement_basis(u)
 
     def reference(r):
         _, q, a, b = restart_flow(geo, u, r, 512)
         st = basis @ b @ np.linalg.inv(a) @ basis.T
-        gauss = (_conjugate4(geo.r, basis @ q.T)
+        gauss = (conjugate4(geo.r, basis @ q.T)
                  + np.einsum('ad,bc->abcd', st, st)
                  - np.einsum('ac,bd->abcd', st, st))
         ric = np.einsum('cabc->ab', gauss)
@@ -231,11 +255,11 @@ def test_sphere_curvature_matches_restart_flow(space, request):
     sample = sphere_intrinsic_curvature(geo, u, 0.2, steps_per_unit=512)
     assert sample.radius == 0.2
     assert_allclose((sample.ric_sq, sample.riem_sq), reference(0.2), rtol=1e-12)
-    radii, samples = _sphere_curvature_samples(geo, u, [0.3, 0.1, 0.25], 512)
+    radii, ric_sq, riem_sq = _sphere_curvature_samples(geo, u, [0.3, 0.1, 0.25],
+                                                       512)
     assert list(radii) == [0.1, 0.25, 0.3]
-    for r, s in zip(radii, samples):
-        assert s.radius == r
-        assert_allclose((s.ric_sq, s.riem_sq), reference(r), rtol=1e-12)
+    for r, ric, riem in zip(radii, ric_sq, riem_sq):
+        assert_allclose((ric, riem), reference(r), rtol=1e-12)
 
 
 @pytest.mark.parametrize("radii", [[0.0, 0.1], [0.1, -0.2], [],
@@ -243,6 +267,18 @@ def test_sphere_curvature_matches_restart_flow(space, request):
 def test_ode_oracle_rejects_radii_that_are_not_positive(hh2, radii):
     with pytest.raises(InvalidSampling):
         ode_oracle(hh2, np.eye(8)[5], radii)
+
+
+@pytest.mark.parametrize("radii, where", [
+    ([1.0, 400.0], "density at r = 400.0"),      # det(a) overflows, a finite
+    ([2000.0], "endomorphism at r = 2000.0"),    # a itself overflows
+])
+def test_ode_oracle_raises_step_failure_on_overflow(ch2, radii, where):
+    """A coarse march far out on CH^2 ends in a typed error, not in an inf
+    density behind a numpy RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepFailure, match=where):
+            ode_oracle(ch2, np.eye(4)[0], radii, steps_per_unit=1)
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.2, math.nan, math.inf])

@@ -186,6 +186,25 @@ def test_plus_term_above_the_window_is_dropped():
 
 
 @pytest.mark.parametrize("series", [
+    TruncatedSeries([1.0], offset=-1),
+    TruncatedSeries([1.0, 0.0, 2.0], offset=-1),
+    TruncatedSeries([0.0, 0.5, 2.0], offset=-1),
+    TruncatedSeries([Fraction(1), Fraction(3)], offset=0),
+])
+def test_exp_refuses_terms_at_powers_not_above_zero(series):
+    """exp(1/r) and exp(c) with c != 0 have no series in nonnegative powers
+    of r with a leading 1; exp must not return one."""
+    with pytest.raises(ValueError, match="powers <= 0"):
+        series.exp()
+
+
+def test_exp_accepts_a_signed_zero_constant_term():
+    """A zero at power 0 passes the check, the sign of zero included."""
+    again = TruncatedSeries([-0.0, 2.0, 1.0], offset=0).exp()
+    assert again.offset == 0 and again.coeffs == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("series", [
     TruncatedSeries([np.zeros((2, 2)), np.eye(2)], offset=0),
     TruncatedSeries([np.eye(2)], offset=1),
 ])

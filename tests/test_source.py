@@ -40,6 +40,22 @@ def calls_by_scope(name):
     return callers
 
 
+def test_imports_inside_functions_are_the_deferred_scipy_ones():
+    """Every import sits at module top, where a module's dependencies can be
+    read and an import cycle would show at once.  The two exceptions defer
+    scipy.linalg to the spectral solver and the conjugacy check, which keeps
+    it out of every command's start-up."""
+    found = []
+    for path in sorted(Path(hmlab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {inner for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for inner in ast.walk(node)
+                  if isinstance(inner, (ast.Import, ast.ImportFrom))}
+        found += [(path.stem, ast.unparse(node)) for node in inside]
+    assert found == [("spectra", "import scipy.linalg")] * 2
+
+
 def test_only_polynomials_reads_the_coefficient_representation():
     """CPoly's integer pairs over one denominator are read through its
     methods; a module reading ``.terms`` or ``.den`` itself would have to

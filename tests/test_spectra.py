@@ -523,6 +523,19 @@ def test_isospectrality_rejects_a_negative_degree(hh3, ns12):
         isospectrality_report(hh3, ns12, [(1, 0, 0)], degrees=(-1, 1))
 
 
+@pytest.mark.parametrize("lattice", [[(1, 1, 0)], [(1, 0, 0), (1, 1, 0)]])
+def test_isospectrality_refuses_an_irrational_norm_before_solving(
+        hh3, ns12, lattice, monkeypatch):
+    """(1,1,0) has norm sqrt(2), so no exact unit structure: the report
+    raises before any build or solve instead of passing with no cells."""
+    builds = counting(monkeypatch, "build_hnm_basis")
+    solves = counting(monkeypatch, "radial_spectrum")
+    with pytest.raises(NotComplexStructure, match="irrational norm"):
+        isospectrality_report(hh3, ns12, lattice, degrees=(0, 1), grid=64,
+                              count=2)
+    assert builds == solves == []
+
+
 def test_isospectrality_negative_control(hh3, ns12):
     report = isospectrality_report(hh3, ns12, [(1, 0, 0)], degrees=(1,),
                                    grid=128, count=3, mu_scale_b=1.05)

@@ -24,9 +24,9 @@ from .radial import (density_series, harmonic_density, harmonic_series,
                      radial_density, shape_trace_series, vk_recursion,
                      volume_series)
 from .series import TruncatedSeries, det_cofactor
-from .sis import (IdentitySpace, IdentityVector, canonical_generators,
-                  eliminate, lichnerowicz_vector, noise_wave,
-                  rank_and_membership, theta_power_vector)
+from .sis import (IdentityVector, canonical_generators, eliminate,
+                  lichnerowicz_vector, noise_wave, rank_and_membership,
+                  theta_power_vector)
 from .spectra import (RadialOperator, ball_bundle_spectrum, build_hnm_basis,
                       conjugacy_check, glz_parameter_map,
                       hnm_multiplicity_oracle, isospectrality_report,

@@ -238,14 +238,14 @@ def cmd_sis(args):
     require(len(members) == 1, "--family", args.family, "one member")
     label, geo = build_members(l, members)[0]
     n = geo.dim
-    space = canonical_generators(n)
+    gens = canonical_generators(n)
     lich = lichnerowicz_vector(n)
-    plain = rank_and_membership(space, lich, graded=False)
-    graded = rank_and_membership(space, lich, graded=True)
+    plain = rank_and_membership(gens, lich, graded=False)
+    graded = rank_and_membership(gens, lich, graded=True)
     transcript = {
         "schema_version": SCHEMA_VERSION, "command": "sis",
         "member": label, "dim": n,
-        "generators": [g.as_dict() for g in space.generators],
+        "generators": [g.as_dict() for g in gens],
         "lichnerowicz": lich.as_dict(),
         "membership_plain": plain.as_dict(),
         "membership_graded": graded.as_dict(),
@@ -261,10 +261,10 @@ def cmd_sis(args):
         code = 0
     rudimentary = eliminate(target, tool, "L", mode="rudimentary")
     transcript["elimination_rudimentary"] = rudimentary.as_dict()
-    noise = noise_wave(lich, space)
+    noise = noise_wave(lich, gens)
     transcript["noise_wave"] = noise.as_dict()
     try:
-        moment_gram(geo, space.generators)
+        moment_gram(geo, gens)
         transcript["moment_gram"] = "available"
     except DegreeTooHigh as exc:
         transcript["moment_gram"] = f"{type(exc).__name__}: {exc}"

@@ -27,38 +27,28 @@ _GENERATORS = {
 
 
 @dataclass(frozen=True)
-class CliffordModule:
-    """Irreducible module data for a center of dimension ``center_dim``."""
-
-    center_dim: int
-    module_dim: int
-    generators: tuple  # integer matrices, one per center direction
-
-    def generator(self, a):
-        return self.generators[a]
-
-
-@dataclass(frozen=True)
 class JMap:
     """The linear map Z -> J_Z on a module of multiplicity (a, b).
 
-    ``blocks`` holds the per-copy sign (+1 for the first ``pos`` copies, -1
-    for the remaining ``neg``); J_Z acts blockwise as sign * J_Z^irr.
+    ``generators`` holds J_Z^irr of the irreducible module, one integer
+    matrix per center basis direction; ``signs`` holds the per-copy sign (+1
+    for the first ``pos`` copies, -1 for the remaining ``neg``); J_Z acts
+    blockwise as sign * J_Z^irr.
     """
 
     center_dim: int
     pos: int
     neg: int
-    module: CliffordModule
+    generators: tuple
     signs: np.ndarray = field(repr=False)
 
     @property
     def total_dim(self):
-        return (self.pos + self.neg) * self.module.module_dim
+        return (self.pos + self.neg) * self.generators[0].shape[0]
 
     def j_of_center_basis(self, a):
         """J_{Z_a} on the full module, as an integer matrix."""
-        return np.kron(np.diag(self.signs), self.module.generator(a))
+        return np.kron(np.diag(self.signs), self.generators[a])
 
     def j_of(self, z):
         """J_Z for an arbitrary center vector ``z`` (floats allowed)."""
@@ -71,18 +61,16 @@ class JMap:
 
 
 def build_clifford_module(center_dim):
-    """Fixed irreducible Clifford module for a center of dimension 1, 2 or 3.
+    """Generators of the fixed irreducible Clifford module for a center of
+    dimension 1, 2 or 3, as a tuple of integer matrices (copies).
 
-    The generators anticommute and square to -identity; dimensions are 2
-    (center_dim 1) and 4 (center_dim 2 or 3).
+    The generators anticommute and square to -identity; the module
+    dimension is 2 (center_dim 1) or 4 (center_dim 2 or 3).
     """
     if center_dim not in _GENERATORS:
         raise UnsupportedCenterDimension(
             f"center dimension {center_dim} outside supported range {{1, 2, 3}}")
-    gens = tuple(g.copy() for g in _GENERATORS[center_dim])
-    return CliffordModule(center_dim=center_dim,
-                          module_dim=gens[0].shape[0],
-                          generators=gens)
+    return tuple(g.copy() for g in _GENERATORS[center_dim])
 
 
 def build_j_map(center_dim, pos, neg):
@@ -93,9 +81,9 @@ def build_j_map(center_dim, pos, neg):
     """
     if pos < 0 or neg < 0 or pos + neg == 0:
         raise InvalidMultiplicity(f"multiplicity ({pos}, {neg}) has no module copies")
-    module = build_clifford_module(center_dim)
     signs = np.array([1] * pos + [-1] * neg, dtype=int)
-    return JMap(center_dim=center_dim, pos=pos, neg=neg, module=module, signs=signs)
+    return JMap(center_dim=center_dim, pos=pos, neg=neg,
+                generators=build_clifford_module(center_dim), signs=signs)
 
 
 def exchange_endomorphism(jmap):
@@ -105,5 +93,5 @@ def exchange_endomorphism(jmap):
     module copy; sigma squares to the identity, commutes with every
     J_Z^{(a+b,0)}, and sigma @ J_Z^{(a+b,0)} equals J_Z^{(a,b)}.
     """
-    d = jmap.module.module_dim
+    d = jmap.generators[0].shape[0]
     return np.kron(np.diag(jmap.signs), np.eye(d, dtype=int))

@@ -24,17 +24,6 @@ JET_BLOCK = 32
 
 
 @dataclass
-class MetricLieAlgebra:
-    """Structure constants of a metric Lie algebra in an orthonormal frame."""
-
-    c: np.ndarray
-
-    @property
-    def dim(self):
-        return self.c.shape[0]
-
-
-@dataclass
 class DirectionalCurvatureJet:
     """Taylor matrices of the Jacobi operator along the geodesics from ``u``.
 
@@ -85,9 +74,9 @@ def clifford_defect(j_list):
 def build_htype_algebra(jmap):
     """Two-step nilpotent algebra of Heisenberg type from a J-map.
 
-    Basis order: the ``k`` module directions, then the ``l`` center
-    directions.  Raises :class:`NotHType` when the J-matrices fail the
-    Clifford relations.
+    Returns the structure constants ``c``.  Basis order: the ``k`` module
+    directions, then the ``l`` center directions.  Raises :class:`NotHType`
+    when the J-matrices fail the Clifford relations.
     """
     j_list = jmap.all_j()
     if clifford_defect(j_list) > 1e-12:
@@ -99,21 +88,21 @@ def build_htype_algebra(jmap):
     for a, ja in enumerate(j_list):
         # <[X_i, X_j], Z_a> = <J_a X_i, X_j> = (J_a)[j, i]
         c[:k, :k, k + a] = ja.T
-    return MetricLieAlgebra(c=c)
+    return c
 
 
 def build_damek_ricci(jmap):
     """Solvable rank-one extension of the H-type algebra of ``jmap``.
 
-    Adds a unit generator A (last basis slot) with [A, X] = X/2 on the
-    module part and [A, Z] = Z on the center.
+    Returns the structure constants.  Adds a unit generator A (last basis
+    slot) with [A, X] = X/2 on the module part and [A, Z] = Z on the center.
     """
     nil = build_htype_algebra(jmap)
     k = jmap.total_dim
     l = jmap.center_dim
     n = k + l + 1
     c = np.zeros((n, n, n))
-    c[:k + l, :k + l, :k + l] = nil.c
+    c[:k + l, :k + l, :k + l] = nil
     a_idx = n - 1
     for i in range(k):
         c[a_idx, i, i] = 0.5
@@ -121,29 +110,30 @@ def build_damek_ricci(jmap):
     for z in range(k, k + l):
         c[a_idx, z, z] = 1.0
         c[z, a_idx, z] = -1.0
-    return MetricLieAlgebra(c=c)
+    return c
 
 
-def scale_bracket(algebra, i, j, factor):
-    """Copy of ``algebra`` with the single bracket [e_i, e_j] rescaled.
+def scale_bracket(c, i, j, factor):
+    """Copy of the structure constants ``c`` with the single bracket
+    [e_i, e_j] rescaled.
 
     Rescaling a module-module bracket of an H-type algebra preserves the
     Jacobi identity (the scaled bracket lands in the center, which brackets
     trivially with the module) but destroys the Clifford relations.
     """
-    c = algebra.c.copy()
+    c = c.copy()
     c[i, j, :] *= factor
     c[j, i, :] *= factor
-    return MetricLieAlgebra(c=c)
+    return c
 
 
-def levi_civita(algebra):
-    """Connection coefficients of the left-invariant metric.
+def levi_civita(c):
+    """Connection coefficients of the left-invariant metric with structure
+    constants ``c``.
 
     gamma[i, j, m] = (c[i,j,m] - c[j,m,i] + c[m,i,j]) / 2; antisymmetric in
     (j, m) by metric compatibility, and gamma[i,j] - gamma[j,i] recovers c.
     """
-    c = algebra.c
     return 0.5 * (c - np.einsum('jmi->ijm', c) + np.einsum('mij->ijm', c))
 
 
@@ -189,9 +179,10 @@ class Geometry:
     caches the first covariant derivative of curvature, from which every
     curvature jet is built.  For group geometries these are built from
     structure constants; the constant curvature model prescribes curvature
-    directly with a parallel frame.  ``jmap`` is the Clifford data of a
-    Damek-Ricci member and None for any other geometry; ``module_dim`` and
-    ``center_dim`` are read from it.
+    directly with a parallel frame.  ``algebra`` holds the structure
+    constants of a group geometry and None for the model.  ``jmap`` is the
+    Clifford data of a Damek-Ricci member and None for any other geometry;
+    ``module_dim`` and ``center_dim`` are read from it.
     """
 
     def __init__(self, gamma, r, algebra=None, name="geometry", jmap=None):
@@ -221,10 +212,11 @@ class Geometry:
         return self._s1
 
 
-def geometry_from_algebra(algebra, name="group", jmap=None):
-    gamma = levi_civita(algebra)
-    return Geometry(gamma=gamma, r=curvature(gamma, algebra.c),
-                    algebra=algebra, name=name, jmap=jmap)
+def geometry_from_algebra(c, name="group", jmap=None):
+    """Group geometry of the metric Lie algebra with structure constants ``c``."""
+    gamma = levi_civita(c)
+    return Geometry(gamma=gamma, r=curvature(gamma, c),
+                    algebra=c, name=name, jmap=jmap)
 
 
 def constant_curvature_geometry(dim, kappa=1.0, name=None):

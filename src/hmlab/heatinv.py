@@ -195,19 +195,6 @@ class DecompositionFit:
     intercept_structural: float
     fit_residual: float
 
-    def as_dict(self):
-        return {
-            "quantity": self.quantity,
-            "degree": self.degree,
-            "basis": {k: [v.numerator, v.denominator] for k, v in self.basis.items()},
-            "slope_fitted": self.slope_fitted,
-            "slope_snapped": [self.slope_snapped.numerator,
-                              self.slope_snapped.denominator],
-            "intercept_fitted": self.intercept_fitted,
-            "intercept_structural": self.intercept_structural,
-            "fit_residual": self.fit_residual,
-        }
-
 
 def boundary_decomposition(geometry, n_directions=16, seed=0):
     """Fit the r^3 coefficients of P2/P3 against tr R'R' over directions.
@@ -276,29 +263,9 @@ def averaged_boundary_r3(inv):
 # -- intrinsic geodesic-sphere oracle -----------------------------------------
 
 
-@dataclass
-class SphereCurvatureSample:
-    radius: float
-    ric_sq: float
-    riem_sq: float
-
-
-def sphere_intrinsic_curvature(geometry, u, radius, steps_per_unit=4096):
-    """|Ric|^2 and |R|^2 of the geodesic sphere through exp(r u).
-
-    Integrates the Jacobi flow for the shape operator and applies the Gauss
-    equation on the tangent space of the sphere (the orthogonal complement
-    of the radial direction), as in :func:`_sphere_curvature_samples`.
-    """
-    radii, ric_sq, riem_sq = _sphere_curvature_samples(
-        geometry, u, [radius], steps_per_unit)
-    return SphereCurvatureSample(radius=float(radii[0]),
-                                 ric_sq=float(ric_sq[0]),
-                                 riem_sq=float(riem_sq[0]))
-
-
 def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
-    """Sphere curvature norms at each radius from one Jacobi-flow march.
+    """|Ric^S|^2 and |R^S|^2 of the geodesic spheres through exp(r u), at
+    each radius r, from one Jacobi-flow march.
 
     Returns the sorted radii and the arrays ``ric_sq`` and ``riem_sq`` in that
     order.  The Gauss equation R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is

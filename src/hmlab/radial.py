@@ -272,12 +272,14 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
         dr = r_target - r_prev
         steps = int(math.ceil(max(dr * steps_per_unit, 16.0 * dr / r_target)))
         h = dr / max(steps, 1)
-        for _ in range(steps):
-            k1 = _flow_derivative(gamma_rows, r_rows, y)
-            k2 = _flow_derivative(gamma_rows, r_rows, y + 0.5 * h * k1)
-            k3 = _flow_derivative(gamma_rows, r_rows, y + 0.5 * h * k2)
-            k4 = _flow_derivative(gamma_rows, r_rows, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # an overflow shows as a non-finite state, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                k1 = _flow_derivative(gamma_rows, r_rows, y)
+                k2 = _flow_derivative(gamma_rows, r_rows, y + 0.5 * h * k1)
+                k3 = _flow_derivative(gamma_rows, r_rows, y + 0.5 * h * k2)
+                k4 = _flow_derivative(gamma_rows, r_rows, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         state = (y[:n], *y[n:].reshape(3, n, n))
         if not np.all(np.isfinite(state[2])):
             raise StepFailure(f"non-finite Jacobi endomorphism at r = {r_target}")
@@ -297,8 +299,9 @@ def ode_oracle(geometry, u, radii, steps_per_unit=2048):
     """
     n = geometry.dim
     radii, states = _jacobi_flow(geometry, u, radii, steps_per_unit)
-    thetas = np.array([float(np.linalg.det(a)) / r ** n
-                       for r, (_, _, a, _) in zip(radii, states)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = np.array([float(np.linalg.det(a)) / r ** n
+                           for r, (_, _, a, _) in zip(radii, states)])
     if not np.all(np.isfinite(thetas)):
         # det(a) can overflow while a is still finite
         bad = radii[~np.isfinite(thetas)][0]

@@ -69,9 +69,9 @@ class TruncatedSeries:
     def is_matrix_valued(self):
         return _is_matrix(self.coeffs[0])
 
-    def coefficient(self, power, strict=True):
+    def coefficient(self, power):
         """Coefficient of r**power; zero below the window, error above it."""
-        if power > self.top and strict:
+        if power > self.top:
             raise ValueError(f"power {power} beyond truncation {self.top}")
         i = power - self.offset
         if 0 <= i < len(self.coeffs):
@@ -215,21 +215,26 @@ class TruncatedSeries:
 
     def exp(self):
         """exp of a scalar series with no nonzero term at a power <= 0."""
-        if self.is_matrix_valued or any(self.coeffs[:max(0, 1 - self.offset)]):
+        head = max(0, 1 - self.offset)
+        if self.is_matrix_valued or any(self.coeffs[:head]):
             raise ValueError("exp implemented for scalar series with no "
                              "nonzero term at powers <= 0")
         top = self.top
         one = Fraction(1) if _is_fraction(self.coeffs[0]) else 1.0
         # 1 through the window, so that the sum below keeps its window
         acc = TruncatedSeries([one] + [0 * one] * top)
-        term = self
+        # drop the zeros at powers <= 0: a product's window ends at each
+        # factor's top plus the other's offset, so they would cut off the top
+        x = self if head >= len(self.coeffs) else \
+            TruncatedSeries(self.coeffs[head:], self.offset + head)
+        term = x
         k = 1
         while term.offset <= top:
             acc = acc + term.scale(one / math.factorial(k))
-            if k * max(self.offset, 1) > top:
+            if k * max(x.offset, 1) > top:
                 break
             k += 1
-            term = (term * self).truncate(top)
+            term = (term * x).truncate(top)
         return acc.truncate(top)
 
     def det(self):
@@ -247,7 +252,7 @@ class TruncatedSeries:
                 f"{len(self.coeffs)} coeffs)")
 
 
-def det_cofactor(series, top=None):
+def det_cofactor(series):
     """Determinant by Laplace expansion on scalar entry series.
 
     Independent of TruncatedSeries.det; used as a cross-check oracle.
@@ -255,8 +260,7 @@ def det_cofactor(series, top=None):
     rather than dim! leaves.
     """
     dim = series.coeffs[0].shape[0]
-    if top is None:
-        top = series.top
+    top = series.top
     entries = [[series.entry(i, j).truncate(top) for j in range(dim)]
                for i in range(dim)]
     cache = {}

@@ -9,7 +9,7 @@ over Fraction, so ranks and memberships are exact, never thresholded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
@@ -81,14 +81,6 @@ class IdentityVector:
         }
 
 
-@dataclass
-class IdentitySpace:
-    generators: list = field(default_factory=list)
-
-    def add(self, vec):
-        self.generators.append(vec)
-
-
 def density_vector(n):
     """L-degree identity with the quadratic-trace relation folded in.
 
@@ -124,11 +116,9 @@ def gradient_square_vector(n):
 
 
 def canonical_generators(n):
-    space = IdentitySpace()
-    space.add(density_vector(n))
-    space.add(ricci_square_vector(n))
-    space.add(gradient_square_vector(n))
-    return space
+    """The three spectrally determined identities, as a list."""
+    return [density_vector(n), ricci_square_vector(n),
+            gradient_square_vector(n)]
 
 
 def lichnerowicz_vector(n):
@@ -205,8 +195,8 @@ def _main_det(rows):
     return Fraction(0)
 
 
-def rank_and_membership(space, candidate, graded=False):
-    """Exact span test of ``candidate`` against the generator rows.
+def rank_and_membership(gens, candidate, graded=False):
+    """Exact span test of ``candidate`` against the rows of ``gens``.
 
     Graded mode restricts the span to generators sharing the candidate's
     degree and origin; a candidate without a degree is never a graded
@@ -214,7 +204,6 @@ def rank_and_membership(space, candidate, graded=False):
     attached because the determined-modulo-constants argument runs through
     its invertibility.
     """
-    gens = list(space.generators)
     if graded:
         usable = [g for g in gens
                   if candidate.degree is not None
@@ -332,14 +321,13 @@ class NoiseReport:
         }
 
 
-def noise_wave(candidate, space, gram=None, gram_kind="euclidean"):
-    """Orthogonal split of ``candidate`` against the generator span.
+def noise_wave(candidate, gens, gram=None, gram_kind="euclidean"):
+    """Orthogonal split of ``candidate`` against the span of ``gens``.
 
     Normal equations are solved exactly over Fraction; a singular Gram
     matrix raises instead of being regularized, because a pseudo-inverse
     would silently pick a representative the theory cannot justify.
     """
-    gens = space.generators
     if gram is None:
         gram = euclidean_gram(gens)
         gram_kind = "euclidean"

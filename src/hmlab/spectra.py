@@ -434,7 +434,7 @@ def _canonical_skew_frame(j):
     return u[:, perm], np.array(speeds)
 
 
-def conjugacy_check(j1, j2, tol=1e-10):
+def conjugacy_check(j1, j2):
     """Orthogonal O with O J1 O^T = J2, via canonical skew normal forms.
 
     Raises SpectraDiffer when the rotation-speed multisets disagree; the
@@ -442,7 +442,7 @@ def conjugacy_check(j1, j2, tol=1e-10):
     """
     u1, s1 = _canonical_skew_frame(j1)
     u2, s2 = _canonical_skew_frame(j2)
-    if len(s1) != len(s2) or np.max(np.abs(s1 - s2)) > tol:
+    if len(s1) != len(s2) or np.max(np.abs(s1 - s2)) > 1e-10:
         raise SpectraDiffer(
             f"rotation speeds differ: {s1} vs {s2}")
     o = u2 @ u1.T
@@ -472,8 +472,7 @@ class IsospectralityReport:
 
 
 def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2),
-                          t_domain=10.0, bc=(0.0, 1.0), grid=128, count=4,
-                          mu_scale_b=1.0):
+                          grid=128, count=4, mu_scale_b=1.0):
     """Compare lattice-sector spectra of two family members.
 
     Every cell pairs identical radial parameters, so equality is by
@@ -509,7 +508,7 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
 
     def spectrum(op):
         if op not in solved:
-            solved[op] = radial_spectrum(op, t_domain, bc, grid, count)
+            solved[op] = radial_spectrum(op, 10.0, (0.0, 1.0), grid, count)
         return solved[op]
 
     # every lattice vector needs an exact unit structure before any solve,

@@ -10,19 +10,20 @@ from hmlab.errors import InvalidMultiplicity, UnsupportedCenterDimension
 
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_generators_anticommute_and_square_to_minus_one(l):
-    mod = build_clifford_module(l)
-    d = mod.module_dim
+    gens = build_clifford_module(l)
+    assert len(gens) == l
+    d = gens[0].shape[0]
     for a in range(l):
-        ga = mod.generator(a)
+        ga = gens[a]
         assert np.array_equal(ga @ ga, -np.eye(d, dtype=int))
         for b in range(a + 1, l):
-            gb = mod.generator(b)
+            gb = gens[b]
             assert np.array_equal(ga @ gb + gb @ ga, np.zeros((d, d), dtype=int))
 
 
 def test_module_dims():
-    assert build_clifford_module(1).module_dim == 2
-    assert build_clifford_module(3).module_dim == 4
+    assert build_clifford_module(1)[0].shape == (2, 2)
+    assert build_clifford_module(3)[0].shape == (4, 4)
 
 
 def test_unsupported_center():

@@ -18,17 +18,17 @@ from hmlab.invariants import direction_constants, random_directions
 
 def test_htype_bracket_encodes_j_transpose():
     jm = build_j_map(3, 1, 0)
-    alg = build_htype_algebra(jm)
+    c = build_htype_algebra(jm)
     k = jm.total_dim
     for a in range(3):
-        assert_allclose(alg.c[:k, :k, k + a], jm.j_of_center_basis(a).T)
+        assert_allclose(c[:k, :k, k + a], jm.j_of_center_basis(a).T)
     # bracket antisymmetry
-    assert_allclose(alg.c, -np.swapaxes(alg.c, 0, 1), atol=0)
+    assert_allclose(c, -np.swapaxes(c, 0, 1), atol=0)
 
 
 def test_jacobi_identity_on_all_members(all_spaces):
     for geo in all_spaces.values():
-        assert jacobi_defect(geo.algebra.c) == 0.0
+        assert jacobi_defect(geo.algebra) == 0.0
 
 
 def test_not_htype_rejected():
@@ -49,7 +49,7 @@ def test_connection_is_metric_and_torsion_free(hh2):
     gamma = levi_civita(hh2.algebra)
     # metric compatibility: each Gamma[i] is skew
     assert_allclose(gamma + np.swapaxes(gamma, 1, 2), 0.0, atol=1e-14)
-    torsion = gamma - np.swapaxes(gamma, 0, 1) - hh2.algebra.c
+    torsion = gamma - np.swapaxes(gamma, 0, 1) - hh2.algebra
     assert_allclose(torsion, 0.0, atol=1e-14)
 
 
@@ -119,7 +119,7 @@ def test_jet_order_cap_and_radial_kernel(hh2):
 
 def test_scale_bracket_keeps_lie_but_breaks_clifford(ch2):
     scaled = scale_bracket(ch2.algebra, 0, 1, 1.25)
-    assert jacobi_defect(scaled.c) == 0.0
+    assert jacobi_defect(scaled) == 0.0
     geo = geometry_from_algebra(scaled)
     ric = ricci(geo.r)
     # no longer Einstein: the diagonal spreads out

@@ -11,11 +11,11 @@ from hmlab import geometry, heatinv
 from hmlab.errors import FitIllConditioned
 from hmlab.exactlinalg import rank
 from hmlab.geometry import constant_curvature_geometry, curvature_jet
-from hmlab.heatinv import (P3_WEIGHTS, alpha2_cross_difference,
-                           alpha_beta_parts, a2_integrand,
-                           a2_integrand_from_traces, averaged_boundary_r3,
-                           boundary_decomposition, boundary_polynomials,
-                           sphere_intrinsic_curvature, sphere_intrinsic_oracle,
+from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_samples,
+                           alpha2_cross_difference, alpha_beta_parts,
+                           a2_integrand, a2_integrand_from_traces,
+                           averaged_boundary_r3, boundary_decomposition,
+                           boundary_polynomials, sphere_intrinsic_oracle,
                            structural_p_decompositions, structural_r3_table)
 from hmlab.invariants import (point_invariants, random_directions,
                               sphere_average, beta_tensor)
@@ -228,20 +228,20 @@ def test_normalized_mode_with_matching_density_is_raw(hh2):
 def test_flat_space_sphere_curvature_is_exact():
     geo = constant_curvature_geometry(3, 0.0)
     u = np.array([1.0, 0.0, 0.0])
-    sample = sphere_intrinsic_curvature(geo, u, 0.5, steps_per_unit=512)
+    _, ric_sq, riem_sq = _sphere_curvature_samples(geo, u, [0.5], 512)
     # round 2-sphere of radius 1/2: |Ric|^2 = 2/r^4, |R|^2 = 4/r^4
-    assert_allclose(sample.ric_sq, 32.0, rtol=1e-10)
-    assert_allclose(sample.riem_sq, 64.0, rtol=1e-10)
+    assert_allclose(ric_sq, [32.0], rtol=1e-10)
+    assert_allclose(riem_sq, [64.0], rtol=1e-10)
 
 
 def test_round_sphere_distance_spheres():
     geo = constant_curvature_geometry(4, 1.0)
     u = np.eye(4)[0]
     r = 0.7
-    sample = sphere_intrinsic_curvature(geo, u, r, steps_per_unit=2048)
+    _, ric_sq, _ = _sphere_curvature_samples(geo, u, [r], 2048)
     # distance sphere in S^4 is round S^3 of intrinsic curvature 1/sin^2 r
     expected_ric = 12.0 / math.sin(r) ** 4
-    assert_allclose(sample.ric_sq, expected_ric, rtol=1e-9)
+    assert_allclose(ric_sq, [expected_ric], rtol=1e-9)
 
 
 def test_flat_oracle_reads_off_the_inverse_quartic():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from hmlab.errors import (InvalidSampling, OrderUnsupported, StepFailure,
                           ZeroLeadingCoefficient)
 from hmlab.geometry import curvature_jet
-from hmlab.heatinv import _sphere_curvature_samples, sphere_intrinsic_curvature
+from hmlab.heatinv import _sphere_curvature_samples
 from hmlab.invariants import direction_constants, point_invariants
 from hmlab.series import TruncatedSeries
 from hmlab.radial import (density_series, extend_with_trace,
@@ -236,9 +236,9 @@ def complement_basis(u):
 
 @pytest.mark.parametrize("space", ["hh2", "ns12", "ch2", "hh3", "sphere4"])
 def test_sphere_curvature_matches_restart_flow(space, request):
-    """Single radius, and one march through unsorted radii, against the
-    Gauss equation in tensor form: the ambient curvature conjugated into an
-    (n-1)-dim sphere frame of restarted flow states."""
+    """One march through unsorted radii against the Gauss equation in
+    tensor form: the ambient curvature conjugated into an (n-1)-dim sphere
+    frame of restarted flow states."""
     geo = request.getfixturevalue(space)
     u = flow_direction(geo.dim)
     basis = complement_basis(u)
@@ -252,9 +252,6 @@ def test_sphere_curvature_matches_restart_flow(space, request):
         ric = np.einsum('cabc->ab', gauss)
         return np.sum(ric * ric), np.sum(gauss * gauss)
 
-    sample = sphere_intrinsic_curvature(geo, u, 0.2, steps_per_unit=512)
-    assert sample.radius == 0.2
-    assert_allclose((sample.ric_sq, sample.riem_sq), reference(0.2), rtol=1e-12)
     radii, ric_sq, riem_sq = _sphere_curvature_samples(geo, u, [0.3, 0.1, 0.25],
                                                        512)
     assert list(radii) == [0.1, 0.25, 0.3]
@@ -273,18 +270,18 @@ def test_ode_oracle_rejects_radii_that_are_not_positive(hh2, radii):
     ([1.0, 400.0], "density at r = 400.0"),      # det(a) overflows, a finite
     ([2000.0], "endomorphism at r = 2000.0"),    # a itself overflows
 ])
+@pytest.mark.filterwarnings("error")
 def test_ode_oracle_raises_step_failure_on_overflow(ch2, radii, where):
-    """A coarse march far out on CH^2 ends in a typed error, not in an inf
-    density behind a numpy RuntimeWarning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StepFailure, match=where):
-            ode_oracle(ch2, np.eye(4)[0], radii, steps_per_unit=1)
+    """A coarse march far out on CH^2 ends in a typed error, with no numpy
+    RuntimeWarning before it and no inf density."""
+    with pytest.raises(StepFailure, match=where):
+        ode_oracle(ch2, np.eye(4)[0], radii, steps_per_unit=1)
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.2, math.nan, math.inf])
 def test_sphere_curvature_rejects_radius_that_is_not_positive(hh2, radius):
     with pytest.raises(InvalidSampling):
-        sphere_intrinsic_curvature(hh2, np.eye(8)[5], radius)
+        _sphere_curvature_samples(hh2, np.eye(8)[5], [radius], 4096)
 
 
 def test_peel_recovers_leading_density_coefficients(hh2):

@@ -31,7 +31,6 @@ def test_window_is_intersection_of_reachable_orders():
     assert p.top == 1
     with pytest.raises(ValueError):
         p.coefficient(2)
-    assert p.coefficient(2, strict=False) == 0.0
 
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=9)
@@ -198,9 +197,14 @@ def test_exp_refuses_terms_at_powers_not_above_zero(series):
         series.exp()
 
 
-def test_exp_accepts_a_signed_zero_constant_term():
-    """A zero at power 0 passes the check, the sign of zero included."""
-    again = TruncatedSeries([-0.0, 2.0, 1.0], offset=0).exp()
+@pytest.mark.parametrize("series", [
+    TruncatedSeries([-0.0, 2.0, 1.0], offset=0),
+    TruncatedSeries([0.0, -0.0, 2.0, 1.0], offset=-1),
+])
+def test_exp_accepts_zeros_at_powers_not_above_zero(series):
+    """Zeros at powers <= 0 pass the check, the sign of zero included, and
+    cost no known power: exp(2r + r^2) through r^2 either way."""
+    again = series.exp()
     assert again.offset == 0 and again.coeffs == [1.0, 2.0, 3.0]
 
 

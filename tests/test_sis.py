@@ -10,7 +10,7 @@ from hmlab.errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
 from hmlab.exactlinalg import det, rank
 from hmlab.invariants import beta_tensor, point_invariants, sphere_average
 from hmlab.radial import radial_density
-from hmlab.sis import (IdentitySpace, IdentityVector, ball_boundary_vector,
+from hmlab.sis import (IdentityVector, ball_boundary_vector,
                        ball_volume_vector, canonical_generators,
                        density_vector, eliminate, euclidean_gram,
                        gradient_square_vector, lichnerowicz_vector,
@@ -78,7 +78,7 @@ def test_ball_boundary_vector_reads_the_p2_decomposition(n):
 
 
 def test_canonical_main_matrix_rank_and_det():
-    gens = canonical_generators(12).generators
+    gens = canonical_generators(12)
     main = [list(v.main_terms) for v in gens]
     assert rank(main) == 3
     assert det(main) == Fraction(216)
@@ -94,8 +94,8 @@ def test_lichnerowicz_main_matrix_det():
 
 
 def test_lichnerowicz_is_not_in_the_canonical_span():
-    space = canonical_generators(12)
-    rep = rank_and_membership(space, lichnerowicz_vector(12))
+    gens = canonical_generators(12)
+    rep = rank_and_membership(gens, lichnerowicz_vector(12))
     assert rep.rank_generators == 3
     assert rep.rank_with_candidate == 4
     assert not rep.member
@@ -104,27 +104,27 @@ def test_lichnerowicz_is_not_in_the_canonical_span():
 
 
 def test_graded_membership_is_stricter():
-    space = canonical_generators(12)
-    rep = rank_and_membership(space, lichnerowicz_vector(12), graded=True)
+    gens = canonical_generators(12)
+    rep = rank_and_membership(gens, lichnerowicz_vector(12), graded=True)
     assert rep.graded and not rep.member
     # a degree-6 multiple of the density row is a graded member
     scaled = IdentityVector(name="density-doubled",
                             coeffs=tuple(2 * c for c in
                                          density_vector(12).coeffs),
                             degree=6)
-    rep2 = rank_and_membership(space, scaled, graded=True)
+    rep2 = rank_and_membership(gens, scaled, graded=True)
     assert rep2.member
     assert rep2.combination is not None
 
 
 def test_membership_recovers_exact_combination():
-    space = canonical_generators(12)
+    gens = canonical_generators(12)
     d, r = density_vector(12), ricci_square_vector(12)
     cand = IdentityVector(
         name="combo",
         coeffs=tuple(2 * a - 3 * b for a, b in zip(d.coeffs, r.coeffs)),
         degree=None)
-    rep = rank_and_membership(space, cand)
+    rep = rank_and_membership(gens, cand)
     assert rep.member
     assert rep.combination == [Fraction(2), Fraction(-3), Fraction(0)]
 
@@ -133,9 +133,8 @@ def test_extended_space_spans_everything_yet_grading_still_refuses():
     """Throwing in density powers inflates the plain span to the whole
     six-dimensional space; the graded question is unchanged."""
     ext = canonical_generators(12)
-    for k in (1, 2, 3):
-        ext.add(theta_power_vector(12, k))
-    assert rank([list(g.coeffs) for g in ext.generators]) == 6
+    ext += [theta_power_vector(12, k) for k in (1, 2, 3)]
+    assert rank([list(g.coeffs) for g in ext]) == 6
     plain = rank_and_membership(ext, lichnerowicz_vector(12))
     assert plain.member
     graded = rank_and_membership(ext, lichnerowicz_vector(12), graded=True)
@@ -186,28 +185,28 @@ def test_mixed_origin_elimination_loses_the_degree():
 
 
 def test_noise_wave_residual_is_exactly_orthogonal():
-    space = canonical_generators(12)
+    gens = canonical_generators(12)
     cand = lichnerowicz_vector(12)
-    gram = euclidean_gram(space.generators)
-    report = noise_wave(cand, space, gram=gram, gram_kind="euclidean")
+    gram = euclidean_gram(gens)
+    report = noise_wave(cand, gens, gram=gram, gram_kind="euclidean")
     assert report.noise_norm_sq > 0
     # residual + projection reassembles the candidate
     for r, p, c in zip(report.residual, report.projection, cand.coeffs):
         assert r + p == c
-    for gen in space.generators:
+    for gen in gens:
         dot = sum(a * b for a, b in zip(report.residual, gen.coeffs))
         assert dot == 0
 
 
 def test_noise_wave_of_a_member_is_zero():
-    space = canonical_generators(12)
-    report = noise_wave(density_vector(12), space)
+    gens = canonical_generators(12)
+    report = noise_wave(density_vector(12), gens)
     assert report.noise_norm_sq == 0
     assert all(r == 0 for r in report.residual)
 
 
 @pytest.mark.parametrize("vectors", [
-    canonical_generators(12).generators,
+    canonical_generators(12),
     [density_vector(12)],
     [ricci_square_vector(12)],
     [gradient_square_vector(12), density_vector(12)],
@@ -225,10 +224,9 @@ def test_moment_gram_constant_block_is_rank_one(ns12):
     rhat = IdentityVector(name="pure-r-hat", coeffs=(0, 0, 0, 1, 0, 0))
     rring = IdentityVector(name="pure-r-ring", coeffs=(0, 0, 0, 0, 1, 0))
     gram = moment_gram(ns12, [rhat, rring])
-    space = IdentitySpace(generators=[rhat, rring])
     cand = gradient_square_vector(12)
     with pytest.raises(DegenerateGram):
-        noise_wave(cand, space, gram=gram, gram_kind="moment")
+        noise_wave(cand, [rhat, rring], gram=gram, gram_kind="moment")
 
 
 def test_moment_gram_single_gradient_vector(ns12):

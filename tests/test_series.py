@@ -197,14 +197,16 @@ def test_exp_refuses_terms_at_powers_not_above_zero(series):
         series.exp()
 
 
-@pytest.mark.parametrize("series", [
-    TruncatedSeries([-0.0, 2.0, 1.0], offset=0),
-    TruncatedSeries([0.0, -0.0, 2.0, 1.0], offset=-1),
-])
-def test_exp_accepts_zeros_at_powers_not_above_zero(series):
-    """Zeros at powers <= 0 pass the check, the sign of zero included, and
-    cost no known power: exp(2r + r^2) through r^2 either way."""
-    again = series.exp()
+def test_exp_accepts_a_signed_zero_constant_term():
+    """A zero at power 0 passes the check, the sign of zero included."""
+    again = TruncatedSeries([-0.0, 2.0, 1.0], offset=0).exp()
+    assert again.offset == 0 and again.coeffs == [1.0, 2.0, 3.0]
+
+
+def test_exp_accepts_zeros_at_powers_not_above_zero():
+    """Zeros at powers below 0 pass the check too and cost no known power:
+    exp(2r + r^2) through r^2, as from offset 0."""
+    again = TruncatedSeries([0.0, -0.0, 2.0, 1.0], offset=-1).exp()
     assert again.offset == 0 and again.coeffs == [1.0, 2.0, 3.0]
 
 

@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from .clifford import build_j_map
 from .errors import (DegenerateBoundary, DegreeMismatch, DegreeTooHigh,
                      FamilyMismatch, HmlabError, UnsupportedCenterDimension)
 from .geometry import (curvature_jet, damek_ricci_geometry,
@@ -236,6 +237,10 @@ def cmd_isospec(args):
 def cmd_sis(args):
     l, members = parse_family(args.family)
     require(len(members) == 1, "--family", args.family, "one member")
+    # the ball identities sit at the odd degrees n + 1 and n + 5
+    dim = build_j_map(l, *members[0]).total_dim + l + 1
+    require(dim % 2 == 0, "--family", args.family,
+            f"a member of even dimension (this one has dimension {dim})")
     label, geo = build_members(l, members)[0]
     n = geo.dim
     gens = canonical_generators(n)

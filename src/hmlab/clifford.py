@@ -84,14 +84,3 @@ def build_j_map(center_dim, pos, neg):
     signs = np.array([1] * pos + [-1] * neg, dtype=int)
     return JMap(center_dim=center_dim, pos=pos, neg=neg,
                 generators=build_clifford_module(center_dim), signs=signs)
-
-
-def exchange_endomorphism(jmap):
-    """Block-sign involution exchanging the (a+b, 0) and (a, b) actions.
-
-    Returns the matrix sigma = diag(+I, ..., -I, ...) with one block per
-    module copy; sigma squares to the identity, commutes with every
-    J_Z^{(a+b,0)}, and sigma @ J_Z^{(a+b,0)} equals J_Z^{(a,b)}.
-    """
-    d = jmap.generators[0].shape[0]
-    return np.kron(np.diag(jmap.signs), np.eye(d, dtype=int))

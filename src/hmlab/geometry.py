@@ -29,20 +29,14 @@ class DirectionalCurvatureJet:
 
     ``matrices[k]`` is the k-th derivative (not divided by k!) of the
     operator in a parallel frame at arc length zero: (n, n) for one
-    direction ``u`` of shape (n,), (m, n, n) for a batch of shape (m, n).
+    direction of shape (n,), (m, n, n) for a batch of shape (m, n).
     """
 
-    u: np.ndarray
     matrices: list
 
     @property
     def order(self):
         return len(self.matrices) - 1
-
-    def direction(self, k):
-        """The one-direction jet of direction ``k`` of a batch (views)."""
-        return DirectionalCurvatureJet(u=self.u[k],
-                                       matrices=[m[k] for m in self.matrices])
 
     def taylor_coefficient(self, k):
         """Matrix coefficient of r**k in the operator's Taylor series."""
@@ -50,13 +44,6 @@ class DirectionalCurvatureJet:
         for j in range(2, k + 1):
             out /= j
         return out
-
-
-def jacobi_defect(c):
-    """Largest violation of the Jacobi identity; zero for a Lie algebra."""
-    t = np.einsum('ijm,mkl->ijkl', c, c)
-    cyc = t + np.einsum('jkil->ijkl', t) + np.einsum('kijl->ijkl', t)
-    return float(np.max(np.abs(cyc)))
 
 
 def clifford_defect(j_list):
@@ -151,11 +138,6 @@ def curvature(gamma, c):
 
 def ricci(r):
     return np.einsum('cabc->ab', r)
-
-
-def sectional(r, x, y):
-    """Sectional curvature of the plane spanned by orthonormal x, y."""
-    return float(np.einsum('ijcd,i,j,c,d->', r, x, y, y, x))
 
 
 def covariant_derivative(gamma, tensor):
@@ -257,7 +239,7 @@ def curvature_jet(geometry, u, order=3):
     mats = [np.concatenate(parts) for parts in zip(*blocks)]
     if u.ndim == 1:
         mats = [m[0] for m in mats]
-    return DirectionalCurvatureJet(u=u, matrices=mats)
+    return DirectionalCurvatureJet(matrices=mats)
 
 
 def _jet_block(geometry, u, order):

@@ -1,14 +1,12 @@
-"""Heat-coefficient integrands on geodesic spheres and their decompositions.
+"""Heat-coefficient data on geodesic spheres and their decompositions.
 
-Interior coefficient: the pointwise combination (5 scal^2 - 2|Ric|^2 +
-2|R|^2)/360, rewritten through the direction constants on an Einstein
-harmonic space.  Boundary coefficients: the polynomial combinations of
-shape-operator traces whose r^3 coefficients decompose over the basis
-(C^3, CH, L, tr R'R'); the tr R'R' slope is recovered by a per-direction
-linear fit instead of being synthesized, and the structural rationals come
-from exact series bookkeeping.  The hatted constants of the sphere
-expansions are never synthesized; only the direction-dependent parts and
-their averages are reported.
+Boundary coefficients: the polynomial combinations of shape-operator traces
+whose r^3 coefficients decompose over the basis (C^3, CH, L, tr R'R'); the
+structural rationals come from exact series bookkeeping, and the direction
+average replaces tr R'R' by its exact sphere average.  The hatted constants
+of the sphere expansions are never synthesized; only the direction-dependent
+parts and their averages are reported.  The intrinsic sphere-curvature
+oracles read the same direction parts off Jacobi-flow samples.
 """
 
 from __future__ import annotations
@@ -20,29 +18,8 @@ import numpy as np
 
 from .errors import FitIllConditioned
 from .geometry import curvature_jet, ricci
-from .invariants import point_invariants, random_directions
-from .radial import _jacobi_flow, harmonic_series
-from .series import TruncatedSeries
-
-
-def a2_integrand(inv):
-    """Pointwise second interior heat coefficient integrand.
-
-    (5 scal^2 - 2|Ric|^2 + 2|R|^2)/360 with scal = nC and |Ric|^2 = nC^2 on
-    an Einstein space.
-    """
-    n, c = inv.dim, inv.c
-    scal = n * c
-    ric_sq = n * c * c
-    return (5.0 * scal * scal - 2.0 * ric_sq + 2.0 * inv.norm_r_sq) / 360.0
-
-
-def a2_integrand_from_traces(inv):
-    """Same combination with |R|^2 folded through the H identity; the H
-    route to ``BoundaryPolynomials.p1``, checked against ``a2_integrand``."""
-    n, c, h = inv.dim, inv.c, inv.h
-    return (5.0 * (n * c) ** 2 - 2.0 * n * c * c
-            + (4.0 * n / 3.0) * ((n + 2) * h - c * c)) / 360.0
+from .invariants import point_invariants
+from .radial import _jacobi_flow
 
 
 @dataclass
@@ -129,126 +106,13 @@ def structural_p_decompositions(n):
     return out
 
 
-@dataclass
-class BoundaryPolynomials:
-    """Boundary coefficient series for one direction.
-
-    ``p1`` is the constant interior-style combination; the r-dependent
-    series keep powers -3..3.  ``r3`` maps each polynomial to its r^3
-    coefficient; ``decomposition`` holds the structural rationals.
-    """
-
-    p1: float
-    p2: TruncatedSeries
-    p3_dirichlet: TruncatedSeries
-    p3_neumann: TruncatedSeries
-    r3: dict
-    decomposition: dict
-
-
-def boundary_polynomials(shape, inv, density=None, averaged_density=None):
-    """Assemble the boundary polynomials from transverse trace series.
-
-    Given the direction's normalized ``density`` and the
-    ``averaged_density``, each series is multiplied by their ratio before
-    coefficient extraction; the ratio is one when the density is a radial
-    function (the harmonic case), which leaves the raw traces.
-    """
-    n = inv.dim
-    c = inv.c
-    tr1 = shape.tr_sigma
-    p2 = tr1.scale((20.0 * n - 8.0) * c) + shape.tr_curv_sigma.scale(16.0)
-    cube = tr1 * tr1 * tr1
-    mixed = tr1 * shape.tr_sigma_sq
-    pure = shape.tr_sigma_cube
-    series = {"p2": p2}
-    for name, (w1, w2, w3) in P3_WEIGHTS.items():
-        series[name] = cube.scale(float(w1)) + mixed.scale(float(w2)) \
-            + pure.scale(float(w3))
-    if density is not None and averaged_density is not None:
-        factor = density * averaged_density.inverse()
-        series = {k: (s * factor).truncate(3) for k, s in series.items()}
-    r3 = {k: float(s.coefficient(3)) for k, s in series.items()}
-    return BoundaryPolynomials(p1=a2_integrand(inv),
-                               p2=series["p2"],
-                               p3_dirichlet=series["p3_dirichlet"],
-                               p3_neumann=series["p3_neumann"],
-                               r3=r3,
-                               decomposition=structural_p_decompositions(n))
-
-
-@dataclass
-class DecompositionFit:
-    """Per-direction linear fit of an r^3 coefficient against tr R'R'.
-
-    The slope is reported raw and snapped to a rational with denominator
-    at most 10000; the structural intercept is the exact (C^3, CH, L)
-    combination.
-    """
-
-    quantity: str
-    degree: int
-    basis: dict
-    slope_fitted: float
-    slope_snapped: Fraction
-    intercept_fitted: float
-    intercept_structural: float
-    fit_residual: float
-
-
-def boundary_decomposition(geometry, n_directions=16, seed=0):
-    """Fit the r^3 coefficients of P2/P3 against tr R'R' over directions.
-
-    On a harmonic space only tr R'R' varies with direction, so each r^3
-    coefficient is affine in it; the design degenerates on symmetric
-    members (tr R'R' identically zero), which raises FitIllConditioned.
-    All directions share one order-3 jet; each is expanded from its slice.
-    """
-    inv = point_invariants(geometry)
-    rng = np.random.default_rng(seed)
-    dirs = random_directions(geometry.dim, n_directions, rng)
-    batch = curvature_jet(geometry, dirs, order=3)
-    r1 = batch.matrices[1]
-    ps = np.trace(r1 @ r1, axis1=1, axis2=2)
-    if ps.max() - ps.min() <= 1e-12 * max(abs(ps).max(), 1.0):
-        raise FitIllConditioned(
-            "tr R'R' constant over sampled directions; slope unidentifiable")
-    expansions = [harmonic_series(batch.direction(k))
-                  for k in range(len(dirs))]
-    avg_density = TruncatedSeries(
-        [np.mean([float(d.normalized.coefficient(k)) for d, _ in expansions])
-         for k in range(7)], offset=0)
-    r3 = [boundary_polynomials(shape, inv, density=dens.normalized,
-                               averaged_density=avg_density).r3
-          for dens, shape in expansions]
-    c3 = Fraction(inv.c).limit_denominator(10 ** 9) ** 3
-    ch = Fraction(inv.c).limit_denominator(10 ** 9) \
-        * Fraction(inv.h).limit_denominator(10 ** 9)
-    lfrac = Fraction(inv.l).limit_denominator(10 ** 9)
-    fits = {}
-    design = np.stack([np.ones_like(ps), ps], axis=1)
-    for key, basis in structural_p_decompositions(geometry.dim).items():
-        values = np.array([r[key] for r in r3])
-        sol, *_ = np.linalg.lstsq(design, values, rcond=None)
-        intercept, slope = float(sol[0]), float(sol[1])
-        fits[key] = DecompositionFit(
-            quantity=key, degree=3, basis=basis,
-            slope_fitted=slope,
-            slope_snapped=Fraction(slope).limit_denominator(10000),
-            intercept_fitted=intercept,
-            intercept_structural=float(basis["C3"] * c3 + basis["CH"] * ch
-                                       + basis["L"] * lfrac),
-            fit_residual=float(np.max(np.abs(design @ sol - values))))
-    return fits
-
-
 def averaged_boundary_r3(inv):
     """Direction-averaged r^3 coefficients of the boundary polynomials,
     from the member's :class:`PointInvariants`.
 
     Averaging the affine dependence on tr R'R' replaces it by its exact
     sphere average, so the result needs no fitting and exists on symmetric
-    members where the per-direction fit degenerates.
+    members, where tr R'R' is constant and a fit against it degenerates.
     """
     # 16 times the (1/16) tr R'R' average; a power-of-two scaling is exact
     avg_p = 16.0 * inv.alpha_beta_averages()[0]

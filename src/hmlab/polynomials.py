@@ -2,7 +2,7 @@
 
 Everything here runs over Gaussian rationals so that Laplacians, rotation
 derivatives and rank computations are exact; no float enters until a caller
-asks for evaluation.  A polynomial is a dictionary from exponent tuples to
+converts a coefficient.  A polynomial is a dictionary from exponent tuples to
 integer pairs (re, im) over one common denominator, which is plenty for the
 homogeneous degrees (<= 6) this package ever touches.
 """
@@ -47,12 +47,6 @@ class CPoly:
     @classmethod
     def constant(cls, nvars, value):
         return cls(nvars, {(0,) * nvars: (1, 0)}).scale(value)
-
-    @classmethod
-    def variable(cls, nvars, index):
-        mono = [0] * nvars
-        mono[index] = 1
-        return cls(nvars, {tuple(mono): (1, 0)})
 
     @classmethod
     def linear_form(cls, re, im):
@@ -123,17 +117,6 @@ class CPoly:
         return CPoly(self.nvars, {m: (x, -y) for m, (x, y) in self.terms.items()},
                      self.den)
 
-    def partial(self, index):
-        out = {}
-        for mono, (x, y) in self.terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            down = list(mono)
-            down[index] = e - 1
-            out[tuple(down)] = (x * e, y * e)
-        return CPoly(self.nvars, out, self.den)
-
     def laplacian(self):
         out = {}
         for mono, (x, y) in self.terms.items():
@@ -171,16 +154,6 @@ class CPoly:
                     out[target] = (x * f, y * f) if prev is None else \
                         (prev[0] + x * f, prev[1] + y * f)
         return CPoly(self.nvars, out, self.den * j_den)
-
-    def evaluate(self, point):
-        total = complex(0.0)
-        for mono, (x, y) in self.terms.items():
-            v = complex(x / self.den, y / self.den)
-            for p, e in zip(point, mono):
-                if e:
-                    v *= p ** e
-            total += v
-        return total
 
     def __repr__(self):
         if not self.terms:

@@ -136,7 +136,6 @@ class ShapeTraces:
     tr_sigma_sq: TruncatedSeries
     tr_sigma_cube: TruncatedSeries
     tr_curv_sigma: TruncatedSeries
-    sigma: TruncatedSeries
 
 
 def shape_trace_series(a_series, jet, r4_trace=0.0):
@@ -159,8 +158,7 @@ def shape_trace_series(a_series, jet, r4_trace=0.0):
     r_series = TruncatedSeries(r_coeffs, offset=0)
     tr_curv_sigma = (r_series * sigma).trace()
     return ShapeTraces(tr_sigma=tr_sigma, tr_sigma_sq=tr_sigma_sq,
-                       tr_sigma_cube=tr_sigma_cube, tr_curv_sigma=tr_curv_sigma,
-                       sigma=sigma)
+                       tr_sigma_cube=tr_sigma_cube, tr_curv_sigma=tr_curv_sigma)
 
 
 def harmonic_series(jet):
@@ -168,22 +166,6 @@ def harmonic_series(jet):
     harmonic candidate, closed through r^6."""
     dens = harmonic_density(jet)
     return dens, shape_trace_series(dens.a_series, jet)
-
-
-def harmonic_shape_expectations(n, c, h, l, p):
-    """Frozen transverse-trace coefficients of a harmonic space.
-
-    Keyed by series power; derived once from the density coefficients and
-    reproduced by the cotangent series on the round sphere.
-    """
-    return {
-        "tr_sigma": {-1: float(n - 1), 1: -c / 3.0, 3: -h / 45.0, 5: -l / 15120.0},
-        "tr_sigma_sq": {-2: float(n - 1), 0: -2.0 * c / 3.0, 2: h / 15.0,
-                        4: l / 3024.0},
-        "tr_sigma_cube": {-3: float(n - 1), -1: -c, 1: 4.0 * h / 15.0,
-                          3: l / 30240.0 - p / 96.0},
-        "tr_curv_sigma": {-1: c, 1: -h / 3.0, 3: -l / 1440.0 + p / 96.0},
-    }
 
 
 # -- volume of geodesic balls and spheres ------------------------------------

@@ -183,9 +183,6 @@ class TruncatedSeries:
     def trace(self):
         return TruncatedSeries([np.trace(c) for c in self.coeffs], self.offset)
 
-    def entry(self, i, j):
-        return TruncatedSeries([c[i, j] for c in self.coeffs], self.offset)
-
     def log(self):
         """log of a series with leading term 1 (scalar) or identity (matrix)."""
         if self.offset != 0:
@@ -250,41 +247,3 @@ class TruncatedSeries:
         kind = "matrix" if self.is_matrix_valued else "scalar"
         return (f"TruncatedSeries({kind}, powers {self.offset}..{self.top}, "
                 f"{len(self.coeffs)} coeffs)")
-
-
-def det_cofactor(series):
-    """Determinant by Laplace expansion on scalar entry series.
-
-    Independent of TruncatedSeries.det; used as a cross-check oracle.
-    Minors are memoized on the column mask, so the cost is 2**dim states
-    rather than dim! leaves.
-    """
-    dim = series.coeffs[0].shape[0]
-    top = series.top
-    entries = [[series.entry(i, j).truncate(top) for j in range(dim)]
-               for i in range(dim)]
-    cache = {}
-
-    def minor(mask):
-        row = dim - bin(mask).count("1")
-        if row == dim - 1:
-            # a one-column minor is its entry
-            return entries[row][mask.bit_length() - 1]
-        got = cache.get(mask)
-        if got is not None:
-            return got
-        acc = None
-        sign = 1
-        for j in range(dim):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            term = (entries[row][j] * minor(mask & ~bit)).truncate(top)
-            if sign < 0:
-                term = -term
-            acc = term if acc is None else acc + term
-            sign = -sign
-        cache[mask] = acc
-        return acc
-
-    return minor((1 << dim) - 1).truncate(top)

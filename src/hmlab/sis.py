@@ -32,8 +32,10 @@ class IdentityVector:
     """One linear identity over the six-slot basis.
 
     ``degree`` is the radial expansion degree the identity came from, when
-    it has one; sphere-derived degrees are even, ball-derived odd (the
-    family members have even dimension, which fixes the parity).  ``origin``
+    it has one; sphere-derived degrees are even, ball-derived odd.  The
+    ball identities sit at the degrees n + 1 and n + 5, so they exist in
+    even dimension n only: members with a center of dimension 1 or 3.  A
+    center of dimension 2 gives n = 4(a + b) + 3, which is odd.  ``origin``
     is 'sphere' or 'ball' for graded bookkeeping.
     """
 
@@ -134,30 +136,6 @@ def lichnerowicz_vector(n):
         coeffs=(Fraction(-4 * n, 3), Fraction(4 * n, 3) * (n + 2), Fraction(0),
                 Fraction(-1), Fraction(-4), Fraction(1)),
         degree=None)
-
-
-def theta_power_vector(n, k):
-    """Sixth coefficient of the k-th density power as an identity vector.
-
-    Multinomial bookkeeping: [r^6](theta^k) = k*A6 + k(k-1)*A2*A4
-    + binom(k,3)*A2^3, everything expressed over (C^3, CH, L).
-    """
-    n = int(n)
-    k = int(k)
-    if k < 1:
-        raise ValueError("power must be positive")
-    a6 = {"C3": Fraction(-1, 1296), "CH": Fraction(1, 1080),
-          "L": Fraction(-1, 90720)}
-    a2a4 = {"C3": Fraction(-1, 432), "CH": Fraction(1, 1080), "L": Fraction(0)}
-    a2cube = {"C3": Fraction(-1, 216), "CH": Fraction(0), "L": Fraction(0)}
-    binom3 = Fraction(k * (k - 1) * (k - 2), 6)
-    coeffs = []
-    for slot in ("C3", "CH", "L"):
-        coeffs.append(k * a6[slot] + k * (k - 1) * a2a4[slot]
-                      + binom3 * a2cube[slot])
-    coeffs += [Fraction(0), Fraction(0), Fraction(0)]
-    return IdentityVector(name=f"density-power-{k}-r6", coeffs=tuple(coeffs),
-                          degree=6, provenance=f"theta_power:{k}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ across one grid doubling and carry that difference as an error bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +21,8 @@ from .errors import (ConsistencyFailure, ConvergenceFailure,
                      DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
                      InvalidSampling, NonIntegrableWeight, NotComplexStructure,
                      SpectraDiffer, ZeroLatticeVector)
-from .polynomials import (CPoly, adapted_coordinates,
-                          harmonic_projection, harmonic_space_dimension,
-                          monomials_of_degree, radius_square)
+from .polynomials import (CPoly, adapted_coordinates, harmonic_projection,
+                          harmonic_space_dimension, monomials_of_degree)
 
 MAX_DEGREE = 6  # of the exact bidegree bases
 MIN_GRID = 64  # cells of a radial grid
@@ -35,7 +34,6 @@ MAX_SPREAD = 0.05  # grid-doubling spread, relative, above which a solve fails
 
 @dataclass
 class LatticeSymbol:
-    z_gamma: np.ndarray
     mu: float
     j_matrix: np.ndarray
     j_unit_rows: object
@@ -65,8 +63,7 @@ def laplacian_symbol(jmap, z_gamma):
     if norm is not None:
         j_rows_exact = [[x / norm for x in row] for row in j_raw]
     j_float = j_raw.astype(float)
-    return LatticeSymbol(z_gamma=np.array([float(x) for x in z]),
-                         mu=math.pi * math.sqrt(float(norm_sq)),
+    return LatticeSymbol(mu=math.pi * math.sqrt(float(norm_sq)),
                          j_matrix=j_float,
                          j_unit_rows=j_rows_exact)
 
@@ -244,60 +241,13 @@ def operator_for_sector(k, degree, m_label, mu):
     return RadialOperator(k=k, n=degree, m=-m_label, mu=mu)
 
 
-def diamond_coefficients(f_coeffs, k, n, m, mu):
-    """Exact coefficients of the radial operator applied to a t-polynomial;
-    with ``restricted_apply`` it pins the sign of ``operator_for_sector``."""
-    f = [Fraction(x) for x in f_coeffs]
-    mu = Fraction(mu)
-    out = [Fraction(0)] * (len(f) + 1)
-    for j, c in enumerate(f):
-        if j >= 1:
-            out[j - 1] += (4 * j * (j - 1) + (2 * k + 4 * n) * j) * c
-        out[j] += -(2 * m * mu + 4 * mu * mu) * c
-        out[j + 1] += -(mu * mu) * c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def restricted_apply(f_coeffs, h_poly, mu, j_rows):
-    """Exact application of the lattice-restricted operator to f(|X|^2) H;
-    the side of the audit that pins the sign of ``operator_for_sector``."""
-    t = radius_square(h_poly.nvars)
-    big = polynomial_to_series(f_coeffs, h_poly)
-    mu = Fraction(mu)
-    lap = big.laplacian()
-    rot = big.rotation_derivative(j_rows).scale(0, 2 * mu)
-    pot = (big + (t * big).scale(Fraction(1, 4))).scale(-4 * mu * mu)
-    return lap + rot + pot
-
-
-def polynomial_to_series(coeffs, h_poly):
-    """f(|X|^2) H, where ``coeffs`` are the coefficients of f in t = |X|^2;
-    it states both sides of the ``operator_for_sector`` sign audit."""
-    k = h_poly.nvars
-    t = radius_square(k)
-    out = CPoly.constant(k, 0)
-    t_pow = CPoly.constant(k, 1)
-    for c in coeffs:
-        out = out + (t_pow * h_poly).scale(c)
-        t_pow = t_pow * t
-    return out
-
-
 # -- finite-volume Sturm-Liouville solver ---------------------------------------
 
 
 @dataclass
 class SpectrumReport:
-    operator: RadialOperator
-    t_domain: float
-    bc: tuple
-    grid: int
     eigenvalues: np.ndarray
     error_bars: np.ndarray
-    coarse: np.ndarray = field(repr=False, default=None)
-    fine: np.ndarray = field(repr=False, default=None)
 
 
 def _assemble_grid(op, t_domain, bc, n_cells):
@@ -381,16 +331,7 @@ def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6):
     if worst > MAX_SPREAD:
         raise ConvergenceFailure(
             f"grid doubling moved an eigenvalue by {worst:.2e} relative")
-    return SpectrumReport(operator=op, t_domain=t_domain, bc=tuple(bc),
-                          grid=grid, eigenvalues=extrap, error_bars=bars,
-                          coarse=coarse, fine=fine)
-
-
-def laguerre_eigenvalue(op, index):
-    """Whole-space eigenvalue -mu (4N + k + 2n + 2m) - 4 mu^2; the exact
-    reference that ``radial_spectrum`` is checked against."""
-    return -op.mu * (4 * index + op.k + 2 * op.n + 2 * op.m) \
-        - 4.0 * op.mu ** 2
+    return SpectrumReport(eigenvalues=extrap, error_bars=bars)
 
 
 # -- orthogonal conjugacy of complex structures ---------------------------------
@@ -552,80 +493,3 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
         blocks.append(entry)
     return IsospectralityReport(module_dim=ka, center_dim=la, blocks=blocks,
                                 isospectral=all_agree)
-
-
-# -- center-ball quantization and the magnetic dictionary -----------------------
-
-
-@dataclass
-class BundleSpectrumEntry:
-    angular_degree: int
-    index: int
-    mu: float
-    ball_eigenvalue: float
-    x_eigenvalues: np.ndarray
-    x_error_bars: np.ndarray
-
-
-def ball_bundle_spectrum(center_dim, z_radius, k, degree, m_label,
-                         angular_max=1, per_mode=3, t_x=10.0,
-                         bc_z=(0.0, 1.0), bc_x=(0.0, 1.0), grid=128,
-                         x_count=4):
-    """Quantize mu over a center ball, then solve each x-side problem.
-
-    The center ball's radial problems reuse the same solver with k set to
-    the center dimension and the harmonic degree playing the angular role;
-    a Dirichlet ball eigenvalue lam > 0 feeds mu = sqrt(lam)/2 into the
-    module-side operator.  A Neumann ground mode has lam = 0 and collapses
-    to the zero-parameter operator.
-    """
-    entries = []
-    for s in range(angular_max + 1):
-        z_op = RadialOperator(k=center_dim, n=s, m=0, mu=0.0)
-        z_rep = radial_spectrum(z_op, z_radius ** 2, bc_z, grid,
-                                count=per_mode)
-        for idx, lam in enumerate(z_rep.eigenvalues):
-            positive = -lam
-            if positive < 0:
-                if positive > -10.0 * z_rep.error_bars[idx] - 1e-12:
-                    positive = 0.0
-                else:
-                    raise ConvergenceFailure(
-                        "center-ball eigenvalue escaped the nonnegative axis")
-            mu = math.sqrt(positive) / 2.0
-            x_op = operator_for_sector(k, degree, m_label, mu)
-            x_rep = radial_spectrum(x_op, t_x, bc_x, grid, count=x_count)
-            entries.append(BundleSpectrumEntry(
-                angular_degree=s, index=idx, mu=mu,
-                ball_eigenvalue=float(lam),
-                x_eigenvalues=x_rep.eigenvalues,
-                x_error_bars=x_rep.error_bars))
-    return entries
-
-
-@dataclass
-class MagneticMap:
-    mu: float
-    oscillator_from_mu: float
-    oscillator_physical: float
-
-    @property
-    def consistent(self):
-        scale = max(abs(self.oscillator_physical), 1e-300)
-        return abs(self.oscillator_from_mu - self.oscillator_physical) \
-            <= 1e-12 * scale
-
-
-def glz_parameter_map(charge, field_strength, mass, light_speed, hbar):
-    """Identify the spectral parameter with the magnetic quantities.
-
-    mu = eB/(2 hbar c); the quadratic confinement coefficient of
-    -(hbar^2/2m) times the radial operator must reproduce the physical
-    e^2 B^2 / (8 m c^2), which is the dictionary's consistency check.
-    """
-    mu = charge * field_strength / (2.0 * hbar * light_speed)
-    from_mu = hbar ** 2 * mu ** 2 / (2.0 * mass)
-    physical = charge ** 2 * field_strength ** 2 \
-        / (8.0 * mass * light_speed ** 2)
-    return MagneticMap(mu=mu, oscillator_from_mu=from_mu,
-                       oscillator_physical=physical)

@@ -100,6 +100,7 @@ def test_verify_rejects_direction_count_below_one(count, tmp_path, capsys):
     (["counterexample", "--family", "3:2,0;1,1", "--seed", "-1"], "--seed"),
     (["expand", "--family", "1:1,0", "--seed", "-1"], "--seed"),
     (["sis", "--family", "3:2,0;1,1"], "--family"),
+    (["sis", "--family", "2:1,0"], "--family"),
     (["expand", "--family", "3:2,0;1,1"], "--family"),
 ])
 def test_out_of_range_inputs_are_usage_errors_before_any_work(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmlab.clifford import build_clifford_module, build_j_map, exchange_endomorphism
+from hmlab.clifford import build_clifford_module, build_j_map
 from hmlab.errors import InvalidMultiplicity, UnsupportedCenterDimension
 
 
@@ -57,16 +57,3 @@ def test_j_of_center_basis_is_integer_and_orthogonal():
         j = jm.j_of_center_basis(a)
         assert j.dtype.kind == 'i'
         assert np.array_equal(j @ j.T, np.eye(jm.total_dim, dtype=int))
-
-
-def test_exchange_endomorphism_links_the_two_actions():
-    plain = build_j_map(3, 2, 0)
-    mixed = build_j_map(3, 1, 1)
-    sigma = exchange_endomorphism(mixed)
-    assert np.array_equal(sigma @ sigma, np.eye(8, dtype=int))
-    for a in range(3):
-        assert np.array_equal(sigma @ plain.j_of_center_basis(a),
-                              mixed.j_of_center_basis(a))
-        # sigma commutes with the unmixed action
-        ja = plain.j_of_center_basis(a)
-        assert np.array_equal(sigma @ ja, ja @ sigma)

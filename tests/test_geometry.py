@@ -8,12 +8,24 @@ from numpy.testing import assert_allclose
 
 from hmlab.clifford import build_j_map
 from hmlab.errors import NotHType, OrderUnsupported
-from hmlab.geometry import (JET_BLOCK, build_htype_algebra, clifford_defect,
+from hmlab.geometry import (JET_BLOCK, build_htype_algebra,
                             constant_curvature_geometry, covariant_derivative,
                             curvature_jet, damek_ricci_geometry,
-                            geometry_from_algebra, jacobi_defect, levi_civita,
-                            ricci, scale_bracket, sectional)
+                            geometry_from_algebra, levi_civita, ricci,
+                            scale_bracket)
 from hmlab.invariants import direction_constants, random_directions
+
+
+def jacobi_defect(c):
+    """Largest violation of the Jacobi identity; zero for a Lie algebra."""
+    t = np.einsum('ijm,mkl->ijkl', c, c)
+    cyc = t + np.einsum('jkil->ijkl', t) + np.einsum('kijl->ijkl', t)
+    return float(np.max(np.abs(cyc)))
+
+
+def sectional(r, x, y):
+    """Sectional curvature of the plane spanned by orthonormal x, y."""
+    return float(np.einsum('ijcd,i,j,c,d->', r, x, y, y, x))
 
 
 def test_htype_bracket_encodes_j_transpose():

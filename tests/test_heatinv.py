@@ -13,15 +13,58 @@ from hmlab.exactlinalg import rank
 from hmlab.geometry import constant_curvature_geometry, curvature_jet
 from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_samples,
                            alpha2_cross_difference, alpha_beta_parts,
-                           a2_integrand, a2_integrand_from_traces,
-                           averaged_boundary_r3, boundary_decomposition,
-                           boundary_polynomials, sphere_intrinsic_oracle,
+                           averaged_boundary_r3, sphere_intrinsic_oracle,
                            structural_p_decompositions, structural_r3_table)
 from hmlab.invariants import (point_invariants, random_directions,
                               sphere_average, beta_tensor)
 from hmlab.radial import (density_series, harmonic_trace_c6, jacobi_series,
                           shape_trace_series)
 from hmlab.series import TruncatedSeries
+
+
+def a2_integrand(inv):
+    """Pointwise second interior heat coefficient integrand.
+
+    (5 scal^2 - 2|Ric|^2 + 2|R|^2)/360 with scal = nC and |Ric|^2 = nC^2 on
+    an Einstein space.
+    """
+    n, c = inv.dim, inv.c
+    scal = n * c
+    ric_sq = n * c * c
+    return (5.0 * scal * scal - 2.0 * ric_sq + 2.0 * inv.norm_r_sq) / 360.0
+
+
+def a2_integrand_from_traces(inv):
+    """Same combination with |R|^2 folded through the H identity."""
+    n, c, h = inv.dim, inv.c, inv.h
+    return (5.0 * (n * c) ** 2 - 2.0 * n * c * c
+            + (4.0 * n / 3.0) * ((n + 2) * h - c * c)) / 360.0
+
+
+def boundary_polynomials(shape, inv, density=None, averaged_density=None):
+    """r^3 coefficients of the boundary polynomials P2, P3 (Dirichlet) and
+    P3 (Neumann) from one direction's transverse trace series.
+
+    Given the direction's normalized ``density`` and the
+    ``averaged_density``, each series is multiplied by their ratio before
+    coefficient extraction; the ratio is one when the density is a radial
+    function (the harmonic case), which leaves the raw traces.
+    """
+    n = inv.dim
+    c = inv.c
+    tr1 = shape.tr_sigma
+    p2 = tr1.scale((20.0 * n - 8.0) * c) + shape.tr_curv_sigma.scale(16.0)
+    cube = tr1 * tr1 * tr1
+    mixed = tr1 * shape.tr_sigma_sq
+    pure = shape.tr_sigma_cube
+    series = {"p2": p2}
+    for name, (w1, w2, w3) in P3_WEIGHTS.items():
+        series[name] = cube.scale(float(w1)) + mixed.scale(float(w2)) \
+            + pure.scale(float(w3))
+    if density is not None and averaged_density is not None:
+        factor = density * averaged_density.inverse()
+        series = {k: (s * factor).truncate(3) for k, s in series.items()}
+    return {k: float(s.coefficient(3)) for k, s in series.items()}
 
 
 def test_interior_coefficient_dual_routes(all_spaces):
@@ -107,23 +150,12 @@ def test_p2_structural_slope_is_one_sixth():
     assert decomp["p3_neumann"]["TrRpRp"] == Fraction(-1, 9)
 
 
-def test_boundary_fit_snaps_to_structural_slopes(ns12):
-    fits = boundary_decomposition(ns12, n_directions=12, seed=2)
-    expected = {"p2": Fraction(1, 6), "p3_dirichlet": Fraction(-10, 63),
-                "p3_neumann": Fraction(-1, 9)}
-    for key, fit in fits.items():
-        assert fit.slope_snapped == expected[key]
-        assert fit.fit_residual < 1e-9
-        assert_allclose(fit.intercept_fitted, fit.intercept_structural,
-                        rtol=1e-8)
-        assert_allclose(fit.slope_fitted, float(expected[key]), rtol=1e-8)
-
-
 def per_direction_fits(geo, n_directions, seed):
-    """Reference for ``boundary_decomposition``: the per-direction path it
-    replaced, with one order-3 jet and one written-out series closure per
-    direction, then the same normalized-mode affine fit.  Returns
-    {key: (intercept, slope)}."""
+    """Affine fit of each boundary polynomial's r^3 coefficient against
+    tr R'R' over random directions, with one order-3 jet and one written-out
+    series closure per direction; each series is normalized by the
+    direction-averaged density.  Returns {key: (intercept, slope, max
+    residual)}."""
     inv = point_invariants(geo)
     dirs = random_directions(geo.dim, n_directions,
                              np.random.default_rng(seed))
@@ -142,21 +174,36 @@ def per_direction_fits(geo, n_directions, seed):
     design = np.stack([np.ones_like(ps), ps], axis=1)
     out = {}
     for key in ("p2", "p3_dirichlet", "p3_neumann"):
-        values = [boundary_polynomials(shape, inv, density=d.normalized,
-                                       averaged_density=avg).r3[key]
-                  for _, d, shape in per_dir]
-        sol, *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
-        out[key] = (float(sol[0]), float(sol[1]))
+        values = np.array([boundary_polynomials(shape, inv, density=d.normalized,
+                                                averaged_density=avg)[key]
+                           for _, d, shape in per_dir])
+        sol, *_ = np.linalg.lstsq(design, values, rcond=None)
+        out[key] = (float(sol[0]), float(sol[1]),
+                    float(np.max(np.abs(design @ sol - values))))
     return out
 
 
-def test_boundary_fit_matches_the_per_direction_reference(ns12):
-    fits = boundary_decomposition(ns12, n_directions=12, seed=2)
-    reference = per_direction_fits(ns12, 12, 2)
-    assert set(fits) == set(reference)
-    for key, (intercept, slope) in reference.items():
-        assert_allclose(fits[key].intercept_fitted, intercept, rtol=1e-12)
-        assert_allclose(fits[key].slope_fitted, slope, rtol=1e-12)
+def test_boundary_fit_snaps_to_structural_slopes(ns12):
+    """On a harmonic space only tr R'R' varies with direction, so each r^3
+    coefficient is affine in it: the fitted slope snaps to the structural
+    rational, and the intercept is the exact (C^3, CH, L) combination."""
+    inv = point_invariants(ns12)
+    c = Fraction(inv.c).limit_denominator(10 ** 9)
+    h = Fraction(inv.h).limit_denominator(10 ** 9)
+    lfrac = Fraction(inv.l).limit_denominator(10 ** 9)
+    decomp = structural_p_decompositions(12)
+    expected = {"p2": Fraction(1, 6), "p3_dirichlet": Fraction(-10, 63),
+                "p3_neumann": Fraction(-1, 9)}
+    fits = per_direction_fits(ns12, 12, 2)
+    assert set(fits) == set(expected)
+    for key, (intercept, slope, residual) in fits.items():
+        basis = decomp[key]
+        structural = float(basis["C3"] * c ** 3 + basis["CH"] * c * h
+                           + basis["L"] * lfrac)
+        assert Fraction(slope).limit_denominator(10000) == expected[key]
+        assert residual < 1e-9
+        assert_allclose(intercept, structural, rtol=1e-8)
+        assert_allclose(slope, float(expected[key]), rtol=1e-8)
 
 
 def recorded_jets(monkeypatch):
@@ -174,24 +221,12 @@ def recorded_jets(monkeypatch):
     return calls
 
 
-def test_boundary_fit_takes_one_jet_for_all_directions(ns12, monkeypatch):
-    """One batched order-3 jet serves every direction of the fit."""
-    calls = recorded_jets(monkeypatch)
-    boundary_decomposition(ns12, n_directions=12, seed=2)
-    assert [c for c in calls if c[0] == 3] == [(3, (12, 12))]
-
-
 def test_cross_difference_predicts_from_one_jet(ns12, monkeypatch):
     calls = recorded_jets(monkeypatch)
     alpha2_cross_difference(ns12, np.eye(12)[0], np.eye(12)[5],
                             radii=np.geomspace(0.1, 0.4, 4), powers=(2, 3),
                             steps_per_unit=64)
     assert calls == [(1, (2, 12))]
-
-
-def test_boundary_fit_degenerates_on_symmetric_member(hh3):
-    with pytest.raises(FitIllConditioned):
-        boundary_decomposition(hh3, n_directions=8, seed=0)
 
 
 def test_averaged_boundary_r3_distinguishes_the_pair(hh3, ns12):
@@ -220,9 +255,9 @@ def test_normalized_mode_with_matching_density_is_raw(hh2):
     raw = boundary_polynomials(shape, inv)
     cooked = boundary_polynomials(shape, inv, density=dens.normalized,
                                   averaged_density=dens.normalized)
-    for key in raw.r3:
-        assert_allclose(cooked.r3[key], raw.r3[key], rtol=1e-10)
-    assert raw.decomposition != {}
+    assert set(cooked) == set(raw)
+    for key in raw:
+        assert_allclose(cooked[key], raw[key], rtol=1e-10)
 
 
 def test_flat_space_sphere_curvature_is_exact():

@@ -15,9 +15,16 @@ from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
                               beta_tensor, direction_constants,
                               grad_quad_tensor, gradient_adjusted_cubics,
                               mc_average, perfect_matchings, point_invariants,
-                              r_cube_tensor, random_directions, sphere_average,
+                              random_directions, sphere_average,
                               verify_average_identities,
                               verify_einstein_identities, verify_harmonicity)
+
+
+def r_cube_tensor(geometry):
+    """Coefficient tensor of tr R_u^3; the materialized reference that the
+    factor form of ``sphere_average`` is checked against."""
+    r = geometry.r
+    return np.einsum(R_CUBE_SPEC, r, r, r, optimize=True)
 
 
 def test_round_sphere_direction_traces(sphere6):

@@ -14,10 +14,26 @@ from hmlab.heatinv import _sphere_curvature_samples
 from hmlab.invariants import direction_constants, point_invariants
 from hmlab.series import TruncatedSeries
 from hmlab.radial import (density_series, extend_with_trace,
-                          harmonic_shape_expectations, harmonic_trace_c6,
-                          jacobi_series, ode_oracle,
+                          harmonic_trace_c6, jacobi_series, ode_oracle,
                           peel_coefficients, radial_density,
                           shape_trace_series, vk_recursion, volume_series)
+
+
+def harmonic_shape_expectations(n, c, h, l, p):
+    """Frozen transverse-trace coefficients of a harmonic space.
+
+    Keyed by series power; derived once from the density coefficients and
+    reproduced by the cotangent series on the round sphere.  ``p`` is
+    tr R'R' along the direction.
+    """
+    return {
+        "tr_sigma": {-1: float(n - 1), 1: -c / 3.0, 3: -h / 45.0, 5: -l / 15120.0},
+        "tr_sigma_sq": {-2: float(n - 1), 0: -2.0 * c / 3.0, 2: h / 15.0,
+                        4: l / 3024.0},
+        "tr_sigma_cube": {-3: float(n - 1), -1: -c, 1: 4.0 * h / 15.0,
+                          3: l / 30240.0 - p / 96.0},
+        "tr_curv_sigma": {-1: c, 1: -h / 3.0, 3: -l / 1440.0 + p / 96.0},
+    }
 
 
 def poly_mul(a, b, top):

@@ -1,6 +1,5 @@
 """Windowed Laurent series arithmetic, checked against polynomial algebra."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,46 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hmlab.errors import SingularSeries
-from hmlab.series import TruncatedSeries, det_cofactor
+from hmlab.series import TruncatedSeries
+
+
+def det_cofactor(series):
+    """Determinant by Laplace expansion on scalar entry series.
+
+    Independent of TruncatedSeries.det, which it cross-checks.
+    Minors are memoized on the column mask, so the cost is 2**dim states
+    rather than dim! leaves.
+    """
+    dim = series.coeffs[0].shape[0]
+    top = series.top
+    entries = [[TruncatedSeries([c[i, j] for c in series.coeffs],
+                                series.offset).truncate(top)
+                for j in range(dim)] for i in range(dim)]
+    cache = {}
+
+    def minor(mask):
+        row = dim - bin(mask).count("1")
+        if row == dim - 1:
+            # a one-column minor is its entry
+            return entries[row][mask.bit_length() - 1]
+        got = cache.get(mask)
+        if got is not None:
+            return got
+        acc = None
+        sign = 1
+        for j in range(dim):
+            bit = 1 << j
+            if not mask & bit:
+                continue
+            term = (entries[row][j] * minor(mask & ~bit)).truncate(top)
+            if sign < 0:
+                term = -term
+            acc = term if acc is None else acc + term
+            sign = -sign
+        cache[mask] = acc
+        return acc
+
+    return minor((1 << dim) - 1).truncate(top)
 
 
 def test_product_matches_convolution():

@@ -15,7 +15,31 @@ from hmlab.sis import (IdentityVector, ball_boundary_vector,
                        density_vector, eliminate, euclidean_gram,
                        gradient_square_vector, lichnerowicz_vector,
                        moment_gram, noise_wave, rank_and_membership,
-                       ricci_square_vector, theta_power_vector)
+                       ricci_square_vector)
+
+
+def theta_power_vector(n, k):
+    """Sixth coefficient of the k-th density power as an identity vector.
+
+    Multinomial bookkeeping: [r^6](theta^k) = k*A6 + k(k-1)*A2*A4
+    + binom(k,3)*A2^3, everything expressed over (C^3, CH, L).
+    """
+    n = int(n)
+    k = int(k)
+    if k < 1:
+        raise ValueError("power must be positive")
+    a6 = {"C3": Fraction(-1, 1296), "CH": Fraction(1, 1080),
+          "L": Fraction(-1, 90720)}
+    a2a4 = {"C3": Fraction(-1, 432), "CH": Fraction(1, 1080), "L": Fraction(0)}
+    a2cube = {"C3": Fraction(-1, 216), "CH": Fraction(0), "L": Fraction(0)}
+    binom3 = Fraction(k * (k - 1) * (k - 2), 6)
+    coeffs = []
+    for slot in ("C3", "CH", "L"):
+        coeffs.append(k * a6[slot] + k * (k - 1) * a2a4[slot]
+                      + binom3 * a2cube[slot])
+    coeffs += [Fraction(0), Fraction(0), Fraction(0)]
+    return IdentityVector(name=f"density-power-{k}-r6", coeffs=tuple(coeffs),
+                          degree=6, provenance=f"theta_power:{k}")
 
 
 def basis_values(geo):

@@ -21,6 +21,52 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def identifiers(node):
+    """Every name, attribute and imported name used under ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add((sub.asname or sub.name).rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_definition_is_reached():
+    """The package is what a command, the release gate or the benchmark
+    reaches.  Roots: every identifier in cli.py, the gate and its fixtures,
+    and bench/*.py, plus the module-level statements of the package other
+    than its imports.  A top-level function or class is reached when its
+    name is a root or is used in the body of a reached definition.  Oracles
+    that only tests compare against live in those tests."""
+    repo = Path(__file__).resolve().parent.parent
+    package = repo / "src" / "hmlab"
+    entry = [package / "cli.py", repo / "tests" / "test_acceptance.py",
+             repo / "tests" / "conftest.py",
+             *sorted((repo / "bench").glob("*.py"))]
+    reached = set()
+    for path in entry:
+        reached |= identifiers(ast.parse(path.read_text()))
+    definitions = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append((path.stem, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= identifiers(node)
+    todo = list(reached)
+    while todo:
+        for _, node in definitions.get(todo.pop(), []):
+            new = identifiers(node) - reached
+            reached |= new
+            todo += new
+    unreached = sorted(f"{module}.{name}" for name, defs in definitions.items()
+                       for module, _ in defs if name not in reached)
+    assert unreached == []
+
+
 def calls_by_scope(name):
     """(module, enclosing function) of every call to ``name`` in the package;
     the scope of a module-level call is '<module>'."""

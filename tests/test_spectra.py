@@ -22,14 +22,10 @@ from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
 from hmlab.polynomials import (CPoly, adapted_coordinates,
                                harmonic_projection, harmonic_space_dimension,
                                monomials_of_degree, radius_square)
-from hmlab.spectra import (RadialOperator, ball_bundle_spectrum,
-                           build_hnm_basis, conjugacy_check,
-                           diamond_coefficients, glz_parameter_map,
+from hmlab.spectra import (RadialOperator, build_hnm_basis, conjugacy_check,
                            hnm_basis_for_lattice, hnm_multiplicity_oracle,
-                           isospectrality_report, laguerre_eigenvalue,
-                           laplacian_symbol, operator_for_sector,
-                           polynomial_to_series, radial_spectrum,
-                           restricted_apply)
+                           isospectrality_report, laplacian_symbol,
+                           operator_for_sector, radial_spectrum)
 
 
 def unit_j_rows(jmap, z):
@@ -292,6 +288,49 @@ def test_operator_for_sector_negates_the_label():
     assert op.s_exponent == (8 + 2 * 3) / 2
 
 
+def diamond_coefficients(f_coeffs, k, n, m, mu):
+    """Exact coefficients of the radial operator applied to a t-polynomial;
+    with ``restricted_apply`` it pins the sign of
+    ``spectra.operator_for_sector``."""
+    f = [Fraction(x) for x in f_coeffs]
+    mu = Fraction(mu)
+    out = [Fraction(0)] * (len(f) + 1)
+    for j, c in enumerate(f):
+        if j >= 1:
+            out[j - 1] += (4 * j * (j - 1) + (2 * k + 4 * n) * j) * c
+        out[j] += -(2 * m * mu + 4 * mu * mu) * c
+        out[j + 1] += -(mu * mu) * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def restricted_apply(f_coeffs, h_poly, mu, j_rows):
+    """Exact application of the lattice-restricted operator to f(|X|^2) H;
+    the side of the audit that pins the sign of
+    ``spectra.operator_for_sector``."""
+    t = radius_square(h_poly.nvars)
+    big = polynomial_to_series(f_coeffs, h_poly)
+    mu = Fraction(mu)
+    lap = big.laplacian()
+    rot = big.rotation_derivative(j_rows).scale(0, 2 * mu)
+    pot = (big + (t * big).scale(Fraction(1, 4))).scale(-4 * mu * mu)
+    return lap + rot + pot
+
+
+def polynomial_to_series(coeffs, h_poly):
+    """f(|X|^2) H, where ``coeffs`` are the coefficients of f in t = |X|^2;
+    it states both sides of the sign audit."""
+    k = h_poly.nvars
+    t = radius_square(k)
+    out = CPoly.constant(k, 0)
+    t_pow = CPoly.constant(k, 1)
+    for c in coeffs:
+        out = out + (t_pow * h_poly).scale(c)
+        t_pow = t_pow * t
+    return out
+
+
 def test_restricted_apply_matches_diamond_coefficients():
     """Apply the full flat operator to f(|X|^2) h and compare with the
     radial recursion; the match picks out exactly one sign of m."""
@@ -357,6 +396,13 @@ def test_grid_doubling_stays_within_bars():
     fine = radial_spectrum(op, 10.0, grid=256, count=4)
     assert np.all(np.abs(coarse.eigenvalues - fine.eigenvalues)
                   <= coarse.error_bars + fine.error_bars + 1e-12)
+
+
+def laguerre_eigenvalue(op, index):
+    """Whole-space eigenvalue -mu (4N + k + 2n + 2m) - 4 mu^2; the exact
+    reference that ``radial_spectrum`` is checked against."""
+    return -op.mu * (4 * index + op.k + 2 * op.n + 2 * op.m) \
+        - 4.0 * op.mu ** 2
 
 
 def test_laguerre_reference_case():
@@ -545,39 +591,3 @@ def test_isospectrality_negative_control(hh3, ns12):
 def test_family_mismatch(hh2, hh3):
     with pytest.raises(FamilyMismatch):
         isospectrality_report(hh2, hh3, [(1, 0, 0)])
-
-
-# -- center-ball quantization ------------------------------------------------------
-
-
-def test_interval_quantization_for_one_dimensional_center():
-    """Dirichlet modes of [-R, R] split by parity over the two angular
-    sectors; together the mu values must walk j pi / (4R)."""
-    radius = 1.0
-    entries = ball_bundle_spectrum(center_dim=1, z_radius=radius, k=2,
-                                   degree=0, m_label=0, angular_max=1,
-                                   per_mode=2, grid=256)
-    mus = sorted(e.mu for e in entries)
-    expected = sorted((j * math.pi / (2 * radius)) / 2 for j in (1, 2, 3, 4))
-    assert_allclose(mus, expected, rtol=5e-3)
-    for e in entries:
-        assert e.x_eigenvalues.shape[0] >= 1
-
-
-def test_neumann_center_ground_mode_collapses():
-    entries = ball_bundle_spectrum(center_dim=1, z_radius=1.0, k=2,
-                                   degree=0, m_label=0, angular_max=0,
-                                   per_mode=1, bc_z=(1.0, 0.0), grid=128)
-    # the center ground eigenvalue is zero only up to solver error, so mu
-    # comes out at sqrt(solver error) scale rather than exactly zero
-    assert abs(entries[0].mu) < 1e-4
-    flat = RadialOperator(k=2, n=0, m=0, mu=0.0)
-    direct = radial_spectrum(flat, 10.0, grid=128, count=4)
-    assert_allclose(entries[0].x_eigenvalues, direct.eigenvalues, atol=1e-3)
-
-
-def test_magnetic_dictionary():
-    m = glz_parameter_map(charge=2.0, field_strength=3.0, mass=1.5,
-                          light_speed=137.0, hbar=1.0)
-    assert m.consistent
-    assert_allclose(m.mu, 2.0 * 3.0 / (2 * 1.0 * 137.0))

@@ -12,8 +12,7 @@ from .geometry import (build_damek_ricci, build_htype_algebra,
                        constant_curvature_geometry, curvature_jet,
                        damek_ricci_geometry, geometry_from_algebra,
                        scale_bracket)
-from .heatinv import (alpha_beta_parts, averaged_boundary_r3,
-                      sphere_intrinsic_oracle)
+from .heatinv import averaged_boundary_r3, sphere_intrinsic_oracle
 from .invariants import (direction_constants, mc_average, point_invariants,
                          sphere_average, verify_average_identities,
                          verify_einstein_identities, verify_harmonicity)

@@ -46,7 +46,8 @@ class InvalidSampling(HmlabError):
 
 
 class DegreeMismatch(HmlabError):
-    """Proper elimination attempted across unequal (or absent) degrees."""
+    """Proper elimination attempted across unequal (or absent) degrees, or
+    a ball identity asked for in odd dimension, where its degree is even."""
 
 
 class SymbolAbsent(HmlabError):

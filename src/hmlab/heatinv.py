@@ -11,48 +11,13 @@ oracles read the same direction parts off Jacobi-flow samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import FitIllConditioned
 from .geometry import curvature_jet, ricci
-from .invariants import point_invariants
 from .radial import _jacobi_flow
-
-
-@dataclass
-class AlphaBeta:
-    """Direction-dependent parts of the sphere-expansion coefficients.
-
-    The constant ("hatted") parts are deliberately absent: they are not
-    displayed in closed form anywhere we trust, so cross-member comparison
-    happens through fit intercepts.  ``average_*`` are the exact sphere
-    averages of the direction parts.
-    """
-
-    direction: np.ndarray
-    alpha2_direction: float
-    beta2_direction: float
-    average_alpha2_direction: float
-    average_beta2_direction: float
-
-
-def alpha_beta_parts(geometry, u):
-    """Direction parts (1/16) tr R'R' and (4/9) beta along ``u``."""
-    u = np.asarray(u, dtype=float)
-    jet = curvature_jet(geometry, u, order=1)
-    r1 = jet.matrices[1]
-    alpha_dir = float(np.trace(r1 @ r1)) / 16.0
-    ru = jet.matrices[0]
-    beta = float(np.einsum('jiqm,qi,mj->', geometry.r, ru, ru))
-    beta_dir = 4.0 * beta / 9.0
-    avg_alpha, avg_beta = point_invariants(geometry).alpha_beta_averages()
-    return AlphaBeta(direction=u, alpha2_direction=alpha_dir,
-                     beta2_direction=beta_dir,
-                     average_alpha2_direction=avg_alpha,
-                     average_beta2_direction=avg_beta)
 
 
 # -- boundary polynomials ------------------------------------------------------
@@ -131,10 +96,12 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
     """|Ric^S|^2 and |R^S|^2 of the geodesic spheres through exp(r u), at
     each radius r, from one Jacobi-flow march.
 
-    Returns the sorted radii and the arrays ``ric_sq`` and ``riem_sq`` in that
-    order.  The Gauss equation R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is
-    applied in the base frame: with v the flow's velocity, P = I - v v^T and
-    S = P q sigma q^T P (sigma = b a^-1 in the parallel frame q),
+    ``u`` is one unit direction (n,) or a batch (m, n), marched together.
+    Returns the sorted radii and the arrays ``ric_sq`` and ``riem_sq`` in
+    that order, of shape (k,) for k radii, or (m, k) for a batch.  The
+    Gauss equation R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is applied in
+    the base frame: with v the flow's velocity, P = I - v v^T and
+    S = P q b a^-1 q^T P (see ``radial._jacobi_flow`` for the state),
       Ric^S = P (Ric - R_v) P + tr(S) S - S^2,   R_v[a, b] = R[v, a, b, v].
     For |R^S|^2 expand each of the four projectors of R as I - v v^T.  One v
     gives -|R(v, ., ., .)|^2 per slot; two v's fill a skew pair (ab) or (cd)
@@ -144,26 +111,24 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
       |R^S|^2 = |R|^2 - 4|R(v)|^2 + 4|R_v|^2 + 4 R_abcd S_ad S_bc
                 + 2 (tr S^2)^2 - 2 tr S^4   (no rank-4 array is built).
     """
-    radii, states = _jacobi_flow(geometry, u, radii, steps_per_unit)
+    radii, v, q, a, b = _jacobi_flow(geometry, u, radii, steps_per_unit)
     r = geometry.r
     n = r.shape[0]
-    r_flat = r.reshape(n, -1)
-    ric = ricci(r)
-    norm_r_sq = float(np.sum(r * r))
-    ric_sq, riem_sq = [], []
-    for v, q, a, b in states:
-        proj = np.eye(n) - np.outer(v, v)
-        s = proj @ q @ b @ np.linalg.inv(a) @ q.T @ proj
-        s2 = s @ s
-        r_v_rows = v @ r_flat                      # R(v, ., ., .), flattened
-        r_v = (r_v_rows.reshape(n * n, n) @ v).reshape(n, n)
-        ric_s = proj @ (ric - r_v) @ proj + np.trace(s) * s - s2
-        ric_sq.append(np.sum(ric_s * ric_s))
-        riem_sq.append(norm_r_sq - 4.0 * (r_v_rows @ r_v_rows)
-                       + 4.0 * np.sum(r_v * r_v)
-                       + 4.0 * np.einsum('abcd,ad,bc->', r, s, s)
-                       + 2.0 * np.trace(s2) ** 2 - 2.0 * np.sum(s2 * s2.T))
-    return radii, np.array(ric_sq), np.array(riem_sq)
+    proj = np.eye(n) - v[..., :, None] * v[..., None, :]
+    s = proj @ q @ b @ np.linalg.inv(a) @ np.swapaxes(q, -2, -1) @ proj
+    s2 = s @ s
+    r_v_rows = v @ r.reshape(n, -1)                 # R(v, ., ., .), flattened
+    r_v = (r_v_rows.reshape(*v.shape[:-1], n * n, n)
+           @ v[..., None]).reshape(s.shape)
+    tr_s = np.trace(s, axis1=-2, axis2=-1)[..., None, None]
+    ric_s = proj @ (ricci(r) - r_v) @ proj + tr_s * s - s2
+    ric_sq = np.sum(ric_s * ric_s, axis=(-2, -1))
+    riem_sq = (float(np.sum(r * r)) - 4.0 * np.sum(r_v_rows * r_v_rows, axis=-1)
+               + 4.0 * np.sum(r_v * r_v, axis=(-2, -1))
+               + 4.0 * np.einsum('abcd,...ad,...bc->...', r, s, s)
+               + 2.0 * np.trace(s2, axis1=-2, axis2=-1) ** 2
+               - 2.0 * np.sum(s2 * np.swapaxes(s2, -2, -1), axis=(-2, -1)))
+    return radii, ric_sq, riem_sq
 
 
 def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
@@ -179,13 +144,13 @@ def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
     """
     if radii is None:
         radii = np.geomspace(0.08, 0.45, 8)
-    radii, ric1, _ = _sphere_curvature_samples(geometry, u1, radii,
-                                               steps_per_unit)
-    _, ric2, _ = _sphere_curvature_samples(geometry, u2, radii, steps_per_unit)
+    pair = np.asarray([u1, u2], dtype=float)
+    radii, (ric1, ric2), _ = _sphere_curvature_samples(geometry, pair, radii,
+                                                       steps_per_unit)
     design = np.stack([radii ** p for p in powers], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, ric1 - ric2, rcond=None)
     fitted = float(coeffs[powers.index(2)])
-    r1 = curvature_jet(geometry, np.asarray([u1, u2], float), order=1).matrices[1]
+    r1 = curvature_jet(geometry, pair, order=1).matrices[1]
     p1, p2 = np.trace(r1 @ r1, axis1=1, axis2=2)
     predicted = (float(p1) - float(p2)) / 16.0
     return fitted, predicted

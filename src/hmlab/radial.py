@@ -211,43 +211,70 @@ class OdeResult:
     a_final: np.ndarray
 
 
-def _flow_derivative(gamma_rows, r_rows, y):
-    """d/dr of the flat flow state y = (u, q, a, b).
+def _flow_derivative(neg_gamma_t, neg_r_cols, y):
+    """d/dr of the flow states y = [u | q | a | b], shape (m, n, 1 + 3n).
 
-    ``gamma_rows`` is gamma[i, j, m] with rows i and columns (j, m), and
-    ``r_rows`` is r[a, e, f, d] with rows (a, d) and columns (e, f), so the
-    connection along u and the Jacobi operator r[a, u, u, d] are one
-    matrix product each.
+    With g = gamma(u), g[j, k] = gamma[i, j, k] u_i, and R_u[a, d] =
+    R[a, u, u, d], the velocity and the frame move by -g^T [u | q], and
+    (a, b) by (b, -(q^T R_u q) a).  ``neg_gamma_t`` holds -gamma[i, k, j]
+    with rows i and columns (k, j), and ``neg_r_cols`` holds -R[a, e, f, d]
+    with rows (e, f) and columns (a, d), so -g^T and -R_u are one matrix
+    product each for the whole batch.
     """
-    n = gamma_rows.shape[0]
-    u = y[:n]
-    q, a, b = y[n:].reshape(3, n, n)
-    g = (u @ gamma_rows).reshape(n, n)
-    r_u = (r_rows @ np.outer(u, u).ravel()).reshape(n, n)
-    r_par = q.T @ r_u @ q
-    return np.concatenate([-(u @ g), (-g.T @ q).ravel(), b.ravel(),
-                           (-r_par @ a).ravel()])
+    m, n = y.shape[:2]
+    u = y[:, :, 0]
+    q = y[:, :, 1:n + 1]
+    neg_gt = (u @ neg_gamma_t).reshape(m, n, n)
+    uu = (u[:, :, None] * u[:, None, :]).reshape(m, n * n)
+    neg_r_u = (uu @ neg_r_cols).reshape(m, n, n)
+    dy = np.empty_like(y)
+    dy[:, :, :n + 1] = neg_gt @ y[:, :, :n + 1]
+    dy[:, :, n + 1:2 * n + 1] = y[:, :, 2 * n + 1:]
+    dy[:, :, 2 * n + 1:] = (np.swapaxes(q, 1, 2) @ neg_r_u @ q
+                            @ y[:, :, n + 1:2 * n + 1])
+    return dy
 
 
 def _jacobi_flow(geometry, u, radii, steps_per_unit):
-    """States (u, q, a, b) of the Jacobi flow at each radius, in sorted order.
+    """Flow states along unit directions ``u``, at each radius in sorted order.
 
-    One fixed-step RK4 march from r = 0 passes through the sorted radii.
-    The segment ending at radius r_k is split into
+    ``u`` is one direction (n,) or a batch (m, n), n = ``geometry.dim``;
+    every row must be finite and of norm 1.  Each direction carries the
+    state [u | q | a | b], shape (n, 1 + 3n), in the left-invariant frame:
+    its velocity u, the parallel frame q, the normalized Jacobi endomorphism
+    a (A = r a) in that frame and b = a'.  It starts at [u | I | 0 | I].
+
+    One fixed-step RK4 march from r = 0 takes the whole batch through the
+    sorted radii.  The segment ending at radius r_k is split into
     ceil(max(dr * steps_per_unit, 16 dr / r_k)) equal steps, so no step is
-    longer than 1/steps_per_unit or r_k/16.  Returns the sorted radii and
-    the list of states; every radius must be finite and positive.
+    longer than 1/steps_per_unit or r_k/16.  Every radius must be finite
+    and positive.  Returns the sorted radii and the arrays u, q, a and b,
+    shaped (k, n) and (k, n, n) for k radii, each with a leading batch
+    axis of m for a batch.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii.size == 0 or not np.all(np.isfinite(radii)) or radii[0] <= 0.0:
         raise InvalidSampling(
             f"the Jacobi flow needs finite radii > 0, got {radii.tolist()}")
     n = geometry.dim
-    gamma_rows = geometry.gamma.reshape(n, n * n)
-    r_rows = geometry.r.transpose(0, 3, 1, 2).reshape(n * n, n * n)
-    eye = np.eye(n).ravel()
-    y = np.concatenate([np.asarray(u, dtype=float), eye, np.zeros_like(eye),
-                        eye])
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != n:
+        raise InvalidSampling(
+            f"the Jacobi flow needs directions of shape ({n},) or (m, {n}), "
+            f"got {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise InvalidSampling("the Jacobi flow needs finite directions")
+    norms = np.linalg.norm(u, axis=-1)
+    if np.any(np.abs(norms - 1.0) > 1e-12):
+        raise InvalidSampling(
+            f"the Jacobi flow needs unit directions, got norms {norms}")
+    neg_gamma_t = -geometry.gamma.transpose(0, 2, 1).reshape(n, n * n)
+    neg_r_cols = -geometry.r.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    batch = u.reshape(-1, n)
+    y = np.zeros((len(batch), n, 1 + 3 * n))
+    y[:, :, 0] = batch
+    y[:, :, 1:n + 1] = np.eye(n)
+    y[:, :, 2 * n + 1:] = np.eye(n)
     states = []
     r_prev = 0.0
     for r_target in radii:
@@ -257,21 +284,25 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
         # an overflow shows as a non-finite state, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps):
-                k1 = _flow_derivative(gamma_rows, r_rows, y)
-                k2 = _flow_derivative(gamma_rows, r_rows, y + 0.5 * h * k1)
-                k3 = _flow_derivative(gamma_rows, r_rows, y + 0.5 * h * k2)
-                k4 = _flow_derivative(gamma_rows, r_rows, y + h * k3)
+                k1 = _flow_derivative(neg_gamma_t, neg_r_cols, y)
+                k2 = _flow_derivative(neg_gamma_t, neg_r_cols, y + 0.5 * h * k1)
+                k3 = _flow_derivative(neg_gamma_t, neg_r_cols, y + 0.5 * h * k2)
+                k4 = _flow_derivative(neg_gamma_t, neg_r_cols, y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        state = (y[:n], *y[n:].reshape(3, n, n))
-        if not np.all(np.isfinite(state[2])):
+        if not np.all(np.isfinite(y[:, :, n + 1:2 * n + 1])):
             raise StepFailure(f"non-finite Jacobi endomorphism at r = {r_target}")
-        states.append(state)
+        states.append(y)
         r_prev = r_target
-    return radii, states
+    states = np.stack(states, axis=1).reshape(*u.shape[:-1], len(radii), n,
+                                               1 + 3 * n)
+    return (radii, states[..., 0], states[..., 1:n + 1],
+            states[..., n + 1:2 * n + 1], states[..., 2 * n + 1:])
 
 
 def ode_oracle(geometry, u, radii, steps_per_unit=2048):
-    """Normalized density by integrating the Jacobi flow (fixed-step RK4).
+    """Normalized density theta = det a / r^n by integrating the Jacobi flow
+    (fixed-step RK4, see ``_jacobi_flow``) along the unit direction ``u``,
+    or along each row of a batch (m, n), which gives theta of shape (m, k).
 
     State: direction and parallel frame in the left-invariant trivialization
     plus the Jacobi endomorphism and its derivative.  Structure constants are
@@ -279,17 +310,15 @@ def ode_oracle(geometry, u, radii, steps_per_unit=2048):
     conjugated by the frame.  One march from r = 0 passes through the sorted
     radii, which must be positive; the result lists them in sorted order.
     """
-    n = geometry.dim
-    radii, states = _jacobi_flow(geometry, u, radii, steps_per_unit)
+    radii, _, _, a, _ = _jacobi_flow(geometry, u, radii, steps_per_unit)
     with np.errstate(over="ignore", invalid="ignore"):
-        thetas = np.array([float(np.linalg.det(a)) / r ** n
-                           for r, (_, _, a, _) in zip(radii, states)])
-    if not np.all(np.isfinite(thetas)):
+        thetas = np.linalg.det(a) / radii ** geometry.dim
+    finite = np.isfinite(thetas).reshape(-1, radii.size).all(axis=0)
+    if not finite.all():
         # det(a) can overflow while a is still finite
-        bad = radii[~np.isfinite(thetas)][0]
-        raise StepFailure(f"non-finite density at r = {bad}")
+        raise StepFailure(f"non-finite density at r = {radii[~finite][0]}")
     return OdeResult(radii=radii, theta_normalized=thetas,
-                     a_final=states[-1][2])
+                     a_final=a[..., -1, :, :])
 
 
 def peel_coefficients(values, radii, powers):

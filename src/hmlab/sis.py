@@ -331,14 +331,25 @@ def noise_wave(candidate, gens, gram=None, gram_kind="euclidean"):
 # -- demo vectors for the elimination transcript -------------------------------
 
 
+def _ball_dimension(n):
+    """``n`` as an int, checked even: the ball degrees n + 1 and n + 5 are
+    odd only then (see ``IdentityVector``)."""
+    n = int(n)
+    if n % 2:
+        raise DegreeMismatch(
+            f"ball identities exist in even dimension only, got n = {n}")
+    return n
+
+
 def ball_boundary_vector(n):
     """Sphere-averaged boundary r^3 data cast as a ball-problem identity.
 
     Uses the structural r^3 decomposition of P2
     (``heatinv.structural_p_decompositions``) with tr R'R' replaced by its
-    exact average; lives at the odd ball degree n + 1.
+    exact average; lives at the odd ball degree n + 1, so ``n`` must be
+    even.
     """
-    n = int(n)
+    n = _ball_dimension(n)
     avg_p = Fraction(3, n * (n + 2) * (n + 4))
     p2 = structural_p_decompositions(n)["p2"]
     return IdentityVector(
@@ -349,8 +360,9 @@ def ball_boundary_vector(n):
 
 
 def ball_volume_vector(n):
-    """Sixth density coefficient relabeled at the ball volume degree n + 5."""
-    n = int(n)
+    """Sixth density coefficient relabeled at the ball volume degree n + 5
+    (``n`` even)."""
+    n = _ball_dimension(n)
     return IdentityVector(
         name=f"ball-volume-r{n + 5}",
         coeffs=(Fraction(-1, 1296), Fraction(1, 1080), Fraction(-1, 90720),

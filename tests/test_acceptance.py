@@ -16,11 +16,10 @@ from hmlab.cli import main
 from hmlab.errors import DegreeMismatch
 from hmlab.exactlinalg import det, rank
 from hmlab.geometry import curvature_jet
-from hmlab.heatinv import alpha_beta_parts
 from hmlab.invariants import (beta_tensor, grad_quad_tensor,
                               gradient_adjusted_cubics, mc_average,
-                              point_invariants, random_directions,
-                              sphere_average, verify_average_identities,
+                              point_invariants, sphere_average,
+                              verify_average_identities,
                               verify_einstein_identities, verify_harmonicity)
 from hmlab.radial import (density_series, harmonic_trace_c6, jacobi_series,
                           ode_oracle, peel_coefficients, radial_density,

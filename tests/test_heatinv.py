@@ -1,6 +1,7 @@
 """Heat-kernel coefficient machinery and the intrinsic sphere oracle."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ from hmlab.errors import FitIllConditioned
 from hmlab.exactlinalg import rank
 from hmlab.geometry import constant_curvature_geometry, curvature_jet
 from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_samples,
-                           alpha2_cross_difference, alpha_beta_parts,
-                           averaged_boundary_r3, sphere_intrinsic_oracle,
+                           alpha2_cross_difference, averaged_boundary_r3,
+                           sphere_intrinsic_oracle,
                            structural_p_decompositions, structural_r3_table)
 from hmlab.invariants import (point_invariants, random_directions,
                               sphere_average, beta_tensor)
@@ -65,6 +66,41 @@ def boundary_polynomials(shape, inv, density=None, averaged_density=None):
         factor = density * averaged_density.inverse()
         series = {k: (s * factor).truncate(3) for k, s in series.items()}
     return {k: float(s.coefficient(3)) for k, s in series.items()}
+
+
+@dataclass
+class AlphaBeta:
+    """Direction-dependent parts of the sphere-expansion coefficients.
+
+    The constant ("hatted") parts are deliberately absent: they are not
+    displayed in closed form anywhere we trust, so cross-member comparison
+    happens through fit intercepts.  ``average_*`` are the exact sphere
+    averages of the direction parts.
+    """
+
+    direction: np.ndarray
+    alpha2_direction: float
+    beta2_direction: float
+    average_alpha2_direction: float
+    average_beta2_direction: float
+
+
+def alpha_beta_parts(geometry, u):
+    """Direction parts (1/16) tr R'R' and (4/9) beta along ``u``: the
+    reference that ``PointInvariants.alpha_beta_averages`` is checked
+    against."""
+    u = np.asarray(u, dtype=float)
+    jet = curvature_jet(geometry, u, order=1)
+    r1 = jet.matrices[1]
+    alpha_dir = float(np.trace(r1 @ r1)) / 16.0
+    ru = jet.matrices[0]
+    beta = float(np.einsum('jiqm,qi,mj->', geometry.r, ru, ru))
+    beta_dir = 4.0 * beta / 9.0
+    avg_alpha, avg_beta = point_invariants(geometry).alpha_beta_averages()
+    return AlphaBeta(direction=u, alpha2_direction=alpha_dir,
+                     beta2_direction=beta_dir,
+                     average_alpha2_direction=avg_alpha,
+                     average_beta2_direction=avg_beta)
 
 
 def test_interior_coefficient_dual_routes(all_spaces):
@@ -227,6 +263,21 @@ def test_cross_difference_predicts_from_one_jet(ns12, monkeypatch):
                             radii=np.geomspace(0.1, 0.4, 4), powers=(2, 3),
                             steps_per_unit=64)
     assert calls == [(1, (2, 12))]
+
+
+def test_cross_difference_marches_both_directions_at_once(ns12, monkeypatch):
+    shapes = []
+    original = heatinv._jacobi_flow
+
+    def counted(geo, u, radii, steps_per_unit):
+        shapes.append(np.shape(u))
+        return original(geo, u, radii, steps_per_unit)
+
+    monkeypatch.setattr(heatinv, "_jacobi_flow", counted)
+    alpha2_cross_difference(ns12, np.eye(12)[0], np.eye(12)[5],
+                            radii=np.geomspace(0.1, 0.4, 4), powers=(2, 3),
+                            steps_per_unit=64)
+    assert shapes == [(2, 12)]
 
 
 def test_averaged_boundary_r3_distinguishes_the_pair(hh3, ns12):

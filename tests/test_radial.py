@@ -11,9 +11,10 @@ from hmlab.errors import (InvalidSampling, OrderUnsupported, StepFailure,
                           ZeroLeadingCoefficient)
 from hmlab.geometry import curvature_jet
 from hmlab.heatinv import _sphere_curvature_samples
-from hmlab.invariants import direction_constants, point_invariants
+from hmlab.invariants import (direction_constants, point_invariants,
+                              random_directions)
 from hmlab.series import TruncatedSeries
-from hmlab.radial import (density_series, extend_with_trace,
+from hmlab.radial import (_jacobi_flow, density_series, extend_with_trace,
                           harmonic_trace_c6, jacobi_series, ode_oracle,
                           peel_coefficients, radial_density,
                           shape_trace_series, vk_recursion, volume_series)
@@ -223,6 +224,67 @@ def test_ode_oracle_matches_restart_per_radius(space, request):
         assert_allclose(theta, np.linalg.det(a) / r ** geo.dim, rtol=1e-12)
     # a is the reference endomorphism at the largest radius
     assert_allclose(ode.a_final, a, rtol=1e-12, atol=1e-14)
+
+
+def alpha2_pair(dim):
+    """The two seeded directions of the alpha2 cross-difference test."""
+    pair = np.random.default_rng(11).standard_normal((2, dim))
+    return pair / np.linalg.norm(pair, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("space", ["hh2", "ns12"])
+@pytest.mark.parametrize("batch", ["five", "alpha2_pair"])
+def test_batched_flow_equals_single_direction_marches(space, batch, request):
+    """One march of a batch against one march per direction, through
+    unsorted radii: the states (u, q, a, b) at every radius, the densities
+    and the sphere curvature samples."""
+    geo = request.getfixturevalue(space)
+    dirs = (random_directions(geo.dim, 5, np.random.default_rng(7))
+            if batch == "five" else alpha2_pair(geo.dim))
+    radii = [0.3, 0.1, 0.25]
+    sorted_radii, *states = _jacobi_flow(geo, dirs, radii, 256)
+    ode = ode_oracle(geo, dirs, radii, steps_per_unit=256)
+    _, ric_sq, riem_sq = _sphere_curvature_samples(geo, dirs, radii, 256)
+    for i, u in enumerate(dirs):
+        single_radii, *single = _jacobi_flow(geo, u, radii, 256)
+        assert list(single_radii) == list(sorted_radii) == sorted(radii)
+        for got, want in zip(states, single):
+            assert got.shape == (len(dirs),) + want.shape
+            assert_allclose(got[i], want, rtol=1e-12, atol=1e-14)
+        single_ode = ode_oracle(geo, u, radii, steps_per_unit=256)
+        assert_allclose(ode.theta_normalized[i], single_ode.theta_normalized,
+                        rtol=1e-12)
+        assert_allclose(ode.a_final[i], single_ode.a_final, rtol=1e-12,
+                        atol=1e-14)
+        _, ric, riem = _sphere_curvature_samples(geo, u, radii, 256)
+        assert_allclose(ric_sq[i], ric, rtol=1e-12)
+        assert_allclose(riem_sq[i], riem, rtol=1e-12)
+
+
+def off_unit(n, factor):
+    u = np.eye(n)[n // 2]
+    return np.stack([u, factor * u])
+
+
+@pytest.mark.parametrize("direction", [
+    lambda n: 2.0 * np.eye(n)[1],               # a speed-2 geodesic
+    lambda n: np.zeros(n),
+    lambda n: off_unit(n, 1.0 + 1e-9),          # one row of norm 1 + 1e-9
+    lambda n: np.eye(n)[1, :-1],                # one entry short
+    lambda n: np.eye(n + 1)[:2],                # rows one entry long
+    lambda n: np.eye(n)[None, :2],              # a 3-d array
+    lambda n: np.float64(1.0),
+    lambda n: off_unit(n, math.nan),
+    lambda n: np.where(np.eye(n)[1] > 0, math.inf, 0.0),
+], ids=["speed-2", "zero", "norm-off", "short", "long-rows", "3-d", "scalar",
+        "nan", "inf"])
+def test_flow_rejects_directions_that_are_not_unit_rows(ns12, direction):
+    """Only finite unit directions of the geometry's dimension, one or a
+    batch of rows, start a march; anything else is refused before it."""
+    with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
+        ode_oracle(ns12, direction(ns12.dim), [0.2, 0.4])
+    with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
+        _sphere_curvature_samples(ns12, direction(ns12.dim), [0.2], 64)
 
 
 def conjugate4(tensor, m):

@@ -91,6 +91,15 @@ def test_parity_guard():
     assert ball_volume_vector(12).degree == 17
 
 
+@pytest.mark.parametrize("n", [7, 11])
+@pytest.mark.parametrize("build", [ball_boundary_vector, ball_volume_vector])
+def test_ball_vectors_refuse_odd_dimension(build, n):
+    """In odd dimension the ball degrees n + 1 and n + 5 are even, so the
+    vectors do not exist; the refusal is typed."""
+    with pytest.raises(DegreeMismatch, match="even dimension"):
+        build(n)
+
+
 @pytest.mark.parametrize("n", [4, 8, 12, 16, 24])
 def test_ball_boundary_vector_reads_the_p2_decomposition(n):
     """The structural P2 row, with tr R'R' at its exact average, equals the

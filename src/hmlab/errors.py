@@ -40,9 +40,9 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """Too few samples or grid cells were asked for, a radius not > 0, a
-    negative harmonic degree, or a Monte Carlo quantity that does not
-    exist."""
+    """Too few samples or grid cells were asked for, a radius not > 0 (or
+    repeated, where coefficients are peeled), a negative harmonic degree,
+    or a Monte Carlo quantity that does not exist."""
 
 
 class DegreeMismatch(HmlabError):
@@ -51,7 +51,8 @@ class DegreeMismatch(HmlabError):
 
 
 class SymbolAbsent(HmlabError):
-    """Elimination tool has zero coefficient for the requested symbol."""
+    """The requested symbol is not in the identity basis, or the
+    elimination tool has zero coefficient for it."""
 
 
 class DegenerateGram(HmlabError):

@@ -163,8 +163,7 @@ class Geometry:
     structure constants; the constant curvature model prescribes curvature
     directly with a parallel frame.  ``algebra`` holds the structure
     constants of a group geometry and None for the model.  ``jmap`` is the
-    Clifford data of a Damek-Ricci member and None for any other geometry;
-    ``module_dim`` and ``center_dim`` are read from it.
+    Clifford data of a Damek-Ricci member and None for any other geometry.
     """
 
     def __init__(self, gamma, r, algebra=None, name="geometry", jmap=None):
@@ -178,14 +177,6 @@ class Geometry:
     @property
     def dim(self):
         return self.r.shape[0]
-
-    @property
-    def module_dim(self):
-        return None if self.jmap is None else self.jmap.total_dim
-
-    @property
-    def center_dim(self):
-        return None if self.jmap is None else self.jmap.center_dim
 
     @property
     def nabla_r(self):

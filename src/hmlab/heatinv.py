@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FitIllConditioned
+from .errors import FitIllConditioned, InvalidSampling
 from .geometry import curvature_jet, ricci
 from .radial import _jacobi_flow
 
@@ -131,6 +131,28 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
     return radii, ric_sq, riem_sq
 
 
+def _fit_powers(radii, powers, sample):
+    """Least-squares coefficients of ``powers`` of r through the samples
+    ``sample(radii)`` at the sorted radii.  The design is checked before
+    anything is sampled: fewer radii than powers, or a condition number
+    above 1e12, raises :class:`FitIllConditioned`, and a radius that is not
+    finite and > 0 raises :class:`InvalidSampling`."""
+    radii = np.sort(np.asarray(radii, dtype=float))
+    if not 0 < len(powers) <= len(radii):
+        raise FitIllConditioned(
+            f"{len(radii)} radii cannot fit {len(powers)} powers")
+    if not np.all(np.isfinite(radii)) or radii[0] <= 0.0:
+        raise InvalidSampling(
+            f"the sphere-curvature fit needs finite radii > 0, "
+            f"got {radii.tolist()}")
+    design = np.stack([radii ** p for p in powers], axis=1)
+    cond = np.linalg.cond(design)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise FitIllConditioned(f"fit design condition number {cond:.2e}")
+    coeffs, *_ = np.linalg.lstsq(design, sample(radii), rcond=None)
+    return coeffs
+
+
 def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
                             steps_per_unit=1024):
     """Difference of the r^2 coefficients of |Ric^S|^2 across two directions.
@@ -140,15 +162,16 @@ def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
     curves cancels them exactly and leaves the direction signal starting
     at r^2; fitting the difference sidesteps the dynamic-range problem of
     per-direction fits.  Returns (fitted difference, jet prediction), the
-    prediction being (tr R'R'(u1) - tr R'R'(u2))/16.
+    prediction being (tr R'R'(u1) - tr R'R'(u2))/16.  ``powers`` must hold
+    2, and the fit's design is checked before the march.
     """
     if radii is None:
         radii = np.geomspace(0.08, 0.45, 8)
+    if 2 not in powers:
+        raise FitIllConditioned(f"powers {tuple(powers)} leave out r^2")
     pair = np.asarray([u1, u2], dtype=float)
-    radii, (ric1, ric2), _ = _sphere_curvature_samples(geometry, pair, radii,
-                                                       steps_per_unit)
-    design = np.stack([radii ** p for p in powers], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, ric1 - ric2, rcond=None)
+    coeffs = _fit_powers(radii, powers, lambda radii: np.subtract(
+        *_sphere_curvature_samples(geometry, pair, radii, steps_per_unit)[1]))
     fitted = float(coeffs[powers.index(2)])
     r1 = curvature_jet(geometry, pair, order=1).matrices[1]
     p1, p2 = np.trace(r1 @ r1, axis1=1, axis2=2)
@@ -174,15 +197,8 @@ def sphere_intrinsic_oracle(geometry, u, radii=None, powers=(-4, -2, 0, 1, 2, 3)
     """
     if radii is None:
         radii = np.geomspace(0.05, 0.4, 6)
-    if len(radii) < len(powers):
-        raise FitIllConditioned("fewer radii than fitted powers")
-    radii, ric_sq, riem_sq = _sphere_curvature_samples(geometry, u, radii,
-                                                       steps_per_unit)
-    design = np.stack([radii ** p for p in powers], axis=1)
-    cond = np.linalg.cond(design)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise FitIllConditioned(f"fit design condition number {cond:.2e}")
-    coeffs, *_ = np.linalg.lstsq(design, np.stack([ric_sq, riem_sq], axis=1),
-                                 rcond=None)
+    coeffs = _fit_powers(radii, powers, lambda radii: np.stack(
+        _sphere_curvature_samples(geometry, u, radii, steps_per_unit)[1:],
+        axis=1))
     return {"powers": list(powers), "ric_sq": coeffs[:, 0].tolist(),
             "riem_sq": coeffs[:, 1].tolist()}

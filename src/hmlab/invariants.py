@@ -38,7 +38,6 @@ class DirectionConstants:
     array of length m for a batch of shape (m, n).
     """
 
-    u: np.ndarray
     c: float          # tr R_u
     h: float          # tr R_u^2
     l: float          # 32 tr R_u^3 - 9 tr R_u' R_u'
@@ -58,7 +57,7 @@ def direction_constants(geometry, u):
               tr(r0 @ r1), tr(r0 @ r2) + tr(r1 @ r1)]
     if u.ndim == 1:
         traces = [float(t) for t in traces]
-    return DirectionConstants(u, *traces)
+    return DirectionConstants(*traces)
 
 
 # -- point invariants --------------------------------------------------------
@@ -163,13 +162,9 @@ def _residual_row(name, lhs, rhs, tol, scale=None):
 # Directions per block in verify_harmonicity and mc_average; a multiple of
 # geometry.JET_BLOCK, so a block splits into the same jet blocks as the
 # whole draw.  Each call draws and evaluates MC_BLOCK directions at a time,
-# so its memory does not grow with the count.  mc_average allocates its
-# buffers once, (halves + terms + max(halves, terms)) * MC_BLOCK floats
-# (see _mc_plan), rather than mapping and unmapping fresh multi-MB arrays
-# block by block.  At 1024 they fit in a core's 2 MB L2 cache: on the
-# 12-dim member 3:1,1, grad_quad's three buffers of 48 rows take 1.2 MB and
-# beta's (12, 78 and 78 rows) 1.4 MB, against 4.7 MB and 5.5 MB at 4096,
-# where every block streamed them through the shared cache.
+# so its memory does not grow with the count.  At 1024 the arrays of an
+# mc_average block fit in a core's 2 MB L2 cache: 1.2 MB for grad_quad and
+# 1.4 MB for beta on the 12-dim member 3:1,1, against 4.7 and 5.5 MB at 4096.
 MC_BLOCK = 1024
 
 
@@ -363,16 +358,12 @@ def _symmetric_factor(tensor, degree):
     return idx, factor
 
 
-def _monomials(dt, idx, out, gather):
-    """Fill ``out`` with the monomials of the directions in the columns of
-    ``dt`` (n, m): row k is the product of the rows of ``dt`` named by
-    idx[k].  ``gather`` is a work array at least as tall as ``out``;
-    mode='clip' (a no-op on valid rows) lets ``np.take`` write into it
-    unbuffered."""
-    gather = gather[:len(idx)]
-    np.take(dt, idx[:, 0], axis=0, out=out, mode='clip')
+def _monomials(dt, idx):
+    """Monomials of the directions in the columns of ``dt`` (n, m), in row
+    layout: row k is the product of the rows of ``dt`` named by idx[k]."""
+    out = np.take(dt, idx[:, 0], axis=0)
     for col in idx[:, 1:].T:
-        out *= np.take(dt, col, axis=0, out=gather, mode='clip')
+        out *= np.take(dt, col, axis=0)
     return out
 
 
@@ -430,7 +421,7 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     are taken ``MC_BLOCK`` at a time, exactly the draws of
     ``random_directions``, but not normalised: the polynomial is
     homogeneous, so its value at g / |g| is its value at g divided by
-    s^k, s = |g|^2.  Each block fills the live degree-k halves in row
+    s^k, s = |g|^2.  Each block builds the live degree-k halves in row
     layout (one row per monomial, one column per direction), multiplies
     them pairwise into the terms and sums the terms against the
     coefficients.  Where nothing is live, as for grad_quad on a symmetric
@@ -447,23 +438,20 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     halves, pa, pb, coef = _mc_plan(geometry, quantity)
     k = halves.shape[1]
     rng = np.random.default_rng(seed)
-
-    # flat buffers, so a short last block takes a contiguous leading part
-    rows = (len(halves), len(coef), max(len(halves), len(coef)))
-    bufs = [np.empty(r * MC_BLOCK) for r in rows]
     total = total_sq = 0.0
     for done in range(0, n_samples, MC_BLOCK):
-        m = min(MC_BLOCK, n_samples - done)
-        w, terms, gather = (b[:r * m].reshape(r, m)
-                            for b, r in zip(bufs, rows))
-        g = rng.standard_normal((m, n))
-        _monomials(np.ascontiguousarray(g.T), halves, w, gather)
-        np.take(w, pa, axis=0, out=terms, mode='clip')
-        terms *= np.take(w, pb, axis=0, out=gather[:len(coef)], mode='clip')
+        g = rng.standard_normal((min(MC_BLOCK, n_samples - done), n))
+        w = _monomials(np.ascontiguousarray(g.T), halves)
+        terms = np.take(w, pa, axis=0)
+        terms *= np.take(w, pb, axis=0)
         vals = coef @ terms
         vals /= np.einsum('ij,ij->i', g, g) ** k
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
+        # freed before the next block makes its own, so every block reuses
+        # the same L2-resident memory; kept alive, they would rotate the
+        # blocks through three sets of addresses
+        del g, w, terms, vals
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     stderr = math.sqrt(var / n_samples)

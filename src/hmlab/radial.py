@@ -326,10 +326,17 @@ def peel_coefficients(values, radii, powers):
 
     ``values[k]`` is f(radii[k]) with f(0) = 0 after the caller removed the
     constant term; the powers must be increasing and of one parity gap so
-    that Richardson extrapolation in r^2 applies.
+    that Richardson extrapolation in r^2 applies.  The radii must be
+    finite, > 0 and distinct, one per value.
     """
     radii = np.asarray(radii, dtype=float)
     residual = np.asarray(values, dtype=float).copy()
+    if (radii.ndim != 1 or residual.shape != radii.shape or radii.size == 0
+            or not np.all(np.isfinite(radii)) or radii.min() <= 0.0
+            or np.unique(radii).size < radii.size):
+        raise InvalidSampling(
+            f"peeling needs distinct finite radii > 0, one per value; got "
+            f"{residual.size} values at radii {radii.tolist()}")
     ts = radii ** 2
     out = []
     for p in powers:

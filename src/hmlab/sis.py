@@ -220,7 +220,7 @@ def eliminate(target, tool, symbol, mode="proper"):
     combines anyway and stamps the provenance, leaving the degree unset.
     """
     if symbol not in _INDEX:
-        raise KeyError(f"unknown symbol {symbol!r}")
+        raise SymbolAbsent(f"unknown symbol {symbol!r}; the basis is {BASIS}")
     idx = _INDEX[symbol]
     if not tool.coeffs[idx]:
         raise SymbolAbsent(f"tool {tool.name!r} has no {symbol} term")

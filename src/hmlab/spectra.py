@@ -36,7 +36,7 @@ MAX_SPREAD = 0.05  # grid-doubling spread, relative, above which a solve fails
 class LatticeSymbol:
     mu: float
     j_matrix: np.ndarray
-    j_unit_rows: object
+    j_unit_rows: list
 
 
 def _rational_sqrt(value):
@@ -48,24 +48,25 @@ def _rational_sqrt(value):
 
 
 def laplacian_symbol(jmap, z_gamma):
-    """Separation data for one lattice vector: mu = pi |Z| and J_Z.
-
-    Returns the exact unit-normalized J rows too when |Z| is rational,
-    which is what the harmonic-basis construction consumes.
+    """Separation data for one lattice vector: mu = pi |Z|, J_Z and the
+    exact unit-normalized J rows, which the harmonic-basis construction
+    consumes.  |Z| must be rational, else there are no exact unit rows and
+    :class:`NotComplexStructure` is raised.
     """
     z = [Fraction(x) for x in z_gamma]
     norm_sq = sum(x * x for x in z)
     if not norm_sq:
         raise ZeroLatticeVector("lattice vector must be nonzero")
-    j_rows_exact = None
     norm = _rational_sqrt(norm_sq)
+    if norm is None:
+        raise NotComplexStructure(
+            f"lattice vector {tuple(z_gamma)} has irrational norm; "
+            "no exact unit structure")
     j_raw = jmap.j_of(z)
-    if norm is not None:
-        j_rows_exact = [[x / norm for x in row] for row in j_raw]
-    j_float = j_raw.astype(float)
     return LatticeSymbol(mu=math.pi * math.sqrt(float(norm_sq)),
-                         j_matrix=j_float,
-                         j_unit_rows=j_rows_exact)
+                         j_matrix=j_raw.astype(float),
+                         j_unit_rows=[[x / norm for x in row]
+                                      for row in j_raw])
 
 
 # -- harmonic bidegree bases ----------------------------------------------------
@@ -168,11 +169,8 @@ def build_hnm_basis(j_rows, max_degree):
 
 def hnm_basis_for_lattice(jmap, z_u, degree):
     """Bidegree bases for the complex structure of a unit-normalizable Z."""
-    sym = laplacian_symbol(jmap, z_u)
-    if sym.j_unit_rows is None:
-        raise NotComplexStructure(
-            "lattice vector has irrational norm; no exact unit structure")
-    return build_hnm_basis(sym.j_unit_rows, degree)[degree]
+    return build_hnm_basis(laplacian_symbol(jmap, z_u).j_unit_rows,
+                           degree)[degree]
 
 
 def hnm_multiplicity_oracle(j_rows, degree):
@@ -427,8 +425,8 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
         if member.jmap is None:
             raise FamilyMismatch(
                 f"{member.name} carries no J-map, so it is no family member")
-    ka, la = member_a.module_dim, member_a.center_dim
-    kb, lb = member_b.module_dim, member_b.center_dim
+    ka, la = member_a.jmap.total_dim, member_a.jmap.center_dim
+    kb, lb = member_b.jmap.total_dim, member_b.jmap.center_dim
     if (ka, la) != (kb, lb):
         raise FamilyMismatch(
             f"members live on different bundles: ({ka},{la}) vs ({kb},{lb})")
@@ -452,15 +450,10 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
             solved[op] = radial_spectrum(op, 10.0, (0.0, 1.0), grid, count)
         return solved[op]
 
-    # every lattice vector needs an exact unit structure before any solve,
-    # so no vector is dropped from the comparison
+    # laplacian_symbol refuses an irrational norm, so every lattice vector
+    # is checked before any build or solve and none drops out
     symbols = [(z, laplacian_symbol(member_a.jmap, z),
                 laplacian_symbol(member_b.jmap, z)) for z in lattice_vectors]
-    for z, sym_a, sym_b in symbols:
-        if sym_a.j_unit_rows is None or sym_b.j_unit_rows is None:
-            raise NotComplexStructure(
-                f"lattice vector {tuple(z)} has irrational norm; "
-                "no exact unit structure")
     blocks = []
     all_agree = True
     for z, sym_a, sym_b in symbols:

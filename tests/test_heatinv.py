@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmlab import geometry, heatinv
-from hmlab.errors import FitIllConditioned
+from hmlab.errors import FitIllConditioned, InvalidSampling
 from hmlab.exactlinalg import rank
 from hmlab.geometry import constant_curvature_geometry, curvature_jet
 from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_samples,
@@ -361,6 +361,47 @@ def test_oracle_rejects_underdetermined_fit(ns12):
     with pytest.raises(FitIllConditioned):
         sphere_intrinsic_oracle(ns12, np.eye(12)[0], radii=np.array([0.1, 0.2]),
                                 powers=(-4, -2, 0))
+
+
+def refuse_before_the_march(monkeypatch, oracle, *args, error=FitIllConditioned,
+                            **kwargs):
+    marches = []
+    monkeypatch.setattr(heatinv, "_jacobi_flow",
+                        lambda *a: marches.append(a))
+    with pytest.raises(error):
+        oracle(*args, **kwargs)
+    assert marches == []
+
+
+def test_cross_difference_refuses_too_few_radii(ns12, monkeypatch):
+    """Two radii for four powers used to give a minimum-norm fit."""
+    refuse_before_the_march(monkeypatch, alpha2_cross_difference, ns12,
+                            np.eye(12)[0], np.eye(12)[5], radii=[0.1, 0.2])
+
+
+def test_cross_difference_refuses_powers_without_r2(ns12, monkeypatch):
+    refuse_before_the_march(monkeypatch, alpha2_cross_difference, ns12,
+                            np.eye(12)[0], np.eye(12)[5], powers=(3, 4, 5))
+
+
+@pytest.mark.parametrize("oracle", ["alpha2", "intrinsic"])
+def test_oracles_refuse_an_ill_conditioned_design(ns12, oracle, monkeypatch):
+    """Powers 2, 3 and 4 on radii 1e-7 apart: condition number 2.6e14."""
+    call = {"alpha2": (alpha2_cross_difference, ns12, *np.eye(12)[[0, 5]]),
+            "intrinsic": (sphere_intrinsic_oracle, ns12, np.eye(12)[0])}
+    refuse_before_the_march(monkeypatch, *call[oracle],
+                            radii=[0.3, 0.3000001, 0.3000002], powers=(2, 3, 4))
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.1])
+def test_oracle_fit_refuses_a_radius_that_is_not_positive(ns12, radius,
+                                                          monkeypatch):
+    """The design is checked before the march, so the radii the march
+    refuses are refused there, with the march's error: a NaN radius would
+    otherwise reach the condition number as a bare numpy LinAlgError."""
+    refuse_before_the_march(monkeypatch, sphere_intrinsic_oracle, ns12,
+                            np.eye(12)[0], error=InvalidSampling,
+                            radii=[radius, 0.1, 0.15, 0.2, 0.25, 0.3])
 
 
 def test_cross_direction_difference_recovers_alpha2(ns12):

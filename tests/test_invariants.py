@@ -278,8 +278,7 @@ def test_row_layout_monomials_equal_the_column_path(degree, rng):
     idx, _ = _symmetric_factor(np.zeros((12,) * degree + (1,)), degree)
     combos, _ = reference_symmetric_monomials(12, degree)
     assert idx.tolist() == [list(c) for c in combos]
-    w = _monomials(np.ascontiguousarray(dirs.T), idx,
-                   np.empty((len(idx), 300)), np.empty((len(idx), 300)))
+    w = _monomials(np.ascontiguousarray(dirs.T), idx)
     assert np.array_equal(w.T, reference_monomial_matrix(dirs, combos))
 
 
@@ -374,8 +373,7 @@ def test_the_folded_polynomial_equals_the_gram_form(space, quantity,
     geometry = request.getfixturevalue(space)
     dirs = random_directions(12, 500, rng)
     halves, pa, pb, coef = _mc_plan(geometry, quantity)
-    w = _monomials(np.ascontiguousarray(dirs.T), halves,
-                   np.empty((len(halves), 500)), np.empty((len(halves), 500)))
+    w = _monomials(np.ascontiguousarray(dirs.T), halves)
     got = coef @ (w[pa] * w[pb])
     combos, evaluate = reference_evaluator(geometry, quantity)
     want = evaluate(reference_monomial_matrix(dirs, combos))

@@ -374,6 +374,16 @@ def test_peel_recovers_leading_density_coefficients(hh2):
     assert_allclose(c4, dens.coefficient(4), rtol=1e-4)
 
 
+@pytest.mark.parametrize("radii", [[0.1, 0.1, 0.2], [0.0, 0.1, 0.2],
+                                   [-0.1, 0.1, 0.2], [np.nan, 0.1, 0.2],
+                                   [np.inf, 0.1, 0.2], [0.1, 0.2], []])
+def test_peel_rejects_bad_radii(radii):
+    """A repeated radius, one not finite and > 0, or a radius count other
+    than the value count is refused before any division."""
+    with pytest.raises(InvalidSampling, match="peeling needs"):
+        peel_coefficients([1e-3, 2e-3, 3e-3], radii, powers=(2, 4))
+
+
 def test_trace_closure_consistency(hh2, ns12):
     """The r^6 trace closure must agree with the direction-constant traces."""
     for geo in (hh2, ns12):

@@ -209,6 +209,13 @@ def test_symbol_absent():
                   mode="rudimentary")
 
 
+def test_unknown_symbol_is_absent():
+    n = 12
+    with pytest.raises(SymbolAbsent, match="grad_R_sq"):
+        eliminate(density_vector(n), gradient_square_vector(n), "R_bar",
+                  mode="rudimentary")
+
+
 def test_mixed_origin_elimination_loses_the_degree():
     n = 12
     out = eliminate(ball_boundary_vector(n), theta_power_vector(n, 1), "CH",

@@ -123,6 +123,14 @@ def test_one_jacobi_flow_integrator():
     assert calls_by_scope("_flow_derivative") == {("radial", "_jacobi_flow")}
 
 
+def test_one_sphere_curvature_fit():
+    """Both sphere-curvature oracles fit through heatinv._fit_powers, which
+    checks the design first; the other least-squares solve is the
+    multiplicity oracle's restriction of the rotation derivative."""
+    assert calls_by_scope("lstsq") == \
+        {("heatinv", "_fit_powers"), ("spectra", "hnm_multiplicity_oracle")}
+
+
 def test_one_harmonic_series_closure():
     """The r^6 trace closure is applied in radial.harmonic_density only;
     every density or shape series that needs it goes through that one."""

@@ -2,25 +2,28 @@
 
 All reports are deterministic: fixed seeds, sorted JSON keys, no
 timestamps, so byte-identical reruns are a testable property.  Exit codes:
-0 verified / completed, 1 a verification or comparison failed, 2 usage or
-configuration errors.
+0 verified / completed, 1 a verification or comparison failed or a report
+would hold a value that is not finite, 2 usage or configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from .clifford import build_j_map
 from .errors import (DegenerateBoundary, DegreeMismatch, DegreeTooHigh,
-                     FamilyMismatch, HmlabError, UnsupportedCenterDimension)
+                     FamilyMismatch, HmlabError, NonFiniteReport,
+                     UnsupportedCenterDimension)
 from .geometry import (curvature_jet, damek_ricci_geometry,
                        geometry_from_algebra, scale_bracket)
 from .heatinv import averaged_boundary_r3
@@ -99,8 +102,38 @@ def emit(args, name, text):
         sys.stdout.write(text)
 
 
+def report_value(value):
+    """How a report writes what JSON has no type for: a Fraction as
+    [numerator, denominator], a value with ``as_dict()`` as that dict, any
+    other dataclass as its fields and a numpy array as a list.  json asks
+    only for those, so every float is written by ``float.__repr__``."""
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    if hasattr(value, "as_dict"):
+        return value.as_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name)
+                for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"a report cannot hold a {type(value).__name__}")
+
+
 def to_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Sorted-key strict JSON: NaN and infinities raise NonFiniteReport."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          default=report_value, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteReport(
+            f"the report holds a value that is not finite ({exc})") from exc
+
+
+def write_report(args, payload):
+    """Writes ``<command>.json``, or nothing if ``to_json`` refuses."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": args.command,
+               **payload}
+    emit(args, f"{args.command}.json", to_json(payload))
 
 
 # -- verify ---------------------------------------------------------------------
@@ -125,14 +158,13 @@ def cmd_verify(args):
         passed = all(b.passed for b in blocks)
         all_passed = all_passed and passed
         reports.append({"member": label, "passed": passed,
-                        "blocks": [b.as_dict() for b in blocks]})
-    payload = {"schema_version": SCHEMA_VERSION, "command": "verify",
-               "perturb": args.perturb, "members": reports,
+                        "blocks": blocks})
+    payload = {"perturb": args.perturb, "members": reports,
                "passed": all_passed}
     ok = all_passed
     if args.perturb != 1.0:
         payload["control_tripped"] = ok = not all_passed
-    emit(args, "verify.json", to_json(payload))
+    write_report(args, payload)
     return 0 if ok else 1
 
 
@@ -179,11 +211,9 @@ def cmd_counterexample(args):
         scale = max(max(abs(v) for v in values), 1.0)
         spread = max(values) - min(values)
         marks[col] = "agree" if spread <= args.tol * scale else "differ"
-    payload = {"schema_version": SCHEMA_VERSION, "command": "counterexample",
-               "columns": ["member"] + list(COLUMNS), "rows": rows,
-               "marks": marks}
     if args.format == "json":
-        emit(args, "counterexample.json", to_json(payload))
+        write_report(args, {"columns": ["member"] + list(COLUMNS),
+                            "rows": rows, "marks": marks})
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -223,11 +253,8 @@ def cmd_isospec(args):
                                    degrees=tuple(range(args.max_degree + 1)),
                                    grid=args.grid,
                                    mu_scale_b=args.detune)
-    payload = {"schema_version": SCHEMA_VERSION, "command": "isospec",
-               "members": [built[0][0], built[1][0]],
-               "detune": args.detune}
-    payload.update(report.as_dict())
-    emit(args, "isospec.json", to_json(payload))
+    write_report(args, {"members": [built[0][0], built[1][0]],
+                        "detune": args.detune, **vars(report)})
     return 0 if report.isospectral else 1
 
 
@@ -247,14 +274,9 @@ def cmd_sis(args):
     lich = lichnerowicz_vector(n)
     plain = rank_and_membership(gens, lich, graded=False)
     graded = rank_and_membership(gens, lich, graded=True)
-    transcript = {
-        "schema_version": SCHEMA_VERSION, "command": "sis",
-        "member": label, "dim": n,
-        "generators": [g.as_dict() for g in gens],
-        "lichnerowicz": lich.as_dict(),
-        "membership_plain": plain.as_dict(),
-        "membership_graded": graded.as_dict(),
-    }
+    transcript = {"member": label, "dim": n, "generators": gens,
+                  "lichnerowicz": lich, "membership_plain": plain,
+                  "membership_graded": graded}
     target = ball_boundary_vector(n)
     tool = ball_volume_vector(n)
     try:
@@ -265,15 +287,14 @@ def cmd_sis(args):
         transcript["elimination_proper"] = f"DegreeMismatch: {exc}"
         code = 0
     rudimentary = eliminate(target, tool, "L", mode="rudimentary")
-    transcript["elimination_rudimentary"] = rudimentary.as_dict()
-    noise = noise_wave(lich, gens)
-    transcript["noise_wave"] = noise.as_dict()
+    transcript["elimination_rudimentary"] = rudimentary
+    transcript["noise_wave"] = noise_wave(lich, gens)
     try:
         moment_gram(geo, gens)
         transcript["moment_gram"] = "available"
     except DegreeTooHigh as exc:
         transcript["moment_gram"] = f"{type(exc).__name__}: {exc}"
-    emit(args, "sis.json", to_json(transcript))
+    write_report(args, transcript)
     return code
 
 
@@ -291,21 +312,17 @@ def cmd_expand(args):
     dens, shape = harmonic_series(curvature_jet(geo, u, order=3))
 
     def series_dict(s):
-        return {"offset": s.offset,
-                "coeffs": [float(c) for c in s.coeffs]}
+        return {"offset": s.offset, "coeffs": s.coeffs}
 
-    payload = {
-        "schema_version": SCHEMA_VERSION, "command": "expand",
-        "member": label, "seed": args.seed,
-        "direction": [float(x) for x in u],
+    write_report(args, {
+        "member": label, "seed": args.seed, "direction": u,
         "density_normalized": series_dict(dens.normalized),
         "density": series_dict(dens.density),
         "tr_sigma": series_dict(shape.tr_sigma),
         "tr_sigma_sq": series_dict(shape.tr_sigma_sq),
         "tr_sigma_cube": series_dict(shape.tr_sigma_cube),
         "tr_curv_sigma": series_dict(shape.tr_curv_sigma),
-    }
-    emit(args, "expand.json", to_json(payload))
+    })
     return 0
 
 
@@ -332,14 +349,10 @@ def cmd_spectrum(args):
     op = RadialOperator(k=args.k, n=args.n, m=args.m, mu=args.mu)
     report = radial_spectrum(op, args.t_domain, bc=bc, grid=args.grid,
                              count=args.count)
-    payload = {
-        "schema_version": SCHEMA_VERSION, "command": "spectrum",
+    write_report(args, {
         "operator": {"k": args.k, "n": args.n, "m": args.m, "mu": args.mu},
-        "t_domain": args.t_domain, "bc": list(bc), "grid": args.grid,
-        "eigenvalues": [float(x) for x in report.eigenvalues],
-        "error_bars": [float(x) for x in report.error_bars],
-    }
-    emit(args, "spectrum.json", to_json(payload))
+        "t_domain": args.t_domain, "bc": bc, "grid": args.grid,
+        **vars(report)})
     return 0
 
 

@@ -94,3 +94,8 @@ class ConsistencyFailure(HmlabError):
 
 class FitIllConditioned(HmlabError):
     """Radial coefficient fit has a numerically singular design matrix."""
+
+
+class NonFiniteReport(HmlabError):
+    """A report would hold NaN or an infinity, which strict JSON cannot
+    write; the command writes no report."""

@@ -194,7 +194,13 @@ def sphere_intrinsic_oracle(geometry, u, radii=None, powers=(-4, -2, 0, 1, 2, 3)
     has condition number about 4.4e8.  Its r^1..r^3 coefficients therefore
     carry no error estimate: a 1e-14 relative change in the samples has
     moved them by up to 2.5e-4 relative.  The r^-4 coefficients are stable.
+    ``u`` is one direction of shape (n,); anything else raises
+    :class:`InvalidSampling` before the march.
     """
+    if np.shape(u) != (geometry.dim,):
+        raise InvalidSampling(
+            f"the sphere-curvature oracle takes one direction of shape "
+            f"({geometry.dim},), got {np.shape(u)}")
     if radii is None:
         radii = np.geomspace(0.05, 0.4, 6)
     coeffs = _fit_powers(radii, powers, lambda radii: np.stack(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,9 +132,6 @@ class ResidualRow:
     tolerance: float
     passed: bool
 
-    def as_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class ResidualReport:
@@ -147,7 +144,7 @@ class ResidualReport:
 
     def as_dict(self):
         return {"space": self.space, "passed": self.passed,
-                "rows": [r.as_dict() for r in self.rows]}
+                "rows": self.rows}
 
 
 def _residual_row(name, lhs, rhs, tol, scale=None):

@@ -71,16 +71,9 @@ class IdentityVector:
                          for c, name in zip(self.coeffs, BASIS)))
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "degree": self.degree,
-            "origin": self.origin,
-            "provenance": self.provenance,
-            "coeffs": {name: [c.numerator, c.denominator]
-                       for name, c in zip(BASIS, self.coeffs)},
-            "const_terms": {name: [c.numerator, c.denominator]
-                            for name, c in zip(BASIS[:CONST_SLOTS], self.const_terms)},
-        }
+        """The fields, with the coefficients keyed by basis symbol."""
+        return {**vars(self), "coeffs": dict(zip(BASIS, self.coeffs)),
+                "const_terms": dict(zip(BASIS, self.const_terms))}
 
 
 def density_vector(n):
@@ -149,22 +142,6 @@ class MembershipReport:
     main_submatrix: list
     main_submatrix_det: Fraction
     generators_used: list
-
-    def as_dict(self):
-        return {
-            "rank_generators": self.rank_generators,
-            "rank_with_candidate": self.rank_with_candidate,
-            "member": self.member,
-            "combination": None if self.combination is None else
-                [[c.numerator, c.denominator] for c in self.combination],
-            "graded": self.graded,
-            "pivot_columns": list(self.pivot_columns),
-            "main_submatrix": [[[c.numerator, c.denominator] for c in row]
-                               for row in self.main_submatrix],
-            "main_submatrix_det": [self.main_submatrix_det.numerator,
-                                   self.main_submatrix_det.denominator],
-            "generators_used": self.generators_used,
-        }
 
 
 def _main_det(rows):
@@ -286,17 +263,9 @@ class NoiseReport:
     noise_norm_sq: Fraction
 
     def as_dict(self):
-        return {
-            "gram_kind": self.gram_kind,
-            "coefficients": [[c.numerator, c.denominator]
-                             for c in self.coefficients],
-            "projection": {n: [c.numerator, c.denominator]
-                           for n, c in zip(BASIS, self.projection)},
-            "residual": {n: [c.numerator, c.denominator]
-                         for n, c in zip(BASIS, self.residual)},
-            "noise_norm_sq": [self.noise_norm_sq.numerator,
-                              self.noise_norm_sq.denominator],
-        }
+        """The fields, with the two splits keyed by basis symbol."""
+        return {**vars(self), "projection": dict(zip(BASIS, self.projection)),
+                "residual": dict(zip(BASIS, self.residual))}
 
 
 def noise_wave(candidate, gens, gram=None, gram_kind="euclidean"):

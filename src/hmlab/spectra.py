@@ -401,14 +401,6 @@ class IsospectralityReport:
     blocks: list
     isospectral: bool
 
-    def as_dict(self):
-        return {
-            "module_dim": self.module_dim,
-            "center_dim": self.center_dim,
-            "isospectral": self.isospectral,
-            "blocks": self.blocks,
-        }
-
 
 def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2),
                           grid=128, count=4, mu_scale_b=1.0):
@@ -479,8 +471,8 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
                 entry["cells"].append({
                     "degree": degree, "m": m,
                     "dim_a": dim_a, "dim_b": dim_b,
-                    "eigenvalues_a": [float(x) for x in rep_a.eigenvalues],
-                    "eigenvalues_b": [float(x) for x in rep_b.eigenvalues],
+                    "eigenvalues_a": rep_a.eigenvalues,
+                    "eigenvalues_b": rep_b.eigenvalues,
                     "max_difference": diff,
                     "agree": bool(agree)})
         blocks.append(entry)

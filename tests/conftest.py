@@ -1,8 +1,8 @@
 """Shared geometry fixtures.
 
-Building a 12-dimensional group geometry computes two covariant derivative
-tensors (~3M entries each), so every space is session-scoped and the tests
-treat the returned objects as immutable.
+Building a 12-dimensional group geometry computes the covariant derivative
+nabla R (n^5, about 249k entries at n = 12), so every space is
+session-scoped and the tests treat the returned objects as immutable.
 """
 
 import numpy as np

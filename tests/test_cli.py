@@ -6,13 +6,15 @@ emitted files.
 """
 
 import argparse
+import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hmlab.cli import (COLUMNS, UsageError, build_parser, main, member_label,
-                       parse_family)
+                       parse_family, to_json)
 from hmlab.errors import FamilyMismatch
 
 
@@ -389,6 +391,59 @@ def test_unsupported_center_dimension_is_a_usage_error(command, center,
                                                         capsys):
     assert main([command, "--family", f"{center}:1,0;0,1"]) == 2
     assert f"center dimension {center} outside" in capsys.readouterr().err
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--family", "1:1,0", "--directions", "8"], "verify.json"),
+    (["counterexample", "--family", "1:1,0;0,1"], "counterexample.json"),
+    (["isospec", "--family", "1:1,0;0,1", "--max-degree", "1", "--grid",
+      "64"], "isospec.json"),
+    (["sis", "--family", "1:1,0"], "sis.json"),
+    (["expand", "--family", "1:1,0"], "expand.json"),
+    (["spectrum", "--k", "2", "--grid", "64", "--count", "2"],
+     "spectrum.json"),
+])
+def test_every_report_is_strict_json(argv, name, tmp_path):
+    """No NaN, Infinity or -Infinity token, which json.loads would accept."""
+    _, text = run_to_dir(argv, tmp_path, name)
+    payload = json.loads(text, parse_constant=refuse_constant)
+    assert payload["command"] == argv[0]
+    assert payload["schema_version"] == 1
+
+
+def test_a_report_that_would_hold_nan_is_refused(tmp_path, capsys):
+    """A bracket scaled by 1e300 overflows the curvature to NaN; the run
+    exits 1 naming the error and writes no report."""
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = main(["verify", "--family", "1:1,0", "--directions", "8",
+                   "--perturb", "1e300", "--out", str(out)])
+    assert rc == 1
+    assert "error: NonFiniteReport: " in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+def test_report_value_writes_what_json_has_no_type_for():
+    @dataclasses.dataclass
+    class Pair:
+        first: object
+        second: object
+
+    class Keyed:
+        def as_dict(self):
+            return {"key": Fraction(-3, 6)}
+
+    payload = {"pair": Pair(np.array([[1.5, 2.0]]), Keyed()),
+               "fraction": Fraction(4, 2)}
+    assert json.loads(to_json(payload)) == {
+        "pair": {"first": [[1.5, 2.0]], "second": {"key": [-1, 2]}},
+        "fraction": [2, 1]}
+    with pytest.raises(TypeError):
+        to_json({"set": {1}})
 
 
 def test_stdout_emission_without_out_dir(capsys):

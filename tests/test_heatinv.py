@@ -404,6 +404,16 @@ def test_oracle_fit_refuses_a_radius_that_is_not_positive(ns12, radius,
                             radii=[radius, 0.1, 0.15, 0.2, 0.25, 0.3])
 
 
+@pytest.mark.parametrize("u", [np.eye(12)[:2], np.eye(12)[:1], np.eye(11)[0],
+                               np.float64(1.0)])
+def test_intrinsic_oracle_refuses_anything_but_one_direction(ns12, u,
+                                                             monkeypatch):
+    """A batch used to run the whole march and then end in a bare numpy
+    LinAlgError from the fit ("3-dimensional array given")."""
+    refuse_before_the_march(monkeypatch, sphere_intrinsic_oracle, ns12, u,
+                            error=InvalidSampling)
+
+
 def test_cross_direction_difference_recovers_alpha2(ns12):
     """Differencing two directions cancels the isotropic terms, leaving the
     (1/16) tr R'R' difference as the r^2 slope."""

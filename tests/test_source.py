@@ -67,10 +67,10 @@ def test_every_definition_is_reached():
     assert unreached == []
 
 
-def calls_by_scope(name):
-    """(module, enclosing function) of every call to ``name`` in the package;
-    the scope of a module-level call is '<module>'."""
-    callers = set()
+def scopes_of(match):
+    """(module, enclosing function) of every node of the package for which
+    ``match(node)`` holds; the scope at module level is '<module>'."""
+    found = set()
     for path in sorted(Path(hmlab.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         scope = {}
@@ -78,12 +78,17 @@ def calls_by_scope(name):
             for child in ast.iter_child_nodes(node):
                 scope[child] = (node.name if isinstance(node, ast.FunctionDef)
                                 else scope.get(node, "<module>"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                called = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if called == name:
-                    callers.add((path.stem, scope[node]))
-    return callers
+        found |= {(path.stem, scope[node]) for node in ast.walk(tree)
+                  if match(node)}
+    return found
+
+
+def calls_by_scope(name):
+    """(module, enclosing function) of every call to ``name`` in the package."""
+    def is_call(node):
+        return isinstance(node, ast.Call) and name == getattr(
+            node.func, "id", getattr(node.func, "attr", None))
+    return scopes_of(is_call)
 
 
 def test_imports_inside_functions_are_the_deferred_scipy_ones():
@@ -150,6 +155,20 @@ def test_one_complex_structure_check_and_adaptation_per_build():
         {("spectra", "build_hnm_basis")}
     assert calls_by_scope("_check_complex_structure") == \
         {("spectra", "build_hnm_basis"), ("spectra", "hnm_multiplicity_oracle")}
+
+
+def test_reports_are_written_in_one_place():
+    """cli.report_value is the one place that writes a Fraction as
+    [numerator, denominator], and cli.write_report the one that stamps the
+    schema version; the other two readers of a Fraction's parts are exact
+    arithmetic."""
+    assert scopes_of(lambda node: isinstance(node, ast.Attribute)
+                     and node.attr in ("numerator", "denominator")) == \
+        {("cli", "report_value"), ("polynomials", "_over_one_denominator"),
+         ("spectra", "_rational_sqrt")}
+    assert scopes_of(lambda node: isinstance(node, ast.Constant)
+                     and node.value == "schema_version") == \
+        {("cli", "write_report")}
 
 
 def test_truncated_series_has_one_window_rule():

@@ -17,6 +17,11 @@ class NotHType(HmlabError):
     """Input algebra violates the Clifford condition J_Z^2 = -|Z|^2 id."""
 
 
+class NonFiniteGeometry(HmlabError):
+    """The connection or curvature built from structure constants is not
+    finite (the brackets overflow it), so no invariant of it can be."""
+
+
 class OrderUnsupported(HmlabError):
     """Derivative or series order beyond what the jet machinery supplies."""
 

@@ -10,14 +10,16 @@ homogeneous degrees (<= 6) this package ever touches.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial, gcd, lcm
 
 
 def _over_one_denominator(values):
-    """Integers n_i and one d > 0 with n_i / d == values[i], for a sequence
-    of ints and Fractions."""
+    """Python ints n_i and one d > 0 with n_i / d == values[i], for a
+    sequence of rationals (ints, Fractions, numpy integers)."""
     den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return [int(v.numerator) * (den // int(v.denominator))
+            for v in values], den
 
 
 class CPoly:
@@ -36,7 +38,7 @@ class CPoly:
         if den <= 0:
             raise ValueError(f"CPoly denominator must be positive, not {den}")
         terms = {m: c for m, c in terms.items() if c[0] or c[1]} if terms else {}
-        g = gcd(den, *(v for c in terms.values() for v in c))
+        g = gcd(den, *chain.from_iterable(terms.values()))
         if g > 1:
             den //= g
             terms = {m: (x // g, y // g) for m, (x, y) in terms.items()}
@@ -47,18 +49,6 @@ class CPoly:
     @classmethod
     def constant(cls, nvars, value):
         return cls(nvars, {(0,) * nvars: (1, 0)}).scale(value)
-
-    @classmethod
-    def linear_form(cls, re, im):
-        """sum_a (re_a + i im_a) x_a for two equally long lists of rationals."""
-        n = len(re)
-        nums, den = _over_one_denominator(list(re) + list(im))
-        terms = {}
-        for a in range(n):
-            mono = [0] * n
-            mono[a] = 1
-            terms[tuple(mono)] = (nums[a], nums[n + a])
-        return cls(n, terms, den)
 
     def __eq__(self, other):
         if other.__class__ is not CPoly:
@@ -129,30 +119,29 @@ class CPoly:
                         (prev[0] + x * f, prev[1] + y * f)
         return CPoly(self.nvars, out, self.den)
 
-    def rotation_derivative(self, j_rows):
+    def rotation_derivative(self, j):
         """Derivative along the flow X -> exp(sJ)X: sum_a (JX)_a d_a.
 
-        ``j_rows`` is J as rows of rationals.
+        ``j`` is J in the prepared form of :func:`integer_j`.
         """
-        k = len(j_rows)
-        nums, j_den = _over_one_denominator([x for row in j_rows for x in row])
-        rows = [[(b, nums[a * k + b]) for b in range(k) if nums[a * k + b]]
-                for a in range(k)]
+        j_rows, j_den = j
+        rows = [[(b, x) for b, x in enumerate(row) if x] for row in j_rows]
         out = {}
         for mono, (x, y) in self.terms.items():
             for a, e in enumerate(mono):
                 if not e:
                     continue
-                for b, j in rows[a]:
+                xe, ye = x * e, y * e
+                down = list(mono)
+                down[a] -= 1
+                for b, jab in rows[a]:
                     # x_b d_a: one power moves from variable a to variable b
-                    moved = list(mono)
-                    moved[a] -= 1
-                    moved[b] += 1
-                    target = tuple(moved)
-                    f = e * j
+                    down[b] += 1
+                    target = tuple(down)
+                    down[b] -= 1
                     prev = out.get(target)
-                    out[target] = (x * f, y * f) if prev is None else \
-                        (prev[0] + x * f, prev[1] + y * f)
+                    out[target] = (xe * jab, ye * jab) if prev is None else \
+                        (prev[0] + xe * jab, prev[1] + ye * jab)
         return CPoly(self.nvars, out, self.den * j_den)
 
     def __repr__(self):
@@ -226,37 +215,60 @@ def harmonic_space_dimension(nvars, degree):
 # -- adapted complex coordinates ----------------------------------------------
 
 
-def gram_schmidt_pairs(j_rows):
-    """Orthogonal pairs (Q, JQ) spanning R^k, exact and unnormalized.
+def integer_j(j_rows):
+    """J as integer rows over one denominator, ``(rows, den)`` with den > 0
+    and rows[r][c] / den == j_rows[r][c]: the prepared form every exact
+    J-level step runs on, made once per complex structure."""
+    nums, den = _over_one_denominator([Fraction(x) for row in j_rows
+                                       for x in row])
+    entries = iter(nums)
+    return [[next(entries) for _ in row] for row in j_rows], den
+
+
+def gram_schmidt_pairs(j):
+    """Orthogonal pairs (Q, JQ) spanning R^k, exact and unnormalized, for J
+    in the prepared form of :func:`integer_j`.  Each pair is returned as
+    ``(q, jq, den)``: integer vectors over one denominator.
 
     J must be orthogonal and skew; then JQ is automatically orthogonal to
     every previously chosen pair and to Q itself, so only the projection of
-    the raw candidate needs computing.
+    the raw candidate needs computing.  Projecting w out of v = n / d gives
+    (<w, w> n - <n, w> w) / (d <w, w>), in which the scale of w cancels, so
+    the chosen vectors are kept as numerators alone.
     """
+    j_rows, j_den = j
     k = len(j_rows)
-    j = [[Fraction(x) for x in row] for row in j_rows]
     chosen = []
     pairs = []
     for cand in range(k):
         if len(pairs) == k // 2:
             break
-        v = [Fraction(0)] * k
-        v[cand] = Fraction(1)
+        v = [0] * k
+        v[cand] = 1
+        den = 1
         for w in chosen:
             num = sum(a * b for a, b in zip(v, w))
             if num:
-                den = sum(b * b for b in w)
-                v = [a - num / den * b for a, b in zip(v, w)]
+                ww = sum(b * b for b in w)
+                v = [a * ww - num * b for a, b in zip(v, w)]
+                den *= ww
+                g = gcd(den, *v)
+                v = [a // g for a in v]
+                den //= g
         if not any(v):
             continue
-        jv = [sum(j[r][c] * v[c] for c in range(k)) for r in range(k)]
-        pairs.append((v, jv))
+        jv = [sum(x * c for x, c in zip(row, v)) for row in j_rows]
+        pairs.append(([a * j_den for a in v], jv, den * j_den))
         chosen.append(v)
         chosen.append(jv)
     return pairs
 
 
-def adapted_coordinates(j_rows):
-    """Linear forms z_i = <Q_i, X> + i <J Q_i, X> for the exact pair basis."""
-    pairs = gram_schmidt_pairs(j_rows)
-    return [CPoly.linear_form(q, jq) for q, jq in pairs]
+def adapted_coordinates(j):
+    """Linear forms z_i = <Q_i, X> + i <J Q_i, X> for the exact pair basis
+    of J in the prepared form of :func:`integer_j`."""
+    j_rows, _ = j
+    k = len(j_rows)
+    units = [tuple(int(a == b) for b in range(k)) for a in range(k)]
+    return [CPoly(k, {unit: (x, y) for unit, x, y in zip(units, q, jq)}, den)
+            for q, jq, den in gram_schmidt_pairs(j)]

@@ -21,8 +21,9 @@ from .errors import (ConsistencyFailure, ConvergenceFailure,
                      DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
                      InvalidSampling, NonIntegrableWeight, NotComplexStructure,
                      SpectraDiffer, ZeroLatticeVector)
-from .polynomials import (CPoly, adapted_coordinates, harmonic_projection,
-                          harmonic_space_dimension, monomials_of_degree)
+from .polynomials import (CPoly, _over_one_denominator, adapted_coordinates,
+                          harmonic_projection, harmonic_space_dimension,
+                          integer_j, monomials_of_degree)
 
 MAX_DEGREE = 6  # of the exact bidegree bases
 MIN_GRID = 64  # cells of a radial grid
@@ -39,34 +40,38 @@ class LatticeSymbol:
     j_unit_rows: list
 
 
-def _rational_sqrt(value):
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def laplacian_symbol(jmap, z_gamma):
     """Separation data for one lattice vector: mu = pi |Z|, J_Z and the
     exact unit-normalized J rows, which the harmonic-basis construction
-    consumes.  |Z| must be rational, else there are no exact unit rows and
-    :class:`NotComplexStructure` is raised.
+    consumes.  Z must have ``jmap.center_dim`` entries, else
+    :class:`InvalidSampling` is raised, and |Z| must be rational, else
+    there are no exact unit rows and :class:`NotComplexStructure` is raised.
+
+    With Z = n / d over one denominator, J_Z = M / d and its unit rows are
+    M / sqrt(<n, n>) for the integer matrix M = sum_a n_a J_a.
     """
-    z = [Fraction(x) for x in z_gamma]
-    norm_sq = sum(x * x for x in z)
+    if len(z_gamma) != jmap.center_dim:
+        raise InvalidSampling(
+            f"lattice vector {tuple(z_gamma)} needs {jmap.center_dim} "
+            f"entries, one per center direction")
+    nums, den = _over_one_denominator([Fraction(x) for x in z_gamma])
+    norm_sq = sum(x * x for x in nums)
     if not norm_sq:
         raise ZeroLatticeVector("lattice vector must be nonzero")
-    norm = _rational_sqrt(norm_sq)
-    if norm is None:
+    norm = math.isqrt(norm_sq)
+    if norm * norm != norm_sq:
         raise NotComplexStructure(
             f"lattice vector {tuple(z_gamma)} has irrational norm; "
             "no exact unit structure")
-    j_raw = jmap.j_of(z)
-    return LatticeSymbol(mu=math.pi * math.sqrt(float(norm_sq)),
-                         j_matrix=j_raw.astype(float),
-                         j_unit_rows=[[x / norm for x in row]
-                                      for row in j_raw])
+    gens = [g.tolist() for g in jmap.all_j()]
+    k = jmap.total_dim
+    j_num = [[sum(x * g[r][c] for x, g in zip(nums, gens)) for c in range(k)]
+             for r in range(k)]
+    return LatticeSymbol(mu=math.pi * math.sqrt(norm_sq / (den * den)),
+                         j_matrix=np.array([[x / den for x in row]
+                                            for row in j_num]),
+                         j_unit_rows=[[Fraction(x, norm) for x in row]
+                                      for row in j_num])
 
 
 # -- harmonic bidegree bases ----------------------------------------------------
@@ -81,13 +86,18 @@ class HnmBasis:
     total_dim: int
 
 
-def _check_complex_structure(j_rows):
-    """J must be skew-symmetric and square to minus the identity."""
-    k = len(j_rows)
-    skew = all(j_rows[r][c] == -j_rows[c][r]
-               for r in range(k) for c in range(k))
-    square = all(sum(j_rows[r][t] * j_rows[t][c] for t in range(k))
-                 == (-1 if r == c else 0)
+def _check_complex_structure(j):
+    """J, in the prepared form rows / den, must be a square matrix, skew,
+    and square to minus the identity: rows^2 = -den^2 I."""
+    rows, den = j
+    k = len(rows)
+    if any(len(row) != k for row in rows):
+        raise NotComplexStructure(f"J is not a square matrix: {k} rows of "
+                                  f"lengths {sorted({len(r) for r in rows})}")
+    skew = all(rows[r][c] == -rows[c][r] for r in range(k) for c in range(k))
+    cols = list(zip(*rows))
+    square = all(sum(a * b for a, b in zip(rows[r], cols[c]))
+                 == (-den * den if r == c else 0)
                  for r in range(k) for c in range(k))
     if not (skew and square):
         raise NotComplexStructure(
@@ -114,10 +124,10 @@ def build_hnm_basis(j_rows, max_degree):
     if max_degree > MAX_DEGREE:
         raise DegreeTooHigh(
             f"bidegree bases are capped at total degree {MAX_DEGREE}")
-    j_rows = [[Fraction(x) for x in row] for row in j_rows]
-    _check_complex_structure(j_rows)
+    j = integer_j(j_rows)
+    _check_complex_structure(j)
     k = len(j_rows)
-    zs = adapted_coordinates(j_rows)
+    zs = adapted_coordinates(j)
     factors = zs + [z.conjugate() for z in zs]
     d = len(zs)
     # z^p zbar^q keyed by the exponents p + q; each is the product one
@@ -151,7 +161,7 @@ def build_hnm_basis(j_rows, max_degree):
         per_m = dict(sorted(buckets.items()))
         for m, basis in per_m.items():
             for h in basis:
-                if h.rotation_derivative(j_rows) != h.scale(0, -m):
+                if h.rotation_derivative(j) != h.scale(0, -m):
                     raise ConsistencyFailure(
                         f"basis element of group m={m} is no rotation "
                         "eigenvector")
@@ -184,8 +194,8 @@ def hnm_multiplicity_oracle(j_rows, degree):
     """
     if degree < 0:
         raise InvalidSampling(f"degree must be at least 0, got {degree}")
-    j_rows = [[Fraction(x) for x in row] for row in j_rows]
-    _check_complex_structure(j_rows)
+    j = integer_j(j_rows)
+    _check_complex_structure(j)
     k = len(j_rows)
     monos = monomials_of_degree(k, degree)
     basis = []
@@ -199,7 +209,7 @@ def hnm_multiplicity_oracle(j_rows, degree):
     def to_col(poly):
         return np.array([complex(*poly.coefficient(mono)) for mono in monos])
     bmat = np.stack([to_col(h) for h in basis], axis=1)
-    amat = np.stack([to_col(h.rotation_derivative(j_rows)) for h in basis], axis=1)
+    amat = np.stack([to_col(h.rotation_derivative(j)) for h in basis], axis=1)
     mat, *_ = np.linalg.lstsq(bmat, amat, rcond=None)
     eigs = np.linalg.eigvals(1j * mat)
     out = {}

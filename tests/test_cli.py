@@ -415,15 +415,16 @@ def test_every_report_is_strict_json(argv, name, tmp_path):
     assert payload["schema_version"] == 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_report_that_would_hold_nan_is_refused(tmp_path, capsys):
-    """A bracket scaled by 1e300 overflows the curvature to NaN; the run
+    """A bracket scaled by 1e300 overflows the curvature to NaN; the build
+    refuses it before any battery runs, with no numpy warning, and the run
     exits 1 naming the error and writes no report."""
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        rc = main(["verify", "--family", "1:1,0", "--directions", "8",
-                   "--perturb", "1e300", "--out", str(out)])
+    rc = main(["verify", "--family", "1:1,0", "--directions", "8",
+               "--perturb", "1e300", "--out", str(out)])
     assert rc == 1
-    assert "error: NonFiniteReport: " in capsys.readouterr().err
+    assert "error: NonFiniteGeometry: " in capsys.readouterr().err
     assert not (out / "verify.json").exists()
 
 

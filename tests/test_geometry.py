@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmlab.clifford import build_j_map
-from hmlab.errors import NotHType, OrderUnsupported
+from hmlab.errors import NonFiniteGeometry, NotHType, OrderUnsupported
 from hmlab.geometry import (JET_BLOCK, build_htype_algebra,
                             constant_curvature_geometry, covariant_derivative,
                             curvature_jet, damek_ricci_geometry,
@@ -137,6 +137,23 @@ def test_scale_bracket_keeps_lie_but_breaks_clifford(ch2):
     # no longer Einstein: the diagonal spreads out
     diag = np.diag(ric)
     assert diag.max() - diag.min() > 0.1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scaled, entry", [(True, 1e300), (False, np.inf),
+                                           (False, np.nan)])
+def test_a_curvature_that_is_not_finite_is_refused_at_build(scaled, entry):
+    """A bracket scaled by 1e300 overflows the curvature, and an infinite
+    or NaN structure constant gives no finite connection: the build raises
+    before any invariant is computed, and prints no numpy warning."""
+    geo = damek_ricci_geometry(1, 1, 0)
+    if scaled:
+        c = scale_bracket(geo.algebra, 0, geo.dim - 1, entry)
+    else:
+        c = geo.algebra.copy()
+        c[0, 1, 2] = entry
+    with pytest.raises(NonFiniteGeometry, match="not finite"):
+        geometry_from_algebra(c, name=geo.name)
 
 
 def test_covariant_derivative_kills_parallel_metric(hh2):

@@ -3,15 +3,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmlab.clifford import build_j_map
 from hmlab import spectra
+from hmlab.cli import default_lattice
+from hmlab.clifford import build_j_map
 from hmlab.polynomials import (CPoly, adapted_coordinates, gram_schmidt_pairs,
                                harmonic_projection, harmonic_space_dimension,
-                               monomials_of_degree, radius_square)
+                               integer_j, monomials_of_degree, radius_square)
 from hmlab.spectra import build_hnm_basis, laplacian_symbol
 
 fr = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -192,10 +194,16 @@ def test_harmonic_projection_of_radius_power():
     assert proj.is_zero()
 
 
+def fraction_pairs(j):
+    """gram_schmidt_pairs of a prepared J as pairs of Fraction vectors."""
+    return [([Fraction(x, den) for x in q], [Fraction(x, den) for x in jq])
+            for q, jq, den in gram_schmidt_pairs(j)]
+
+
 def test_gram_schmidt_pairs_are_orthogonal():
     jm = build_j_map(3, 1, 1)
     j_rows = [[Fraction(int(x)) for x in row] for row in jm.j_of_center_basis(0)]
-    pairs = gram_schmidt_pairs(j_rows)
+    pairs = fraction_pairs(integer_j(j_rows))
     assert len(pairs) == 4
     flat = [v for pair in pairs for v in pair]
     for i, v in enumerate(flat):
@@ -209,16 +217,16 @@ def test_gram_schmidt_pairs_are_orthogonal():
 
 def test_adapted_coordinate_is_rotation_eigenvector():
     jm = build_j_map(1, 1, 0)
-    j_rows = [[Fraction(int(x)) for x in row] for row in jm.j_of_center_basis(0)]
-    zs = adapted_coordinates(j_rows)
+    j = integer_j(jm.j_of_center_basis(0).tolist())
+    zs = adapted_coordinates(j)
     assert len(zs) == 1
     z = zs[0]
-    dz = z.rotation_derivative(j_rows)
+    dz = z.rotation_derivative(j)
     # D z = i z exactly
     assert dz == z.scale(0, 1)
     # and the conjugate rotates the other way
     zbar = z.conjugate()
-    dzbar = zbar.rotation_derivative(j_rows)
+    dzbar = zbar.rotation_derivative(j)
     assert dzbar == zbar.scale(0, -1)
 
 
@@ -247,7 +255,9 @@ def reference_rotation_derivative(poly, j_rows):
         da = partial(poly, a)
         if da.is_zero():
             continue
-        lin = CPoly.linear_form(j_rows[a], [0] * poly.nvars)
+        lin = from_fractions(poly.nvars, {
+            tuple(int(b == c) for c in range(poly.nvars)): (x, 0)
+            for b, x in enumerate(j_rows[a])})
         out = out + lin * da
     return out
 
@@ -270,7 +280,7 @@ def gaussian_polys(draw):
 def test_kernels_match_reference_paths(case):
     poly, rows = case
     assert poly.laplacian() == reference_laplacian(poly)
-    assert poly.rotation_derivative(rows) == \
+    assert poly.rotation_derivative(integer_j(rows)) == \
         reference_rotation_derivative(poly, rows)
 
 
@@ -281,14 +291,82 @@ def test_kernels_match_reference_paths_on_the_pair_bases():
         jmap = build_j_map(3, a, b)
         for z in ((1, 0, 0), (1, 2, 2)):
             rows = laplacian_symbol(jmap, z).j_unit_rows
-            polys = list(adapted_coordinates(rows))
+            j = integer_j(rows)
+            polys = list(adapted_coordinates(j))
             for basis in build_hnm_basis(rows, 2):
                 for group in basis.per_m.values():
                     polys.extend(group)
             for poly in polys:
                 assert poly.laplacian() == reference_laplacian(poly)
-                assert poly.rotation_derivative(rows) == \
+                assert poly.rotation_derivative(j) == \
                     reference_rotation_derivative(poly, rows)
+
+
+def reference_gram_schmidt_pairs(j_rows):
+    """The Fraction Gram-Schmidt the integer one replaced: pairs (Q, JQ)
+    of Fraction vectors."""
+    k = len(j_rows)
+    j = [[Fraction(x) for x in row] for row in j_rows]
+    chosen = []
+    pairs = []
+    for cand in range(k):
+        if len(pairs) == k // 2:
+            break
+        v = [Fraction(0)] * k
+        v[cand] = Fraction(1)
+        for w in chosen:
+            num = sum(a * b for a, b in zip(v, w))
+            if num:
+                den = sum(b * b for b in w)
+                v = [a - num / den * b for a, b in zip(v, w)]
+        if not any(v):
+            continue
+        jv = [sum(j[r][c] * v[c] for c in range(k)) for r in range(k)]
+        pairs.append((v, jv))
+        chosen.append(v)
+        chosen.append(jv)
+    return pairs
+
+
+def pair_structures():
+    """Unit J rows of both members of each center dimension on the lattice
+    vectors isospec uses, and of the 12-dim pair on (3/5, 4/5, 0)."""
+    out = []
+    for l, members in ((1, ((1, 0), (0, 1))), (2, ((1, 0), (0, 1))),
+                       (3, ((2, 0), (1, 1)))):
+        for a, b in members:
+            jmap = build_j_map(l, a, b)
+            for z in default_lattice(l):
+                out.append(laplacian_symbol(jmap, z).j_unit_rows)
+            if l == 3:
+                z = (Fraction(3, 5), Fraction(4, 5), 0)
+                out.append(laplacian_symbol(jmap, z).j_unit_rows)
+    return out
+
+
+def test_gram_schmidt_pairs_match_the_fraction_path():
+    """Same exact pairs as the Fraction Gram-Schmidt, and adapted
+    coordinates that are their linear forms."""
+    for rows in pair_structures():
+        j = integer_j(rows)
+        pairs = fraction_pairs(j)
+        assert pairs == reference_gram_schmidt_pairs(rows)
+        k = len(rows)
+        units = [tuple(int(a == b) for b in range(k)) for a in range(k)]
+        assert adapted_coordinates(j) == [
+            from_fractions(k, {u: (x, y) for u, x, y in zip(units, q, jq)})
+            for q, jq in pairs]
+
+
+def test_integer_j_is_the_same_matrix():
+    """rows / den reproduces every rational entry, den is the least common
+    denominator, and ints, Fractions and numpy integers all convert."""
+    rows = [[Fraction(1, 2), Fraction(-2, 3)], [np.int64(4), 0]]
+    num, den = integer_j(rows)
+    assert den == 6
+    assert num == [[3, -4], [24, 0]]
+    assert all(type(x) is int for row in num for x in row)
+    assert integer_j([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], 1)
 
 
 # -- value semantics of the reduced form -----------------------------------------
@@ -310,7 +388,7 @@ def test_cpoly_is_reduced_and_compares_by_value(case, a, b):
     """Values reached by different routes are equal term for term, and the
     exact coefficients follow Fraction arithmetic."""
     p, rows = case
-    q = p.rotation_derivative(rows) + CPoly.constant(p.nvars, 1).scale(b, a)
+    q = p.rotation_derivative(integer_j(rows)) + CPoly.constant(p.nvars, 1).scale(b, a)
     results = [p + q, (p + q) - q, -p, p * q, p.scale(a, b), p.conjugate(),
                p.conjugate().conjugate(), p.laplacian(), p - p, p.scale(0)]
     for r in results:

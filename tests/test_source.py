@@ -157,15 +157,25 @@ def test_one_complex_structure_check_and_adaptation_per_build():
         {("spectra", "build_hnm_basis"), ("spectra", "hnm_multiplicity_oracle")}
 
 
+def test_j_is_prepared_once_where_a_build_or_the_oracle_starts():
+    """J becomes integer rows over one denominator where a bidegree build
+    or the multiplicity oracle starts, and every exact J-level step (the
+    check, the adapted coordinates, each rotation derivative) runs on that
+    form; the rotation derivative converts nothing itself."""
+    assert calls_by_scope("integer_j") == \
+        {("spectra", "build_hnm_basis"), ("spectra", "hnm_multiplicity_oracle")}
+    assert ("polynomials", "rotation_derivative") not in \
+        calls_by_scope("_over_one_denominator")
+
+
 def test_reports_are_written_in_one_place():
     """cli.report_value is the one place that writes a Fraction as
     [numerator, denominator], and cli.write_report the one that stamps the
-    schema version; the other two readers of a Fraction's parts are exact
+    schema version; the other reader of a Fraction's parts is exact
     arithmetic."""
     assert scopes_of(lambda node: isinstance(node, ast.Attribute)
                      and node.attr in ("numerator", "denominator")) == \
-        {("cli", "report_value"), ("polynomials", "_over_one_denominator"),
-         ("spectra", "_rational_sqrt")}
+        {("cli", "report_value"), ("polynomials", "_over_one_denominator")}
     assert scopes_of(lambda node: isinstance(node, ast.Constant)
                      and node.value == "schema_version") == \
         {("cli", "write_report")}

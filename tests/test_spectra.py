@@ -21,7 +21,7 @@ from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
                             scale_bracket)
 from hmlab.polynomials import (CPoly, adapted_coordinates,
                                harmonic_projection, harmonic_space_dimension,
-                               monomials_of_degree, radius_square)
+                               integer_j, monomials_of_degree, radius_square)
 from hmlab.spectra import (RadialOperator, build_hnm_basis, conjugacy_check,
                            hnm_basis_for_lattice, hnm_multiplicity_oracle,
                            isospectrality_report, laplacian_symbol,
@@ -73,6 +73,78 @@ def test_zero_lattice_vector(hh3):
         laplacian_symbol(hh3.jmap, (0, 0, 0))
 
 
+def reference_lattice_symbol(jmap, z_gamma):
+    """The Fraction path the integer one replaced: mu, J_Z built as a numpy
+    object array of Fractions and converted to floats, and its rows over
+    the rational |Z|."""
+    z = [Fraction(x) for x in z_gamma]
+    norm_sq = sum(x * x for x in z)
+    norm = Fraction(math.isqrt(norm_sq.numerator),
+                    math.isqrt(norm_sq.denominator))
+    assert norm * norm == norm_sq
+    j_raw = jmap.j_of(z)
+    return (math.pi * math.sqrt(float(norm_sq)), j_raw.astype(float),
+            [[x / norm for x in row] for row in j_raw])
+
+
+def test_lattice_symbol_matches_the_fraction_path():
+    """Both members of each center dimension on the lattice vectors isospec
+    uses, and the 12-dim pair on Z = (3/5, 4/5, 0): the same mu, the same
+    float J_Z bit for bit and the same exact unit rows."""
+    cases = [(l, member, z) for l, pair in ((1, ((1, 0), (0, 1))),
+                                            (2, ((1, 0), (0, 1))),
+                                            (3, ((2, 0), (1, 1))))
+             for member in pair for z in default_lattice(l)]
+    cases += [(3, member, (Fraction(3, 5), Fraction(4, 5), 0))
+              for member in ((2, 0), (1, 1))]
+    for l, (a, b), z in cases:
+        jmap = build_j_map(l, a, b)
+        sym = laplacian_symbol(jmap, z)
+        mu, j_matrix, unit_rows = reference_lattice_symbol(jmap, z)
+        assert sym.mu == mu
+        assert sym.j_matrix.dtype == j_matrix.dtype
+        assert sym.j_matrix.tobytes() == j_matrix.tobytes()
+        assert sym.j_unit_rows == unit_rows
+        assert all(type(x) is Fraction for row in sym.j_unit_rows for x in row)
+
+
+@pytest.mark.parametrize("z", [(1, 0), (1, 0, 0, 0), (1, 0, 0, 5)])
+def test_lattice_vector_of_the_wrong_length_is_refused(z):
+    """Too short once failed in numpy indexing, one zero too many was
+    dropped and (1, 0, 0, 5) was refused for its norm."""
+    with pytest.raises(InvalidSampling, match="needs 3 entries"):
+        laplacian_symbol(build_j_map(3, 2, 0), z)
+
+
+def reference_is_complex_structure(j_rows):
+    """The Fraction check the integer one replaced."""
+    j = [[Fraction(x) for x in row] for row in j_rows]
+    k = len(j)
+    skew = all(j[r][c] == -j[c][r] for r in range(k) for c in range(k))
+    square = all(sum(j[r][t] * j[t][c] for t in range(k))
+                 == (-1 if r == c else 0)
+                 for r in range(k) for c in range(k))
+    return skew and square
+
+
+def test_the_integer_j_check_matches_the_fraction_check():
+    """A unit J passes; a non-skew J with J^2 = -I, a skew J with
+    J^2 = -2I and 2J are refused, by both checks alike."""
+    jmap = build_j_map(3, 1, 1)
+    unit = laplacian_symbol(jmap, (1, 2, 2)).j_unit_rows
+    non_skew = np.kron(np.eye(4, dtype=int), [[1, -2], [1, -1]]).tolist()
+    cases = [(unit, True), (non_skew, False),
+             (jmap.j_of((1, 1, 0)).tolist(), False),
+             ([[2 * x for x in row] for row in unit], False)]
+    for rows, ok in cases:
+        assert reference_is_complex_structure(rows) is ok
+        if ok:
+            spectra._check_complex_structure(integer_j(rows))
+        else:
+            with pytest.raises(NotComplexStructure):
+                spectra._check_complex_structure(integer_j(rows))
+
+
 # -- bidegree bases --------------------------------------------------------------
 
 
@@ -105,7 +177,7 @@ def test_bidegree_eigen_relation_is_exact(ns12):
     basis = build_hnm_basis(rows, 2)[2]
     for m, polys in basis.per_m.items():
         for h in polys:
-            rotated = h.rotation_derivative(rows)
+            rotated = h.rotation_derivative(integer_j(rows))
             assert rotated == h.scale(0, -m)
 
 
@@ -137,7 +209,7 @@ def factor_by_factor_bases(rows, degree):
     at a time and every projection eliminated densely: the build that
     products of lower degree and the z_d zbar_d rule replaced."""
     k = len(rows)
-    zs = adapted_coordinates(rows)
+    zs = adapted_coordinates(integer_j(rows))
     zbars = [z.conjugate() for z in zs]
     d = len(zs)
     buckets = {}
@@ -248,11 +320,13 @@ def test_real_harmonics_keep_the_monomials_of_last_exponent_at_most_one(
     [[1, -2], [1, -1]],
     np.kron(np.eye(2, dtype=int), [[1, -2], [1, -1]]).tolist(),
     [[0, -2], [2, 0]],
+    [[0, -1, 0], [1, 0, 0]],
 ])
 def test_only_a_skew_square_root_of_minus_one_is_a_complex_structure(j):
-    """J^2 = -I without J^T = -J (alone and as a 4x4 block diagonal), and a
-    skew J with J^2 = -4I: the build and the oracle both refuse them, rather
-    than failing a rotation check or returning multiplicities."""
+    """J^2 = -I without J^T = -J (alone and as a 4x4 block diagonal), a
+    skew J with J^2 = -4I, and rows longer than there are rows: the build
+    and the oracle both refuse them, rather than failing a rotation check
+    or returning multiplicities."""
     for degree in (1, 2):
         with pytest.raises(NotComplexStructure):
             build_hnm_basis(j, degree)
@@ -313,7 +387,7 @@ def restricted_apply(f_coeffs, h_poly, mu, j_rows):
     big = polynomial_to_series(f_coeffs, h_poly)
     mu = Fraction(mu)
     lap = big.laplacian()
-    rot = big.rotation_derivative(j_rows).scale(0, 2 * mu)
+    rot = big.rotation_derivative(integer_j(j_rows)).scale(0, 2 * mu)
     pot = (big + (t * big).scale(Fraction(1, 4))).scale(-4 * mu * mu)
     return lap + rot + pot
 

@@ -4,7 +4,19 @@ Layers, bottom up: exact series and linear algebra, the Clifford module
 machinery, left-invariant curvature, direction and point invariants, radial
 expansions, heat-coefficient decompositions, the exact identity bookkeeping,
 polynomial harmonics, radial spectra, and a CLI over all of it.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` before anything loads
+numpy.  The package's dense products are too small to gain from a second
+thread: on a 2-vCPU host it spun after each threaded product and raised CPU
+time by about half, with no gain in wall time.  OpenBLAS reads the variable
+once, when it loads, so any earlier value is overwritten here; child
+processes inherit it.  If numpy was imported before hmlab, numpy's OpenBLAS
+keeps the threads it started with.
 """
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .clifford import build_clifford_module, build_j_map
 from .errors import *  # noqa: F401,F403

@@ -382,17 +382,14 @@ def _mc_plan(geometry, quantity):
     sum_t coef[t] * w[pa[t]] * w[pb[t]] with w the monomials of ``halves``.
     """
     n = geometry.dim
-    # The Grams are plain einsum loops, not BLAS: these products are too
-    # small for threads, and a threaded BLAS on a 2-vCPU host took 32 ms
-    # for F K F^T against 1 ms here, with bit-equal results on the pair.
     if quantity == "beta":
         idx, fmat = _symmetric_factor(np.einsum('iabj->abij', geometry.r), 2)
         kmat = np.einsum('jiqm->qimj', geometry.r).reshape(n * n, n * n)
-        gram = np.einsum('aj,bj->ab', np.einsum('ai,ij->aj', fmat, kmat), fmat)
+        gram = fmat @ kmat @ fmat.T
     elif quantity == "grad_quad":
         idx, fmat = _symmetric_factor(
             np.einsum('ciabj->cabij', geometry.nabla_r), 3)
-        gram = np.einsum('ai,bi->ab', fmat, fmat)
+        gram = fmat @ fmat.T
     else:
         raise InvalidSampling(f"unknown Monte Carlo quantity {quantity!r}; "
                               f"expected 'beta' or 'grad_quad'")

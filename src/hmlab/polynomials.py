@@ -103,6 +103,21 @@ class CPoly:
                                   for m, (x, y) in self.terms.items()},
                      self.den * den)
 
+    def is_i_times(self, other, t):
+        """Whether self == i t other for an integer t, compared term by
+        term over the product of the two denominators, with no polynomial
+        built: (x + iy) / D == i t (u + iv) / E iff xE == -tvD and yE == tuD."""
+        if not t:
+            return not self.terms
+        if self.terms.keys() != other.terms.keys():
+            return False
+        d, e = self.den * t, other.den
+        for mono, (x, y) in self.terms.items():
+            u, v = other.terms[mono]
+            if x * e != -v * d or y * e != u * d:
+                return False
+        return True
+
     def conjugate(self):
         return CPoly(self.nvars, {m: (x, -y) for m, (x, y) in self.terms.items()},
                      self.den)

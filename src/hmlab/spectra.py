@@ -161,7 +161,7 @@ def build_hnm_basis(j_rows, max_degree):
         per_m = dict(sorted(buckets.items()))
         for m, basis in per_m.items():
             for h in basis:
-                if h.rotation_derivative(j) != h.scale(0, -m):
+                if not h.rotation_derivative(j).is_i_times(h, -m):
                     raise ConsistencyFailure(
                         f"basis element of group m={m} is no rotation "
                         "eigenvector")

@@ -5,6 +5,8 @@ nabla R (n^5, about 249k entries at n = 12), so every space is
 session-scoped and the tests treat the returned objects as immutable.
 """
 
+import hmlab  # first: it sets one BLAS thread, read only when numpy loads
+
 import numpy as np
 import pytest
 

@@ -1,10 +1,13 @@
 """Properties of the package source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hmlab
 from hmlab.series import TruncatedSeries
@@ -213,3 +216,49 @@ def test_the_command_line_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_blas_thread_is_set_before_anything_loads_numpy():
+    """OpenBLAS reads OPENBLAS_NUM_THREADS once, when it loads, so the
+    package sets it (overwriting, not defaulting) before its first import
+    that can load numpy; only ``os`` may be imported ahead of it."""
+    tree = ast.parse(Path(hmlab.__file__).read_text())
+    setting = [i for i, node in enumerate(tree.body)
+               if isinstance(node, ast.Assign)
+               and ast.unparse(node) ==
+               "os.environ['OPENBLAS_NUM_THREADS'] = '1'"]
+    assert len(setting) == 1
+    before = [ast.unparse(node) for node in tree.body[:setting[0]]
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert before == ["import os"]
+
+
+BLAS_THREADS = """
+import json
+import hmlab
+from worker import blas_threads
+print(json.dumps(blas_threads()))
+import scipy.linalg
+print(json.dumps(blas_threads()))
+"""
+
+
+def test_every_openblas_runs_one_thread_after_importing_hmlab():
+    """With two threads asked for in the environment, numpy's OpenBLAS
+    (loaded by importing hmlab) and scipy's own (loaded later by
+    scipy.linalg) each report one thread, queried as the benchmark's
+    worker queries every BLAS mapped into its process."""
+    src = str(Path(hmlab.__file__).resolve().parent.parent)
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, bench, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS],
+                         capture_output=True, text=True, check=True, env=env)
+    after_hmlab, after_scipy = (
+        {lib: n for lib, n in json.loads(line).items()
+         if "openblas" in lib.lower()} for line in out.stdout.splitlines())
+    if not after_scipy:
+        pytest.skip("no OpenBLAS is loaded by numpy or scipy")
+    assert set(after_hmlab.values()) <= {1}
+    assert set(after_scipy.values()) == {1}

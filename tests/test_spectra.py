@@ -181,6 +181,35 @@ def test_bidegree_eigen_relation_is_exact(ns12):
             assert rotated == h.scale(0, -m)
 
 
+def test_eigenvector_check_agrees_with_the_built_product(hh3, ns12):
+    """The build's check ``D h`` is ``i t h`` (``CPoly.is_i_times``) against
+    building ``h.scale(0, t)`` and comparing with ``==``: on all 624
+    elements of the pair's bases to degree 3 at (1,0,0) and (1,2,2), at the
+    element's label, its neighbours and 0, and on each element of degree at
+    least 1 with one term added, which is no eigenvector."""
+    agreed = 0
+    for geo in (hh3, ns12):
+        for z in ((1, 0, 0), (1, 2, 2)):
+            rows = unit_j_rows(geo.jmap, z)
+            j = integer_j(rows)
+            for degree, basis in enumerate(build_hnm_basis(rows, 3)):
+                bump = CPoly(len(rows), {(degree,) + (0,) * (len(rows) - 1):
+                                         (1, 2)}, 7)
+                for m, polys in basis.per_m.items():
+                    for h in polys:
+                        rotated = h.rotation_derivative(j)
+                        for t in {-m, -m - 1, -m + 1, 0}:
+                            assert rotated.is_i_times(h, t) == \
+                                (rotated == h.scale(0, t)) == (t == -m)
+                        if degree:
+                            other = h + bump
+                            rotated = other.rotation_derivative(j)
+                            assert not rotated.is_i_times(other, -m)
+                            assert rotated != other.scale(0, -m)
+                        agreed += 1
+    assert agreed == 624
+
+
 def dense_independent_subset(polys, monos):
     """Dense-vector elimination on exact (re, im) Fraction pairs over the
     monomials ``monos``, pivots re-sorted for every polynomial."""

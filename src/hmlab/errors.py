@@ -45,9 +45,10 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """Too few samples or grid cells were asked for, a radius not > 0 (or
-    repeated, where coefficients are peeled), a negative harmonic degree,
-    or a Monte Carlo quantity that does not exist."""
+    """Too few samples or grid cells were asked for, a radius or Jacobi-flow
+    steps_per_unit not finite and > 0, peeled radii repeated or powers not
+    rising by even gaps, a negative harmonic degree, or a Monte Carlo
+    quantity that does not exist."""
 
 
 class DegreeMismatch(HmlabError):

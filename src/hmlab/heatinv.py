@@ -101,7 +101,7 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
     that order, of shape (k,) for k radii, or (m, k) for a batch.  The
     Gauss equation R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is applied in
     the base frame: with v the flow's velocity, P = I - v v^T and
-    S = P q b a^-1 q^T P (see ``radial._jacobi_flow`` for the state),
+    S = P Z X^-1 P (see ``radial._jacobi_flow`` for the state),
       Ric^S = P (Ric - R_v) P + tr(S) S - S^2,   R_v[a, b] = R[v, a, b, v].
     For |R^S|^2 expand each of the four projectors of R as I - v v^T.  One v
     gives -|R(v, ., ., .)|^2 per slot; two v's fill a skew pair (ab) or (cd)
@@ -111,11 +111,11 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
       |R^S|^2 = |R|^2 - 4|R(v)|^2 + 4|R_v|^2 + 4 R_abcd S_ad S_bc
                 + 2 (tr S^2)^2 - 2 tr S^4   (no rank-4 array is built).
     """
-    radii, v, q, a, b = _jacobi_flow(geometry, u, radii, steps_per_unit)
+    radii, v, x, z = _jacobi_flow(geometry, u, radii, steps_per_unit)
     r = geometry.r
     n = r.shape[0]
     proj = np.eye(n) - v[..., :, None] * v[..., None, :]
-    s = proj @ q @ b @ np.linalg.inv(a) @ np.swapaxes(q, -2, -1) @ proj
+    s = proj @ z @ np.linalg.inv(x) @ proj
     s2 = s @ s
     r_v_rows = v @ r.reshape(n, -1)                 # R(v, ., ., .), flattened
     r_v = (r_v_rows.reshape(*v.shape[:-1], n * n, n)

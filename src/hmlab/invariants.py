@@ -389,6 +389,8 @@ def _mc_plan(geometry, quantity):
     elif quantity == "grad_quad":
         idx, fmat = _symmetric_factor(
             np.einsum('ciabj->cabij', geometry.nabla_r), 3)
+        keep = fmat.any(axis=1)       # a zero row has a zero Gram row
+        idx, fmat = idx[keep], fmat[keep]
         gram = fmat @ fmat.T
     else:
         raise InvalidSampling(f"unknown Monte Carlo quantity {quantity!r}; "

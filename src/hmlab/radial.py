@@ -208,30 +208,25 @@ def vk_recursion(a_coeffs, dim, count):
 class OdeResult:
     radii: np.ndarray
     theta_normalized: np.ndarray
-    a_final: np.ndarray
 
 
 def _flow_derivative(neg_gamma_t, neg_r_cols, y):
-    """d/dr of the flow states y = [u | q | a | b], shape (m, n, 1 + 3n).
+    """d/dr of the flow states y = [u | X | Z], shape (m, n, 1 + 2n).
 
     With g = gamma(u), g[j, k] = gamma[i, j, k] u_i, and R_u[a, d] =
-    R[a, u, u, d], the velocity and the frame move by -g^T [u | q], and
-    (a, b) by (b, -(q^T R_u q) a).  ``neg_gamma_t`` holds -gamma[i, k, j]
+    R[a, u, u, d], every column moves by -g^T y; then Z is added to the X
+    block and -R_u X to the Z block.  ``neg_gamma_t`` holds -gamma[i, k, j]
     with rows i and columns (k, j), and ``neg_r_cols`` holds -R[a, e, f, d]
     with rows (e, f) and columns (a, d), so -g^T and -R_u are one matrix
     product each for the whole batch.
     """
     m, n = y.shape[:2]
     u = y[:, :, 0]
-    q = y[:, :, 1:n + 1]
-    neg_gt = (u @ neg_gamma_t).reshape(m, n, n)
     uu = (u[:, :, None] * u[:, None, :]).reshape(m, n * n)
     neg_r_u = (uu @ neg_r_cols).reshape(m, n, n)
-    dy = np.empty_like(y)
-    dy[:, :, :n + 1] = neg_gt @ y[:, :, :n + 1]
-    dy[:, :, n + 1:2 * n + 1] = y[:, :, 2 * n + 1:]
-    dy[:, :, 2 * n + 1:] = (np.swapaxes(q, 1, 2) @ neg_r_u @ q
-                            @ y[:, :, n + 1:2 * n + 1])
+    dy = (u @ neg_gamma_t).reshape(m, n, n) @ y
+    dy[:, :, 1:n + 1] += y[:, :, n + 1:]
+    dy[:, :, n + 1:] += neg_r_u @ y[:, :, 1:n + 1]
     return dy
 
 
@@ -240,22 +235,24 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
 
     ``u`` is one direction (n,) or a batch (m, n), n = ``geometry.dim``;
     every row must be finite and of norm 1.  Each direction carries the
-    state [u | q | a | b], shape (n, 1 + 3n), in the left-invariant frame:
-    its velocity u, the parallel frame q, the normalized Jacobi endomorphism
-    a (A = r a) in that frame and b = a'.  It starts at [u | I | 0 | I].
+    state [u | X | Z], shape (n, 1 + 2n), in the left-invariant frame: its
+    velocity u, the Jacobi endomorphism X (X(0) = 0, X'(0) = I) and its
+    covariant derivative Z.  It starts at [u | 0 | I].
 
     One fixed-step RK4 march from r = 0 takes the whole batch through the
     sorted radii.  The segment ending at radius r_k is split into
     ceil(max(dr * steps_per_unit, 16 dr / r_k)) equal steps, so no step is
     longer than 1/steps_per_unit or r_k/16.  Every radius must be finite
-    and positive.  Returns the sorted radii and the arrays u, q, a and b,
-    shaped (k, n) and (k, n, n) for k radii, each with a leading batch
-    axis of m for a batch.
+    and positive, and ``steps_per_unit`` finite and > 0.  Returns the
+    sorted radii and the arrays u, X and Z, shaped (k, n) and (k, n, n) for
+    k radii, each with a leading batch axis of m for a batch.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    if radii.size == 0 or not np.all(np.isfinite(radii)) or radii[0] <= 0.0:
+    if (radii.size == 0 or not np.all(np.isfinite(radii)) or radii[0] <= 0.0
+            or not 0 < steps_per_unit < math.inf):
         raise InvalidSampling(
-            f"the Jacobi flow needs finite radii > 0, got {radii.tolist()}")
+            f"the Jacobi flow needs finite radii > 0 and a finite "
+            f"steps_per_unit > 0, got {radii.tolist()} and {steps_per_unit}")
     n = geometry.dim
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != n:
@@ -271,10 +268,9 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
     neg_gamma_t = -geometry.gamma.transpose(0, 2, 1).reshape(n, n * n)
     neg_r_cols = -geometry.r.transpose(1, 2, 0, 3).reshape(n * n, n * n)
     batch = u.reshape(-1, n)
-    y = np.zeros((len(batch), n, 1 + 3 * n))
+    y = np.zeros((len(batch), n, 1 + 2 * n))
     y[:, :, 0] = batch
-    y[:, :, 1:n + 1] = np.eye(n)
-    y[:, :, 2 * n + 1:] = np.eye(n)
+    y[:, :, n + 1:] = np.eye(n)
     states = []
     r_prev = 0.0
     for r_target in radii:
@@ -289,54 +285,54 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
                 k3 = _flow_derivative(neg_gamma_t, neg_r_cols, y + 0.5 * h * k2)
                 k4 = _flow_derivative(neg_gamma_t, neg_r_cols, y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y[:, :, n + 1:2 * n + 1])):
+        if not np.all(np.isfinite(y[:, :, 1:n + 1])):
             raise StepFailure(f"non-finite Jacobi endomorphism at r = {r_target}")
         states.append(y)
         r_prev = r_target
     states = np.stack(states, axis=1).reshape(*u.shape[:-1], len(radii), n,
-                                               1 + 3 * n)
-    return (radii, states[..., 0], states[..., 1:n + 1],
-            states[..., n + 1:2 * n + 1], states[..., 2 * n + 1:])
+                                               1 + 2 * n)
+    return radii, states[..., 0], states[..., 1:n + 1], states[..., n + 1:]
 
 
 def ode_oracle(geometry, u, radii, steps_per_unit=2048):
-    """Normalized density theta = det a / r^n by integrating the Jacobi flow
+    """Normalized density theta = det X / r^n by integrating the Jacobi flow
     (fixed-step RK4, see ``_jacobi_flow``) along the unit direction ``u``,
     or along each row of a batch (m, n), which gives theta of shape (m, k).
 
-    State: direction and parallel frame in the left-invariant trivialization
-    plus the Jacobi endomorphism and its derivative.  Structure constants are
-    frame-constant, so the curvature entering the flow is the frozen tensor
-    conjugated by the frame.  One march from r = 0 passes through the sorted
-    radii, which must be positive; the result lists them in sorted order.
+    X = q A, with A the endomorphism in a parallel frame q and det q = 1, so
+    det X = det A.  One march from r = 0 passes through the sorted radii,
+    which must be positive; the result lists them in sorted order.
     """
-    radii, _, _, a, _ = _jacobi_flow(geometry, u, radii, steps_per_unit)
+    radii, _, x, _ = _jacobi_flow(geometry, u, radii, steps_per_unit)
     with np.errstate(over="ignore", invalid="ignore"):
-        thetas = np.linalg.det(a) / radii ** geometry.dim
+        thetas = np.linalg.det(x) / radii ** geometry.dim
     finite = np.isfinite(thetas).reshape(-1, radii.size).all(axis=0)
     if not finite.all():
-        # det(a) can overflow while a is still finite
+        # det(X) can overflow while X is still finite
         raise StepFailure(f"non-finite density at r = {radii[~finite][0]}")
-    return OdeResult(radii=radii, theta_normalized=thetas,
-                     a_final=a[..., -1, :, :])
+    return OdeResult(radii=radii, theta_normalized=thetas)
 
 
 def peel_coefficients(values, radii, powers):
     """Sequentially extract series coefficients from sampled residuals.
 
     ``values[k]`` is f(radii[k]) with f(0) = 0 after the caller removed the
-    constant term; the powers must be increasing and of one parity gap so
-    that Richardson extrapolation in r^2 applies.  The radii must be
-    finite, > 0 and distinct, one per value.
+    constant term; the powers must be finite and strictly increasing with
+    even gaps, so that Richardson extrapolation in r^2 applies.  The radii
+    must be finite, > 0 and distinct, one per value.
     """
     radii = np.asarray(radii, dtype=float)
     residual = np.asarray(values, dtype=float).copy()
+    gaps = np.diff(np.asarray(powers, dtype=float))
     if (radii.ndim != 1 or residual.shape != radii.shape or radii.size == 0
             or not np.all(np.isfinite(radii)) or radii.min() <= 0.0
-            or np.unique(radii).size < radii.size):
+            or np.unique(radii).size < radii.size
+            or not np.all(np.isfinite(powers)) or np.any(gaps <= 0)
+            or np.any(gaps % 2 != 0)):
         raise InvalidSampling(
-            f"peeling needs distinct finite radii > 0, one per value; got "
-            f"{residual.size} values at radii {radii.tolist()}")
+            f"peeling needs distinct finite radii > 0, one per value, and "
+            f"finite powers that strictly increase with even gaps; got "
+            f"{residual.size} values at radii {radii.tolist()}, powers {powers}")
     ts = radii ** 2
     out = []
     for p in powers:

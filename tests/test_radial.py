@@ -176,25 +176,30 @@ def test_ode_oracle_matches_series_on_quaternionic_member(hh2):
     assert_allclose(ode.theta_normalized, series_vals, rtol=2e-6)
 
 
-def restart_flow(geometry, u, r_target, steps_per_unit):
+def restart_flow(geometry, u, r_target, steps_per_unit, dtype=float):
     """Flow state (u, q, a, b) at one radius by an RK4 run from r = 0.
 
-    The path the single march replaced: every radius restarts at r = 0 and
-    takes max(16, ceil(r * steps_per_unit)) steps of the einsum derivative.
+    An independent formulation of the march: the parallel frame q is
+    carried, and a and b = a' are the Jacobi endomorphism and its
+    derivative in that frame, so q a is the march's X and q b its Z.  Every
+    radius restarts at r = 0 and takes max(16, ceil(r * steps_per_unit))
+    steps of the einsum derivative, in ``dtype`` throughout.
     """
+    gamma = geometry.gamma.astype(dtype)
+    curv = geometry.r.astype(dtype)
+
     def derivative(state):
         u, q, a, b = state
-        gamma = geometry.gamma
         du = -np.einsum('i,ijm,j->m', u, gamma, u)
         g = np.einsum('i,imd->dm', u, gamma)
-        r4 = np.einsum('aefd,e,f->ad', geometry.r, u, u)
+        r4 = np.einsum('aefd,e,f->ad', curv, u, u)
         return du, -g @ q, b, -(q.T @ r4 @ q) @ a
 
     n = geometry.dim
     steps = max(16, int(math.ceil(r_target * steps_per_unit)))
-    h = r_target / steps
-    state = (np.asarray(u, dtype=float).copy(), np.eye(n), np.zeros((n, n)),
-             np.eye(n))
+    h = dtype(r_target) / steps
+    state = (np.asarray(u, dtype=dtype).copy(), np.eye(n, dtype=dtype),
+             np.zeros((n, n), dtype=dtype), np.eye(n, dtype=dtype))
     for _ in range(steps):
         k1 = derivative(state)
         k2 = derivative(tuple(x + 0.5 * h * k for x, k in zip(state, k1)))
@@ -222,8 +227,22 @@ def test_ode_oracle_matches_restart_per_radius(space, request):
     for r, theta in zip(ode.radii, ode.theta_normalized):
         a = restart_flow(geo, u, r, 512)[2]
         assert_allclose(theta, np.linalg.det(a) / r ** geo.dim, rtol=1e-12)
-    # a is the reference endomorphism at the largest radius
-    assert_allclose(ode.a_final, a, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("space", ["hh2", "ns12"])
+def test_flow_matches_a_long_double_solution(space, request):
+    """The march at 512 steps/unit against the restart formulation run in
+    long double at 2048 steps/unit, whose own error is far below both
+    bounds: theta at r = 0.3 to 2e-13 relative, X to 5e-14 of q a."""
+    geo = request.getfixturevalue(space)
+    u = flow_direction(geo.dim)
+    radii = [0.1, 0.25, 0.3]
+    _, q, a, _ = restart_flow(geo, u, 0.3, 2048, dtype=np.longdouble)
+    theta = ode_oracle(geo, u, radii, steps_per_unit=512).theta_normalized[-1]
+    want = np.linalg.det(a.astype(float)) / 0.3 ** geo.dim
+    assert abs(theta / want - 1.0) < 2e-13
+    x = _jacobi_flow(geo, u, radii, 512)[2][-1]
+    assert np.max(np.abs(x - q @ a)) < 5e-14
 
 
 def alpha2_pair(dim):
@@ -236,7 +255,7 @@ def alpha2_pair(dim):
 @pytest.mark.parametrize("batch", ["five", "alpha2_pair"])
 def test_batched_flow_equals_single_direction_marches(space, batch, request):
     """One march of a batch against one march per direction, through
-    unsorted radii: the states (u, q, a, b) at every radius, the densities
+    unsorted radii: the states (u, X, Z) at every radius, the densities
     and the sphere curvature samples."""
     geo = request.getfixturevalue(space)
     dirs = (random_directions(geo.dim, 5, np.random.default_rng(7))
@@ -254,8 +273,6 @@ def test_batched_flow_equals_single_direction_marches(space, batch, request):
         single_ode = ode_oracle(geo, u, radii, steps_per_unit=256)
         assert_allclose(ode.theta_normalized[i], single_ode.theta_normalized,
                         rtol=1e-12)
-        assert_allclose(ode.a_final[i], single_ode.a_final, rtol=1e-12,
-                        atol=1e-14)
         _, ric, riem = _sphere_curvature_samples(geo, u, radii, 256)
         assert_allclose(ric_sq[i], ric, rtol=1e-12)
         assert_allclose(riem_sq[i], riem, rtol=1e-12)
@@ -285,6 +302,18 @@ def test_flow_rejects_directions_that_are_not_unit_rows(ns12, direction):
         ode_oracle(ns12, direction(ns12.dim), [0.2, 0.4])
     with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
         _sphere_curvature_samples(ns12, direction(ns12.dim), [0.2], 64)
+
+
+@pytest.mark.parametrize("steps_per_unit", [math.nan, math.inf, 0, -5])
+def test_flow_rejects_a_step_count_that_is_not_positive(ns12, steps_per_unit):
+    """A step count per unit radius that is not finite and > 0 is refused
+    before the march: NaN and inf used to end in a bare ValueError and
+    OverflowError, 0 and -5 in 16 steps per segment."""
+    u = flow_direction(ns12.dim)
+    with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
+        ode_oracle(ns12, u, [0.2, 0.4], steps_per_unit=steps_per_unit)
+    with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
+        _sphere_curvature_samples(ns12, u, [0.2], steps_per_unit)
 
 
 def conjugate4(tensor, m):
@@ -382,6 +411,17 @@ def test_peel_rejects_bad_radii(radii):
     than the value count is refused before any division."""
     with pytest.raises(InvalidSampling, match="peeling needs"):
         peel_coefficients([1e-3, 2e-3, 3e-3], radii, powers=(2, 4))
+
+
+@pytest.mark.parametrize("powers", [(4, 2), (2, 3), (2, 2), (2, math.nan),
+                                    (math.inf,)])
+def test_peel_rejects_bad_powers(powers):
+    """Powers that do not strictly increase with even gaps are refused
+    before any division: on the hh2 flow (4, 2) used to give 469.2 as the
+    r^4 coefficient, (2, 3) an r^3 coefficient of an even function, and
+    (2, 2) a second r^2 coefficient of about 0."""
+    with pytest.raises(InvalidSampling, match="peeling needs"):
+        peel_coefficients([1e-3, 2e-3, 3e-3], [0.1, 0.2, 0.3], powers=powers)
 
 
 def test_trace_closure_consistency(hh2, ns12):

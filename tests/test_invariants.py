@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 from hmlab.errors import DegreeTooHigh, HmlabError, InvalidSampling
 from hmlab.geometry import JET_BLOCK, geometry_from_algebra, scale_bracket
 from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
-                              _mc_plan, _monomials, _symmetric_factor,
+                              _mc_form, _mc_plan, _monomials,
+                              _symmetric_factor,
                               beta_tensor, direction_constants,
                               grad_quad_tensor, gradient_adjusted_cubics,
                               mc_average, perfect_matchings, point_invariants,
@@ -300,6 +301,23 @@ def test_mc_average_needs_a_sample(ns12, n_samples):
         mc_average(ns12, "beta", n_samples=n_samples)
 
 
+@pytest.mark.parametrize("n_samples,seed", [(10.0, 0), (True, 0), ("10", 0),
+                                            (10, 1.5), (10, True),
+                                            (10, None)])
+def test_mc_average_needs_integer_counts(ns12, n_samples, seed):
+    """Refused before drawing: a float count used to raise a bare
+    TypeError, and True ran one sample with standard error 0.0."""
+    with pytest.raises(InvalidSampling, match="integer"):
+        mc_average(ns12, "beta", n_samples=n_samples, seed=seed)
+
+
+def test_mc_average_takes_numpy_integers(ns12):
+    mean, se = mc_average(ns12, "beta", n_samples=np.int64(10),
+                          seed=np.uint8(3))
+    assert (type(mean), type(se)) == (float, float)
+    assert (mean, se) == mc_average(ns12, "beta", n_samples=10, seed=3)
+
+
 def test_mc_average_rejects_an_unknown_quantity(ns12):
     with pytest.raises(InvalidSampling, match="'other'") as info:
         mc_average(ns12, "other", n_samples=10)
@@ -313,21 +331,35 @@ def ns12_perturbed(ns12):
     return geometry_from_algebra(scale_bracket(ns12.algebra, 0, 11, 1.25))
 
 
+@pytest.fixture(scope="module")
+def ch2_scaled(ch2):
+    """ch2 with its bracket (0, 1) scaled by 1.3: the folded grad_quad
+    sums of four of its monomials cancel to rounding residues."""
+    return geometry_from_algebra(scale_bracket(ch2.algebra, 0, 1, 1.3))
+
+
 @pytest.mark.parametrize("space,live", [
-    ("ns12", {"beta": (78, 12), "grad_quad": (48, 48)}),
-    ("hh3", {"beta": (78, 12), "grad_quad": (0, 0)}),
-    ("ns12_perturbed", {"beta": (84, 21), "grad_quad": (411, 115)})])
+    ("ns12", {"beta": (78, 12, 12), "grad_quad": (48, 48, 0)}),
+    ("hh3", {"beta": (78, 12, 12), "grad_quad": (0, 0, 0)}),
+    ("ns12_perturbed", {"beta": (84, 21, 21), "grad_quad": (411, 115, 115)}),
+    ("ch2_scaled", {"beta": (10, 4, 4), "grad_quad": (13, 12, 11)})])
 def test_grad_quad_on_its_live_part_matches_the_full_image(space, live,
                                                            request):
-    """The sampler keeps only the degree-2k terms with a nonzero
-    coefficient, each a product of two live degree-k halves (pinned as
-    (terms, halves) for both quantities); the column path multiplies the
-    full factor on the same stream.  hh3 (3:2,0) is symmetric, so nothing
-    is live in grad_quad and every sample is 0."""
+    """The sampler keeps only the degree-2k terms whose coefficient
+    exceeds 1e-12 of the largest, each a product of two live degree-k
+    halves, and splits the halves into p paired ones and the squared-only
+    rest (pinned as (terms, halves, p) for both quantities); the column
+    path multiplies the full factor on the same stream.  On ch2_scaled,
+    grad_quad folds to 17 nonzero coefficients, four of them rounding
+    residues 1.2e-33 to 4.5e-17 of the largest.  hh3 (3:2,0) is
+    symmetric, so nothing is live in grad_quad and every sample is 0."""
     geometry = request.getfixturevalue(space)
     for quantity, sizes in live.items():
         halves, pa, pb, coef = _mc_plan(geometry, quantity)
-        assert (len(coef), len(halves)) == sizes
+        form_halves, umat, dvec = _mc_form(halves, pa, pb, coef)
+        assert (len(coef), len(halves), len(umat)) == sizes
+        assert sorted(map(tuple, form_halves)) == sorted(map(tuple, halves))
+        assert np.count_nonzero(dvec) == len(dvec)
     mean, se = mc_average(geometry, "grad_quad", n_samples=100_000, seed=3)
     ref_mean, ref_se = reference_mc_average(geometry, "grad_quad", 100_000,
                                             seed=3)
@@ -364,20 +396,28 @@ def test_the_folded_plan_has_the_pairing_averages(space, request):
         assert_allclose(got, want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("space", ["ns12", "ns12_perturbed"])
+@pytest.mark.parametrize("space", ["ns12", "hh3", "ns12_perturbed",
+                                   "ch2_scaled"])
 @pytest.mark.parametrize("quantity", ["beta", "grad_quad"])
 def test_the_folded_polynomial_equals_the_gram_form(space, quantity,
                                                     request, rng):
     """Per sample, sum_t coef[t] w[pa[t]] w[pb[t]] on the live halves is
-    the quadratic form of the full folded factor."""
+    the quadratic form of the full folded factor, and the [paired |
+    squared-only] form of ``mc_average`` is that term sum."""
     geometry = request.getfixturevalue(space)
-    dirs = random_directions(12, 500, rng)
+    dirs = random_directions(geometry.dim, 500, rng)
+    dt = np.ascontiguousarray(dirs.T)
     halves, pa, pb, coef = _mc_plan(geometry, quantity)
-    w = _monomials(np.ascontiguousarray(dirs.T), halves)
+    w = _monomials(dt, halves)
     got = coef @ (w[pa] * w[pb])
     combos, evaluate = reference_evaluator(geometry, quantity)
     want = evaluate(reference_monomial_matrix(dirs, combos))
     assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    form_halves, umat, dvec = _mc_form(halves, pa, pb, coef)
+    w = _monomials(dt, form_halves)
+    p = len(umat)
+    form = ((umat @ w[:p]) * w[:p]).sum(axis=0) + dvec @ (w[p:] * w[p:])
+    assert_allclose(form, got, rtol=1e-12, atol=1e-12 * np.abs(got).max())
 
 
 def test_mc_average_rejects_a_negative_seed(ns12):

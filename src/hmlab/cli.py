@@ -93,11 +93,15 @@ def build_members(l, members):
 
 
 def emit(args, name, text):
+    """Writes ``text`` to ``<--out>/<name>``, or to stdout without --out; a
+    directory that cannot be made or written is a usage error."""
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, name)
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, name), "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out cannot hold {name}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -426,6 +430,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked before any work, and nothing is created until the report
+        require(not args.out or not os.path.exists(args.out)
+                or os.path.isdir(args.out), "--out", args.out, "a directory")
         return args.func(args)
     except (UsageError, FamilyMismatch, DegenerateBoundary,
             UnsupportedCenterDimension) as exc:

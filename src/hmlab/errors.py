@@ -98,10 +98,6 @@ class ConsistencyFailure(HmlabError):
     """A computed object fails a structural check it meets by construction."""
 
 
-class FitIllConditioned(HmlabError):
-    """Radial coefficient fit has a numerically singular design matrix."""
-
-
 class NonFiniteReport(HmlabError):
     """A report would hold NaN or an infinity, which strict JSON cannot
     write; the command writes no report."""

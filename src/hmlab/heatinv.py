@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FitIllConditioned, InvalidSampling
+from .errors import InvalidSampling
 from .geometry import curvature_jet, ricci
 from .radial import _jacobi_flow
 
@@ -97,11 +97,11 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
     each radius r, from one Jacobi-flow march.
 
     ``u`` is one unit direction (n,) or a batch (m, n), marched together.
-    Returns the sorted radii and the arrays ``ric_sq`` and ``riem_sq`` in
-    that order, of shape (k,) for k radii, or (m, k) for a batch.  The
-    Gauss equation R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is applied in
-    the base frame: with v the flow's velocity, P = I - v v^T and
-    S = P Z X^-1 P (see ``radial._jacobi_flow`` for the state),
+    Returns the arrays ``ric_sq`` and ``riem_sq`` at the sorted radii, of
+    shape (k,) for k radii, or (m, k) for a batch.  The Gauss equation
+    R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is applied in the base frame:
+    with v the flow's velocity, P = I - v v^T and S = P Z X^-1 P (see
+    ``radial._jacobi_flow`` for the state),
       Ric^S = P (Ric - R_v) P + tr(S) S - S^2,   R_v[a, b] = R[v, a, b, v].
     For |R^S|^2 expand each of the four projectors of R as I - v v^T.  One v
     gives -|R(v, ., ., .)|^2 per slot; two v's fill a skew pair (ab) or (cd)
@@ -111,7 +111,7 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
       |R^S|^2 = |R|^2 - 4|R(v)|^2 + 4|R_v|^2 + 4 R_abcd S_ad S_bc
                 + 2 (tr S^2)^2 - 2 tr S^4   (no rank-4 array is built).
     """
-    radii, v, x, z = _jacobi_flow(geometry, u, radii, steps_per_unit)
+    _, v, x, z = _jacobi_flow(geometry, u, radii, steps_per_unit)
     r = geometry.r
     n = r.shape[0]
     proj = np.eye(n) - v[..., :, None] * v[..., None, :]
@@ -128,83 +128,70 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
                + 4.0 * np.einsum('abcd,...ad,...bc->...', r, s, s)
                + 2.0 * np.trace(s2, axis1=-2, axis2=-1) ** 2
                - 2.0 * np.sum(s2 * np.swapaxes(s2, -2, -1), axis=(-2, -1)))
-    return radii, ric_sq, riem_sq
+    return ric_sq, riem_sq
 
 
-def _fit_powers(radii, powers, sample):
-    """Least-squares coefficients of ``powers`` of r through the samples
-    ``sample(radii)`` at the sorted radii.  The design is checked before
-    anything is sampled: fewer radii than powers, or a condition number
-    above 1e12, raises :class:`FitIllConditioned`, and a radius that is not
-    finite and > 0 raises :class:`InvalidSampling`."""
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if not 0 < len(powers) <= len(radii):
-        raise FitIllConditioned(
-            f"{len(radii)} radii cannot fit {len(powers)} powers")
-    if not np.all(np.isfinite(radii)) or radii[0] <= 0.0:
-        raise InvalidSampling(
-            f"the sphere-curvature fit needs finite radii > 0, "
-            f"got {radii.tolist()}")
+# The fixed fit of each oracle: the sample radii, the powers of r fitted
+# through them and the march's RK4 steps per unit length.  The design
+# matrices have condition numbers 2.9e3 and 4.4e8.
+_ALPHA2_FIT = (np.geomspace(0.08, 0.45, 8), (2, 3, 4, 5), 1024)
+_INTRINSIC_FIT = (np.geomspace(0.05, 0.4, 6), (-4, -2, 0, 1, 2, 3), 4096)
+
+
+def _least_squares(radii, powers, samples):
+    """Least-squares coefficients of ``powers`` of r through ``samples``
+    taken at ``radii``, one column of coefficients per column of samples."""
     design = np.stack([radii ** p for p in powers], axis=1)
-    cond = np.linalg.cond(design)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise FitIllConditioned(f"fit design condition number {cond:.2e}")
-    coeffs, *_ = np.linalg.lstsq(design, sample(radii), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(design, samples, rcond=None)
     return coeffs
 
 
-def alpha2_cross_difference(geometry, u1, u2, radii=None, powers=(2, 3, 4, 5),
-                            steps_per_unit=1024):
+def alpha2_cross_difference(geometry, u1, u2):
     """Difference of the r^2 coefficients of |Ric^S|^2 across two directions.
 
     On a harmonic space the 1/r^4, 1/r^2 and constant parts of the sphere
     curvature norm are direction independent, so subtracting the sampled
     curves cancels them exactly and leaves the direction signal starting
     at r^2; fitting the difference sidesteps the dynamic-range problem of
-    per-direction fits.  Returns (fitted difference, jet prediction), the
-    prediction being (tr R'R'(u1) - tr R'R'(u2))/16.  ``powers`` must hold
-    2, and the fit's design is checked before the march.
+    per-direction fits.  Both directions march together through eight
+    radii in geomspace(0.08, 0.45) at 1024 steps per unit, and the fit
+    takes the powers 2..5.  Returns (fitted difference, jet prediction),
+    the prediction being (tr R'R'(u1) - tr R'R'(u2))/16.
     """
-    if radii is None:
-        radii = np.geomspace(0.08, 0.45, 8)
-    if 2 not in powers:
-        raise FitIllConditioned(f"powers {tuple(powers)} leave out r^2")
+    radii, powers, steps_per_unit = _ALPHA2_FIT
     pair = np.asarray([u1, u2], dtype=float)
-    coeffs = _fit_powers(radii, powers, lambda radii: np.subtract(
-        *_sphere_curvature_samples(geometry, pair, radii, steps_per_unit)[1]))
-    fitted = float(coeffs[powers.index(2)])
+    ric_sq, _ = _sphere_curvature_samples(geometry, pair, radii,
+                                          steps_per_unit)
+    fitted = float(_least_squares(radii, powers, ric_sq[0] - ric_sq[1])[0])
     r1 = curvature_jet(geometry, pair, order=1).matrices[1]
     p1, p2 = np.trace(r1 @ r1, axis1=1, axis2=2)
     predicted = (float(p1) - float(p2)) / 16.0
     return fitted, predicted
 
 
-def sphere_intrinsic_oracle(geometry, u, radii=None, powers=(-4, -2, 0, 1, 2, 3),
-                            steps_per_unit=4096):
+def sphere_intrinsic_oracle(geometry, u):
     """Fit the radial expansion of the intrinsic sphere curvature norms.
 
-    Returns fitted coefficients of |Ric^S|^2 and |R^S|^2 at the given
-    powers; the r^2 coefficient's direction-dependent part is the oracle
-    for (1/16) tr R'R' (compare across directions, which cancels the
-    unknown constant part).  The samples come from one Jacobi-flow march
-    through the sorted radii, which must be positive, so the fit does not
-    depend on the order the radii are given in.
+    Returns the powers (-4, -2, 0, 1, 2, 3) and the fitted coefficients of
+    |Ric^S|^2 and |R^S|^2 at them; the r^2 coefficient's
+    direction-dependent part is the oracle for (1/16) tr R'R' (compare
+    across directions, which cancels the unknown constant part).  The
+    samples come from one Jacobi-flow march through six radii in
+    geomspace(0.05, 0.4) at 4096 steps per unit.
 
-    The default design (six radii in geomspace(0.05, 0.4), powers -4..3)
-    has condition number about 4.4e8.  Its r^1..r^3 coefficients therefore
-    carry no error estimate: a 1e-14 relative change in the samples has
-    moved them by up to 2.5e-4 relative.  The r^-4 coefficients are stable.
-    ``u`` is one direction of shape (n,); anything else raises
-    :class:`InvalidSampling` before the march.
+    The design has condition number about 4.4e8.  Its r^1..r^3
+    coefficients therefore carry no error estimate: a 1e-14 relative
+    change in the samples has moved them by up to 2.5e-4 relative.  The
+    r^-4 coefficients are stable.  ``u`` is one direction of shape (n,);
+    anything else raises :class:`InvalidSampling` before the march.
     """
     if np.shape(u) != (geometry.dim,):
         raise InvalidSampling(
             f"the sphere-curvature oracle takes one direction of shape "
             f"({geometry.dim},), got {np.shape(u)}")
-    if radii is None:
-        radii = np.geomspace(0.05, 0.4, 6)
-    coeffs = _fit_powers(radii, powers, lambda radii: np.stack(
-        _sphere_curvature_samples(geometry, u, radii, steps_per_unit)[1:],
-        axis=1))
+    radii, powers, steps_per_unit = _INTRINSIC_FIT
+    ric_sq, riem_sq = _sphere_curvature_samples(geometry, u, radii,
+                                                steps_per_unit)
+    coeffs = _least_squares(radii, powers, np.stack([ric_sq, riem_sq], axis=1))
     return {"powers": list(powers), "ric_sq": coeffs[:, 0].tolist(),
             "riem_sq": coeffs[:, 1].tolist()}

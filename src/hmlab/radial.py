@@ -113,10 +113,12 @@ def harmonic_density(jet):
                           trace_c6=harmonic_trace_c6(jet))
 
 
-def radial_density(geometry, u=None):
-    """Density series for one direction, with the harmonic r^6 closure."""
-    if u is None:
-        u = np.ones(geometry.dim) / math.sqrt(geometry.dim)
+def radial_density(geometry):
+    """Density series along the diagonal direction (1, ..., 1)/sqrt(n), with
+    the harmonic r^6 closure; on a harmonic space every direction gives the
+    same series.  For another direction, pass its order-3 jet to
+    :func:`harmonic_density`."""
+    u = np.ones(geometry.dim) / math.sqrt(geometry.dim)
     return harmonic_density(curvature_jet(geometry, u, order=3))
 
 

@@ -195,6 +195,8 @@ def eliminate(target, tool, symbol, mode="proper"):
     Proper mode insists both vectors carry the same radial degree, which is
     what licenses combining expansion coefficients; rudimentary mode
     combines anyway and stamps the provenance, leaving the degree unset.
+    The result carries the target's origin, and no degree when the two
+    origins differ.
     """
     if symbol not in _INDEX:
         raise SymbolAbsent(f"unknown symbol {symbol!r}; the basis is {BASIS}")
@@ -216,13 +218,10 @@ def eliminate(target, tool, symbol, mode="proper"):
         raise ValueError(f"unknown mode {mode!r}")
     lam = target.coeffs[idx] / tool.coeffs[idx]
     coeffs = tuple(t - lam * s for t, s in zip(target.coeffs, tool.coeffs))
-    origin = target.origin if target.origin == tool.origin else "mixed"
-    if origin == "mixed":
-        degree = None
     return IdentityVector(
         name=f"{target.name}-minus-{symbol}-of-{tool.name}",
-        coeffs=coeffs, degree=degree, origin=origin if degree is not None
-        else target.origin, provenance=provenance)
+        coeffs=coeffs, degree=degree if target.origin == tool.origin else None,
+        origin=target.origin, provenance=provenance)
 
 
 # -- noise projection ----------------------------------------------------------

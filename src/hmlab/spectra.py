@@ -413,8 +413,9 @@ class IsospectralityReport:
 
 
 def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2),
-                          grid=128, count=4, mu_scale_b=1.0):
-    """Compare lattice-sector spectra of two family members.
+                          grid=128, mu_scale_b=1.0):
+    """Compare the four leading eigenvalues of each lattice sector of two
+    family members.
 
     Every cell pairs identical radial parameters, so equality is by
     construction; the numerical comparison is still carried out and
@@ -449,7 +450,7 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
 
     def spectrum(op):
         if op not in solved:
-            solved[op] = radial_spectrum(op, 10.0, (0.0, 1.0), grid, count)
+            solved[op] = radial_spectrum(op, 10.0, (0.0, 1.0), grid, 4)
         return solved[op]
 
     # laplacian_symbol refuses an irrational norm, so every lattice vector

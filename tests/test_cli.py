@@ -120,6 +120,34 @@ def test_out_of_range_inputs_are_usage_errors_before_any_work(
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--k", "2"],
+                                  ["sis", "--family", "1:1,0"]])
+def test_out_naming_a_file_is_refused_before_any_work(argv, tmp_path,
+                                                      monkeypatch, capsys):
+    import hmlab.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(hmlab.cli, "build_members", no_work)
+    monkeypatch.setattr(hmlab.cli, "radial_spectrum", no_work)
+    target = tmp_path / "report"
+    target.write_text("kept\n")
+    assert main(argv + ["--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out ")
+    assert target.read_text() == "kept\n"
+
+
+def test_out_below_a_file_is_a_usage_error(tmp_path, capsys):
+    """The path does not exist, so the command runs; making the directory
+    then fails, and that is a usage error, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["spectrum", "--k", "2", "--grid", "64", "--count", "2",
+                 "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("error: --out ")
+
+
 def test_verify_clean_family(tmp_path):
     rc, text = run_to_dir(
         ["verify", "--family", "1:1,0", "--directions", "8"],

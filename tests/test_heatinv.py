@@ -1,5 +1,6 @@
 """Heat-kernel coefficient machinery and the intrinsic sphere oracle."""
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmlab import geometry, heatinv
-from hmlab.errors import FitIllConditioned, InvalidSampling
+from hmlab.errors import InvalidSampling
 from hmlab.exactlinalg import rank
 from hmlab.geometry import constant_curvature_geometry, curvature_jet
 from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_samples,
@@ -259,9 +260,7 @@ def recorded_jets(monkeypatch):
 
 def test_cross_difference_predicts_from_one_jet(ns12, monkeypatch):
     calls = recorded_jets(monkeypatch)
-    alpha2_cross_difference(ns12, np.eye(12)[0], np.eye(12)[5],
-                            radii=np.geomspace(0.1, 0.4, 4), powers=(2, 3),
-                            steps_per_unit=64)
+    alpha2_cross_difference(ns12, np.eye(12)[0], np.eye(12)[5],)
     assert calls == [(1, (2, 12))]
 
 
@@ -274,9 +273,7 @@ def test_cross_difference_marches_both_directions_at_once(ns12, monkeypatch):
         return original(geo, u, radii, steps_per_unit)
 
     monkeypatch.setattr(heatinv, "_jacobi_flow", counted)
-    alpha2_cross_difference(ns12, np.eye(12)[0], np.eye(12)[5],
-                            radii=np.geomspace(0.1, 0.4, 4), powers=(2, 3),
-                            steps_per_unit=64)
+    alpha2_cross_difference(ns12, np.eye(12)[0], np.eye(12)[5],)
     assert shapes == [(2, 12)]
 
 
@@ -314,7 +311,7 @@ def test_normalized_mode_with_matching_density_is_raw(hh2):
 def test_flat_space_sphere_curvature_is_exact():
     geo = constant_curvature_geometry(3, 0.0)
     u = np.array([1.0, 0.0, 0.0])
-    _, ric_sq, riem_sq = _sphere_curvature_samples(geo, u, [0.5], 512)
+    ric_sq, riem_sq = _sphere_curvature_samples(geo, u, [0.5], 512)
     # round 2-sphere of radius 1/2: |Ric|^2 = 2/r^4, |R|^2 = 4/r^4
     assert_allclose(ric_sq, [32.0], rtol=1e-10)
     assert_allclose(riem_sq, [64.0], rtol=1e-10)
@@ -324,7 +321,7 @@ def test_round_sphere_distance_spheres():
     geo = constant_curvature_geometry(4, 1.0)
     u = np.eye(4)[0]
     r = 0.7
-    _, ric_sq, _ = _sphere_curvature_samples(geo, u, [r], 2048)
+    ric_sq, _ = _sphere_curvature_samples(geo, u, [r], 2048)
     # distance sphere in S^4 is round S^3 of intrinsic curvature 1/sin^2 r
     expected_ric = 12.0 / math.sin(r) ** 4
     assert_allclose(ric_sq, [expected_ric], rtol=1e-9)
@@ -333,75 +330,42 @@ def test_round_sphere_distance_spheres():
 def test_flat_oracle_reads_off_the_inverse_quartic():
     geo = constant_curvature_geometry(4, 0.0)
     u = np.eye(4)[0]
-    fit = sphere_intrinsic_oracle(geo, u, radii=np.geomspace(0.1, 0.5, 6),
-                                  powers=(-4, -2, 0), steps_per_unit=512)
+    fit = sphere_intrinsic_oracle(geo, u)
     # S^3(r): |Ric|^2 = 12/r^4, |R|^2 = 12/r^4
+    assert fit["powers"] == [-4, -2, 0, 1, 2, 3]
     assert_allclose(fit["ric_sq"][0], 12.0, rtol=1e-7)
     assert_allclose(fit["riem_sq"][0], 12.0, rtol=1e-7)
     assert_allclose(fit["ric_sq"][1:], 0.0, atol=1e-5)
+    assert_allclose(fit["riem_sq"][1:], 0.0, atol=1e-5)
 
 
-def test_oracle_fit_does_not_depend_on_radius_order(ns12):
-    """The oracles march once through the sorted radii, so a shuffled radius
-    list gives the same samples and the same fit."""
-    radii = np.geomspace(0.1, 0.5, 6)
-    shuffled = radii[[3, 0, 5, 1, 4, 2]]
-    u = np.eye(12)[4]
-    fit = sphere_intrinsic_oracle(ns12, u, radii=radii, steps_per_unit=512)
-    assert sphere_intrinsic_oracle(ns12, u, radii=shuffled,
-                                   steps_per_unit=512) == fit
-    u2 = np.eye(12)[9]
-    assert (alpha2_cross_difference(ns12, u, u2, radii=shuffled,
-                                    steps_per_unit=512)
-            == alpha2_cross_difference(ns12, u, u2, radii=radii,
-                                       steps_per_unit=512))
+def test_oracles_take_only_the_geometry_and_directions():
+    """The fit designs are fixed in the program: no radii, powers or step
+    count comes from the caller."""
+    assert list(inspect.signature(alpha2_cross_difference).parameters) == \
+        ["geometry", "u1", "u2"]
+    assert list(inspect.signature(sphere_intrinsic_oracle).parameters) == \
+        ["geometry", "u"]
 
 
-def test_oracle_rejects_underdetermined_fit(ns12):
-    with pytest.raises(FitIllConditioned):
-        sphere_intrinsic_oracle(ns12, np.eye(12)[0], radii=np.array([0.1, 0.2]),
-                                powers=(-4, -2, 0))
+@pytest.mark.parametrize("fit, cond", [(heatinv._ALPHA2_FIT, 2.9e3),
+                                       (heatinv._INTRINSIC_FIT, 4.4e8)],
+                         ids=["alpha2", "intrinsic"])
+def test_fixed_fit_designs_are_conditioned(fit, cond):
+    """The two designs' condition numbers, each far below 1e12, where a
+    least-squares fit in float64 stops meaning anything."""
+    radii, powers, _ = fit
+    design = np.stack([radii ** p for p in powers], axis=1)
+    assert_allclose(np.linalg.cond(design), cond, rtol=0.05)
 
 
-def refuse_before_the_march(monkeypatch, oracle, *args, error=FitIllConditioned,
-                            **kwargs):
+def refuse_before_the_march(monkeypatch, oracle, *args):
     marches = []
     monkeypatch.setattr(heatinv, "_jacobi_flow",
                         lambda *a: marches.append(a))
-    with pytest.raises(error):
-        oracle(*args, **kwargs)
+    with pytest.raises(InvalidSampling):
+        oracle(*args)
     assert marches == []
-
-
-def test_cross_difference_refuses_too_few_radii(ns12, monkeypatch):
-    """Two radii for four powers used to give a minimum-norm fit."""
-    refuse_before_the_march(monkeypatch, alpha2_cross_difference, ns12,
-                            np.eye(12)[0], np.eye(12)[5], radii=[0.1, 0.2])
-
-
-def test_cross_difference_refuses_powers_without_r2(ns12, monkeypatch):
-    refuse_before_the_march(monkeypatch, alpha2_cross_difference, ns12,
-                            np.eye(12)[0], np.eye(12)[5], powers=(3, 4, 5))
-
-
-@pytest.mark.parametrize("oracle", ["alpha2", "intrinsic"])
-def test_oracles_refuse_an_ill_conditioned_design(ns12, oracle, monkeypatch):
-    """Powers 2, 3 and 4 on radii 1e-7 apart: condition number 2.6e14."""
-    call = {"alpha2": (alpha2_cross_difference, ns12, *np.eye(12)[[0, 5]]),
-            "intrinsic": (sphere_intrinsic_oracle, ns12, np.eye(12)[0])}
-    refuse_before_the_march(monkeypatch, *call[oracle],
-                            radii=[0.3, 0.3000001, 0.3000002], powers=(2, 3, 4))
-
-
-@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.1])
-def test_oracle_fit_refuses_a_radius_that_is_not_positive(ns12, radius,
-                                                          monkeypatch):
-    """The design is checked before the march, so the radii the march
-    refuses are refused there, with the march's error: a NaN radius would
-    otherwise reach the condition number as a bare numpy LinAlgError."""
-    refuse_before_the_march(monkeypatch, sphere_intrinsic_oracle, ns12,
-                            np.eye(12)[0], error=InvalidSampling,
-                            radii=[radius, 0.1, 0.15, 0.2, 0.25, 0.3])
 
 
 @pytest.mark.parametrize("u", [np.eye(12)[:2], np.eye(12)[:1], np.eye(11)[0],
@@ -410,8 +374,7 @@ def test_intrinsic_oracle_refuses_anything_but_one_direction(ns12, u,
                                                              monkeypatch):
     """A batch used to run the whole march and then end in a bare numpy
     LinAlgError from the fit ("3-dimensional array given")."""
-    refuse_before_the_march(monkeypatch, sphere_intrinsic_oracle, ns12, u,
-                            error=InvalidSampling)
+    refuse_before_the_march(monkeypatch, sphere_intrinsic_oracle, ns12, u)
 
 
 def test_cross_direction_difference_recovers_alpha2(ns12):

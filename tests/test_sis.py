@@ -8,8 +8,9 @@ import pytest
 from hmlab.errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
                           SymbolAbsent)
 from hmlab.exactlinalg import det, rank
+from hmlab.geometry import curvature_jet
 from hmlab.invariants import beta_tensor, point_invariants, sphere_average
-from hmlab.radial import radial_density
+from hmlab.radial import harmonic_density
 from hmlab.sis import (IdentityVector, ball_boundary_vector,
                        ball_volume_vector, canonical_generators,
                        density_vector, eliminate, euclidean_gram,
@@ -70,7 +71,8 @@ def test_ricci_square_row_evaluates_to_the_beta_average(ns12):
 def test_theta_powers_match_actual_density_powers(hh2):
     """Multinomial r^6 bookkeeping against the series machinery, exactly."""
     vals = basis_values(hh2)
-    dens = radial_density(hh2, np.eye(8)[0]).normalized
+    jet = curvature_jet(hh2, np.eye(8)[0], order=3)
+    dens = harmonic_density(jet).normalized
     power = dens
     for k in (1, 2, 3):
         actual = power.coefficient(6)
@@ -217,11 +219,14 @@ def test_unknown_symbol_is_absent():
 
 
 def test_mixed_origin_elimination_loses_the_degree():
+    """Across origins the result keeps the target's origin and no degree."""
     n = 12
-    out = eliminate(ball_boundary_vector(n), theta_power_vector(n, 1), "CH",
-                    mode="rudimentary")
-    assert out.degree is None
-    assert out.coeffs[1] == 0
+    for target, tool in ((ball_boundary_vector(n), theta_power_vector(n, 1)),
+                         (density_vector(n), ball_boundary_vector(n))):
+        out = eliminate(target, tool, "CH", mode="rudimentary")
+        assert (out.origin, out.degree) == (target.origin, None)
+        assert out.provenance == "rudimentary-elimination"
+        assert out.coeffs[1] == 0
 
 
 def test_noise_wave_residual_is_exactly_orthogonal():

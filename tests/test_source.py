@@ -132,11 +132,11 @@ def test_one_jacobi_flow_integrator():
 
 
 def test_one_sphere_curvature_fit():
-    """Both sphere-curvature oracles fit through heatinv._fit_powers, which
-    checks the design first; the other least-squares solve is the
+    """Both sphere-curvature oracles fit their fixed designs through
+    heatinv._least_squares; the other least-squares solve is the
     multiplicity oracle's restriction of the rotation derivative."""
     assert calls_by_scope("lstsq") == \
-        {("heatinv", "_fit_powers"), ("spectra", "hnm_multiplicity_oracle")}
+        {("heatinv", "_least_squares"), ("spectra", "hnm_multiplicity_oracle")}
 
 
 def test_one_harmonic_series_closure():

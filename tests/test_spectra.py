@@ -587,7 +587,7 @@ def test_conjugacy_rejects_different_speeds(hh3, ns12):
 
 def test_isospectrality_of_the_pair(hh3, ns12):
     report = isospectrality_report(hh3, ns12, [(1, 0, 0), (1, 2, 2)],
-                                   degrees=(0, 1), grid=128, count=3)
+                                   degrees=(0, 1), grid=128)
     assert report.isospectral
     assert report.module_dim == 8 and report.center_dim == 3
     for block in report.blocks:
@@ -606,7 +606,7 @@ def test_isospectrality_report_needs_clifford_data(ch2):
         assert other.jmap is None
         for pair in ((ch2, other), (other, ch2)):
             with pytest.raises(FamilyMismatch):
-                isospectrality_report(*pair, [(1,)], degrees=(0,), count=2)
+                isospectrality_report(*pair, [(1,)], degrees=(0,))
 
 
 def test_hnm_basis_dimension_count_is_checked(hh3, monkeypatch):
@@ -639,7 +639,7 @@ def test_isospectrality_builds_and_solves_each_distinct_input_once(
     solves = counting(monkeypatch, "radial_spectrum")
     lattice = [(1, 0, 0), (2, 0, 0)]
     report = isospectrality_report(hh3, ns12, lattice, degrees=(0, 1, 2),
-                                   grid=64, count=2)
+                                   grid=64)
     assert report.isospectral
     cells = sum(len(block["cells"]) for block in report.blocks)
     assert cells == 12
@@ -648,7 +648,7 @@ def test_isospectrality_builds_and_solves_each_distinct_input_once(
     builds.clear()
     solves.clear()
     detuned = isospectrality_report(hh3, ns12, lattice, degrees=(0, 1, 2),
-                                    grid=64, count=2, mu_scale_b=1.05)
+                                    grid=64, mu_scale_b=1.05)
     assert not detuned.isospectral
     assert len(builds) == 2
     assert len(solves) == 24
@@ -662,7 +662,7 @@ def test_isospec_checks_and_adapts_each_unit_structure_once(hh3, ns12,
     checks = counting(monkeypatch, "_check_complex_structure")
     adapted = counting(monkeypatch, "adapted_coordinates")
     isospectrality_report(hh3, ns12, default_lattice(3),
-                          degrees=tuple(range(4)), grid=64, count=2)
+                          degrees=tuple(range(4)))
     assert len(checks) == len(adapted) == 4
 
 
@@ -679,14 +679,13 @@ def test_isospectrality_refuses_an_irrational_norm_before_solving(
     builds = counting(monkeypatch, "build_hnm_basis")
     solves = counting(monkeypatch, "radial_spectrum")
     with pytest.raises(NotComplexStructure, match="irrational norm"):
-        isospectrality_report(hh3, ns12, lattice, degrees=(0, 1), grid=64,
-                              count=2)
+        isospectrality_report(hh3, ns12, lattice, degrees=(0, 1), grid=64)
     assert builds == solves == []
 
 
 def test_isospectrality_negative_control(hh3, ns12):
     report = isospectrality_report(hh3, ns12, [(1, 0, 0)], degrees=(1,),
-                                   grid=128, count=3, mu_scale_b=1.05)
+                                   grid=128, mu_scale_b=1.05)
     assert not report.isospectral
 
 

@@ -144,7 +144,7 @@ def write_report(args, payload):
 
 
 def cmd_verify(args):
-    require(args.directions >= 1, "--directions", args.directions, "at least 1")
+    require(args.directions >= 2, "--directions", args.directions, "at least 2")
     require(0 < args.tol < math.inf, "--tol", args.tol, "positive and finite")
     require(math.isfinite(args.perturb), "--perturb", args.perturb, "finite")
     require(args.seed >= 0, "--seed", args.seed, "at least 0")

@@ -45,10 +45,10 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """Too few samples or grid cells were asked for, a radius or Jacobi-flow
-    steps_per_unit not finite and > 0, peeled radii repeated or powers not
-    rising by even gaps, a negative harmonic degree, or a Monte Carlo
-    quantity that does not exist."""
+    """Too few samples, directions or grid cells, a direction of the wrong
+    shape, a radius or Jacobi-flow steps_per_unit not finite and > 0, peeled
+    radii repeated or powers not rising by even gaps within the ladder, a
+    negative harmonic degree, or a Monte Carlo quantity that is unknown."""
 
 
 class DegreeMismatch(HmlabError):

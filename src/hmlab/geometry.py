@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import build_j_map
-from .errors import NonFiniteGeometry, NotHType, OrderUnsupported
+from .errors import (InvalidSampling, NonFiniteGeometry, NotHType,
+                     OrderUnsupported)
 
 # Directions per jet contraction block.  From order 2 up a block holds nabla R
 # with two or three direction pairs folded in, (m, 3, n^3) at most, ~1.3 MB
@@ -226,7 +227,8 @@ def damek_ricci_geometry(center_dim, pos, neg, name=None):
 def curvature_jet(geometry, u, order=3):
     """Derivatives of the Jacobi operator along the geodesic from ``u``.
 
-    ``u`` is one unit direction of shape (n,) or a batch of shape (m, n).
+    ``u`` is one unit direction of shape (n,) or a batch of shape (m, n);
+    any other shape raises :class:`InvalidSampling`.
     Returns matrices [R, R', R'', R'''][:order+1] in a parallel frame, each
     of shape (n, n) for one direction and (m, n, n) for a batch.  Directions
     are contracted ``JET_BLOCK`` at a time.  Every order is built from
@@ -235,7 +237,11 @@ def curvature_jet(geometry, u, order=3):
     if order < 0 or order > 3:
         raise OrderUnsupported(f"jet order {order} outside supported range 0..3")
     u = np.asarray(u, dtype=float)
-    dirs = u.reshape(-1, u.shape[-1])
+    n = geometry.dim
+    if u.ndim not in (1, 2) or u.shape[-1] != n:
+        raise InvalidSampling(f"a curvature jet needs directions of shape "
+                              f"({n},) or (m, {n}), got {u.shape}")
+    dirs = u.reshape(-1, n)
     # an empty batch still runs one (empty) block, so it yields (0, n, n)
     blocks = [_jet_block(geometry, dirs[s:s + JET_BLOCK], order)
               for s in range(0, max(len(dirs), 1), JET_BLOCK)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidSampling
 from .geometry import curvature_jet, ricci
-from .radial import _jacobi_flow
+from .radial import _jacobi_flow, _least_squares
 
 
 # -- boundary polynomials ------------------------------------------------------
@@ -136,14 +136,6 @@ def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
 # matrices have condition numbers 2.9e3 and 4.4e8.
 _ALPHA2_FIT = (np.geomspace(0.08, 0.45, 8), (2, 3, 4, 5), 1024)
 _INTRINSIC_FIT = (np.geomspace(0.05, 0.4, 6), (-4, -2, 0, 1, 2, 3), 4096)
-
-
-def _least_squares(radii, powers, samples):
-    """Least-squares coefficients of ``powers`` of r through ``samples``
-    taken at ``radii``, one column of coefficients per column of samples."""
-    design = np.stack([radii ** p for p in powers], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, samples, rcond=None)
-    return coeffs
 
 
 def alpha2_cross_difference(geometry, u1, u2):

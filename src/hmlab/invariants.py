@@ -183,9 +183,9 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     ``MC_BLOCK`` at a time, keeping a running maximum and minimum; the
     draws are those of one ``random_directions`` call.
     """
-    if n_directions < 1:
-        raise InvalidSampling(f"harmonicity check needs n_directions >= 1, "
-                              f"got {n_directions}")
+    if n_directions < 2:
+        raise InvalidSampling(f"harmonicity check needs n_directions >= 2 "
+                              f"for a spread, got {n_directions}")
     rng = np.random.default_rng(seed)
     hi = np.full(5, -np.inf)
     lo = np.full(5, np.inf)

@@ -315,43 +315,38 @@ def ode_oracle(geometry, u, radii, steps_per_unit=2048):
     return OdeResult(radii=radii, theta_normalized=thetas)
 
 
+def _least_squares(radii, powers, samples):
+    """Least-squares coefficients of ``powers`` of r through ``samples``
+    taken at ``radii``, one column of coefficients per column of samples."""
+    design = np.stack([radii ** p for p in powers], axis=1)
+    coeffs, *_ = np.linalg.lstsq(design, samples, rcond=None)
+    return coeffs
+
+
 def peel_coefficients(values, radii, powers):
-    """Sequentially extract series coefficients from sampled residuals.
+    """Series coefficients at ``powers`` of r read off sampled residuals.
 
     ``values[k]`` is f(radii[k]) with f(0) = 0 after the caller removed the
-    constant term; the powers must be finite and strictly increasing with
-    even gaps, so that Richardson extrapolation in r^2 applies.  The radii
-    must be finite, > 0 and distinct, one per value.
+    constant term.  One exactly determined least-squares solve fits f on the
+    even ladder powers[0], powers[0] + 2, ..., one rung per radius, so rungs
+    that are not requested are removed too.  The powers must be finite and
+    strictly increase with even gaps up to the top rung; the radii must be
+    finite, > 0 and distinct, one per value.
     """
     radii = np.asarray(radii, dtype=float)
-    residual = np.asarray(values, dtype=float).copy()
-    gaps = np.diff(np.asarray(powers, dtype=float))
-    if (radii.ndim != 1 or residual.shape != radii.shape or radii.size == 0
+    values = np.asarray(values, dtype=float)
+    powers = np.asarray(powers, dtype=float)
+    gaps = np.diff(powers)
+    if (radii.ndim != 1 or values.shape != radii.shape or radii.size == 0
             or not np.all(np.isfinite(radii)) or radii.min() <= 0.0
             or np.unique(radii).size < radii.size
+            or powers.ndim != 1 or powers.size == 0
             or not np.all(np.isfinite(powers)) or np.any(gaps <= 0)
-            or np.any(gaps % 2 != 0)):
+            or np.any(gaps % 2 != 0) or gaps.sum() > 2 * (radii.size - 1)):
         raise InvalidSampling(
             f"peeling needs distinct finite radii > 0, one per value, and "
-            f"finite powers that strictly increase with even gaps; got "
-            f"{residual.size} values at radii {radii.tolist()}, powers {powers}")
-    ts = radii ** 2
-    out = []
-    for p in powers:
-        f = residual / radii ** p
-        est = _neville_at_zero(ts, f)
-        out.append(est)
-        residual = residual - est * radii ** p
-    return out
-
-
-def _neville_at_zero(ts, fs):
-    vals = list(fs)
-    n = len(vals)
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            t0, t1 = ts[i], ts[i + level]
-            nxt.append((t1 * vals[i] - t0 * vals[i + 1]) / (t1 - t0))
-        vals = nxt
-    return vals[0]
+            f"finite powers rising by even gaps within the ladder; got "
+            f"{values.size} values at radii {radii.tolist()}, powers {powers}")
+    ladder = powers[0] + 2 * np.arange(radii.size)
+    coeffs = _least_squares(radii, ladder, values)
+    return list(coeffs[((powers - powers[0]) // 2).astype(int)])

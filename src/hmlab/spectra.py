@@ -421,8 +421,9 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
     construction; the numerical comparison is still carried out and
     reported.  ``mu_scale_b`` deliberately detunes the second member for
     negative controls.  Both members need Clifford data (a ``jmap``); a
-    space form or a perturbed group raises :class:`FamilyMismatch`, and a
-    lattice vector of irrational norm :class:`NotComplexStructure`.
+    space form or a perturbed group raises :class:`FamilyMismatch`, a
+    lattice vector of irrational norm :class:`NotComplexStructure`, and a
+    sector that does not converge a :class:`ConvergenceFailure` naming it.
     """
     for member in (member_a, member_b):
         if member.jmap is None:
@@ -448,9 +449,14 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
             bases[key] = build_hnm_basis(rows, top)
         return bases[key]
 
-    def spectrum(op):
+    def spectrum(op, member, z, degree, m):
         if op not in solved:
-            solved[op] = radial_spectrum(op, 10.0, (0.0, 1.0), grid, 4)
+            try:
+                solved[op] = radial_spectrum(op, 10.0, (0.0, 1.0), grid, 4)
+            except ConvergenceFailure as exc:
+                raise ConvergenceFailure(
+                    f"{member.name}, lattice vector {z}, degree {degree}, "
+                    f"m = {m}: {exc}") from exc
         return solved[op]
 
     # laplacian_symbol refuses an irrational norm, so every lattice vector
@@ -473,8 +479,8 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
                 dim_b = basis_b.dims.get(m, 0)
                 op_a = operator_for_sector(ka, degree, m, sym_a.mu)
                 op_b = operator_for_sector(kb, degree, m, sym_b.mu * mu_scale_b)
-                rep_a = spectrum(op_a)
-                rep_b = spectrum(op_b)
+                rep_a = spectrum(op_a, member_a, z, degree, m)
+                rep_b = spectrum(op_b, member_b, z, degree, m)
                 diff = float(np.max(np.abs(rep_a.eigenvalues - rep_b.eigenvalues)))
                 budget = float(np.max(rep_a.error_bars + rep_b.error_bars))
                 agree = dim_a == dim_b and diff <= max(budget, 1e-12)

@@ -62,8 +62,8 @@ def test_usage_failures_exit_two(capsys):
     assert err.count("error:") == 4
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_verify_rejects_direction_count_below_one(count, tmp_path, capsys):
+@pytest.mark.parametrize("count", ["0", "-3", "1"])
+def test_verify_rejects_direction_count_below_two(count, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--family", "1:1,0", "--directions", count,
                  "--out", str(out)]) == 2
@@ -395,6 +395,16 @@ def test_spectrum_error_paths(capsys):
                  "--t-domain", "10", "--grid", "64"]) == 1
     err = capsys.readouterr().err
     assert "ConvergenceFailure" in err
+
+
+def test_isospec_names_the_sector_that_does_not_converge(capsys):
+    """At grid 64 the 12-dim pair's sectors at Z = (1, 2, 2) do not
+    converge above degree 0; the error says which one."""
+    assert main(["isospec", "--family", "3:2,0;1,1", "--max-degree", "1",
+                 "--grid", "64"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConvergenceFailure: ")
+    assert "(1, 2, 2)" in err and "degree 1" in err
 
 
 @pytest.mark.filterwarnings("error")

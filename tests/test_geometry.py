@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmlab.clifford import build_j_map
-from hmlab.errors import NonFiniteGeometry, NotHType, OrderUnsupported
+from hmlab.errors import (InvalidSampling, NonFiniteGeometry, NotHType,
+                          OrderUnsupported)
 from hmlab.geometry import (JET_BLOCK, build_htype_algebra,
                             constant_curvature_geometry, covariant_derivative,
                             curvature_jet, damek_ricci_geometry,
@@ -225,6 +226,17 @@ def test_empty_batch_gives_empty_jets_and_constants(hh2):
     for trace in (consts.c, consts.h, consts.l, consts.odd_first,
                   consts.even_second):
         assert trace.shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 5), (9,), (2, 9), (), (2, 2, 8)])
+def test_jet_refuses_directions_of_the_wrong_shape(hh2, shape):
+    """A direction whose last axis is not the dimension (8) was a bare
+    numpy error from inside einsum."""
+    u = np.ones(shape)
+    with pytest.raises(InvalidSampling, match="curvature jet"):
+        curvature_jet(hh2, u)
+    with pytest.raises(InvalidSampling, match="curvature jet"):
+        direction_constants(hh2, u)
 
 
 def test_order_three_jet_stays_small_at_dimension_sixteen():

@@ -461,6 +461,16 @@ def test_harmonicity_needs_a_direction(ns12):
         verify_harmonicity(ns12, n_directions=0)
 
 
+def test_harmonicity_needs_two_directions_to_see_a_spread(ch2):
+    """One direction has no spread, so the perturbed member would pass;
+    two already trip it."""
+    geo = geometry_from_algebra(scale_bracket(ch2.algebra, 0, ch2.dim - 1,
+                                              1.25))
+    with pytest.raises(InvalidSampling, match="n_directions >= 2"):
+        verify_harmonicity(geo, n_directions=1)
+    assert not verify_harmonicity(geo, n_directions=2).passed
+
+
 def test_cube_average_tensor_consistency(ns12):
     """The degree-6 pairing of the R_u^3 trace tensor matches direct sampling."""
     t = r_cube_tensor(ns12)

@@ -412,14 +412,36 @@ def test_peel_rejects_bad_radii(radii):
 
 
 @pytest.mark.parametrize("powers", [(4, 2), (2, 3), (2, 2), (2, math.nan),
-                                    (math.inf,)])
+                                    (math.inf,), (2, 8), ()])
 def test_peel_rejects_bad_powers(powers):
     """Powers that do not strictly increase with even gaps are refused
     before any division: on the hh2 flow (4, 2) used to give 469.2 as the
     r^4 coefficient, (2, 3) an r^3 coefficient of an even function, and
-    (2, 2) a second r^2 coefficient of about 0."""
+    (2, 2) a second r^2 coefficient of about 0.  Three radii carry the
+    ladder 2, 4, 6, so (2, 8) asks for a power above its top rung, and no
+    power at all leaves no ladder."""
     with pytest.raises(InvalidSampling, match="peeling needs"):
         peel_coefficients([1e-3, 2e-3, 3e-3], [0.1, 0.2, 0.3], powers=powers)
+
+
+def test_peel_removes_the_rungs_it_is_not_asked_for():
+    """(sinh r / r)^7 - 1 has an r^4 term between the requested r^2 and r^6;
+    the even ladder removes it.  A sequential peel that skipped it read
+    65.37 as the r^6 coefficient."""
+    radii = np.linspace(0.15, 0.45, 6)
+    values = (np.sinh(radii) / radii) ** 7 - 1.0
+    c6 = Fraction(7, 5040) + 42 * Fraction(1, 6) * Fraction(1, 120) \
+        + 35 * Fraction(1, 6) ** 3
+    c2, got6 = peel_coefficients(values, radii, powers=(2, 6))
+    assert_allclose(c2, 7 / 6, rtol=1e-5)
+    assert_allclose(got6, float(c6), rtol=1e-5)
+
+
+def test_peel_refuses_a_power_beyond_the_ladder():
+    """Six radii carry the rungs 2..12; r^14 is not on the ladder."""
+    radii = np.linspace(0.15, 0.45, 6)
+    with pytest.raises(InvalidSampling, match="peeling needs"):
+        peel_coefficients(radii ** 2, radii, powers=(2, 14))
 
 
 def test_trace_closure_consistency(hh2, ns12):

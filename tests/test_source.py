@@ -131,12 +131,18 @@ def test_one_jacobi_flow_integrator():
     assert calls_by_scope("_flow_derivative") == {("radial", "_jacobi_flow")}
 
 
-def test_one_sphere_curvature_fit():
-    """Both sphere-curvature oracles fit their fixed designs through
-    heatinv._least_squares; the other least-squares solve is the
-    multiplicity oracle's restriction of the rotation derivative."""
+def test_one_power_fit():
+    """Every Jacobi-flow oracle reads its coefficients through
+    radial._least_squares: the density peel and both sphere-curvature
+    oracles.  The other least-squares solve is the multiplicity oracle's
+    restriction of the rotation derivative, and no Neville peel is left."""
     assert calls_by_scope("lstsq") == \
-        {("heatinv", "_least_squares"), ("spectra", "hnm_multiplicity_oracle")}
+        {("radial", "_least_squares"), ("spectra", "hnm_multiplicity_oracle")}
+    assert calls_by_scope("_least_squares") == \
+        {("radial", "peel_coefficients"), ("heatinv", "alpha2_cross_difference"),
+         ("heatinv", "sphere_intrinsic_oracle")}
+    assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
+                     and node.name == "_neville_at_zero") == set()
 
 
 def test_one_harmonic_series_closure():

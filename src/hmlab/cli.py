@@ -3,7 +3,8 @@
 All reports are deterministic: fixed seeds, sorted JSON keys, no
 timestamps, so byte-identical reruns are a testable property.  Exit codes:
 0 verified / completed, 1 a verification or comparison failed or a report
-would hold a value that is not finite, 2 usage or configuration errors.
+would hold a value that is not finite, 2 usage or configuration errors,
+3 a radial eigenvalue solve that did not converge (``ConvergenceFailure``).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import build_j_map
-from .errors import (DegenerateBoundary, DegreeMismatch, DegreeTooHigh,
-                     FamilyMismatch, HmlabError, NonFiniteReport,
-                     UnsupportedCenterDimension)
+from .errors import (ConvergenceFailure, DegenerateBoundary, DegreeMismatch,
+                     DegreeTooHigh, FamilyMismatch, HmlabError,
+                     NonFiniteReport, UnsupportedCenterDimension)
 from .geometry import (curvature_jet, damek_ricci_geometry,
                        geometry_from_algebra, scale_bracket)
 from .heatinv import averaged_boundary_r3
@@ -440,7 +441,7 @@ def main(argv=None):
         return 2
     except HmlabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ConvergenceFailure) else 1
 
 
 if __name__ == "__main__":

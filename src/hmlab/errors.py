@@ -32,6 +32,11 @@ class DegreeTooHigh(HmlabError):
     moment Grams of vectors touching the degree-6 (C^3, CH, L) slots."""
 
 
+class ExactOverflow(HmlabError):
+    """A step of the int64 polynomial engine (``polynomials.PolyBatch``)
+    could form a value past int64, so it stops before forming it."""
+
+
 class SingularSeries(HmlabError):
     """Series inverse/division with a non-invertible leading coefficient."""
 

@@ -21,9 +21,10 @@ from .errors import (ConsistencyFailure, ConvergenceFailure,
                      DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
                      InvalidSampling, NonIntegrableWeight, NotComplexStructure,
                      SpectraDiffer, ZeroLatticeVector)
-from .polynomials import (CPoly, _over_one_denominator, adapted_coordinates,
-                          harmonic_projection, harmonic_space_dimension,
-                          integer_j, monomials_of_degree)
+from .polynomials import (CPoly, PolyBatch, _over_one_denominator,
+                          adapted_coordinates, harmonic_projection,
+                          harmonic_space_dimension, integer_j,
+                          monomials_of_degree)
 
 MAX_DEGREE = 6  # of the exact bidegree bases
 MIN_GRID = 64  # cells of a radial grid
@@ -107,14 +108,17 @@ def _check_complex_structure(j):
 
 def build_hnm_basis(j_rows, max_degree):
     """Harmonic bidegree spaces of one complex structure, as the list of
-    degrees 0..``max_degree``: J is checked, and the adapted coordinates
-    and the table of their products are built, once for all degrees.
+    degrees 0..``max_degree``: J is checked and the adapted coordinates are
+    built once for all degrees, and each degree runs as one
+    :class:`PolyBatch`.
 
     Monomials z^p zbar^q in the adapted coordinates are harmonically
     projected and grouped by the rotation eigenvalue m = sum(q_i - p_i).
     Only those free of z_d zbar_d are projected: P_(p,q) = H_(p,q) +
     |X|^2 P_(p-1,q-1) with |X|^2 = sum w_i z_i zbar_i, w_i > 0, so the kept
-    projections are a basis.  Every element must be an exact rotation
+    projections are a basis.  The kept products of one degree are kept
+    products of the degree below, each times the linear form of its last
+    nonzero exponent.  Every element must be an exact rotation
     eigenvector and the dimension count across groups must reproduce the
     closed formula for homogeneous harmonics; a violation of either raises
     :class:`ConsistencyFailure`.
@@ -128,43 +132,40 @@ def build_hnm_basis(j_rows, max_degree):
     _check_complex_structure(j)
     k = len(j_rows)
     zs = adapted_coordinates(j)
-    factors = zs + [z.conjugate() for z in zs]
     d = len(zs)
-    # z^p zbar^q keyed by the exponents p + q; each is the product one
-    # factor lower times one more factor.  Products of the top degree are
-    # used once, so only the lower ones are kept.
-    products = {(0,) * (2 * d): CPoly.constant(k, 1)}
-
-    def product(exps):
-        if exps in products:
-            return products[exps]
-        i = max(j for j, e in enumerate(exps) if e)
-        lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-        poly = product(lower) * factors[i]
-        if sum(exps) < max_degree:
-            products[exps] = poly
-        return poly
-
+    top = max(max_degree, 1)  # the degree the batches' keys reach
+    factors = PolyBatch.from_polys(k, zs + [z.conjugate() for z in zs], 1, top)
+    # z^p zbar^q keyed by the exponents p + q, in the order of the elements
+    exps = [(0,) * (2 * d)]
+    products = PolyBatch.from_polys(k, [CPoly.constant(k, 1)], 0, top)
     bases = []
     for degree in range(max_degree + 1):
-        buckets = {}
-        for total_p in range(degree + 1):
-            total_q = degree - total_p
-            for p in monomials_of_degree(d, total_p):
-                for q in monomials_of_degree(d, total_q):
-                    if p[-1] and q[-1]:
-                        continue
-                    h = harmonic_projection(product(p + q))
-                    if h.is_zero():
-                        continue
-                    buckets.setdefault(total_q - total_p, []).append(h)
-        per_m = dict(sorted(buckets.items()))
-        for m, basis in per_m.items():
-            for h in basis:
-                if not h.rotation_derivative(j).is_i_times(h, -m):
-                    raise ConsistencyFailure(
-                        f"basis element of group m={m} is no rotation "
-                        "eigenvector")
+        monos = [monomials_of_degree(d, total) for total in range(degree + 1)]
+        kept = [p + q for total_p in range(degree + 1)
+                for p in monos[total_p] for q in monos[degree - total_p]
+                if not (p[-1] and q[-1])]
+        if degree:
+            column = {e: c for c, e in enumerate(exps)}
+            lower, factor = [], []
+            for e in kept:
+                i = max(i for i, x in enumerate(e) if x)
+                lower.append(column[e[:i] + (e[i] - 1,) + e[i + 1:]])
+                factor.append(i)
+            products = products.take(lower).times(factors.take(factor))
+        exps = kept
+        labels = np.array([sum(e[d:]) - sum(e[:d]) for e in exps])
+        projected = products.projected()
+        nonzero = projected.nonzero_columns()
+        eigen = projected.rotation_eigenvectors(j, -labels)
+        if not eigen.all():
+            raise ConsistencyFailure(
+                f"basis element of group m={labels[~eigen].min()} is no "
+                "rotation eigenvector")
+        per_m = {}
+        for m, h, live in zip(labels.tolist(), projected.polys(), nonzero):
+            if live:
+                per_m.setdefault(m, []).append(h)
+        per_m = dict(sorted(per_m.items()))
         dims = {m: len(basis) for m, basis in per_m.items()}
         total = sum(dims.values())
         expected = harmonic_space_dimension(k, degree)
@@ -296,7 +297,13 @@ def _solve_grid(op, t_domain, bc, n_cells, count):
     if not (np.isfinite(sym_diag).all() and np.isfinite(sym_off).all()):
         raise ConvergenceFailure(
             f"the radial operator is not finite on {n_cells} cells")
-    import scipy.linalg  # at first use: it adds ~0.1 s to every start-up
+    # Imported at first use, not at start-up: it takes 0.14-0.26 s on a
+    # 2-vCPU host, most of it scipy._lib.array_api_compat loading
+    # numpy.f2py and numpy.testing.  It stays, because its LAPACK calls
+    # (this tridiagonal solver and the real Schur form of the conjugacy
+    # check) produce the reports' eigenvalue and residual bits, which
+    # numpy has no routine to reproduce.
+    import scipy.linalg
     try:
         lam = scipy.linalg.eigh_tridiagonal(
             sym_diag, sym_off, select='i', select_range=(0, count - 1),
@@ -353,7 +360,7 @@ class ConjugacyReport:
 
 
 def _canonical_skew_frame(j):
-    import scipy.linalg  # at first use, as in _solve_grid
+    import scipy.linalg  # at first use, for the reasons in _solve_grid
     t, u = scipy.linalg.schur(np.asarray(j, dtype=float), output='real')
     n = t.shape[0]
     scale = max(1.0, float(np.max(np.abs(t))))

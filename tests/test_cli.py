@@ -390,9 +390,9 @@ def test_spectrum_error_paths(capsys):
     assert main(["spectrum", "--k", "0", "--grid", "64"]) == 2
     assert main(["spectrum", "--k", "2", "--bc", "0,0", "--grid", "64"]) == 2
     assert main(["spectrum", "--k", "2", "--bc", "oops", "--grid", "64"]) == 2
-    # solver-level failures map to exit 1
+    # a solve that does not converge has its own exit code
     assert main(["spectrum", "--k", "4", "--mu", "40",
-                 "--t-domain", "10", "--grid", "64"]) == 1
+                 "--t-domain", "10", "--grid", "64"]) == 3
     err = capsys.readouterr().err
     assert "ConvergenceFailure" in err
 
@@ -401,7 +401,7 @@ def test_isospec_names_the_sector_that_does_not_converge(capsys):
     """At grid 64 the 12-dim pair's sectors at Z = (1, 2, 2) do not
     converge above degree 0; the error says which one."""
     assert main(["isospec", "--family", "3:2,0;1,1", "--max-degree", "1",
-                 "--grid", "64"]) == 1
+                 "--grid", "64"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ConvergenceFailure: ")
     assert "(1, 2, 2)" in err and "degree 1" in err
@@ -415,7 +415,7 @@ def test_isospec_names_the_sector_that_does_not_converge(capsys):
                                    ["--mu", "6e153"]])
 def test_spectrum_extreme_finite_inputs_fail_with_one_line(extra, capsys):
     argv = ["spectrum", "--k", "2", "--grid", "64", "--count", "2"]
-    assert main(argv + extra) == 1
+    assert main(argv + extra) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmlab import spectra
+from hmlab import polynomials
 from hmlab.cli import default_lattice
 from hmlab.clifford import build_j_map
-from hmlab.polynomials import (CPoly, adapted_coordinates, gram_schmidt_pairs,
-                               harmonic_projection, harmonic_space_dimension,
-                               integer_j, monomials_of_degree, radius_square)
+from hmlab.errors import ExactOverflow, HmlabError
+from hmlab.polynomials import (CPoly, PolyBatch, adapted_coordinates,
+                               gram_schmidt_pairs, harmonic_projection,
+                               harmonic_space_dimension, integer_j,
+                               monomials_of_degree, radius_square)
 from hmlab.spectra import build_hnm_basis, laplacian_symbol
 
 fr = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -170,21 +172,25 @@ def test_harmonic_projection_matches_the_back_substitution(poly):
 def test_harmonic_projection_matches_the_back_substitution_on_the_pair(
         monkeypatch):
     """Every monomial the bases of both 12-dim members project, for two
-    complex structures and degrees 0-3: 2 x 2 x (1 + 8 + 35 + 112)."""
+    complex structures and degrees 0-3: 2 x 2 x (1 + 8 + 35 + 112), each
+    projected by the engine and by harmonic_projection."""
     projected = []
+    project = PolyBatch.projected
 
-    def recorded(poly):
-        projected.append(poly)
-        return harmonic_projection(poly)
+    def recorded(batch):
+        out = project(batch)
+        projected.extend(zip(batch.polys(), out.polys()))
+        return out
 
-    monkeypatch.setattr(spectra, "harmonic_projection", recorded)
+    monkeypatch.setattr(PolyBatch, "projected", recorded)
     for a, b in ((2, 0), (1, 1)):
         for z in ((1, 0, 0), (1, 2, 2)):
             rows = laplacian_symbol(build_j_map(3, a, b), z).j_unit_rows
             build_hnm_basis(rows, 3)
     assert len(projected) == 624
-    for poly in projected:
-        assert harmonic_projection(poly) == reference_decomposition(poly)[0]
+    for poly, engine in projected:
+        assert engine == harmonic_projection(poly) == \
+            reference_decomposition(poly)[0]
 
 
 def test_harmonic_projection_of_radius_power():
@@ -300,6 +306,121 @@ def test_kernels_match_reference_paths_on_the_pair_bases():
                 assert poly.laplacian() == reference_laplacian(poly)
                 assert poly.rotation_derivative(j) == \
                     reference_rotation_derivative(poly, rows)
+
+
+# -- the batched engine against the CPoly path ----------------------------------
+
+
+@st.composite
+def polynomial_batches(draw):
+    """Up to four Gaussian-rational homogeneous polynomials of one degree
+    (up to 6 variables, degree up to 4) with coefficients over mixed
+    denominators, one linear form per polynomial, and rational J rows."""
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    degree = draw(st.integers(min_value=0, max_value=4))
+
+    def poly(monos):
+        picked = draw(st.lists(st.sampled_from(monos), max_size=8))
+        return from_fractions(nvars, {m: (draw(fr), draw(fr)) for m in picked})
+
+    count = draw(st.integers(min_value=1, max_value=4))
+    polys = [poly(monomials_of_degree(nvars, degree)) for _ in range(count)]
+    forms = [poly(monomials_of_degree(nvars, 1)) for _ in range(count)]
+    rows = draw(st.lists(st.lists(fr | st.just(Fraction(0)), min_size=nvars,
+                                  max_size=nvars),
+                         min_size=nvars, max_size=nvars))
+    return degree, polys, forms, rows
+
+
+@given(polynomial_batches())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_the_cpoly_path(case):
+    """The batch's projection, rotation derivative, linear-form product and
+    sum equal harmonic_projection, CPoly.rotation_derivative, CPoly.__mul__
+    and CPoly.__add__ column by column, as reduced values."""
+    degree, polys, forms, rows = case
+    nvars = polys[0].nvars
+    batch = PolyBatch.from_polys(nvars, polys, degree, degree + 1)
+    assert batch.polys() == polys
+    assert batch.projected().polys() == [harmonic_projection(p) for p in polys]
+    j = integer_j(rows)
+    assert batch.rotated(j).polys() == [p.rotation_derivative(j)
+                                        for p in polys]
+    linear = PolyBatch.from_polys(nvars, forms, 1, degree + 1)
+    assert batch.times(linear).polys() == [p * f for p, f in zip(polys, forms)]
+    flipped = list(reversed(polys))
+    assert batch.plus(batch.take(range(len(polys))[::-1])).polys() == \
+        [p + q for p, q in zip(polys, flipped)]
+
+
+def test_engine_refuses_a_value_past_int64():
+    """A product whose values could pass int64 raises ExactOverflow before
+    it is formed, where the CPoly path returns the exact value; so does a
+    coefficient that does not fit to begin with."""
+    big = CPoly(2, {(1, 0): (2 ** 62, 1)})
+    form = CPoly(2, {(1, 0): (3, 0), (0, 1): (0, 1)})
+    batch = PolyBatch.from_polys(2, [big], 1, 2)
+    with pytest.raises(ExactOverflow, match="past int64"):
+        batch.times(PolyBatch.from_polys(2, [form], 1, 2))
+    assert (big * form).coefficient((2, 0)) == (3 * 2 ** 62, 3)
+    with pytest.raises(ExactOverflow):
+        PolyBatch.from_polys(2, [CPoly(2, {(1, 0): (2 ** 63, 0)})], 1, 2)
+    with pytest.raises(ExactOverflow):
+        batch.rotated(integer_j([[0, -2 ** 62], [2 ** 62, 0]]))
+
+
+def test_a_unit_j_over_a_large_denominator_is_refused():
+    """Z = (2mp, 2np, p^2 - m^2 - n^2) has norm m^2 + n^2 + p^2, so its unit J
+    sits over that denominator.  At (m, n, p) = (10, 11, 12) degree 2
+    builds and degree 3 would pass int64; at (1000, 999, 1001) even the
+    degree-1 rotation check would.  Both raise the typed error."""
+    jmap = build_j_map(3, 2, 0)
+    for (m, n, p), fine, top in (((10, 11, 12), 2, 3),
+                                 ((1000, 999, 1001), 0, 1)):
+        z = (2 * m * p, 2 * n * p, p * p - m * m - n * n)
+        rows = laplacian_symbol(jmap, z).j_unit_rows
+        assert len(build_hnm_basis(rows, fine)) == fine + 1
+        with pytest.raises(ExactOverflow) as caught:
+            build_hnm_basis(rows, top)
+        assert isinstance(caught.value, HmlabError)
+
+
+def test_a_lower_bound_is_reached_not_wrapped(monkeypatch):
+    """The pair's degree-4 build bounds some step above 2^28 (about 2^32),
+    so with the bound at 2^28 it stops with the typed error at the first
+    such step; degree 3 stays below it and builds."""
+    rows = laplacian_symbol(build_j_map(3, 1, 1), (1, 2, 2)).j_unit_rows
+    monkeypatch.setattr(polynomials, "_INT64_MAX", 2 ** 28)
+    assert build_hnm_basis(rows, 3)[3].total_dim == 112
+    with pytest.raises(ExactOverflow, match="past int64"):
+        build_hnm_basis(rows, 4)
+
+
+def test_engine_refuses_keys_that_do_not_pack_with_their_column():
+    """Terms merge on column * (top + 1)^nvars + key.  With 20 variables and
+    keys to degree 6 that passes int64 at 116 columns: 115 columns
+    multiply as the CPoly path does, and 116 raise the typed error."""
+    nvars, top = 20, 6
+    units = monomials_of_degree(nvars, 1)
+    polys = [CPoly(nvars, {units[c % nvars]: (c, 1),
+                           units[3 * c % nvars]: (1, -c)}, c + 1)
+             for c in range(116)]
+    assert 115 * (top + 1) ** nvars < 2 ** 63 < 116 * (top + 1) ** nvars
+    fits = PolyBatch.from_polys(nvars, polys[:115], 1, top)
+    assert fits.times(fits).polys() == [p * p for p in polys[:115]]
+    with pytest.raises(ExactOverflow, match="116 columns"):
+        PolyBatch.from_polys(nvars, polys, 1, top)
+
+
+def test_chunked_steps_give_the_same_bases(monkeypatch):
+    """Products and rotations formed a few columns at a time (here at most
+    50 raw terms per run of columns, or one column) give the bases formed
+    in one piece."""
+    rows = laplacian_symbol(build_j_map(3, 1, 1), (1, 2, 2)).j_unit_rows
+    whole = build_hnm_basis(rows, 3)
+    monkeypatch.setattr(polynomials, "_CHUNK_TERMS", 50)
+    assert [b.per_m for b in build_hnm_basis(rows, 3)] == \
+        [b.per_m for b in whole]
 
 
 def reference_gram_schmidt_pairs(j_rows):

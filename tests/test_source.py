@@ -166,15 +166,28 @@ def test_one_complex_structure_check_and_adaptation_per_build():
         {("spectra", "build_hnm_basis"), ("spectra", "hnm_multiplicity_oracle")}
 
 
+def test_the_bidegree_build_runs_on_the_batched_engine():
+    """The build projects and rotates whole degrees as PolyBatch steps.  The
+    per-element CPoly projection and rotation derivative are left to the
+    multiplicity oracle, the independent route the build is compared
+    against, and no per-element eigenvector check is defined."""
+    oracle = {("spectra", "hnm_multiplicity_oracle")}
+    assert calls_by_scope("harmonic_projection") == oracle
+    assert calls_by_scope("rotation_derivative") == oracle
+    assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
+                     and node.name == "is_i_times") == set()
+
+
 def test_j_is_prepared_once_where_a_build_or_the_oracle_starts():
     """J becomes integer rows over one denominator where a bidegree build
     or the multiplicity oracle starts, and every exact J-level step (the
     check, the adapted coordinates, each rotation derivative) runs on that
-    form; the rotation derivative converts nothing itself."""
+    form; neither rotation derivative converts anything itself."""
     assert calls_by_scope("integer_j") == \
         {("spectra", "build_hnm_basis"), ("spectra", "hnm_multiplicity_oracle")}
-    assert ("polynomials", "rotation_derivative") not in \
-        calls_by_scope("_over_one_denominator")
+    converting = calls_by_scope("_over_one_denominator")
+    for rotation in ("rotation_derivative", "rotated", "_rotated"):
+        assert ("polynomials", rotation) not in converting
 
 
 def test_reports_are_written_in_one_place():

@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from hmlab import spectra
+from hmlab import polynomials, spectra
 from hmlab.cli import default_lattice
 from hmlab.clifford import build_j_map
 from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
@@ -19,7 +19,7 @@ from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
                           ZeroLatticeVector)
 from hmlab.geometry import (constant_curvature_geometry, geometry_from_algebra,
                             scale_bracket)
-from hmlab.polynomials import (CPoly, adapted_coordinates,
+from hmlab.polynomials import (CPoly, PolyBatch, adapted_coordinates,
                                harmonic_projection, harmonic_space_dimension,
                                integer_j, monomials_of_degree, radius_square)
 from hmlab.spectra import (RadialOperator, build_hnm_basis, conjugacy_check,
@@ -182,31 +182,40 @@ def test_bidegree_eigen_relation_is_exact(ns12):
 
 
 def test_eigenvector_check_agrees_with_the_built_product(hh3, ns12):
-    """The build's check ``D h`` is ``i t h`` (``CPoly.is_i_times``) against
-    building ``h.scale(0, t)`` and comparing with ``==``: on all 624
-    elements of the pair's bases to degree 3 at (1,0,0) and (1,2,2), at the
-    element's label, its neighbours and 0, and on each element of degree at
-    least 1 with one term added, which is no eigenvector."""
+    """The build's check, ``PolyBatch.rotation_eigenvectors`` (D h - i t h
+    is zero), against building ``h.scale(0, t)`` and comparing with ``==``:
+    on all 624 elements of the pair's bases to degree 3 at (1,0,0) and
+    (1,2,2), at the element's label, its neighbours and 0, and on each
+    element of degree at least 1 with one term added, which is no
+    eigenvector."""
     agreed = 0
     for geo in (hh3, ns12):
         for z in ((1, 0, 0), (1, 2, 2)):
             rows = unit_j_rows(geo.jmap, z)
             j = integer_j(rows)
+            k = len(rows)
             for degree, basis in enumerate(build_hnm_basis(rows, 3)):
-                bump = CPoly(len(rows), {(degree,) + (0,) * (len(rows) - 1):
-                                         (1, 2)}, 7)
-                for m, polys in basis.per_m.items():
-                    for h in polys:
-                        rotated = h.rotation_derivative(j)
-                        for t in {-m, -m - 1, -m + 1, 0}:
-                            assert rotated.is_i_times(h, t) == \
-                                (rotated == h.scale(0, t)) == (t == -m)
-                        if degree:
-                            other = h + bump
-                            rotated = other.rotation_derivative(j)
-                            assert not rotated.is_i_times(other, -m)
-                            assert rotated != other.scale(0, -m)
-                        agreed += 1
+                polys = [h for group in basis.per_m.values() for h in group]
+                labels = [m for m, group in basis.per_m.items() for _ in group]
+                batch = PolyBatch.from_polys(k, polys, degree, 3)
+                for shift in (0, -1, 1, None):
+                    ts = [0 if shift is None else shift - m for m in labels]
+                    got = batch.rotation_eigenvectors(j, ts).tolist()
+                    built = [h.rotation_derivative(j) == h.scale(0, t)
+                             for h, t in zip(polys, ts)]
+                    assert got == built == [t == -m
+                                            for t, m in zip(ts, labels)]
+                if degree:
+                    bump = CPoly(k, {(degree,) + (0,) * (k - 1): (1, 2)}, 7)
+                    others = [h + bump for h in polys]
+                    bumped = PolyBatch.from_polys(k, others, degree, 3)
+                    got = bumped.rotation_eigenvectors(
+                        j, [-m for m in labels]).tolist()
+                    assert got == [other.rotation_derivative(j)
+                                   == other.scale(0, -m)
+                                   for other, m in zip(others, labels)]
+                    assert not any(got)
+                agreed += len(polys)
     assert agreed == 624
 
 
@@ -315,19 +324,86 @@ def test_bidegree_bases_equal_the_pinned_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == BASES_SHA256
 
 
+def cpoly_bases(rows, top):
+    """The per_m of each degree built one CPoly at a time, as before the
+    batched engine: each kept z^p zbar^q is the product one factor lower
+    times one more factor, projected by harmonic_projection and checked as
+    a rotation eigenvector by CPoly.rotation_derivative."""
+    k = len(rows)
+    j = integer_j(rows)
+    zs = adapted_coordinates(j)
+    factors = zs + [z.conjugate() for z in zs]
+    d = len(zs)
+    products = {(0,) * (2 * d): CPoly.constant(k, 1)}
+    out = []
+    for degree in range(top + 1):
+        per_m = {}
+        for total_p in range(degree + 1):
+            for p in monomials_of_degree(d, total_p):
+                for q in monomials_of_degree(d, degree - total_p):
+                    if p[-1] and q[-1]:
+                        continue
+                    exps = p + q
+                    if degree:
+                        i = max(i for i, e in enumerate(exps) if e)
+                        lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                        products[exps] = products[lower] * factors[i]
+                    h = harmonic_projection(products[exps])
+                    m = degree - 2 * total_p
+                    assert h.rotation_derivative(j) == h.scale(0, -m)
+                    per_m.setdefault(m, []).append(h)
+        out.append(dict(sorted(per_m.items())))
+    return out
+
+
+@pytest.mark.parametrize("a, b, z, top", [(2, 0, (1, 0, 0), 4),
+                                         (1, 1, (1, 2, 2), 5)])
+def test_bidegree_bases_equal_the_cpoly_build(a, b, z, top):
+    """The batched build equals the CPoly build element for element, to
+    degree 4 on 3:2,0 at (1,0,0) and to degree 5 on 3:1,1 at (1,2,2)."""
+    rows = unit_j_rows(build_j_map(3, a, b), z)
+    assert [basis.per_m for basis in build_hnm_basis(rows, top)] == \
+        cpoly_bases(rows, top)
+
+
+def test_top_degree_builds_below_the_bound(monkeypatch):
+    """MAX_DEGREE on k = 8 (3:1,1 at (1,2,2), the denser unit J of the
+    pair) builds every degree with every step bounded below int64."""
+    bounds = []
+    bounded = polynomials._bounded
+
+    def recorded(what, bound):
+        bounds.append(bound)
+        return bounded(what, bound)
+
+    monkeypatch.setattr(polynomials, "_bounded", recorded)
+    rows = unit_j_rows(build_j_map(3, 1, 1), (1, 2, 2))
+    bases = build_hnm_basis(rows, spectra.MAX_DEGREE)
+    assert [basis.total_dim for basis in bases] == \
+        [harmonic_space_dimension(8, n) for n in range(spectra.MAX_DEGREE + 1)]
+    assert 0 < max(bounds) < 2 ** 63
+
+
 @pytest.mark.parametrize("degree, projections", [(2, 35), (3, 112)])
 def test_bidegree_bases_project_only_what_they_keep(degree, projections,
                                                     monkeypatch):
-    """On both 12-dim members every projection becomes a basis element:
-    harmonic_space_dimension(8, degree) of them at the top degree, where
-    projecting every z^p zbar^q would take 36 and 120."""
-    calls = counting(monkeypatch, "harmonic_projection")
+    """On both 12-dim members every projected column becomes a basis
+    element: harmonic_space_dimension(8, degree) of them at the top degree,
+    where projecting every z^p zbar^q would take 36 and 120."""
+    columns = []
+    project = PolyBatch.projected
+
+    def counted(batch):
+        columns.append(len(batch.polys()))
+        return project(batch)
+
+    monkeypatch.setattr(PolyBatch, "projected", counted)
     for a, b in ((2, 0), (1, 1)):
         rows = unit_j_rows(build_j_map(3, a, b), (1, 2, 2))
-        calls.clear()
+        columns.clear()
         bases = build_hnm_basis(rows, degree)
-        assert len(calls) == sum(basis.total_dim for basis in bases)
-        assert bases[-1].total_dim == projections
+        assert columns == [basis.total_dim for basis in bases]
+        assert columns[-1] == projections
         assert harmonic_space_dimension(8, degree) == projections
 
 
@@ -469,11 +545,11 @@ def test_restricted_apply_builds_the_product_it_replaced():
 
 
 def test_hnm_basis_rotation_eigenvectors_are_checked(monkeypatch):
-    """A basis element that is no rotation eigenvector raises."""
+    """A basis element that is no rotation eigenvector raises: here the
+    engine's rotation step returns each element unchanged."""
     jm = build_j_map(1, 1, 0)
     rows = [[Fraction(int(x)) for x in r] for r in jm.j_of_center_basis(0)]
-    monkeypatch.setattr(CPoly, "rotation_derivative",
-                        lambda self, j_rows: self)
+    monkeypatch.setattr(PolyBatch, "rotated", lambda self, j: self)
     with pytest.raises(ConsistencyFailure, match="rotation eigenvector"):
         build_hnm_basis(rows, 1)
 

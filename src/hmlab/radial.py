@@ -212,42 +212,59 @@ class OdeResult:
     theta_normalized: np.ndarray
 
 
-def _flow_derivative(neg_gamma_t, neg_r_cols, y):
-    """d/dr of the flow states y = [u | X | Z], shape (m, n, 1 + 2n).
+def _row_views(y, n):
+    """A flow state y = [u; X^T; Z^T] of shape (m, 1 + 2n, n) with its
+    views: the u rows, also as columns (m, n, 1) and rows (m, 1, n), and the
+    X^T and Z^T blocks."""
+    u = y[:, 0]
+    return y, u, u[:, :, None], u[:, None, :], y[:, 1:n + 1], y[:, n + 1:]
+
+
+def _flow_derivative(neg_gamma, neg_r_rows, y, out, scratch):
+    """d/dr of the flow states y = [u; X^T; Z^T], written into ``out``; both
+    are given as their ``_row_views``.
 
     With g = gamma(u), g[j, k] = gamma[i, j, k] u_i, and R_u[a, d] =
-    R[a, u, u, d], every column moves by -g^T y; then Z is added to the X
-    block and -R_u X to the Z block.  ``neg_gamma_t`` holds -gamma[i, k, j]
-    with rows i and columns (k, j), and ``neg_r_cols`` holds -R[a, e, f, d]
-    with rows (e, f) and columns (a, d), so -g^T and -R_u are one matrix
-    product each for the whole batch.
+    R[a, u, u, d], every row moves by y -> y (-g); then Z^T is added to the
+    X^T block and X^T (-R_u)^T to the Z^T block.  ``neg_gamma`` holds
+    -gamma[i, j, k] with rows i and columns (j, k), and ``neg_r_rows`` holds
+    -R[a, e, f, d] with rows (e, f) and columns (d, a), so -g and -R_u^T are
+    one matrix product each for the whole batch.  ``scratch`` holds u u^T,
+    -g and -R_u^T, each as (m, n, n) and as its (m, n * n) view, then one
+    (m, n, n) array for X^T (-R_u)^T.
     """
-    m, n = y.shape[:2]
-    u = y[:, :, 0]
-    uu = (u[:, :, None] * u[:, None, :]).reshape(m, n * n)
-    neg_r_u = (uu @ neg_r_cols).reshape(m, n, n)
-    dy = (u @ neg_gamma_t).reshape(m, n, n) @ y
-    dy[:, :, 1:n + 1] += y[:, :, n + 1:]
-    dy[:, :, n + 1:] += neg_r_u @ y[:, :, 1:n + 1]
-    return dy
+    uu, uu_flat, neg_g, neg_g_flat, neg_r_u_t, neg_r_u_t_flat, x_r = scratch
+    y, u, u_col, u_row, x, z = y
+    out, _, _, _, out_x, out_z = out
+    np.multiply(u_col, u_row, out=uu)
+    np.matmul(uu_flat, neg_r_rows, out=neg_r_u_t_flat)
+    np.matmul(u, neg_gamma, out=neg_g_flat)
+    np.matmul(y, neg_g, out=out)
+    out_x += z
+    np.matmul(x, neg_r_u_t, out=x_r)
+    out_z += x_r
 
 
 def _jacobi_flow(geometry, u, radii, steps_per_unit):
     """Flow states along unit directions ``u``, at each radius in sorted order.
 
     ``u`` is one direction (n,) or a batch (m, n), n = ``geometry.dim``;
-    every row must be finite and of norm 1.  Each direction carries the
-    state [u | X | Z], shape (n, 1 + 2n), in the left-invariant frame: its
+    every row must be finite and of norm 1.  Each direction carries its
     velocity u, the Jacobi endomorphism X (X(0) = 0, X'(0) = I) and its
-    covariant derivative Z.  It starts at [u | 0 | I].
+    covariant derivative Z, in the left-invariant frame.  The march stores
+    them as rows, [u; X^T; Z^T] of shape (1 + 2n, n), so the u row and the
+    X^T and Z^T blocks are contiguous views; it starts at [u; 0; I].
 
     One fixed-step RK4 march from r = 0 takes the whole batch through the
     sorted radii.  The segment ending at radius r_k is split into
     ceil(max(dr * steps_per_unit, 16 dr / r_k)) equal steps, so no step is
-    longer than 1/steps_per_unit or r_k/16.  Every radius must be finite
-    and positive, and ``steps_per_unit`` finite and > 0.  Returns the
-    sorted radii and the arrays u, X and Z, shaped (k, n) and (k, n, n) for
-    k radii, each with a leading batch axis of m for a batch.
+    longer than 1/steps_per_unit or r_k/16.  The state, the three stage
+    states and the four slopes are buffers allocated once per call: each
+    stage state and each step's update is formed in place, and the state
+    is copied out at each radius.  Every radius must be finite and
+    positive, and ``steps_per_unit`` finite and > 0.  Returns the sorted
+    radii and the arrays u, X and Z, shaped (k, n) and (k, n, n) for k
+    radii, each with a leading batch axis of m for a batch.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if (radii.size == 0 or not np.all(np.isfinite(radii)) or radii[0] <= 0.0
@@ -267,33 +284,56 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise InvalidSampling(
             f"the Jacobi flow needs unit directions, got norms {norms}")
-    neg_gamma_t = -geometry.gamma.transpose(0, 2, 1).reshape(n, n * n)
-    neg_r_cols = -geometry.r.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    neg_gamma = -geometry.gamma.reshape(n, n * n)
+    neg_r_rows = -geometry.r.transpose(1, 2, 3, 0).reshape(n * n, n * n)
     batch = u.reshape(-1, n)
-    y = np.zeros((len(batch), n, 1 + 2 * n))
-    y[:, :, 0] = batch
-    y[:, :, n + 1:] = np.eye(n)
+    m = len(batch)
+    y = np.zeros((m, 1 + 2 * n, n))
+    y[:, 0] = batch
+    y[:, n + 1:] = np.eye(n)
+    y2, y3, y4, k1, k2, k3, k4 = np.empty((7,) + y.shape)
+    y_v, y2_v, y3_v, y4_v, k1_v, k2_v, k3_v, k4_v = (
+        _row_views(a, n) for a in (y, y2, y3, y4, k1, k2, k3, k4))
+    uu, neg_g, neg_r_u_t, x_r = np.empty((4, m, n, n))
+    scratch = (uu, uu.reshape(m, n * n), neg_g, neg_g.reshape(m, n * n),
+               neg_r_u_t, neg_r_u_t.reshape(m, n * n), x_r)
     states = []
     r_prev = 0.0
     for r_target in radii:
         dr = r_target - r_prev
         steps = int(math.ceil(max(dr * steps_per_unit, 16.0 * dr / r_target)))
         h = dr / max(steps, 1)
+        half, sixth = 0.5 * h, h / 6.0
         # an overflow shows as a non-finite state, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps):
-                k1 = _flow_derivative(neg_gamma_t, neg_r_cols, y)
-                k2 = _flow_derivative(neg_gamma_t, neg_r_cols, y + 0.5 * h * k1)
-                k3 = _flow_derivative(neg_gamma_t, neg_r_cols, y + 0.5 * h * k2)
-                k4 = _flow_derivative(neg_gamma_t, neg_r_cols, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y[:, :, 1:n + 1])):
+                _flow_derivative(neg_gamma, neg_r_rows, y_v, k1_v, scratch)
+                np.multiply(k1, half, out=y2)
+                y2 += y
+                _flow_derivative(neg_gamma, neg_r_rows, y2_v, k2_v, scratch)
+                np.multiply(k2, half, out=y3)
+                y3 += y
+                _flow_derivative(neg_gamma, neg_r_rows, y3_v, k3_v, scratch)
+                np.multiply(k3, h, out=y4)
+                y4 += y
+                _flow_derivative(neg_gamma, neg_r_rows, y4_v, k4_v, scratch)
+                # y + h/6 (((k1 + 2 k2) + 2 k3) + k4), summed in that order
+                k2 *= 2.0
+                k2 += k1
+                k3 *= 2.0
+                k2 += k3
+                k2 += k4
+                k2 *= sixth
+                y += k2
+        if not np.all(np.isfinite(y[:, 1:n + 1])):
             raise StepFailure(f"non-finite Jacobi endomorphism at r = {r_target}")
-        states.append(y)
+        states.append(y.copy())
         r_prev = r_target
-    states = np.stack(states, axis=1).reshape(*u.shape[:-1], len(radii), n,
-                                               1 + 2 * n)
-    return radii, states[..., 0], states[..., 1:n + 1], states[..., n + 1:]
+    states = np.stack(states, axis=1).reshape(*u.shape[:-1], len(radii),
+                                               1 + 2 * n, n)
+    return (radii, states[..., 0, :],
+            np.swapaxes(states[..., 1:n + 1, :], -2, -1),
+            np.swapaxes(states[..., n + 1:, :], -2, -1))
 
 
 def ode_oracle(geometry, u, radii, steps_per_unit=2048):

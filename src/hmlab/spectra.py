@@ -12,7 +12,8 @@ across one grid doubling and carry that difference as an error bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -80,11 +81,23 @@ def laplacian_symbol(jmap, z_gamma):
 
 @dataclass
 class HnmBasis:
+    """The harmonic bidegree spaces of one degree: ``dims`` counts the basis
+    elements of each rotation eigenvalue m, and ``per_m`` lists them as
+    reduced CPolys, in build order, made from the projected batch only when
+    first read."""
     nvars: int
     degree: int
-    per_m: dict
     dims: dict
     total_dim: int
+    elements: PolyBatch = field(repr=False, compare=False)
+    labels: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def per_m(self):
+        per_m = {}
+        for m, h in zip(self.labels.tolist(), self.elements.polys()):
+            per_m.setdefault(m, []).append(h)
+        return dict(sorted(per_m.items()))
 
 
 def _check_complex_structure(j):
@@ -161,20 +174,19 @@ def build_hnm_basis(j_rows, max_degree):
             raise ConsistencyFailure(
                 f"basis element of group m={labels[~eigen].min()} is no "
                 "rotation eigenvector")
-        per_m = {}
-        for m, h, live in zip(labels.tolist(), projected.polys(), nonzero):
-            if live:
-                per_m.setdefault(m, []).append(h)
-        per_m = dict(sorted(per_m.items()))
-        dims = {m: len(basis) for m, basis in per_m.items()}
+        live = np.flatnonzero(nonzero)
+        groups, counts = np.unique(labels[live], return_counts=True)
+        dims = dict(zip(groups.tolist(), counts.tolist()))
         total = sum(dims.values())
         expected = harmonic_space_dimension(k, degree)
         if total != expected:
             raise ConsistencyFailure(
                 f"bidegree bases span {total} dimensions, harmonics need "
                 f"{expected}")
-        bases.append(HnmBasis(nvars=k, degree=degree, per_m=per_m,
-                              dims=dims, total_dim=total))
+        bases.append(HnmBasis(nvars=k, degree=degree, dims=dims,
+                              total_dim=total,
+                              elements=projected.take(live),
+                              labels=labels[live]))
     return bases
 
 

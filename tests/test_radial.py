@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 from hmlab.errors import (InvalidSampling, OrderUnsupported, StepFailure,
                           ZeroLeadingCoefficient)
 from hmlab.geometry import curvature_jet
-from hmlab.heatinv import _sphere_curvature_samples
+from hmlab import heatinv, radial
+from hmlab.heatinv import (_sphere_curvature_samples, alpha2_cross_difference,
+                           sphere_intrinsic_oracle)
 from hmlab.invariants import (direction_constants, point_invariants,
                               random_directions)
 from hmlab.series import TruncatedSeries
@@ -276,6 +278,117 @@ def test_batched_flow_equals_single_direction_marches(space, batch, request):
         ric, riem = _sphere_curvature_samples(geo, u, radii, 256)
         assert_allclose(ric_sq[i], ric, rtol=1e-12)
         assert_allclose(riem_sq[i], riem, rtol=1e-12)
+
+
+def column_derivative(neg_gamma_t, neg_r_cols, y):
+    """The flow derivative on states [u | X | Z] of shape (m, n, 1 + 2n),
+    one column per vector, as the march computed it before its fixed-buffer
+    kernel: -g^T y, then Z added to the X block and -R_u X to the Z block."""
+    m, n = y.shape[:2]
+    u = y[:, :, 0]
+    uu = (u[:, :, None] * u[:, None, :]).reshape(m, n * n)
+    neg_r_u = (uu @ neg_r_cols).reshape(m, n, n)
+    dy = (u @ neg_gamma_t).reshape(m, n, n) @ y
+    dy[:, :, 1:n + 1] += y[:, :, n + 1:]
+    dy[:, :, n + 1:] += neg_r_u @ y[:, :, 1:n + 1]
+    return dy
+
+
+def column_march(geometry, u, radii, steps_per_unit):
+    """(u, X, Z) at the sorted radii by the column-layout march that
+    allocates every stage, with the step rule of ``_jacobi_flow``."""
+    n = geometry.dim
+    neg_gamma_t = -geometry.gamma.transpose(0, 2, 1).reshape(n, n * n)
+    neg_r_cols = -geometry.r.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    u = np.asarray(u, dtype=float)
+    batch = u.reshape(-1, n)
+    y = np.zeros((len(batch), n, 1 + 2 * n))
+    y[:, :, 0] = batch
+    y[:, :, n + 1:] = np.eye(n)
+    states = []
+    r_prev = 0.0
+    for r_target in sorted(radii):
+        dr = r_target - r_prev
+        steps = int(math.ceil(max(dr * steps_per_unit, 16.0 * dr / r_target)))
+        h = dr / max(steps, 1)
+        for _ in range(steps):
+            k1 = column_derivative(neg_gamma_t, neg_r_cols, y)
+            k2 = column_derivative(neg_gamma_t, neg_r_cols, y + 0.5 * h * k1)
+            k3 = column_derivative(neg_gamma_t, neg_r_cols, y + 0.5 * h * k2)
+            k4 = column_derivative(neg_gamma_t, neg_r_cols, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(y)
+        r_prev = r_target
+    states = np.stack(states, axis=1).reshape(*u.shape[:-1], len(radii), n,
+                                               1 + 2 * n)
+    return states[..., 0], states[..., 1:n + 1], states[..., n + 1:]
+
+
+@pytest.mark.parametrize("space", ["hh2", "hh3", "ns12", "ch2"])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("steps_per_unit", [256, 2048])
+def test_fixed_buffer_march_equals_the_column_march(space, count,
+                                                    steps_per_unit, request):
+    """The row-layout march on fixed buffers against the column-layout march
+    it replaced: u, X and Z at every radius, to 1e-14 of the largest entry,
+    for one direction and for a batch of three."""
+    geo = request.getfixturevalue(space)
+    dirs = random_directions(geo.dim, count, np.random.default_rng(5))
+    u = dirs[0] if count == 1 else dirs
+    radii = [0.25, 0.05, 0.15]
+    got = _jacobi_flow(geo, u, radii, steps_per_unit)[1:]
+    want = column_march(geo, u, radii, steps_per_unit)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+def test_flow_states_are_copied_out_at_each_radius(hh2):
+    """The state at r = 0.1 of a march on through r = 0.2 is the state of a
+    march that stops at 0.1, not the march's final state."""
+    u = flow_direction(hh2.dim)
+    _, u_on, x_on, z_on = _jacobi_flow(hh2, u, [0.1, 0.2], 512)
+    _, u_at, x_at, z_at = _jacobi_flow(hh2, u, [0.1], 512)
+    assert np.array_equal(x_on[0], x_at[0])
+    assert np.array_equal(u_on[0], u_at[0])
+    assert np.array_equal(z_on[0], z_at[0])
+    assert not np.array_equal(x_on[0], x_on[1])
+
+
+def rk4_steps(radii, steps_per_unit):
+    """Steps of one march through the radii by the documented rule."""
+    total, r_prev = 0, 0.0
+    for r in sorted(radii):
+        dr = r - r_prev
+        total += math.ceil(max(dr * steps_per_unit, 16.0 * dr / r))
+        r_prev = r
+    return total
+
+
+@pytest.mark.parametrize("oracle", ["ode", "alpha2", "intrinsic"])
+def test_each_march_takes_four_derivatives_per_step(hh2, oracle, monkeypatch):
+    """The march evaluates the derivative four times per RK4 step, and takes
+    the steps of its rule: the benchmark's ode_oracle call and both fixed
+    oracle designs."""
+    calls = []
+    original = radial._flow_derivative
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(radial, "_flow_derivative", counted)
+    u1, u2 = alpha2_pair(hh2.dim)
+    if oracle == "ode":
+        radii, steps_per_unit = (0.15, 0.21, 0.27, 0.33, 0.39, 0.45), 2048
+        ode_oracle(hh2, u1, radii, steps_per_unit)
+    elif oracle == "alpha2":
+        radii, _, steps_per_unit = heatinv._ALPHA2_FIT
+        alpha2_cross_difference(hh2, u1, u2)
+    else:
+        radii, _, steps_per_unit = heatinv._INTRINSIC_FIT
+        sphere_intrinsic_oracle(hh2, u1)
+    assert len(calls) == 4 * rk4_steps(radii, steps_per_unit)
 
 
 def off_unit(n, factor):

@@ -11,7 +11,11 @@ across one grid doubling and carry that difference as an error bar.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -184,8 +188,7 @@ def build_hnm_basis(j_rows, max_degree):
                 f"bidegree bases span {total} dimensions, harmonics need "
                 f"{expected}")
         bases.append(HnmBasis(nvars=k, degree=degree, dims=dims,
-                              total_dim=total,
-                              elements=projected.take(live),
+                              total_dim=total, elements=projected.take(live),
                               labels=labels[live]))
     return bases
 
@@ -295,6 +298,19 @@ def _assemble_grid(op, t_domain, bc, n_cells):
     return diag * scale * scale, off * scale[:-1] * scale[1:]
 
 
+def _lapack():
+    """scipy's LAPACK wrapper, loaded at first use without the scipy.linalg
+    package, whose import (~0.2 s on a 2-vCPU host) clones numpy.  The calls
+    pass what eigh_tridiagonal and schur pass, so every bit is kept."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:  # the extension registers itself there
+        scipy = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy[0], "linalg")])
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    return sys.modules[name]
+
+
 def _solve_grid(op, t_domain, bc, n_cells, count):
     """Leading ``count`` eigenvalues on one grid.  A float overflow or
     division by zero, a non-finite matrix or a solver that does not
@@ -309,22 +325,13 @@ def _solve_grid(op, t_domain, bc, n_cells, count):
     if not (np.isfinite(sym_diag).all() and np.isfinite(sym_off).all()):
         raise ConvergenceFailure(
             f"the radial operator is not finite on {n_cells} cells")
-    # Imported at first use, not at start-up: it takes 0.14-0.26 s on a
-    # 2-vCPU host, most of it scipy._lib.array_api_compat loading
-    # numpy.f2py and numpy.testing.  It stays, because its LAPACK calls
-    # (this tridiagonal solver and the real Schur form of the conjugacy
-    # check) produce the reports' eigenvalue and residual bits, which
-    # numpy has no routine to reproduce.
-    import scipy.linalg
-    try:
-        lam = scipy.linalg.eigh_tridiagonal(
-            sym_diag, sym_off, select='i', select_range=(0, count - 1),
-            eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
+    m, lam, _, _, info = _lapack().dstebz(sym_diag, sym_off, 2, 0.0, 1.0, 1,
+                                          count, 0.0, 'E')
+    if info:
         raise ConvergenceFailure(
             f"the tridiagonal eigensolver failed on {n_cells} cells "
-            f"({exc})") from exc
-    return -4.0 * lam
+            f"(LAPACK dstebz info={info})")
+    return -4.0 * lam[:m]
 
 
 def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6):
@@ -372,34 +379,30 @@ class ConjugacyReport:
 
 
 def _canonical_skew_frame(j):
-    import scipy.linalg  # at first use, for the reasons in _solve_grid
-    t, u = scipy.linalg.schur(np.asarray(j, dtype=float), output='real')
-    n = t.shape[0]
+    a = np.array(j, dtype=float, order='F')  # dgees overwrites it
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size \
+            or not np.isfinite(a).all():
+        raise NotComplexStructure(f"J is no finite square matrix: {a.shape}")
+    gees = _lapack().dgees
+    lwork = int(gees(lambda *_: 0, a, lwork=-1)[-2][0])
+    t, _, _, _, u, _, info = gees(lambda *_: 0, a, lwork=lwork, overwrite_a=1)
+    if info:
+        raise ConvergenceFailure(f"no real Schur form of J: dgees info={info}")
     scale = max(1.0, float(np.max(np.abs(t))))
-    blocks = []
+    blocks = []  # (rotation speed, columns) of each diagonal block of t
     i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > 1e-12 * scale:
-            b = t[i, i + 1]
-            if b < 0:
+    while i < len(t):
+        if i + 1 < len(t) and abs(t[i + 1, i]) > 1e-12 * scale:
+            if t[i, i + 1] < 0:
                 u[:, i + 1] = -u[:, i + 1]
-                b = -b
-            blocks.append((b, i))
+            blocks.append((abs(t[i, i + 1]), [i, i + 1]))
             i += 2
         else:
-            blocks.append((0.0, i))
+            blocks.append((0.0, [i]))
             i += 1
-    order = sorted(range(len(blocks)),
-                   key=lambda idx: (-blocks[idx][0], idx))
-    perm = []
-    speeds = []
-    for idx in order:
-        b, start = blocks[idx]
-        speeds.append(b)
-        perm.append(start)
-        if b > 0:
-            perm.append(start + 1)
-    return u[:, perm], np.array(speeds)
+    blocks.sort(key=lambda block: -block[0])  # stable: ties keep t's order
+    return (u[:, [c for _, cols in blocks for c in cols]],
+            np.array([b for b, _ in blocks]))
 
 
 def conjugacy_check(j1, j2):
@@ -411,8 +414,7 @@ def conjugacy_check(j1, j2):
     u1, s1 = _canonical_skew_frame(j1)
     u2, s2 = _canonical_skew_frame(j2)
     if len(s1) != len(s2) or np.max(np.abs(s1 - s2)) > 1e-10:
-        raise SpectraDiffer(
-            f"rotation speeds differ: {s1} vs {s2}")
+        raise SpectraDiffer(f"rotation speeds differ: {s1} vs {s2}")
     o = u2 @ u1.T
     residual = float(np.max(np.abs(o @ np.asarray(j1, float) @ o.T
                                    - np.asarray(j2, float))))
@@ -459,8 +461,7 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
     # share every radial operator: build the bases of every degree once per
     # unit J and solve each operator once per call, keyed on content.
     top = max(degrees, default=0)
-    bases = {}
-    solved = {}
+    bases, solved = {}, {}
 
     def basis(rows):
         key = tuple(map(tuple, rows))
@@ -505,8 +506,7 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
                 agree = dim_a == dim_b and diff <= max(budget, 1e-12)
                 all_agree = all_agree and agree
                 entry["cells"].append({
-                    "degree": degree, "m": m,
-                    "dim_a": dim_a, "dim_b": dim_b,
+                    "degree": degree, "m": m, "dim_a": dim_a, "dim_b": dim_b,
                     "eigenvalues_a": rep_a.eigenvalues,
                     "eigenvalues_b": rep_b.eigenvalues,
                     "max_difference": diff,

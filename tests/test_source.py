@@ -96,9 +96,10 @@ def calls_by_scope(name):
 
 def test_imports_inside_functions_are_the_deferred_scipy_ones():
     """Every import sits at module top, where a module's dependencies can be
-    read and an import cycle would show at once.  The two exceptions defer
-    scipy.linalg to the spectral solver and the conjugacy check, which keeps
-    it out of every command's start-up."""
+    read and an import cycle would show at once.  The one deferred load is
+    scipy's LAPACK wrapper, loaded by ``spectra._lapack`` at the first
+    spectral solve or conjugacy check, which keeps it out of every
+    command's start-up."""
     found = []
     for path in sorted(Path(hmlab.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -107,7 +108,9 @@ def test_imports_inside_functions_are_the_deferred_scipy_ones():
                   for inner in ast.walk(node)
                   if isinstance(inner, (ast.Import, ast.ImportFrom))}
         found += [(path.stem, ast.unparse(node)) for node in inside]
-    assert found == [("spectra", "import scipy.linalg")] * 2
+    assert found == []
+    for name in ("find_spec", "module_from_spec", "exec_module"):
+        assert calls_by_scope(name) == {("spectra", "_lapack")}
 
 
 def test_only_polynomials_reads_the_coefficient_representation():
@@ -224,9 +227,10 @@ def test_the_command_line_imports_no_sparse_scipy():
 
 
 def test_the_command_line_imports_no_scipy():
-    """scipy.linalg is imported where the spectral solver and the
-    conjugacy check first need it; importing it with the command line
-    cost every command ~0.11 s and ~22 MB (measured on a 2-vCPU host)."""
+    """scipy's LAPACK wrapper is loaded where the spectral solver and the
+    conjugacy check first need it; importing scipy.linalg with the command
+    line cost every command ~0.11 s and ~22 MB (measured on a 2-vCPU
+    host)."""
     src = str(Path(hmlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -235,6 +239,38 @@ def test_the_command_line_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+SPECTRAL_COMMANDS = """
+import contextlib, io, json, sys
+import hmlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hmlab.cli.main(argv) for argv in (
+        ["spectrum", "--k", "2", "--mu", "0.5", "--t-domain", "40"],
+        ["isospec", "--family", "3:2,0;1,1", "--max-degree", "1"])]
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy", "numpy.f2py", "numpy.testing")))
+import scipy.linalg
+reused = scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"]
+print(json.dumps([codes, loaded, reused]))
+"""
+
+
+def test_the_spectral_commands_load_only_scipys_lapack_wrapper():
+    """spectrum and isospec reach scipy's LAPACK through
+    ``spectra._lapack`` alone: the scipy.linalg package, whose import
+    clones numpy with numpy.f2py and numpy.testing (~0.2 s on a 2-vCPU
+    host), is never imported, and importing it afterwards reuses the
+    loaded wrapper."""
+    src = str(Path(hmlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SPECTRAL_COMMANDS],
+                         capture_output=True, text=True, check=True, env=env)
+    codes, loaded, reused = json.loads(out.stdout)
+    assert codes == [0, 0]
+    assert loaded == ["scipy.linalg._flapack"]
+    assert reused
 
 
 def test_the_blas_thread_is_set_before_anything_loads_numpy():
@@ -257,16 +293,17 @@ import json
 import hmlab
 from worker import blas_threads
 print(json.dumps(blas_threads()))
-import scipy.linalg
+from hmlab.spectra import RadialOperator, radial_spectrum
+radial_spectrum(RadialOperator(k=2, n=0, m=0, mu=0.5), 10.0)
 print(json.dumps(blas_threads()))
 """
 
 
 def test_every_openblas_runs_one_thread_after_importing_hmlab():
     """With two threads asked for in the environment, numpy's OpenBLAS
-    (loaded by importing hmlab) and scipy's own (loaded later by
-    scipy.linalg) each report one thread, queried as the benchmark's
-    worker queries every BLAS mapped into its process."""
+    (loaded by importing hmlab) and scipy's own (loaded with its LAPACK
+    wrapper by the first radial solve) each report one thread, queried as
+    the benchmark's worker queries every BLAS mapped into its process."""
     src = str(Path(hmlab.__file__).resolve().parent.parent)
     bench = str(Path(__file__).resolve().parent.parent / "bench")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",

@@ -3,14 +3,16 @@
 import hashlib
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 from numpy.testing import assert_allclose
 
 from hmlab import polynomials, spectra
-from hmlab.cli import default_lattice
+from hmlab.cli import build_members, default_lattice, parse_family
 from hmlab.clifford import build_j_map
 from hmlab.errors import (ConsistencyFailure, ConvergenceFailure,
                           DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
@@ -630,9 +632,9 @@ def test_unresolved_potential_raises():
 ])
 def test_extreme_finite_inputs_raise_convergence_failure(t_domain, mu, cause):
     """Each way a finite input leaves the float range is a typed failure:
-    the solver's LinAlgError, a non-finite matrix, a float overflow, a cell
-    width that underflows to zero, two finite grids whose extrapolation
-    overflows."""
+    the solver's nonzero LAPACK info, a non-finite matrix, a float overflow,
+    a cell width that underflows to zero, two finite grids whose
+    extrapolation overflows."""
     op = RadialOperator(k=2, n=0, m=0, mu=mu)
     with pytest.raises(ConvergenceFailure, match=cause):
         radial_spectrum(op, t_domain, grid=64, count=2)
@@ -659,6 +661,109 @@ def test_conjugacy_rejects_different_speeds(hh3, ns12):
     j2 = 2.0 * ns12.jmap.j_of(z).astype(float)
     with pytest.raises(SpectraDiffer):
         conjugacy_check(j1, j2)
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]],
+    [[0.0, -np.inf], [1.0, 0.0]],
+    [[0.0, np.nan], [1.0, 0.0]],
+    np.zeros((0, 0)),
+    [0.0, 1.0],
+])
+def test_conjugacy_refuses_a_j_lapack_cannot_take(bad):
+    """A non-square, non-finite or empty J is refused with a typed error
+    before the Schur form is asked for, in either argument."""
+    good = [[0.0, -1.0], [1.0, 0.0]]
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(NotComplexStructure, match="square matrix"):
+            conjugacy_check(*pair)
+
+
+def test_conjugacy_reports_a_failed_schur_form(monkeypatch):
+    """dgees returning info != 0 (no Schur form) is a ConvergenceFailure."""
+    def failed(select, a, lwork, **kwargs):
+        return a, 0, None, None, a, np.array([1.0]), 1
+
+    monkeypatch.setattr(spectra, "_lapack", lambda: SimpleNamespace(
+        dgees=failed))
+    with pytest.raises(ConvergenceFailure, match="dgees info=1"):
+        conjugacy_check(np.eye(2), np.eye(2))
+
+
+def test_conjugacy_leaves_its_inputs_unchanged(hh3, ns12):
+    """dgees overwrites the matrix it is given; that is a copy, in C and in
+    Fortran order."""
+    z = np.array([1.0, 2.0, 2.0])
+    for order in ("C", "F"):
+        j1 = np.array(hh3.jmap.j_of(z), dtype=float, order=order)
+        j2 = np.array(ns12.jmap.j_of(z), dtype=float, order=order)
+        before = j1.copy(), j2.copy()
+        conjugacy_check(j1, j2)
+        assert np.array_equal(j1, before[0]) and np.array_equal(j2, before[1])
+
+
+def schur_as_dgees(select, a, lwork, **kwargs):
+    """scipy.linalg.schur behind the dgees signature the frame calls."""
+    if lwork == -1:
+        return None, 0, None, None, None, np.array([1.0]), 0
+    t, u = scipy.linalg.schur(a, output='real')
+    return t, 0, None, None, u, None, 0
+
+
+def lapack_inputs(monkeypatch, run):
+    """Every (op, t_domain, bc, n_cells, count) solved on a grid and every J
+    put in Schur form while ``run()`` runs."""
+    grids = counting(monkeypatch, "_solve_grid")
+    frames = counting(monkeypatch, "_canonical_skew_frame")
+    run()
+    monkeypatch.undo()
+    return grids, [j for j, in frames]
+
+
+def assert_lapack_calls_match_scipy_linalg(monkeypatch, grids, js):
+    """The direct dstebz and dgees calls give the bits of the scipy.linalg
+    functions they replace."""
+    for op, t_domain, bc, n_cells, count in grids:
+        lam = scipy.linalg.eigh_tridiagonal(
+            *spectra._assemble_grid(op, t_domain, bc, n_cells), select='i',
+            select_range=(0, count - 1), eigvals_only=True)
+        assert np.array_equal(
+            spectra._solve_grid(op, t_domain, bc, n_cells, count), -4.0 * lam)
+    direct = [spectra._canonical_skew_frame(j) for j in js]
+    monkeypatch.setattr(spectra, "_lapack", lambda: SimpleNamespace(
+        dgees=schur_as_dgees))
+    for j, (u, speeds) in zip(js, direct):
+        want_u, want_speeds = spectra._canonical_skew_frame(j)
+        assert np.array_equal(u, want_u)
+        assert np.array_equal(speeds, want_speeds)
+
+
+@pytest.mark.parametrize("family, max_degree", [("3:2,0;1,1", 3),
+                                                ("3:3,0;2,1", 2)])
+def test_isospec_lapack_calls_match_scipy_linalg(family, max_degree,
+                                                 monkeypatch):
+    """Every sector operator (grids 128 and 256) and every J of ``isospec
+    --family FAMILY --max-degree D --grid 128``, with each unit J too."""
+    l, members = parse_family(family)
+    (_, a), (_, b) = build_members(l, members)
+    degrees = tuple(range(max_degree + 1))
+    grids, js = lapack_inputs(monkeypatch, lambda: isospectrality_report(
+        a, b, default_lattice(l), degrees=degrees, grid=128))
+    assert {n_cells for *_, n_cells, _ in grids} == {128, 256}
+    assert len(js) == 2 * len(default_lattice(l))
+    units = [np.array(laplacian_symbol(m.jmap, z).j_unit_rows, dtype=float)
+             for m in (a, b) for z in default_lattice(l)]
+    assert_lapack_calls_match_scipy_linalg(monkeypatch, grids, js + units)
+
+
+def test_bench_spectrum_lapack_calls_match_scipy_linalg(monkeypatch):
+    """The benchmark's ``spectrum`` operator: k=2, n=0, m=0, mu=0.5 on
+    t in [0, 40], grid 256, six eigenvalues."""
+    op = RadialOperator(k=2, n=0, m=0, mu=0.5)
+    grids, js = lapack_inputs(monkeypatch, lambda: radial_spectrum(
+        op, 40.0, grid=256, count=6))
+    assert [n_cells for *_, n_cells, _ in grids] == [256, 512] and not js
+    assert_lapack_calls_match_scipy_linalg(monkeypatch, grids, js)
 
 
 def test_isospectrality_of_the_pair(hh3, ns12):

@@ -9,11 +9,10 @@ contractions (degree at most eight): a polynomial is given either as its
 coefficient tensor or as the einsum of curvature factors that would build
 it, and in the factor form each pairing contracts the factors straight to
 a scalar, so no coefficient tensor is built.  Seeded Monte Carlo averages
-cross-check them independently: each sampled quantity is folded once into
-coefficients on its live monomials, and those become a quadratic form on
-the live degree-k halves of the raw Gaussian draw, a dense p x p block on
-the halves paired with another plus a diagonal on the halves that only
-appear squared (see ``mc_average``).
+cross-check them independently on SFC64 draws g: each sampled quantity is
+folded once into coefficients on its live monomials, a dense p x p block U
+on the live degree-k halves w paired with another plus a matrix D on
+x = g^2 for the halves that only appear squared (see ``mc_average``).
 """
 
 from __future__ import annotations
@@ -447,6 +446,17 @@ def _mc_form(halves, pa, pb, coef):
     return halves[order], umat, dvec
 
 
+def _squared_form(halves, dvec, n):
+    """The squared-only part d . w^2 of ``_mc_form`` on x = g^2: w_h^2 is
+    x at h's last index times the monomial of x on its first k-1 indices
+    (its head), so d . w^2 is the column sum of x * (D @ monomials(x,
+    heads)) with d_h at D[last index, head].  Returns (heads, D)."""
+    heads, head = np.unique(halves[:, :-1], axis=0, return_inverse=True)
+    dmat = np.zeros((n, len(heads)))
+    dmat[halves[:, -1], head.reshape(-1)] = dvec
+    return heads, dmat
+
+
 def _sample_count(name, value):
     """``value`` as a Python int, refusing bools and non-integers."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -461,18 +471,19 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     ``quantity`` is 'beta' or 'grad_quad', held as a folded polynomial of
     degree 2k on its live monomials (see ``_mc_plan``) and evaluated as a
     quadratic form on its live degree-k halves (see ``_mc_form``).
-    Gaussian draws g are taken ``MC_BLOCK`` at a time, exactly the draws
-    of ``random_directions``, but not normalised: the polynomial is
-    homogeneous, so its value at g / |g| is its value at g divided by
-    s^k, s = |g|^2.  Each block builds the live halves w in row layout
-    (one row per monomial, one column per direction); a sample is then
-    the column sum of (U w[:p]) * w[:p] plus d . w[p:]^2.  Beta on
-    the 12-dim members is a 12 x 12 paired block; tr R_u'R_u' on 3:1,1 is
-    48 squared-only halves and no paired one, and on the symmetric 3:2,0
-    nothing is live, so every sample is 0.  U is dense p x p: on the
-    24-dim members of center dimension 7, p may reach the hundreds, and
-    what the block costs there is not measured.  The sample stream does
-    not depend on the block size or on the live set.
+    Gaussian draws g come from ``Generator(SFC64(seed))``, ``MC_BLOCK``
+    rows at a time in order, so the stream does not depend on the block
+    size or on the live set; SFC64 draws normals in about a fifth less time
+    than the PCG64 that ``verify`` and ``expand`` keep for pinned reports.
+    The polynomial is homogeneous, so its value at g / |g| is its value at
+    g over s^k, s = |g|^2 = sum x, x = g^2.  A sample is the column sum of
+    (U w) * w on the paired halves w in row layout (one row per monomial,
+    one column per direction) plus the squared-only part on x (see
+    ``_squared_form``).  Beta on the 12-dim members is a 12 x 12 paired
+    block; tr R_u'R_u' on 3:1,1 is 48 squared-only halves on 16 heads, and
+    on the symmetric 3:2,0 nothing is live, so every sample is 0.  U is
+    dense p x p: on the 24-dim members of center dimension 7, p may reach
+    the hundreds, and what the block costs there is not measured.
     ``n_samples`` and ``seed`` must be integers (not bools), else
     ``InvalidSampling``.
     """
@@ -488,17 +499,21 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     halves, umat, dvec = _mc_form(*_mc_plan(geometry, quantity))
     k = halves.shape[1]
     p = len(umat)
-    rng = np.random.default_rng(seed)
+    heads, dmat = _squared_form(halves[p:], dvec, n)
+    rng = np.random.Generator(np.random.SFC64(seed))
     total = total_sq = 0.0
     for done in range(0, n_samples, MC_BLOCK):
         g = rng.standard_normal((min(MC_BLOCK, n_samples - done), n))
         dt = np.ascontiguousarray(g.T)
-        w = _monomials(dt, halves)
-        vals = np.einsum('ij,ij->j', umat @ w[:p], w[:p])
-        squared = w[p:]
-        squared *= squared    # in place: the paired rows are done
-        vals += dvec @ squared
-        s = np.einsum('ij,ij->j', dt, dt)
+        x = dt * dt
+        vals = np.zeros(len(g))
+        if p:  # an empty part would still cost ~15 us of a ~60 us block
+            w = _monomials(dt, halves[:p])
+            vals += np.einsum('ij,ij->j', umat @ w, w)
+            del w    # freed like the arrays below
+        if len(heads):
+            vals += np.einsum('ij,ij->j', x, dmat @ _monomials(x, heads))
+        s = x.sum(axis=0)
         norm = s * s
         for _ in range(k - 2):
             norm *= s
@@ -508,7 +523,7 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
         # freed before the next block makes its own, so every block reuses
         # the same L2-resident memory; kept alive, they would rotate the
         # blocks through three sets of addresses
-        del g, dt, w, squared, vals, s, norm
+        del g, dt, x, vals, s, norm
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     stderr = math.sqrt(var / n_samples)

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -298,17 +298,22 @@ def _assemble_grid(op, t_domain, bc, n_cells):
     return diag * scale * scale, off * scale[:-1] * scale[1:]
 
 
+@cache
 def _lapack():
-    """scipy's LAPACK wrapper, loaded at first use without the scipy.linalg
-    package, whose import (~0.2 s on a 2-vCPU host) clones numpy.  The calls
-    pass what eigh_tridiagonal and schur pass, so every bit is kept."""
+    """scipy's LAPACK wrapper, loaded once at first use without the
+    scipy.linalg package, whose import (~0.2 s on a 2-vCPU host) clones
+    numpy.  The calls pass what eigh_tridiagonal and schur pass, so every
+    bit is kept."""
     name = "scipy.linalg._flapack"
-    if name not in sys.modules:  # the extension registers itself there
-        scipy = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(scipy[0], "linalg")])
-        spec.loader.exec_module(importlib.util.module_from_spec(spec))
-    return sys.modules[name]
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy[0], "linalg")])
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    # the extension put itself in sys.modules; taken out, so that a later
+    # import of scipy.linalg binds its _flapack (with the same functions)
+    return sys.modules.pop(name)
 
 
 def _solve_grid(op, t_domain, bc, n_cells, count):

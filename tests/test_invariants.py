@@ -12,7 +12,7 @@ from hmlab.errors import DegreeTooHigh, HmlabError, InvalidSampling
 from hmlab.geometry import JET_BLOCK, geometry_from_algebra, scale_bracket
 from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
                               _mc_form, _mc_plan, _monomials,
-                              _symmetric_factor,
+                              _squared_form, _symmetric_factor,
                               beta_tensor, direction_constants,
                               grad_quad_tensor, gradient_adjusted_cubics,
                               mc_average, perfect_matchings, point_invariants,
@@ -257,7 +257,7 @@ def reference_evaluator(geometry, quantity):
 
 def reference_mc_average(geometry, quantity, n_samples, seed, chunk=50_000):
     n = geometry.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     combos, evaluate = reference_evaluator(geometry, quantity)
     total = total_sq = 0.0
     done = 0
@@ -418,6 +418,37 @@ def test_the_folded_polynomial_equals_the_gram_form(space, quantity,
     p = len(umat)
     form = ((umat @ w[:p]) * w[:p]).sum(axis=0) + dvec @ (w[p:] * w[p:])
     assert_allclose(form, got, rtol=1e-12, atol=1e-12 * np.abs(got).max())
+
+
+@pytest.mark.parametrize("space,squared", [
+    ("ns12", {"beta": (0, 0), "grad_quad": (48, 16)}),
+    ("hh3", {"beta": (0, 0), "grad_quad": (0, 0)}),
+    ("ns12_perturbed", {"beta": (0, 0), "grad_quad": (0, 0)}),
+    ("ch2_scaled", {"beta": (0, 0), "grad_quad": (1, 1)})])
+def test_the_squared_only_part_on_x_equals_the_squared_halves(
+        space, squared, request, rng):
+    """``mc_average`` reads sum_h d_h w_h^2 off x = g^2 as the column sum
+    of x * (D @ monomials(x, heads)); on the same Gaussian draws that is
+    d . w[p:]^2 of ``_mc_form``.  The (squared-only halves, heads) counts
+    are pinned: only ns12 and ch2_scaled have squared-only halves, in
+    grad_quad, and on hh3 nothing is live, so the average is exactly 0."""
+    geometry = request.getfixturevalue(space)
+    dt = np.ascontiguousarray(rng.standard_normal((500, geometry.dim)).T)
+    x = dt * dt
+    for quantity, sizes in squared.items():
+        form_halves, umat, dvec = _mc_form(*_mc_plan(geometry, quantity))
+        p = len(umat)
+        heads, dmat = _squared_form(form_halves[p:], dvec, geometry.dim)
+        assert (len(dvec), len(heads)) == sizes
+        assert np.count_nonzero(dmat) == len(dvec)
+        got = (x * (dmat @ _monomials(x, heads))).sum(axis=0)
+        want = dvec @ _monomials(dt, form_halves[p:]) ** 2
+        assert_allclose(got, want, rtol=1e-12,
+                        atol=1e-12 * np.abs(want).max(initial=0.0))
+        if not len(form_halves):
+            assert not got.any()
+            assert mc_average(geometry, quantity, n_samples=3000,
+                              seed=5) == (0.0, 0.0)
 
 
 def test_mc_average_rejects_a_negative_seed(ns12):

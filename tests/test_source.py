@@ -250,27 +250,32 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["isospec", "--family", "3:2,0;1,1", "--max-degree", "1"])]
 loaded = sorted(m for m in sys.modules
                 if m.startswith(("scipy", "numpy.f2py", "numpy.testing")))
+held = hmlab.spectra._lapack.cache_info()
 import scipy.linalg
-reused = scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"]
-print(json.dumps([codes, loaded, reused]))
+reused = [scipy.linalg._flapack.dstebz is hmlab.spectra._lapack().dstebz,
+          scipy.linalg._flapack.dgees is hmlab.spectra._lapack().dgees]
+print(json.dumps([codes, loaded, [held.misses, held.hits], reused]))
 """
 
 
 def test_the_spectral_commands_load_only_scipys_lapack_wrapper():
-    """spectrum and isospec reach scipy's LAPACK through
-    ``spectra._lapack`` alone: the scipy.linalg package, whose import
-    clones numpy with numpy.f2py and numpy.testing (~0.2 s on a 2-vCPU
-    host), is never imported, and importing it afterwards reuses the
-    loaded wrapper."""
+    """spectrum and isospec reach scipy's LAPACK through the wrapper that
+    ``spectra._lapack`` loads once and holds: the scipy.linalg package,
+    whose import clones numpy with numpy.f2py and numpy.testing (~0.2 s on
+    a 2-vCPU host), is never imported, no scipy module stays in
+    sys.modules, the wrapper is loaded once for all the calls, and
+    importing scipy.linalg afterwards binds its _flapack with the held
+    wrapper's functions."""
     src = str(Path(hmlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", SPECTRAL_COMMANDS],
                          capture_output=True, text=True, check=True, env=env)
-    codes, loaded, reused = json.loads(out.stdout)
+    codes, loaded, held, reused = json.loads(out.stdout)
     assert codes == [0, 0]
-    assert loaded == ["scipy.linalg._flapack"]
-    assert reused
+    assert loaded == []
+    assert held[0] == 1 and held[1] > 0
+    assert reused == [True, True]
 
 
 def test_the_blas_thread_is_set_before_anything_loads_numpy():

@@ -52,8 +52,9 @@ class StepFailure(HmlabError):
 class InvalidSampling(HmlabError):
     """Too few samples, directions or grid cells, a direction of the wrong
     shape, a radius or Jacobi-flow steps_per_unit not finite and > 0, peeled
-    radii repeated or powers not rising by even gaps within the ladder, a
-    negative harmonic degree, or a Monte Carlo quantity that is unknown."""
+    values not finite, peeled radii repeated or powers not rising by even
+    gaps within the ladder, a negative harmonic degree, or a Monte Carlo
+    quantity that is unknown."""
 
 
 class DegreeMismatch(HmlabError):

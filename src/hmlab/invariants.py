@@ -9,10 +9,11 @@ contractions (degree at most eight): a polynomial is given either as its
 coefficient tensor or as the einsum of curvature factors that would build
 it, and in the factor form each pairing contracts the factors straight to
 a scalar, so no coefficient tensor is built.  Seeded Monte Carlo averages
-cross-check them independently on SFC64 draws g: each sampled quantity is
-folded once into coefficients on its live monomials, a dense p x p block U
-on the live degree-k halves w paired with another plus a matrix D on
-x = g^2 for the halves that only appear squared (see ``mc_average``).
+cross-check them independently on SFC64 draws g: ``_mc_form`` folds each
+sampled quantity once into coefficients on its live monomials, held as a
+dense p x p block U on the live degree-k halves w paired with another
+plus a matrix D on x = g^2 for the halves that only appear squared (see
+``mc_average``).
 """
 
 from __future__ import annotations
@@ -372,8 +373,8 @@ def _monomials(dt, idx):
 PLAN_CUTOFF = 1e-12
 
 
-def _mc_plan(geometry, quantity):
-    """A Monte Carlo quantity as a folded polynomial on its live monomials.
+def _mc_form(geometry, quantity):
+    """A Monte Carlo quantity folded once into the form ``mc_average`` reads.
 
     Both quantities are quadratic forms w . (G w) in the degree-k symmetric
     monomials w of the direction: beta (k = 2) with the folded Gram
@@ -383,13 +384,17 @@ def _mc_plan(geometry, quantity):
     by ``np.bincount``), and the monomials whose coefficient is at most
     ``PLAN_CUTOFF`` times the largest in magnitude are dropped: they are
     rounding residues of sums that cancel, and their size follows the
-    summation order.  Each kept monomial is written as the product of two
-    degree-k halves, the first (a, b) pair that reached it.
+    summation order.  Each kept monomial is the product of two degree-k
+    halves, the first (a, b) pair that reached it.
 
-    Returns ``halves`` (one row of direction indices per live degree-k
-    monomial, shape (h, k)), ``pa`` and ``pb`` (the rows of ``halves``
-    whose product is each term) and ``coef``, so that the quantity is
-    sum_t coef[t] * w[pa[t]] * w[pb[t]] with w the monomials of ``halves``.
+    The halves that meet a different half in some live term are the paired
+    ones, in ascending row order, and each of their terms sits at its
+    (a, b) entry of the dense p x p block U.  Every other live term is a
+    squared-only half w_h^2, which on x = g^2 is x at h's last index times
+    the monomial of x on its first k-1 indices (its head), so its
+    coefficient sits at D[last index, head].  The quantity is then
+    w . (U w) on the paired halves plus the column sum of
+    x * (D @ monomials(x, heads)).  Returns (paired halves, U, heads, D).
     """
     n = geometry.dim
     if quantity == "beta":
@@ -412,49 +417,20 @@ def _mc_plan(geometry, quantity):
     coef = np.bincount(term.reshape(-1), weights=gram[a, b],
                        minlength=len(first))
     live = np.abs(coef) > PLAN_CUTOFF * np.abs(coef).max(initial=0.0)
-    first = first[live]
-    halves, pair = np.unique(np.concatenate([a[first], b[first]]),
-                             return_inverse=True)
-    pa, pb = pair.reshape(2, -1)
-    return idx[halves], pa, pb, coef[live]
-
-
-def _mc_form(halves, pa, pb, coef):
-    """The plan of ``_mc_plan`` as a quadratic form on its live halves.
-
-    The halves are reordered [paired | squared-only]: the first p meet a
-    different half in some term, the rest only ever appear squared.  Then
-    sum_t coef[t] w[pa[t]] w[pb[t]] = w[:p] . (U w[:p]) + d . w[p:]^2, with
-    each paired term's coefficient at its (pa, pb) entry of the dense
-    p x p block U and each squared-only term's in the vector d.  Returns
-    (halves in that order, U, d).
-    """
-    h = len(halves)
-    cross = pa != pb
-    paired = np.zeros(h, dtype=bool)
-    paired[pa[cross]] = paired[pb[cross]] = True
-    order = np.concatenate([np.flatnonzero(paired), np.flatnonzero(~paired)])
-    rank = np.empty(h, dtype=np.intp)
-    rank[order] = np.arange(h)
+    a, b, coef = a[first[live]], b[first[live]], coef[live]
+    paired = np.zeros(len(idx), dtype=bool)
+    cross = a != b
+    paired[a[cross]] = paired[b[cross]] = True
+    inner = paired[a]
+    pos = np.cumsum(paired) - 1
     p = int(paired.sum())
-    ra, rb = rank[pa], rank[pb]
-    squared = ra >= p
     umat = np.zeros((p, p))
-    umat[ra[~squared], rb[~squared]] = coef[~squared]
-    dvec = np.zeros(h - p)
-    dvec[ra[squared] - p] = coef[squared]
-    return halves[order], umat, dvec
-
-
-def _squared_form(halves, dvec, n):
-    """The squared-only part d . w^2 of ``_mc_form`` on x = g^2: w_h^2 is
-    x at h's last index times the monomial of x on its first k-1 indices
-    (its head), so d . w^2 is the column sum of x * (D @ monomials(x,
-    heads)) with d_h at D[last index, head].  Returns (heads, D)."""
-    heads, head = np.unique(halves[:, :-1], axis=0, return_inverse=True)
+    umat[pos[a[inner]], pos[b[inner]]] = coef[inner]
+    squared = idx[a[~inner]]
+    heads, head = np.unique(squared[:, :-1], axis=0, return_inverse=True)
     dmat = np.zeros((n, len(heads)))
-    dmat[halves[:, -1], head.reshape(-1)] = dvec
-    return heads, dmat
+    dmat[squared[:, -1], head.reshape(-1)] = coef[~inner]
+    return idx[paired], umat, heads, dmat
 
 
 def _sample_count(name, value):
@@ -468,9 +444,9 @@ def _sample_count(name, value):
 def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     """Seeded Monte Carlo direction average with a standard error.
 
-    ``quantity`` is 'beta' or 'grad_quad', held as a folded polynomial of
-    degree 2k on its live monomials (see ``_mc_plan``) and evaluated as a
-    quadratic form on its live degree-k halves (see ``_mc_form``).
+    ``quantity`` is 'beta' or 'grad_quad', folded once into a polynomial
+    of degree 2k on its live monomials and read as a quadratic form on
+    its live degree-k halves (see ``_mc_form``).
     Gaussian draws g come from ``Generator(SFC64(seed))``, ``MC_BLOCK``
     rows at a time in order, so the stream does not depend on the block
     size or on the live set; SFC64 draws normals in about a fifth less time
@@ -478,12 +454,13 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     The polynomial is homogeneous, so its value at g / |g| is its value at
     g over s^k, s = |g|^2 = sum x, x = g^2.  A sample is the column sum of
     (U w) * w on the paired halves w in row layout (one row per monomial,
-    one column per direction) plus the squared-only part on x (see
-    ``_squared_form``).  Beta on the 12-dim members is a 12 x 12 paired
-    block; tr R_u'R_u' on 3:1,1 is 48 squared-only halves on 16 heads, and
-    on the symmetric 3:2,0 nothing is live, so every sample is 0.  U is
-    dense p x p: on the 24-dim members of center dimension 7, p may reach
-    the hundreds, and what the block costs there is not measured.
+    one column per direction) plus the squared-only part, the column sum
+    of x * (D @ monomials(x, heads)).  Beta on the 12-dim members is a
+    12 x 12 paired block; tr R_u'R_u' on 3:1,1 is 48 squared-only halves
+    on 16 heads, and on the symmetric 3:2,0 nothing is live, so every
+    sample is 0.  U is dense p x p: on the 24-dim members of center
+    dimension 7, p may reach the hundreds, and what the block costs there
+    is not measured.
     ``n_samples`` and ``seed`` must be integers (not bools), else
     ``InvalidSampling``.
     """
@@ -496,10 +473,9 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     if seed < 0:
         raise InvalidSampling(f"Monte Carlo average needs seed >= 0, "
                               f"got {seed}")
-    halves, umat, dvec = _mc_form(*_mc_plan(geometry, quantity))
+    halves, umat, heads, dmat = _mc_form(geometry, quantity)
     k = halves.shape[1]
     p = len(umat)
-    heads, dmat = _squared_form(halves[p:], dvec, n)
     rng = np.random.Generator(np.random.SFC64(seed))
     total = total_sq = 0.0
     for done in range(0, n_samples, MC_BLOCK):
@@ -508,7 +484,7 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
         x = dt * dt
         vals = np.zeros(len(g))
         if p:  # an empty part would still cost ~15 us of a ~60 us block
-            w = _monomials(dt, halves[:p])
+            w = _monomials(dt, halves)
             vals += np.einsum('ij,ij->j', umat @ w, w)
             del w    # freed like the arrays below
         if len(heads):

@@ -371,21 +371,23 @@ def peel_coefficients(values, radii, powers):
     even ladder powers[0], powers[0] + 2, ..., one rung per radius, so rungs
     that are not requested are removed too.  The powers must be finite and
     strictly increase with even gaps up to the top rung; the radii must be
-    finite, > 0 and distinct, one per value.
+    finite, > 0 and distinct, one per finite value.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     powers = np.asarray(powers, dtype=float)
     gaps = np.diff(powers)
     if (radii.ndim != 1 or values.shape != radii.shape or radii.size == 0
+            or not np.all(np.isfinite(values))
             or not np.all(np.isfinite(radii)) or radii.min() <= 0.0
             or np.unique(radii).size < radii.size
             or powers.ndim != 1 or powers.size == 0
             or not np.all(np.isfinite(powers)) or np.any(gaps <= 0)
             or np.any(gaps % 2 != 0) or gaps.sum() > 2 * (radii.size - 1)):
         raise InvalidSampling(
-            f"peeling needs distinct finite radii > 0, one per value, and "
-            f"finite powers rising by even gaps within the ladder; got "
+            f"peeling needs distinct finite radii > 0, one per finite "
+            f"value, and finite powers rising by even gaps within the "
+            f"ladder; got "
             f"{values.size} values at radii {radii.tolist()}, powers {powers}")
     ladder = powers[0] + 2 * np.arange(radii.size)
     coeffs = _least_squares(radii, ladder, values)

@@ -11,8 +11,7 @@ from numpy.testing import assert_allclose
 from hmlab.errors import DegreeTooHigh, HmlabError, InvalidSampling
 from hmlab.geometry import JET_BLOCK, geometry_from_algebra, scale_bracket
 from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
-                              _mc_form, _mc_plan, _monomials,
-                              _squared_form, _symmetric_factor,
+                              _mc_form, _monomials, _symmetric_factor,
                               beta_tensor, direction_constants,
                               grad_quad_tensor, gradient_adjusted_cubics,
                               mc_average, perfect_matchings, point_invariants,
@@ -339,27 +338,31 @@ def ch2_scaled(ch2):
 
 
 @pytest.mark.parametrize("space,live", [
-    ("ns12", {"beta": (78, 12, 12), "grad_quad": (48, 48, 0)}),
-    ("hh3", {"beta": (78, 12, 12), "grad_quad": (0, 0, 0)}),
-    ("ns12_perturbed", {"beta": (84, 21, 21), "grad_quad": (411, 115, 115)}),
-    ("ch2_scaled", {"beta": (10, 4, 4), "grad_quad": (13, 12, 11)})])
+    ("ns12", {"beta": (78, 12, 12, 0, 0), "grad_quad": (48, 48, 0, 48, 16)}),
+    ("hh3", {"beta": (78, 12, 12, 0, 0), "grad_quad": (0, 0, 0, 0, 0)}),
+    ("ns12_perturbed", {"beta": (84, 21, 21, 0, 0),
+                        "grad_quad": (411, 115, 115, 0, 0)}),
+    ("ch2_scaled", {"beta": (10, 4, 4, 0, 0),
+                    "grad_quad": (13, 12, 11, 1, 1)})])
 def test_grad_quad_on_its_live_part_matches_the_full_image(space, live,
                                                            request):
     """The sampler keeps only the degree-2k terms whose coefficient
     exceeds 1e-12 of the largest, each a product of two live degree-k
-    halves, and splits the halves into p paired ones and the squared-only
-    rest (pinned as (terms, halves, p) for both quantities); the column
-    path multiplies the full factor on the same stream.  On ch2_scaled,
-    grad_quad folds to 17 nonzero coefficients, four of them rounding
-    residues 1.2e-33 to 4.5e-17 of the largest.  hh3 (3:2,0) is
-    symmetric, so nothing is live in grad_quad and every sample is 0."""
+    halves: p paired halves whose terms fill U, and squared-only halves
+    whose terms fill D on their heads.  Pinned for both quantities as
+    (terms, halves, p, squared-only halves, heads) = (nnz(U) + nnz(D),
+    p + nnz(D), p, nnz(D), len(heads)); the column path multiplies the
+    full factor on the same stream.  On ch2_scaled, grad_quad folds to 17
+    nonzero coefficients, four of them rounding residues 1.2e-33 to
+    4.5e-17 of the largest.  hh3 (3:2,0) is symmetric, so nothing is live
+    in grad_quad and every sample is 0."""
     geometry = request.getfixturevalue(space)
     for quantity, sizes in live.items():
-        halves, pa, pb, coef = _mc_plan(geometry, quantity)
-        form_halves, umat, dvec = _mc_form(halves, pa, pb, coef)
-        assert (len(coef), len(halves), len(umat)) == sizes
-        assert sorted(map(tuple, form_halves)) == sorted(map(tuple, halves))
-        assert np.count_nonzero(dvec) == len(dvec)
+        halves, umat, heads, dmat = _mc_form(geometry, quantity)
+        p, squared = len(halves), np.count_nonzero(dmat)
+        assert umat.shape == (p, p)
+        assert (np.count_nonzero(umat) + squared, p + squared, p, squared,
+                len(heads)) == sizes
     mean, se = mc_average(geometry, "grad_quad", n_samples=100_000, seed=3)
     ref_mean, ref_se = reference_mc_average(geometry, "grad_quad", 100_000,
                                             seed=3)
@@ -370,15 +373,19 @@ def test_grad_quad_on_its_live_part_matches_the_full_image(space, live,
 
 
 def plan_sphere_moment(geometry, quantity):
-    """Exact sphere average of the folded plan: sum_alpha c_alpha
-    prod (alpha_i - 1)!! / (n (n+2) ... (n+2k-2)) over even alpha."""
+    """Exact sphere average of the folded form: sum_alpha c_alpha
+    prod (alpha_i - 1)!! / (n (n+2) ... (n+2k-2)) over even alpha, with
+    U[i, j] on halves[i] + halves[j] and D[l, h] on twice heads[h] + (l)."""
     n = geometry.dim
-    halves, pa, pb, coef = _mc_plan(geometry, quantity)
+    halves, umat, heads, dmat = _mc_form(geometry, quantity)
     degree = 2 * halves.shape[1]
+    terms = [(umat[i, j], np.concatenate([halves[i], halves[j]]))
+             for i, j in zip(*np.nonzero(umat))]
+    terms += [(dmat[l, h], np.tile(np.append(heads[h], l), 2))
+              for l, h in zip(*np.nonzero(dmat))]
     total = 0.0
-    for a, b, c in zip(pa, pb, coef):
-        alpha = np.bincount(np.concatenate([halves[a], halves[b]]),
-                            minlength=n)
+    for c, multi in terms:
+        alpha = np.bincount(multi, minlength=n)
         if not (alpha % 2).any():
             total += c * math.prod(math.prod(range(1, e, 2))
                                    for e in alpha.tolist())
@@ -401,54 +408,20 @@ def test_the_folded_plan_has_the_pairing_averages(space, request):
 @pytest.mark.parametrize("quantity", ["beta", "grad_quad"])
 def test_the_folded_polynomial_equals_the_gram_form(space, quantity,
                                                     request, rng):
-    """Per sample, sum_t coef[t] w[pa[t]] w[pb[t]] on the live halves is
-    the quadratic form of the full folded factor, and the [paired |
-    squared-only] form of ``mc_average`` is that term sum."""
+    """Per direction, the form ``mc_average`` reads, w . (U w) on the
+    paired halves plus the column sum of x * (D @ monomials(x, heads))
+    on x = u^2, is the quadratic form of the full folded factor."""
     geometry = request.getfixturevalue(space)
     dirs = random_directions(geometry.dim, 500, rng)
     dt = np.ascontiguousarray(dirs.T)
-    halves, pa, pb, coef = _mc_plan(geometry, quantity)
+    x = dt * dt
+    halves, umat, heads, dmat = _mc_form(geometry, quantity)
     w = _monomials(dt, halves)
-    got = coef @ (w[pa] * w[pb])
+    got = (((umat @ w) * w).sum(axis=0)
+           + (x * (dmat @ _monomials(x, heads))).sum(axis=0))
     combos, evaluate = reference_evaluator(geometry, quantity)
     want = evaluate(reference_monomial_matrix(dirs, combos))
     assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    form_halves, umat, dvec = _mc_form(halves, pa, pb, coef)
-    w = _monomials(dt, form_halves)
-    p = len(umat)
-    form = ((umat @ w[:p]) * w[:p]).sum(axis=0) + dvec @ (w[p:] * w[p:])
-    assert_allclose(form, got, rtol=1e-12, atol=1e-12 * np.abs(got).max())
-
-
-@pytest.mark.parametrize("space,squared", [
-    ("ns12", {"beta": (0, 0), "grad_quad": (48, 16)}),
-    ("hh3", {"beta": (0, 0), "grad_quad": (0, 0)}),
-    ("ns12_perturbed", {"beta": (0, 0), "grad_quad": (0, 0)}),
-    ("ch2_scaled", {"beta": (0, 0), "grad_quad": (1, 1)})])
-def test_the_squared_only_part_on_x_equals_the_squared_halves(
-        space, squared, request, rng):
-    """``mc_average`` reads sum_h d_h w_h^2 off x = g^2 as the column sum
-    of x * (D @ monomials(x, heads)); on the same Gaussian draws that is
-    d . w[p:]^2 of ``_mc_form``.  The (squared-only halves, heads) counts
-    are pinned: only ns12 and ch2_scaled have squared-only halves, in
-    grad_quad, and on hh3 nothing is live, so the average is exactly 0."""
-    geometry = request.getfixturevalue(space)
-    dt = np.ascontiguousarray(rng.standard_normal((500, geometry.dim)).T)
-    x = dt * dt
-    for quantity, sizes in squared.items():
-        form_halves, umat, dvec = _mc_form(*_mc_plan(geometry, quantity))
-        p = len(umat)
-        heads, dmat = _squared_form(form_halves[p:], dvec, geometry.dim)
-        assert (len(dvec), len(heads)) == sizes
-        assert np.count_nonzero(dmat) == len(dvec)
-        got = (x * (dmat @ _monomials(x, heads))).sum(axis=0)
-        want = dvec @ _monomials(dt, form_halves[p:]) ** 2
-        assert_allclose(got, want, rtol=1e-12,
-                        atol=1e-12 * np.abs(want).max(initial=0.0))
-        if not len(form_halves):
-            assert not got.any()
-            assert mc_average(geometry, quantity, n_samples=3000,
-                              seed=5) == (0.0, 0.0)
 
 
 def test_mc_average_rejects_a_negative_seed(ns12):

@@ -524,6 +524,17 @@ def test_peel_rejects_bad_radii(radii):
         peel_coefficients([1e-3, 2e-3, 3e-3], radii, powers=(2, 4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_peel_rejects_non_finite_values(bad):
+    """One value that is not finite is refused: the solve used to return
+    [nan, nan] for both coefficients without a word."""
+    radii = np.linspace(0.15, 0.45, 6)
+    values = radii ** 2
+    values[2] = bad
+    with pytest.raises(InvalidSampling, match="peeling needs"):
+        peel_coefficients(values, radii, powers=(2, 4))
+
+
 @pytest.mark.parametrize("powers", [(4, 2), (2, 3), (2, 2), (2, math.nan),
                                     (math.inf,), (2, 8), ()])
 def test_peel_rejects_bad_powers(powers):

@@ -148,6 +148,16 @@ def test_one_power_fit():
                      and node.name == "_neville_at_zero") == set()
 
 
+def test_one_monte_carlo_fold():
+    """Each Monte Carlo quantity is folded once, by invariants._mc_form,
+    straight into the form mc_average evaluates; no intermediate term list
+    or squared-only reshaping step is left."""
+    assert calls_by_scope("_symmetric_factor") == {("invariants", "_mc_form")}
+    assert calls_by_scope("_mc_form") == {("invariants", "mc_average")}
+    assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
+                     and node.name in ("_mc_plan", "_squared_form")) == set()
+
+
 def test_one_harmonic_series_closure():
     """The r^6 trace closure is applied in radial.harmonic_density only;
     every density or shape series that needs it goes through that one."""

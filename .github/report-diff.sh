@@ -29,6 +29,9 @@ commands=(
   "expand --family 3:1,1"
   "spectrum --k 2 --n 0 --m 0 --mu 0.5 --t-domain 40 --grid 256"
   "spectrum --k 2 --bc 1,0.5"
+  "verify --family 3:3,0;2,1"
+  "counterexample --family 3:3,0;2,1"
+  "counterexample --family 3:5,0;4,1"
 )
 
 work=$(mktemp -d)

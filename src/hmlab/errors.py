@@ -50,11 +50,12 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """Too few samples, directions or grid cells, a direction of the wrong
-    shape, a radius or Jacobi-flow steps_per_unit not finite and > 0, peeled
-    values not finite, peeled radii repeated or powers not rising by even
-    gaps within the ladder, a negative harmonic degree, or a Monte Carlo
-    quantity that is unknown."""
+    """Too few samples, directions or grid cells, a sample or direction
+    count or seed that is not an integer, a negative seed, a direction of
+    the wrong shape, a radius or Jacobi-flow steps_per_unit not finite and
+    > 0, peeled values not finite, peeled radii repeated or powers not
+    rising by even gaps within the ladder, a negative harmonic degree, or
+    a Monte Carlo quantity that is unknown."""
 
 
 class DegreeMismatch(HmlabError):

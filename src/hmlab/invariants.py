@@ -95,15 +95,34 @@ class PointInvariants:
 
 
 def point_invariants(geometry):
+    """The direction-independent curvature scalars of ``geometry``.
+
+    ``norm_r_sq`` = |R|^2 and ``grad_r_sq`` = |nabla R|^2 are full
+    contractions.  The cubic scalars are normalized so the unit sphere
+    S^n gives r_hat = 4n(n-1) and r_ring = n(n-1)(n-2):
+
+        r_hat  = -R_ijkl R_klab R_abij = -tr(M M M),
+        r_ring = -R_iajb R_akbl R_kilj = -tr(P P P),
+
+    with M[(i,j), (k,l)] = R_ijkl (a view of R) and P[(i,j), (a,b)] =
+    R_iajb, both n^2 x n^2.  Each trace is one BLAS product and a
+    trace of a product, never an n^6 sum; the product buffer of M M is
+    reused for P P, so at most two n^2 x n^2 arrays are alive at once.
+    On every family member R has dyadic entries with small denominators,
+    so every partial sum is exact in float64 and the result does not
+    depend on the summation order.
+    """
     r = geometry.r
     n = geometry.dim
     dc = direction_constants(geometry, np.ones(n) / math.sqrt(n))
     s1 = geometry.nabla_r
     norm_r_sq = float(np.einsum('ijkl,ijkl->', r, r))
-    # cubic scalars, normalized so the unit sphere gives 4n(n-1) and
-    # n(n-1)(n-2) respectively
-    r_hat = -float(np.einsum('ijkl,klab,abij->', r, r, r))
-    r_ring = -float(np.einsum('iajb,akbl,kilj->', r, r, r))
+    mat = r.reshape(n * n, n * n)
+    prod = mat @ mat
+    r_hat = -float(np.einsum('ij,ji->', prod, mat))
+    mat = r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    np.matmul(mat, mat, out=prod)
+    r_ring = -float(np.einsum('ij,ji->', prod, mat))
     grad_r_sq = float(np.einsum('cijkl,cijkl->', s1, s1))
     return PointInvariants(dim=n, c=dc.c, h=dc.h, l=dc.l,
                            norm_r_sq=norm_r_sq, r_hat=r_hat, r_ring=r_ring,
@@ -173,6 +192,16 @@ def random_directions(dim, count, rng):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _sample_count(job, name, value, least):
+    """``value`` as a Python int of at least ``least``; bools, non-integers
+    and smaller values raise ``InvalidSampling`` naming ``job``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSampling(f"{job} needs an integer {name}, got {value!r}")
+    if value < least:
+        raise InvalidSampling(f"{job} needs {name} >= {least}, got {value}")
+    return int(value)
+
+
 def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     """Spread of the five direction traces over random unit directions.
 
@@ -181,11 +210,13 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     from odd derivative counts flip sign under u -> -u, so a small spread
     already forces them to vanish.  Directions are drawn and evaluated
     ``MC_BLOCK`` at a time, keeping a running maximum and minimum; the
-    draws are those of one ``random_directions`` call.
+    draws are those of one ``random_directions`` call.  ``n_directions``
+    must be an integer >= 2, for a spread, and ``seed`` an integer >= 0
+    (neither a bool), else ``InvalidSampling``.
     """
-    if n_directions < 2:
-        raise InvalidSampling(f"harmonicity check needs n_directions >= 2 "
-                              f"for a spread, got {n_directions}")
+    n_directions = _sample_count("harmonicity check", "n_directions",
+                                 n_directions, 2)
+    seed = _sample_count("harmonicity check", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     hi = np.full(5, -np.inf)
     lo = np.full(5, np.inf)
@@ -433,14 +464,6 @@ def _mc_form(geometry, quantity):
     return idx[paired], umat, heads, dmat
 
 
-def _sample_count(name, value):
-    """``value`` as a Python int, refusing bools and non-integers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidSampling(f"Monte Carlo average needs an integer "
-                              f"{name}, got {value!r}")
-    return int(value)
-
-
 def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     """Seeded Monte Carlo direction average with a standard error.
 
@@ -461,18 +484,12 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     sample is 0.  U is dense p x p: on the 24-dim members of center
     dimension 7, p may reach the hundreds, and what the block costs there
     is not measured.
-    ``n_samples`` and ``seed`` must be integers (not bools), else
-    ``InvalidSampling``.
+    ``n_samples`` must be an integer >= 1 and ``seed`` an integer >= 0
+    (neither a bool), else ``InvalidSampling``.
     """
     n = geometry.dim
-    n_samples = _sample_count("n_samples", n_samples)
-    seed = _sample_count("seed", seed)
-    if n_samples < 1:
-        raise InvalidSampling(f"Monte Carlo average needs n_samples >= 1, "
-                              f"got {n_samples}")
-    if seed < 0:
-        raise InvalidSampling(f"Monte Carlo average needs seed >= 0, "
-                              f"got {seed}")
+    n_samples = _sample_count("Monte Carlo average", "n_samples", n_samples, 1)
+    seed = _sample_count("Monte Carlo average", "seed", seed, 0)
     halves, umat, heads, dmat = _mc_form(geometry, quantity)
     k = halves.shape[1]
     p = len(umat)

@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from hmlab.cli import (COLUMNS, UsageError, build_parser, main, member_label,
                        parse_family, to_json)
 from hmlab.errors import FamilyMismatch
+from hmlab.invariants import gradient_adjusted_cubics
 
 
 def run_to_dir(argv, tmp_path, name, sub="out"):
@@ -235,6 +237,31 @@ def test_counterexample_on_the_16_dim_pair(tmp_path):
     sym, ns = payload["rows"]
     assert abs(sym["grad_R_sq"]) < 1e-10
     assert abs(ns["grad_R_sq"] - 1152.0) < 1e-6
+
+
+def test_counterexample_on_the_24_dim_pair(tmp_path):
+    """The 24-dim pair 3:5,0;4,1 splits like the smaller ones, with exact
+    cubic scalars: R_hat and R_ring differ, and the gradient-adjusted
+    cubics take the symmetric member's values on both."""
+    rc, text = run_to_dir(["counterexample", "--family", "3:5,0;4,1"],
+                          tmp_path, "counterexample.json")
+    assert rc == 0
+    payload = json.loads(text)
+    marks = payload["marks"]
+    for col in ("C", "H", "L", "A2", "A4", "A6"):
+        assert marks[col] == "agree", col
+    assert marks["grad_R_sq"] == "differ"
+    sym, ns = payload["rows"]
+    assert (sym["member"], ns["member"]) == ("l3-a5b0", "l3-a4b1")
+    assert (sym["grad_R_sq"], ns["grad_R_sq"]) == (0.0, 2304.0)
+    assert (sym["R_hat"], ns["R_hat"]) == (-5808.0, -5136.0)
+    assert (sym["R_ring"], ns["R_ring"]) == (-1524.0, -1116.0)
+    for row in (sym, ns):
+        pi = SimpleNamespace(r_hat=row["R_hat"], r_ring=row["R_ring"],
+                             grad_r_sq=row["grad_R_sq"])
+        assert gradient_adjusted_cubics(pi) == {
+            "r_hat_minus_7_24_grad": -5808.0,
+            "r_ring_minus_17_96_grad": -1524.0}
 
 
 def test_counterexample_reruns_byte_identical(tmp_path):

@@ -9,7 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmlab.errors import DegreeTooHigh, HmlabError, InvalidSampling
-from hmlab.geometry import JET_BLOCK, geometry_from_algebra, scale_bracket
+from hmlab.clifford import build_j_map
+from hmlab.geometry import (JET_BLOCK, build_htype_algebra,
+                            constant_curvature_geometry, damek_ricci_geometry,
+                            geometry_from_algebra, scale_bracket)
 from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
                               _mc_form, _monomials, _symmetric_factor,
                               beta_tensor, direction_constants,
@@ -72,6 +75,52 @@ def test_adjusted_cubics_agree_across_the_pair(hh3, ns12):
     raw_b = point_invariants(ns12)
     assert abs(raw_a.r_hat - raw_b.r_hat) > 1.0
     assert abs(raw_a.r_ring - raw_b.r_ring) > 1.0
+
+
+def reference_cubic_scalars(r):
+    """(r_hat, r_ring) as the two n^6 einsums ``point_invariants`` summed
+    before its matrix form; kept here only to check it."""
+    return (-float(np.einsum('ijkl,klab,abij->', r, r, r)),
+            -float(np.einsum('iajb,akbl,kilj->', r, r, r)))
+
+
+def htype_geometry(l, a, b):
+    """The nilpotent H-type group of the Clifford data (l; a, b)."""
+    return geometry_from_algebra(build_htype_algebra(build_j_map(l, a, b)),
+                                 name=f"N{l}:{a},{b}")
+
+
+# dyadic members up to n = 16; the 24-dim reference takes about 0.9 s
+CUBIC_MEMBERS = {
+    "1:1,0": lambda: damek_ricci_geometry(1, 1, 0),
+    "3:2,0": lambda: damek_ricci_geometry(3, 2, 0),
+    "3:1,1": lambda: damek_ricci_geometry(3, 1, 1),
+    "3:3,0": lambda: damek_ricci_geometry(3, 3, 0),
+    "3:2,1": lambda: damek_ricci_geometry(3, 2, 1),
+    "S8": lambda: constant_curvature_geometry(8, 1.0),
+    "H8": lambda: constant_curvature_geometry(8, -1.0),
+    "N3:2,0": lambda: htype_geometry(3, 2, 0),
+    "N3:1,1": lambda: htype_geometry(3, 1, 1),
+}
+
+
+@pytest.mark.parametrize("member", list(CUBIC_MEMBERS))
+def test_cubic_scalars_equal_the_n6_einsums(member):
+    """R has dyadic entries with small denominators on these members, so
+    the matrix traces keep every bit of the n^6 sums."""
+    geo = CUBIC_MEMBERS[member]()
+    pi = point_invariants(geo)
+    want = reference_cubic_scalars(geo.r)
+    assert (pi.r_hat.hex(), pi.r_ring.hex()) == tuple(v.hex() for v in want)
+
+
+def test_cubic_scalars_off_the_dyadic_members(ns12):
+    """A rescaled bracket leaves the dyadic entries, so the summation order
+    shows in the last bits and nowhere else."""
+    geo = geometry_from_algebra(scale_bracket(ns12.algebra, 0, 11, 1.1))
+    pi = point_invariants(geo)
+    assert_allclose((pi.r_hat, pi.r_ring), reference_cubic_scalars(geo.r),
+                    rtol=1e-13, atol=0.0)
 
 
 def test_harmonicity_battery(all_spaces):
@@ -473,6 +522,25 @@ def test_harmonicity_needs_two_directions_to_see_a_spread(ch2):
     with pytest.raises(InvalidSampling, match="n_directions >= 2"):
         verify_harmonicity(geo, n_directions=1)
     assert not verify_harmonicity(geo, n_directions=2).passed
+
+
+@pytest.mark.parametrize("n_directions,seed,match", [
+    (2.5, 0, "integer n_directions"), (True, 0, "integer n_directions"),
+    ("10", 0, "integer n_directions"), (10, 1.5, "integer seed"),
+    (10, True, "integer seed"), (10, None, "integer seed"),
+    (10, -1, "seed >= 0"),
+])
+def test_harmonicity_refuses_bad_counts(ch2, n_directions, seed, match):
+    """Refused before drawing: a float count or seed used to raise a bare
+    TypeError, a negative seed numpy's ValueError, and seed=True ran."""
+    with pytest.raises(InvalidSampling, match=match):
+        verify_harmonicity(ch2, n_directions=n_directions, seed=seed)
+
+
+def test_harmonicity_takes_numpy_integers(ch2):
+    rows = verify_harmonicity(ch2, n_directions=np.int64(5),
+                              seed=np.uint8(3)).rows
+    assert rows == verify_harmonicity(ch2, n_directions=5, seed=3).rows
 
 
 def test_cube_average_tensor_consistency(ns12):

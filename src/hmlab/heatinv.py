@@ -6,7 +6,8 @@ structural rationals come from exact series bookkeeping, and the direction
 average replaces tr R'R' by its exact sphere average.  The hatted constants
 of the sphere expansions are never synthesized; only the direction-dependent
 parts and their averages are reported.  The intrinsic sphere-curvature
-oracles read the same direction parts off Jacobi-flow samples.
+oracles read the same direction parts off one Taylor series of the Jacobi
+flow.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import InvalidSampling
 from .geometry import curvature_jet, ricci
-from .radial import _jacobi_flow, _least_squares
+from .radial import flow_series
+from .series import TruncatedSeries
 
 
 # -- boundary polynomials ------------------------------------------------------
@@ -92,98 +94,108 @@ def averaged_boundary_r3(inv):
 # -- intrinsic geodesic-sphere oracle -----------------------------------------
 
 
-def _sphere_curvature_samples(geometry, u, radii, steps_per_unit):
-    """|Ric^S|^2 and |R^S|^2 of the geodesic spheres through exp(r u), at
-    each radius r, from one Jacobi-flow march.
+def _frobenius(a, b):
+    """sum_ij a_ij b_ij of two matrix series, as a scalar series."""
+    return (a * TruncatedSeries([c.T for c in b.coeffs], b.offset)).trace()
 
-    ``u`` is one unit direction (n,) or a batch (m, n), marched together.
-    Returns the arrays ``ric_sq`` and ``riem_sq`` at the sorted radii, of
-    shape (k,) for k radii, or (m, k) for a batch.  The Gauss equation
-    R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is applied in the base frame:
-    with v the flow's velocity, P = I - v v^T and S = P Z X^-1 P (see
-    ``radial._jacobi_flow`` for the state),
-      Ric^S = P (Ric - R_v) P + tr(S) S - S^2,   R_v[a, b] = R[v, a, b, v].
-    For |R^S|^2 expand each of the four projectors of R as I - v v^T.  One v
-    gives -|R(v, ., ., .)|^2 per slot; two v's fill a skew pair (ab) or (cd)
-    and vanish, or straddle them and give +|R_v|^2 four times; three or four
-    always fill a pair.  The cross term is 4 R_abcd S_ad S_bc by the skew in
-    (cd), and the S-S term is 2 (tr S^2)^2 - 2 tr S^4, so
-      |R^S|^2 = |R|^2 - 4|R(v)|^2 + 4|R_v|^2 + 4 R_abcd S_ad S_bc
-                + 2 (tr S^2)^2 - 2 tr S^4   (no rank-4 array is built).
+
+def _sphere_curvature_series(geometry, u, top):
+    """Laurent series of |Ric^S|^2 and |R^S|^2 of the geodesic spheres
+    through exp(r u), known through r**top, from one flow series.
+
+    ``u`` is one unit direction (n,) or a batch (m, n), taken as one batch
+    of ``radial.flow_series``.  Returns one pair (ric_sq, riem_sq) of
+    :class:`TruncatedSeries` per direction, each starting at r^-4.  With
+    v, X and Z the flow state, P = I - v v^T and S = P Z X^-1 P, the series
+    T = r S = P Z (X/r)^-1 P starts at P(0); X/r is inverted as a power
+    series.  The Gauss equation R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd
+    is applied in the base frame:
+      r^2 Ric^S = r^2 P (Ric - R_v) P + tr(T) T - T^2,
+      r^4 |R^S|^2 = r^4 (|R|^2 - 4|R(v)|^2 + 4|R_v|^2) + 4 r^2 R_abcd T_ad T_bc
+                    + 2 (tr T^2)^2 - 2 tr T^4,
+    with R_v[a, b] = R[v, a, b, v].  For |R^S|^2 each of the four
+    projectors of R is expanded as I - v v^T: one v gives -|R(v, ., ., .)|^2
+    per slot; two v's fill a skew pair (ab) or (cd) and vanish, or straddle
+    them and give +|R_v|^2 four times; three or four always fill a pair.
+    The cross term is 4 R_abcd S_ad S_bc by the skew in (cd).  r^4 times
+    either norm is a power series, needed through r**(top + 4); so is T,
+    and X/r through that power takes X through the next one.
     """
-    _, v, x, z = _jacobi_flow(geometry, u, radii, steps_per_unit)
     r = geometry.r
     n = r.shape[0]
-    proj = np.eye(n) - v[..., :, None] * v[..., None, :]
-    s = proj @ z @ np.linalg.inv(x) @ proj
-    s2 = s @ s
-    r_v_rows = v @ r.reshape(n, -1)                 # R(v, ., ., .), flattened
-    r_v = (r_v_rows.reshape(*v.shape[:-1], n * n, n)
-           @ v[..., None]).reshape(s.shape)
-    tr_s = np.trace(s, axis1=-2, axis2=-1)[..., None, None]
-    ric_s = proj @ (ricci(r) - r_v) @ proj + tr_s * s - s2
-    ric_sq = np.sum(ric_s * ric_s, axis=(-2, -1))
-    riem_sq = (float(np.sum(r * r)) - 4.0 * np.sum(r_v_rows * r_v_rows, axis=-1)
-               + 4.0 * np.sum(r_v * r_v, axis=(-2, -1))
-               + 4.0 * np.einsum('abcd,...ad,...bc->...', r, s, s)
-               + 2.0 * np.trace(s2, axis1=-2, axis2=-1) ** 2
-               - 2.0 * np.sum(s2 * np.swapaxes(s2, -2, -1), axis=(-2, -1)))
-    return ric_sq, riem_sq
+    order = top + 4
+    v, x, z = flow_series(geometry, u, order + 1)
+    quad = r.transpose(0, 3, 1, 2).reshape(n * n, n * n)   # R_abcd at (ad, bc)
 
+    def contract(series):
+        """sum_ef c_ef R[e, a, b, f] for each coefficient c of ``series``."""
+        return TruncatedSeries([(c.reshape(-1) @ quad).reshape(n, n)
+                                for c in series.coeffs], series.offset)
 
-# The fixed fit of each oracle: the sample radii, the powers of r fitted
-# through them and the march's RK4 steps per unit length.  The design
-# matrices have condition numbers 2.9e3 and 4.4e8.
-_ALPHA2_FIT = (np.geomspace(0.08, 0.45, 8), (2, 3, 4, 5), 1024)
-_INTRINSIC_FIT = (np.geomspace(0.05, 0.4, 6), (-4, -2, 0, 1, 2, 3), 4096)
+    r_rows = r.reshape(n, -1)
+    r_v_form = r_rows @ r_rows.T                  # |R(v)|^2 = v^T r_v_form v
+    ric, norm_r_sq = ricci(r), float(np.sum(r * r))
+    out = []
+    for vs, xs, zs in zip(v.reshape(-1, order + 2, n),
+                          x.reshape(-1, order + 2, n, n),
+                          z.reshape(-1, order + 2, n, n)):
+        v_v = (TruncatedSeries(list(vs[:-1, :, None]))
+               * TruncatedSeries(list(vs[:-1, None, :])))
+        proj = (-v_v).plus_term(np.eye(n), 0)
+        t = (proj * TruncatedSeries(list(zs[:-1]))
+             * TruncatedSeries(list(xs[1:])).inverse() * proj)
+        r_v = contract(v_v)
+        t_sq = t * t
+        ric_s = (t.trace() * t - t_sq
+                 + (proj * (-r_v).plus_term(ric, 0) * proj).shift(2))
+        tr_t_sq = t_sq.trace()
+        ambient = (_frobenius(r_v, r_v).scale(4.0)
+                   - TruncatedSeries([4.0 * np.sum(c * r_v_form)
+                                      for c in v_v.coeffs])
+                   ).plus_term(norm_r_sq, 0)
+        riem_s = ((tr_t_sq * tr_t_sq).scale(2.0)
+                  - (t_sq * t_sq).trace().scale(2.0)
+                  + _frobenius(t, contract(t)).scale(4.0).shift(2)
+                  + ambient.shift(4))
+        out.append((_frobenius(ric_s, ric_s).shift(-4), riem_s.shift(-4)))
+    return out
 
 
 def alpha2_cross_difference(geometry, u1, u2):
     """Difference of the r^2 coefficients of |Ric^S|^2 across two directions.
 
     On a harmonic space the 1/r^4, 1/r^2 and constant parts of the sphere
-    curvature norm are direction independent, so subtracting the sampled
-    curves cancels them exactly and leaves the direction signal starting
-    at r^2; fitting the difference sidesteps the dynamic-range problem of
-    per-direction fits.  Both directions march together through eight
-    radii in geomspace(0.08, 0.45) at 1024 steps per unit, and the fit
-    takes the powers 2..5.  Returns (fitted difference, jet prediction),
-    the prediction being (tr R'R'(u1) - tr R'R'(u2))/16.
+    curvature norm are direction independent, so the difference of two
+    directions' series starts at r^2, where it is the direction signal.
+    Both directions are taken as one batch of the flow series, through the
+    r^2 coefficient.  Returns (series difference, jet prediction), the
+    prediction being (tr R'R'(u1) - tr R'R'(u2))/16.
     """
-    radii, powers, steps_per_unit = _ALPHA2_FIT
     pair = np.asarray([u1, u2], dtype=float)
-    ric_sq, _ = _sphere_curvature_samples(geometry, pair, radii,
-                                          steps_per_unit)
-    fitted = float(_least_squares(radii, powers, ric_sq[0] - ric_sq[1])[0])
+    (ric1, _), (ric2, _) = _sphere_curvature_series(geometry, pair, top=2)
+    difference = float(ric1.coefficient(2) - ric2.coefficient(2))
     r1 = curvature_jet(geometry, pair, order=1).matrices[1]
     p1, p2 = np.trace(r1 @ r1, axis1=1, axis2=2)
     predicted = (float(p1) - float(p2)) / 16.0
-    return fitted, predicted
+    return difference, predicted
 
 
 def sphere_intrinsic_oracle(geometry, u):
-    """Fit the radial expansion of the intrinsic sphere curvature norms.
+    """The radial expansion of the intrinsic sphere curvature norms.
 
-    Returns the powers (-4, -2, 0, 1, 2, 3) and the fitted coefficients of
-    |Ric^S|^2 and |R^S|^2 at them; the r^2 coefficient's
-    direction-dependent part is the oracle for (1/16) tr R'R' (compare
-    across directions, which cancels the unknown constant part).  The
-    samples come from one Jacobi-flow march through six radii in
-    geomspace(0.05, 0.4) at 4096 steps per unit.
-
-    The design has condition number about 4.4e8.  Its r^1..r^3
-    coefficients therefore carry no error estimate: a 1e-14 relative
-    change in the samples has moved them by up to 2.5e-4 relative.  The
-    r^-4 coefficients are stable.  ``u`` is one direction of shape (n,);
-    anything else raises :class:`InvalidSampling` before the march.
+    Returns the powers (-4, -2, 0, 1, 2, 3) and the coefficients of
+    |Ric^S|^2 and |R^S|^2 at them, read off one flow series through r^3;
+    the r^2 coefficient's direction-dependent part is the oracle for
+    (1/16) tr R'R' (compare across directions, which cancels the unknown
+    constant part).  ``u`` is one direction of shape (n,); anything else
+    raises :class:`InvalidSampling` before the series is taken.
     """
     if np.shape(u) != (geometry.dim,):
         raise InvalidSampling(
             f"the sphere-curvature oracle takes one direction of shape "
             f"({geometry.dim},), got {np.shape(u)}")
-    radii, powers, steps_per_unit = _INTRINSIC_FIT
-    ric_sq, riem_sq = _sphere_curvature_samples(geometry, u, radii,
-                                                steps_per_unit)
-    coeffs = _least_squares(radii, powers, np.stack([ric_sq, riem_sq], axis=1))
-    return {"powers": list(powers), "ric_sq": coeffs[:, 0].tolist(),
-            "riem_sq": coeffs[:, 1].tolist()}
+    powers = [-4, -2, 0, 1, 2, 3]
+    [(ric_sq, riem_sq)] = _sphere_curvature_series(geometry, u, top=powers[-1])
+    return {"powers": powers,
+            "ric_sq": [float(ric_sq.coefficient(p)) for p in powers],
+            "riem_sq": [float(riem_sq.coefficient(p)) for p in powers]}

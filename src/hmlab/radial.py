@@ -212,6 +212,25 @@ class OdeResult:
     theta_normalized: np.ndarray
 
 
+def _unit_directions(geometry, u):
+    """``u`` as a float array, checked to be one direction (n,) or a batch
+    (m, n), n = ``geometry.dim``, with finite rows of norm 1 to 1e-12: the
+    directions both the march and the flow series start from."""
+    n = geometry.dim
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != n:
+        raise InvalidSampling(
+            f"the Jacobi flow needs directions of shape ({n},) or (m, {n}), "
+            f"got {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise InvalidSampling("the Jacobi flow needs finite directions")
+    norms = np.linalg.norm(u, axis=-1)
+    if np.any(np.abs(norms - 1.0) > 1e-12):
+        raise InvalidSampling(
+            f"the Jacobi flow needs unit directions, got norms {norms}")
+    return u
+
+
 def _row_views(y, n):
     """A flow state y = [u; X^T; Z^T] of shape (m, 1 + 2n, n) with its
     views: the u rows, also as columns (m, n, 1) and rows (m, 1, n), and the
@@ -273,17 +292,7 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
             f"the Jacobi flow needs finite radii > 0 and a finite "
             f"steps_per_unit > 0, got {radii.tolist()} and {steps_per_unit}")
     n = geometry.dim
-    u = np.asarray(u, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != n:
-        raise InvalidSampling(
-            f"the Jacobi flow needs directions of shape ({n},) or (m, {n}), "
-            f"got {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise InvalidSampling("the Jacobi flow needs finite directions")
-    norms = np.linalg.norm(u, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise InvalidSampling(
-            f"the Jacobi flow needs unit directions, got norms {norms}")
+    u = _unit_directions(geometry, u)
     neg_gamma = -geometry.gamma.reshape(n, n * n)
     neg_r_rows = -geometry.r.transpose(1, 2, 3, 0).reshape(n * n, n * n)
     batch = u.reshape(-1, n)
@@ -353,6 +362,58 @@ def ode_oracle(geometry, u, radii, steps_per_unit=2048):
         # det(X) can overflow while X is still finite
         raise StepFailure(f"non-finite density at r = {radii[~finite][0]}")
     return OdeResult(radii=radii, theta_normalized=thetas)
+
+
+def flow_series(geometry, u, order):
+    """Taylor coefficients in r of the Jacobi-flow state, through r**order.
+
+    The state is the one ``_jacobi_flow`` marches: the velocity u, the
+    Jacobi endomorphism X and its covariant derivative Z, with u(0) = ``u``,
+    X(0) = 0, X'(0) = I and Z(0) = I.  Its ODE is polynomial,
+      u' = -g(u)^T u,  X' = Z - g(u)^T X,  Z' = -g(u)^T Z - R_u X,
+    with g(u)[j, k] = gamma[i, j, k] u_i and R_u[a, d] = R[a, u, u, d], so
+    the coefficients follow from Cauchy products, sums over a + b = j and
+    a + b + c = j:
+      (j+1) u_{j+1} = -sum g(u_a)^T u_b,
+      (j+1) X_{j+1} = Z_j - sum g(u_a)^T X_b,
+      (j+1) Z_{j+1} = -sum g(u_a)^T Z_b - sum R(u_a, u_b) X_c,
+    where R(v, w)[a, d] = R[a, v, w, d]; X_1 = I comes out of the second.
+    As in the march, each coefficient is held as rows [u; X^T; Z^T], so all
+    rows take one product with -g, and R(u_a, u_b) is summed over a + b
+    first, from the coefficient of u u^T.
+
+    ``u`` is one direction (n,) or a batch (m, n), checked as the march
+    checks it; ``order`` is an integer >= 1.  Returns the coefficients of
+    u, X and Z, shaped (order + 1, n) and (order + 1, n, n), each with a
+    leading batch axis of m for a batch: the r**j coefficient of X is
+    ``x[..., j, :, :]``.
+    """
+    u = _unit_directions(geometry, u)
+    if order < 1:
+        raise OrderUnsupported(
+            f"the flow series needs order >= 1, got {order}")
+    n = geometry.dim
+    neg_gamma = -geometry.gamma.reshape(n, n * n)
+    neg_r_rows = -geometry.r.transpose(1, 2, 3, 0).reshape(n * n, n * n)
+    batch = u.reshape(-1, n)
+    m = len(batch)
+    y = np.zeros((order + 1, m, 1 + 2 * n, n))
+    y[0, :, 0] = batch
+    y[0, :, n + 1:] = np.eye(n)
+    # coefficient j of -g(u) and of -R(u, u)^T, as in _flow_derivative
+    neg_g, neg_r_u_t = np.empty((2, order, m, n, n))
+    for j in range(order):
+        uu = np.einsum('amp,amq->mpq', y[:j + 1, :, 0], y[j::-1, :, 0])
+        neg_g[j] = (y[j, :, 0] @ neg_gamma).reshape(m, n, n)
+        neg_r_u_t[j] = (uu.reshape(m, n * n) @ neg_r_rows).reshape(m, n, n)
+        slope = np.sum(y[j::-1] @ neg_g[:j + 1], axis=0)
+        slope[:, 1:n + 1] += y[j, :, n + 1:]
+        slope[:, n + 1:] += np.sum(y[j::-1, :, 1:n + 1] @ neg_r_u_t[:j + 1],
+                                   axis=0)
+        y[j + 1] = slope / (j + 1)
+    y = np.moveaxis(y, 0, 1).reshape(*u.shape[:-1], order + 1, 1 + 2 * n, n)
+    return (y[..., 0, :], np.swapaxes(y[..., 1:n + 1, :], -2, -1),
+            np.swapaxes(y[..., n + 1:, :], -2, -1))
 
 
 def _least_squares(radii, powers, samples):

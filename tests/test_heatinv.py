@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmlab import geometry, heatinv
+from hmlab import geometry, heatinv, radial
 from hmlab.errors import InvalidSampling
 from hmlab.exactlinalg import rank
 from hmlab.geometry import constant_curvature_geometry, curvature_jet
-from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_samples,
+from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_series,
                            alpha2_cross_difference, averaged_boundary_r3,
                            sphere_intrinsic_oracle,
                            structural_p_decompositions, structural_r3_table)
@@ -265,14 +265,15 @@ def test_cross_difference_predicts_from_one_jet(ns12, monkeypatch):
 
 
 def test_cross_difference_marches_both_directions_at_once(ns12, monkeypatch):
+    """Both directions are taken as one flow series of shape (2, 12)."""
     shapes = []
-    original = heatinv._jacobi_flow
+    original = heatinv.flow_series
 
-    def counted(geo, u, radii, steps_per_unit):
+    def counted(geo, u, order):
         shapes.append(np.shape(u))
-        return original(geo, u, radii, steps_per_unit)
+        return original(geo, u, order)
 
-    monkeypatch.setattr(heatinv, "_jacobi_flow", counted)
+    monkeypatch.setattr(heatinv, "flow_series", counted)
     alpha2_cross_difference(ns12, np.eye(12)[0], np.eye(12)[5],)
     assert shapes == [(2, 12)]
 
@@ -311,20 +312,52 @@ def test_normalized_mode_with_matching_density_is_raw(hh2):
 def test_flat_space_sphere_curvature_is_exact():
     geo = constant_curvature_geometry(3, 0.0)
     u = np.array([1.0, 0.0, 0.0])
-    ric_sq, riem_sq = _sphere_curvature_samples(geo, u, [0.5], 512)
+    [(ric_sq, riem_sq)] = _sphere_curvature_series(geo, u, 3)
     # round 2-sphere of radius 1/2: |Ric|^2 = 2/r^4, |R|^2 = 4/r^4
-    assert_allclose(ric_sq, [32.0], rtol=1e-10)
-    assert_allclose(riem_sq, [64.0], rtol=1e-10)
+    assert_allclose(ric_sq(0.5), 32.0, rtol=1e-10)
+    assert_allclose(riem_sq(0.5), 64.0, rtol=1e-10)
 
 
 def test_round_sphere_distance_spheres():
     geo = constant_curvature_geometry(4, 1.0)
     u = np.eye(4)[0]
     r = 0.7
-    ric_sq, _ = _sphere_curvature_samples(geo, u, [r], 2048)
+    # the series converges for r < pi; through r^24 it is exact to ~1e-16
+    [(ric_sq, _)] = _sphere_curvature_series(geo, u, 24)
     # distance sphere in S^4 is round S^3 of intrinsic curvature 1/sin^2 r
     expected_ric = 12.0 / math.sin(r) ** 4
-    assert_allclose(ric_sq, [expected_ric], rtol=1e-9)
+    assert_allclose(ric_sq(r), expected_ric, rtol=1e-9)
+
+
+def inverse_sine_fourth(kappa, top):
+    """Exact Laurent coefficients of 1/sin^4 r (kappa = 1) or 1/sinh^4 r
+    (kappa = -1) at the powers -4..top."""
+    terms = [Fraction(0)] * (top + 5)
+    for m in range(0, (top + 4) // 2 + 1):
+        terms[2 * m] = Fraction((-kappa) ** m, math.factorial(2 * m + 1))
+    sin_over_r = TruncatedSeries(terms)       # sin(r)/r or sinh(r)/r
+    square = sin_over_r * sin_over_r
+    return [Fraction(c) for c in (square * square).inverse().coeffs]
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_space_form_sphere_series_is_exact(kappa):
+    """On S^5 and H^5 the distance sphere of radius r is a round S^4 of
+    curvature 1/sin^2 r (1/sinh^2 r), so with m = 4 the series are
+    m(m-1)^2 and 2m(m-1) times the Laurent coefficients of 1/sin^4 r,
+    read at the oracle's powers (-4, -2, 0, 1, 2, 3): 1, 2/3, 11/45, 0,
+    62/945, 0 up to signs on H^5."""
+    geo = constant_curvature_geometry(5, float(kappa))
+    fit = sphere_intrinsic_oracle(geo, np.eye(5)[2])
+    exact = inverse_sine_fourth(kappa, 3)
+    assert exact[:7] == [1, 0, Fraction(2, 3) * kappa, 0, Fraction(11, 45), 0,
+                         Fraction(62, 945) * kappa]
+    m = 4
+    want = [float(exact[p + 4]) for p in fit["powers"]]
+    assert_allclose(fit["ric_sq"], np.multiply(m * (m - 1) ** 2, want),
+                    rtol=1e-13, atol=1e-13)
+    assert_allclose(fit["riem_sq"], np.multiply(2 * m * (m - 1), want),
+                    rtol=1e-13, atol=1e-13)
 
 
 def test_flat_oracle_reads_off_the_inverse_quartic():
@@ -333,39 +366,29 @@ def test_flat_oracle_reads_off_the_inverse_quartic():
     fit = sphere_intrinsic_oracle(geo, u)
     # S^3(r): |Ric|^2 = 12/r^4, |R|^2 = 12/r^4
     assert fit["powers"] == [-4, -2, 0, 1, 2, 3]
-    assert_allclose(fit["ric_sq"][0], 12.0, rtol=1e-7)
-    assert_allclose(fit["riem_sq"][0], 12.0, rtol=1e-7)
-    assert_allclose(fit["ric_sq"][1:], 0.0, atol=1e-5)
-    assert_allclose(fit["riem_sq"][1:], 0.0, atol=1e-5)
+    assert_allclose(fit["ric_sq"][0], 12.0, rtol=1e-12)
+    assert_allclose(fit["riem_sq"][0], 12.0, rtol=1e-12)
+    assert_allclose(fit["ric_sq"][1:], 0.0, atol=1e-12)
+    assert_allclose(fit["riem_sq"][1:], 0.0, atol=1e-12)
 
 
 def test_oracles_take_only_the_geometry_and_directions():
-    """The fit designs are fixed in the program: no radii, powers or step
-    count comes from the caller."""
+    """The series order follows from the highest power each oracle returns:
+    no radii, powers, order or step count comes from the caller."""
     assert list(inspect.signature(alpha2_cross_difference).parameters) == \
         ["geometry", "u1", "u2"]
     assert list(inspect.signature(sphere_intrinsic_oracle).parameters) == \
         ["geometry", "u"]
 
 
-@pytest.mark.parametrize("fit, cond", [(heatinv._ALPHA2_FIT, 2.9e3),
-                                       (heatinv._INTRINSIC_FIT, 4.4e8)],
-                         ids=["alpha2", "intrinsic"])
-def test_fixed_fit_designs_are_conditioned(fit, cond):
-    """The two designs' condition numbers, each far below 1e12, where a
-    least-squares fit in float64 stops meaning anything."""
-    radii, powers, _ = fit
-    design = np.stack([radii ** p for p in powers], axis=1)
-    assert_allclose(np.linalg.cond(design), cond, rtol=0.05)
-
-
 def refuse_before_the_march(monkeypatch, oracle, *args):
-    marches = []
-    monkeypatch.setattr(heatinv, "_jacobi_flow",
-                        lambda *a: marches.append(a))
+    """The oracle raises InvalidSampling before any march or flow series."""
+    calls = []
+    monkeypatch.setattr(radial, "_jacobi_flow", lambda *a: calls.append(a))
+    monkeypatch.setattr(heatinv, "flow_series", lambda *a: calls.append(a))
     with pytest.raises(InvalidSampling):
         oracle(*args)
-    assert marches == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("u", [np.eye(12)[:2], np.eye(12)[:1], np.eye(11)[0],
@@ -373,17 +396,19 @@ def refuse_before_the_march(monkeypatch, oracle, *args):
 def test_intrinsic_oracle_refuses_anything_but_one_direction(ns12, u,
                                                              monkeypatch):
     """A batch used to run the whole march and then end in a bare numpy
-    LinAlgError from the fit ("3-dimensional array given")."""
+    LinAlgError from the fit ("3-dimensional array given"); now it would
+    return a batch of series where one is promised."""
     refuse_before_the_march(monkeypatch, sphere_intrinsic_oracle, ns12, u)
 
 
 def test_cross_direction_difference_recovers_alpha2(ns12):
     """Differencing two directions cancels the isotropic terms, leaving the
-    (1/16) tr R'R' difference as the r^2 slope."""
+    (1/16) tr R'R' difference as the r^2 coefficient, to 1e-10 relative
+    (the fit it replaced was 1.5% off)."""
     rng = np.random.default_rng(11)
     u1, u2 = rng.standard_normal((2, 12))
     u1 /= np.linalg.norm(u1)
     u2 /= np.linalg.norm(u2)
-    fitted, predicted = alpha2_cross_difference(ns12, u1, u2)
+    difference, predicted = alpha2_cross_difference(ns12, u1, u2)
     assert abs(predicted) > 1e-3   # the pair actually separates directions
-    assert abs(fitted - predicted) < 0.05 * abs(predicted)
+    assert abs(difference - predicted) < 1e-10 * abs(predicted)

@@ -9,17 +9,18 @@ from numpy.testing import assert_allclose
 
 from hmlab.errors import (InvalidSampling, OrderUnsupported, StepFailure,
                           ZeroLeadingCoefficient)
-from hmlab.geometry import curvature_jet
-from hmlab import heatinv, radial
-from hmlab.heatinv import (_sphere_curvature_samples, alpha2_cross_difference,
+from hmlab.geometry import (curvature_jet, geometry_from_algebra, ricci,
+                            scale_bracket)
+from hmlab import radial
+from hmlab.heatinv import (_sphere_curvature_series, alpha2_cross_difference,
                            sphere_intrinsic_oracle)
 from hmlab.invariants import (direction_constants, point_invariants,
                               random_directions)
 from hmlab.series import TruncatedSeries
 from hmlab.radial import (_jacobi_flow, density_series, extend_with_trace,
-                          harmonic_density, harmonic_trace_c6, jacobi_series,
-                          ode_oracle, peel_coefficients, shape_trace_series,
-                          vk_recursion, volume_series)
+                          flow_series, harmonic_density, harmonic_trace_c6,
+                          jacobi_series, ode_oracle, peel_coefficients,
+                          shape_trace_series, vk_recursion, volume_series)
 
 
 def harmonic_shape_expectations(n, c, h, l, p):
@@ -247,6 +248,46 @@ def test_flow_matches_a_long_double_solution(space, request):
     assert np.max(np.abs(x - q @ a)) < 5e-14
 
 
+def sphere_curvature_march(geometry, u, radii, steps_per_unit):
+    """|Ric^S|^2 and |R^S|^2 of the geodesic spheres through exp(r u), at
+    each radius r, from one Jacobi-flow march: the RK4 reference that the
+    flow series of ``heatinv._sphere_curvature_series`` is checked against.
+
+    ``u`` is one unit direction (n,) or a batch (m, n), marched together.
+    Returns the arrays ``ric_sq`` and ``riem_sq`` at the sorted radii, of
+    shape (k,) for k radii, or (m, k) for a batch.  The Gauss equation
+    R^S_abcd = R_abcd + S_ad S_bc - S_ac S_bd is applied in the base frame:
+    with v the flow's velocity, P = I - v v^T and S = P Z X^-1 P (see
+    ``radial._jacobi_flow`` for the state),
+      Ric^S = P (Ric - R_v) P + tr(S) S - S^2,   R_v[a, b] = R[v, a, b, v].
+    For |R^S|^2 expand each of the four projectors of R as I - v v^T.  One v
+    gives -|R(v, ., ., .)|^2 per slot; two v's fill a skew pair (ab) or (cd)
+    and vanish, or straddle them and give +|R_v|^2 four times; three or four
+    always fill a pair.  The cross term is 4 R_abcd S_ad S_bc by the skew in
+    (cd), and the S-S term is 2 (tr S^2)^2 - 2 tr S^4, so
+      |R^S|^2 = |R|^2 - 4|R(v)|^2 + 4|R_v|^2 + 4 R_abcd S_ad S_bc
+                + 2 (tr S^2)^2 - 2 tr S^4   (no rank-4 array is built).
+    """
+    _, v, x, z = _jacobi_flow(geometry, u, radii, steps_per_unit)
+    r = geometry.r
+    n = r.shape[0]
+    proj = np.eye(n) - v[..., :, None] * v[..., None, :]
+    s = proj @ z @ np.linalg.inv(x) @ proj
+    s2 = s @ s
+    r_v_rows = v @ r.reshape(n, -1)                 # R(v, ., ., .), flattened
+    r_v = (r_v_rows.reshape(*v.shape[:-1], n * n, n)
+           @ v[..., None]).reshape(s.shape)
+    tr_s = np.trace(s, axis1=-2, axis2=-1)[..., None, None]
+    ric_s = proj @ (ricci(r) - r_v) @ proj + tr_s * s - s2
+    ric_sq = np.sum(ric_s * ric_s, axis=(-2, -1))
+    riem_sq = (float(np.sum(r * r)) - 4.0 * np.sum(r_v_rows * r_v_rows, axis=-1)
+               + 4.0 * np.sum(r_v * r_v, axis=(-2, -1))
+               + 4.0 * np.einsum('abcd,...ad,...bc->...', r, s, s)
+               + 2.0 * np.trace(s2, axis1=-2, axis2=-1) ** 2
+               - 2.0 * np.sum(s2 * np.swapaxes(s2, -2, -1), axis=(-2, -1)))
+    return ric_sq, riem_sq
+
+
 def alpha2_pair(dim):
     """The two seeded directions of the alpha2 cross-difference test."""
     pair = np.random.default_rng(11).standard_normal((2, dim))
@@ -265,7 +306,7 @@ def test_batched_flow_equals_single_direction_marches(space, batch, request):
     radii = [0.3, 0.1, 0.25]
     sorted_radii, *states = _jacobi_flow(geo, dirs, radii, 256)
     ode = ode_oracle(geo, dirs, radii, steps_per_unit=256)
-    ric_sq, riem_sq = _sphere_curvature_samples(geo, dirs, radii, 256)
+    ric_sq, riem_sq = sphere_curvature_march(geo, dirs, radii, 256)
     for i, u in enumerate(dirs):
         single_radii, *single = _jacobi_flow(geo, u, radii, 256)
         assert list(single_radii) == list(sorted_radii) == sorted(radii)
@@ -275,7 +316,7 @@ def test_batched_flow_equals_single_direction_marches(space, batch, request):
         single_ode = ode_oracle(geo, u, radii, steps_per_unit=256)
         assert_allclose(ode.theta_normalized[i], single_ode.theta_normalized,
                         rtol=1e-12)
-        ric, riem = _sphere_curvature_samples(geo, u, radii, 256)
+        ric, riem = sphere_curvature_march(geo, u, radii, 256)
         assert_allclose(ric_sq[i], ric, rtol=1e-12)
         assert_allclose(riem_sq[i], riem, rtol=1e-12)
 
@@ -365,11 +406,8 @@ def rk4_steps(radii, steps_per_unit):
     return total
 
 
-@pytest.mark.parametrize("oracle", ["ode", "alpha2", "intrinsic"])
-def test_each_march_takes_four_derivatives_per_step(hh2, oracle, monkeypatch):
-    """The march evaluates the derivative four times per RK4 step, and takes
-    the steps of its rule: the benchmark's ode_oracle call and both fixed
-    oracle designs."""
+def counted_derivatives(monkeypatch):
+    """The list that gets one entry per call of the flow derivative."""
     calls = []
     original = radial._flow_derivative
 
@@ -378,17 +416,28 @@ def test_each_march_takes_four_derivatives_per_step(hh2, oracle, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(radial, "_flow_derivative", counted)
-    u1, u2 = alpha2_pair(hh2.dim)
-    if oracle == "ode":
-        radii, steps_per_unit = (0.15, 0.21, 0.27, 0.33, 0.39, 0.45), 2048
-        ode_oracle(hh2, u1, radii, steps_per_unit)
-    elif oracle == "alpha2":
-        radii, _, steps_per_unit = heatinv._ALPHA2_FIT
-        alpha2_cross_difference(hh2, u1, u2)
-    else:
-        radii, _, steps_per_unit = heatinv._INTRINSIC_FIT
-        sphere_intrinsic_oracle(hh2, u1)
+    return calls
+
+
+@pytest.mark.parametrize("radii, steps_per_unit",
+                         [((0.15, 0.21, 0.27, 0.33, 0.39, 0.45), 2048)],
+                         ids=["ode"])
+def test_each_march_takes_four_derivatives_per_step(hh2, radii, steps_per_unit,
+                                                    monkeypatch):
+    """The march evaluates the derivative four times per RK4 step, and takes
+    the steps of its rule: the benchmark's ode_oracle call."""
+    calls = counted_derivatives(monkeypatch)
+    ode_oracle(hh2, alpha2_pair(hh2.dim)[0], radii, steps_per_unit)
     assert len(calls) == 4 * rk4_steps(radii, steps_per_unit)
+
+
+def test_sphere_oracles_take_no_march(hh2, monkeypatch):
+    """Both sphere-curvature oracles read a flow series; neither marches."""
+    calls = counted_derivatives(monkeypatch)
+    u1, u2 = alpha2_pair(hh2.dim)
+    alpha2_cross_difference(hh2, u1, u2)
+    sphere_intrinsic_oracle(hh2, u1)
+    assert calls == []
 
 
 def off_unit(n, factor):
@@ -410,11 +459,15 @@ def off_unit(n, factor):
         "nan", "inf"])
 def test_flow_rejects_directions_that_are_not_unit_rows(ns12, direction):
     """Only finite unit directions of the geometry's dimension, one or a
-    batch of rows, start a march; anything else is refused before it."""
+    batch of rows, start a march or a flow series; anything else is refused
+    before it.  The series recurrence runs on any vector, so a speed-2 or
+    NaN direction would otherwise give wrong or NaN coefficients."""
     with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
         ode_oracle(ns12, direction(ns12.dim), [0.2, 0.4])
     with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
-        _sphere_curvature_samples(ns12, direction(ns12.dim), [0.2], 64)
+        sphere_curvature_march(ns12, direction(ns12.dim), [0.2], 64)
+    with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
+        flow_series(ns12, direction(ns12.dim), 8)
 
 
 @pytest.mark.parametrize("steps_per_unit", [math.nan, math.inf, 0, -5])
@@ -426,7 +479,7 @@ def test_flow_rejects_a_step_count_that_is_not_positive(ns12, steps_per_unit):
     with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
         ode_oracle(ns12, u, [0.2, 0.4], steps_per_unit=steps_per_unit)
     with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
-        _sphere_curvature_samples(ns12, u, [0.2], steps_per_unit)
+        sphere_curvature_march(ns12, u, [0.2], steps_per_unit)
 
 
 def conjugate4(tensor, m):
@@ -472,9 +525,69 @@ def test_sphere_curvature_matches_restart_flow(space, request):
         ric = np.einsum('cabc->ab', gauss)
         return np.sum(ric * ric), np.sum(gauss * gauss)
 
-    ric_sq, riem_sq = _sphere_curvature_samples(geo, u, [0.3, 0.1, 0.25], 512)
+    ric_sq, riem_sq = sphere_curvature_march(geo, u, [0.3, 0.1, 0.25], 512)
     for r, ric, riem in zip([0.1, 0.25, 0.3], ric_sq, riem_sq):
         assert_allclose((ric, riem), reference(r), rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def ns12_scaled(ns12):
+    """The 3:1,1 member with its bracket [e_0, e_11] scaled by 1.1, which is
+    not harmonic."""
+    return geometry_from_algebra(scale_bracket(ns12.algebra, 0, 11, 1.1))
+
+
+SERIES_SPACES = ["hh2", "hh3", "ns12", "ns12_scaled"]
+SERIES_RADII = np.array([0.05, 0.1, 0.2])
+
+
+@pytest.mark.parametrize("space", SERIES_SPACES)
+def test_sphere_series_sums_to_the_march(space, request):
+    """The Laurent series of |Ric^S|^2 and |R^S|^2 through r^10, summed at
+    r = 0.05, 0.1 and 0.2, against the RK4 march at 4096 steps/unit, for
+    both seeded alpha2 directions, to 1e-12 relative."""
+    geo = request.getfixturevalue(space)
+    dirs = alpha2_pair(geo.dim)
+    march = sphere_curvature_march(geo, dirs, SERIES_RADII, 4096)
+    for i, norms in enumerate(_sphere_curvature_series(geo, dirs, 10)):
+        for laurent, sampled in zip(norms, march):
+            summed = np.array([laurent(r) for r in SERIES_RADII])
+            assert np.max(np.abs(summed / sampled[i] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("space", SERIES_SPACES)
+def test_flow_series_density_sums_to_the_ode_oracle(space, request):
+    """det(sum X_j r^j) / r^n of the series through r^14 against ode_oracle
+    at 4096 steps/unit, at r = 0.05, 0.1 and 0.2, to 1e-12 relative."""
+    geo = request.getfixturevalue(space)
+    dirs = alpha2_pair(geo.dim)
+    _, x, _ = flow_series(geo, dirs, 14)
+    powers = SERIES_RADII[:, None] ** np.arange(15)
+    x_at = np.einsum('mjab,kj->mkab', x, powers)
+    theta = np.linalg.det(x_at) / SERIES_RADII ** geo.dim
+    want = ode_oracle(geo, dirs, SERIES_RADII, 4096).theta_normalized
+    assert np.max(np.abs(theta / want - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("space", ["hh2", "ns12"])
+def test_flow_series_density_equals_the_jet_series(space, request):
+    """det(X/r) of the flow series, taken through r^6, against the density
+    of the order-3 jet closed by the harmonic trace; the flow series needs
+    neither the jet nor the closure."""
+    geo = request.getfixturevalue(space)
+    u = flow_direction(geo.dim)
+    _, x, _ = flow_series(geo, u, 7)
+    det = TruncatedSeries(list(x[1:])).det()
+    want = harmonic_density(curvature_jet(geo, u, order=3)).normalized
+    for k in range(7):
+        assert_allclose(det.coefficient(k), want.coefficient(k),
+                        rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_flow_series_refuses_an_order_below_one(ns12, order):
+    with pytest.raises(OrderUnsupported, match="order >= 1"):
+        flow_series(ns12, flow_direction(ns12.dim), order)
 
 
 @pytest.mark.parametrize("radii", [[0.0, 0.1], [0.1, -0.2], [],
@@ -499,7 +612,7 @@ def test_ode_oracle_raises_step_failure_on_overflow(ch2, radii, where):
 @pytest.mark.parametrize("radius", [0.0, -0.2, math.nan, math.inf])
 def test_sphere_curvature_rejects_radius_that_is_not_positive(hh2, radius):
     with pytest.raises(InvalidSampling):
-        _sphere_curvature_samples(hh2, np.eye(8)[5], [radius], 4096)
+        sphere_curvature_march(hh2, np.eye(8)[5], [radius], 4096)
 
 
 def test_peel_recovers_leading_density_coefficients(hh2):

@@ -135,17 +135,27 @@ def test_one_jacobi_flow_integrator():
 
 
 def test_one_power_fit():
-    """Every Jacobi-flow oracle reads its coefficients through
-    radial._least_squares: the density peel and both sphere-curvature
-    oracles.  The other least-squares solve is the multiplicity oracle's
-    restriction of the rotation derivative, and no Neville peel is left."""
+    """The density peel reads its coefficients through radial._least_squares,
+    the one power fit left; the sphere-curvature oracles read theirs off a
+    flow series.  The other least-squares solve is the multiplicity
+    oracle's restriction of the rotation derivative, and no Neville peel is
+    left."""
     assert calls_by_scope("lstsq") == \
         {("radial", "_least_squares"), ("spectra", "hnm_multiplicity_oracle")}
     assert calls_by_scope("_least_squares") == \
-        {("radial", "peel_coefficients"), ("heatinv", "alpha2_cross_difference"),
-         ("heatinv", "sphere_intrinsic_oracle")}
+        {("radial", "peel_coefficients")}
     assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
                      and node.name == "_neville_at_zero") == set()
+
+
+def test_one_flow_series_reader():
+    """The Taylor series of the Jacobi flow is taken by the sphere-curvature
+    series only, and the march and the series check their directions in one
+    place."""
+    assert calls_by_scope("flow_series") == \
+        {("heatinv", "_sphere_curvature_series")}
+    assert calls_by_scope("_unit_directions") == \
+        {("radial", "_jacobi_flow"), ("radial", "flow_series")}
 
 
 def test_one_monte_carlo_fold():

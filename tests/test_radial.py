@@ -419,25 +419,24 @@ def counted_derivatives(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("radii, steps_per_unit",
-                         [((0.15, 0.21, 0.27, 0.33, 0.39, 0.45), 2048)],
-                         ids=["ode"])
-def test_each_march_takes_four_derivatives_per_step(hh2, radii, steps_per_unit,
-                                                    monkeypatch):
+@pytest.mark.parametrize("oracle", ["ode", "alpha2", "intrinsic"])
+def test_each_march_takes_four_derivatives_per_step(hh2, oracle, monkeypatch):
     """The march evaluates the derivative four times per RK4 step, and takes
-    the steps of its rule: the benchmark's ode_oracle call."""
-    calls = counted_derivatives(monkeypatch)
-    ode_oracle(hh2, alpha2_pair(hh2.dim)[0], radii, steps_per_unit)
-    assert len(calls) == 4 * rk4_steps(radii, steps_per_unit)
-
-
-def test_sphere_oracles_take_no_march(hh2, monkeypatch):
-    """Both sphere-curvature oracles read a flow series; neither marches."""
+    the steps of its rule: the benchmark's ode_oracle call.  Both
+    sphere-curvature oracles read a flow series and march through no radii,
+    so they take no step and never call the derivative."""
     calls = counted_derivatives(monkeypatch)
     u1, u2 = alpha2_pair(hh2.dim)
-    alpha2_cross_difference(hh2, u1, u2)
-    sphere_intrinsic_oracle(hh2, u1)
-    assert calls == []
+    radii, steps_per_unit = (0.15, 0.21, 0.27, 0.33, 0.39, 0.45), 2048
+    if oracle == "ode":
+        ode_oracle(hh2, u1, radii, steps_per_unit)
+    else:
+        radii = ()
+        if oracle == "alpha2":
+            alpha2_cross_difference(hh2, u1, u2)
+        else:
+            sphere_intrinsic_oracle(hh2, u1)
+    assert len(calls) == 4 * rk4_steps(radii, steps_per_unit)
 
 
 def off_unit(n, factor):

@@ -32,6 +32,11 @@ commands=(
   "verify --family 3:3,0;2,1"
   "counterexample --family 3:3,0;2,1"
   "counterexample --family 3:5,0;4,1"
+  # a non-dyadic member, where a change in summation order shows in the
+  # last bits; the dyadic members above sum exactly in any order
+  "verify --family 3:2,0;1,1 --perturb 1.1"
+  # more directions than one Monte Carlo block, ending in a short jet block
+  "verify --family 3:2,0;1,1 --directions 1100 --seed 3"
 )
 
 work=$(mktemp -d)

@@ -100,22 +100,13 @@ def in_span(basis_rows, candidate):
     """Exact membership of ``candidate`` in the row span of ``basis_rows``.
 
     Returns ``(member, combination)``; ``combination`` lists the coefficients
-    on the basis rows when membership holds, else None.
+    on the basis rows when membership holds, else None.  The candidate must
+    have at least one entry; an empty basis spans only the zero candidate,
+    with the empty combination.
     """
-    if not basis_rows:
-        return (not any(candidate)), ([] if not any(candidate) else None)
-    # solve basis^T c = candidate
+    # solve basis^T c = candidate; solve is exact, so a solution it returns
+    # satisfies every equation
     ncol = len(basis_rows)
     at = [[basis_rows[j][i] for j in range(ncol)] for i in range(len(candidate))]
     combo = solve(at, list(candidate))
-    if combo is None:
-        return False, None
-    # exactness of solve means residual is identically zero when consistent,
-    # but under-determined pivots may drop rows: verify.
-    for i, row_target in enumerate(candidate):
-        acc = row_target - row_target
-        for j in range(ncol):
-            acc = acc + combo[j] * basis_rows[j][i]
-        if acc != row_target:
-            return False, None
-    return True, combo
+    return combo is not None, combo

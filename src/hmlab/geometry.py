@@ -224,11 +224,27 @@ def damek_ricci_geometry(center_dim, pos, neg, name=None):
     return geometry_from_algebra(algebra, name=name, jmap=jmap)
 
 
+def _unit_directions(geometry, u):
+    """``u`` as a float array, checked to be one direction (n,) or a batch
+    (m, n), n = ``geometry.dim``, of finite rows of norm 1 to within 1e-12;
+    anything else raises :class:`InvalidSampling`.  Every jet, Jacobi-flow
+    march and flow series starts from directions checked here."""
+    n = geometry.dim
+    u = np.asarray(u, dtype=float)
+    # a NaN or infinite entry gives a NaN or infinite norm, which fails <=
+    if (u.ndim not in (1, 2) or u.shape[-1] != n
+            or not np.all(np.abs(np.linalg.norm(u, axis=-1) - 1.0) <= 1e-12)):
+        raise InvalidSampling(
+            f"directions must be finite unit rows of shape ({n},) or "
+            f"(m, {n}), got an array of shape {u.shape}")
+    return u
+
+
 def curvature_jet(geometry, u, order=3):
     """Derivatives of the Jacobi operator along the geodesic from ``u``.
 
-    ``u`` is one unit direction of shape (n,) or a batch of shape (m, n);
-    any other shape raises :class:`InvalidSampling`.
+    ``u`` is one unit direction of shape (n,) or a batch of shape (m, n),
+    checked by :func:`_unit_directions`.
     Returns matrices [R, R', R'', R'''][:order+1] in a parallel frame, each
     of shape (n, n) for one direction and (m, n, n) for a batch.  Directions
     are contracted ``JET_BLOCK`` at a time.  Every order is built from
@@ -236,12 +252,8 @@ def curvature_jet(geometry, u, order=3):
     """
     if order < 0 or order > 3:
         raise OrderUnsupported(f"jet order {order} outside supported range 0..3")
-    u = np.asarray(u, dtype=float)
-    n = geometry.dim
-    if u.ndim not in (1, 2) or u.shape[-1] != n:
-        raise InvalidSampling(f"a curvature jet needs directions of shape "
-                              f"({n},) or (m, {n}), got {u.shape}")
-    dirs = u.reshape(-1, n)
+    u = _unit_directions(geometry, u)
+    dirs = u.reshape(-1, geometry.dim)
     # an empty batch still runs one (empty) block, so it yields (0, n, n)
     blocks = [_jet_block(geometry, dirs[s:s + JET_BLOCK], order)
               for s in range(0, max(len(dirs), 1), JET_BLOCK)]

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSampling
-from .geometry import curvature_jet, ricci
+from .geometry import _unit_directions, curvature_jet, ricci
 from .radial import flow_series
 from .series import TruncatedSeries
 
@@ -161,17 +161,30 @@ def _sphere_curvature_series(geometry, u, top):
     return out
 
 
+def _one_direction(geometry, u):
+    """``u`` checked by ``_unit_directions`` to be unit directions, and then
+    to be exactly one of shape (n,); anything else raises
+    :class:`InvalidSampling` before a sphere-curvature oracle takes a series."""
+    u = _unit_directions(geometry, u)
+    if u.shape != (geometry.dim,):
+        raise InvalidSampling(
+            f"a sphere-curvature oracle takes one direction of shape "
+            f"({geometry.dim},), got {u.shape}")
+    return u
+
+
 def alpha2_cross_difference(geometry, u1, u2):
     """Difference of the r^2 coefficients of |Ric^S|^2 across two directions.
 
     On a harmonic space the 1/r^4, 1/r^2 and constant parts of the sphere
     curvature norm are direction independent, so the difference of two
     directions' series starts at r^2, where it is the direction signal.
-    Both directions are taken as one batch of the flow series, through the
-    r^2 coefficient.  Returns (series difference, jet prediction), the
-    prediction being (tr R'R'(u1) - tr R'R'(u2))/16.
+    ``u1`` and ``u2`` are unit directions of shape (n,) each, taken as one
+    batch of the flow series, through the r^2 coefficient.  Returns (series
+    difference, jet prediction), the prediction being
+    (tr R'R'(u1) - tr R'R'(u2))/16.
     """
-    pair = np.asarray([u1, u2], dtype=float)
+    pair = np.stack([_one_direction(geometry, u) for u in (u1, u2)])
     (ric1, _), (ric2, _) = _sphere_curvature_series(geometry, pair, top=2)
     difference = float(ric1.coefficient(2) - ric2.coefficient(2))
     r1 = curvature_jet(geometry, pair, order=1).matrices[1]
@@ -187,15 +200,12 @@ def sphere_intrinsic_oracle(geometry, u):
     |Ric^S|^2 and |R^S|^2 at them, read off one flow series through r^3;
     the r^2 coefficient's direction-dependent part is the oracle for
     (1/16) tr R'R' (compare across directions, which cancels the unknown
-    constant part).  ``u`` is one direction of shape (n,); anything else
-    raises :class:`InvalidSampling` before the series is taken.
+    constant part).  ``u`` is one unit direction of shape (n,); anything
+    else raises :class:`InvalidSampling` before the series is taken.
     """
-    if np.shape(u) != (geometry.dim,):
-        raise InvalidSampling(
-            f"the sphere-curvature oracle takes one direction of shape "
-            f"({geometry.dim},), got {np.shape(u)}")
     powers = [-4, -2, 0, 1, 2, 3]
-    [(ric_sq, riem_sq)] = _sphere_curvature_series(geometry, u, top=powers[-1])
+    [(ric_sq, riem_sq)] = _sphere_curvature_series(
+        geometry, _one_direction(geometry, u), top=powers[-1])
     return {"powers": powers,
             "ric_sq": [float(ric_sq.coefficient(p)) for p in powers],
             "riem_sq": [float(riem_sq.coefficient(p)) for p in powers]}

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (InvalidSampling, OrderUnsupported, StepFailure,
                      ZeroLeadingCoefficient)
-from .geometry import curvature_jet
+from .geometry import _unit_directions, curvature_jet
 from .series import TruncatedSeries
 
 
@@ -212,23 +212,32 @@ class OdeResult:
     theta_normalized: np.ndarray
 
 
-def _unit_directions(geometry, u):
-    """``u`` as a float array, checked to be one direction (n,) or a batch
-    (m, n), n = ``geometry.dim``, with finite rows of norm 1 to 1e-12: the
-    directions both the march and the flow series start from."""
+def _flow_start(geometry, u):
+    """The set-up shared by the march and the flow series along ``u``.
+
+    Returns ``u`` checked by ``_unit_directions``; -gamma[i, j, k] as an
+    (n, n^2) matrix with rows i and columns (j, k); -R[a, e, f, d] as
+    (n^2, n^2) rows (e, f) and columns (d, a); and the start rows
+    [u; 0; I] of every direction, shape (m, 1 + 2n, n).
+    """
+    u = _unit_directions(geometry, u)
     n = geometry.dim
-    u = np.asarray(u, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != n:
-        raise InvalidSampling(
-            f"the Jacobi flow needs directions of shape ({n},) or (m, {n}), "
-            f"got {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise InvalidSampling("the Jacobi flow needs finite directions")
-    norms = np.linalg.norm(u, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise InvalidSampling(
-            f"the Jacobi flow needs unit directions, got norms {norms}")
-    return u
+    batch = u.reshape(-1, n)
+    y = np.zeros((len(batch), 1 + 2 * n, n))
+    y[:, 0] = batch
+    y[:, n + 1:] = np.eye(n)
+    return (u, -geometry.gamma.reshape(n, n * n),
+            -geometry.r.transpose(1, 2, 3, 0).reshape(n * n, n * n), y)
+
+
+def _flow_blocks(u, rows):
+    """The u, X and Z of flow rows [u; X^T; Z^T], shape (m, k, 1 + 2n, n),
+    for m directions ``u`` at k radii or powers: (k, n) and (k, n, n) for
+    one direction (n,), each with a leading axis of m for a batch."""
+    n = u.shape[-1]
+    rows = rows.reshape(*u.shape[:-1], *rows.shape[1:])
+    return (rows[..., 0, :], np.swapaxes(rows[..., 1:n + 1, :], -2, -1),
+            np.swapaxes(rows[..., n + 1:, :], -2, -1))
 
 
 def _row_views(y, n):
@@ -292,14 +301,8 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
             f"the Jacobi flow needs finite radii > 0 and a finite "
             f"steps_per_unit > 0, got {radii.tolist()} and {steps_per_unit}")
     n = geometry.dim
-    u = _unit_directions(geometry, u)
-    neg_gamma = -geometry.gamma.reshape(n, n * n)
-    neg_r_rows = -geometry.r.transpose(1, 2, 3, 0).reshape(n * n, n * n)
-    batch = u.reshape(-1, n)
-    m = len(batch)
-    y = np.zeros((m, 1 + 2 * n, n))
-    y[:, 0] = batch
-    y[:, n + 1:] = np.eye(n)
+    u, neg_gamma, neg_r_rows, y = _flow_start(geometry, u)
+    m = len(y)
     y2, y3, y4, k1, k2, k3, k4 = np.empty((7,) + y.shape)
     y_v, y2_v, y3_v, y4_v, k1_v, k2_v, k3_v, k4_v = (
         _row_views(a, n) for a in (y, y2, y3, y4, k1, k2, k3, k4))
@@ -338,11 +341,7 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
             raise StepFailure(f"non-finite Jacobi endomorphism at r = {r_target}")
         states.append(y.copy())
         r_prev = r_target
-    states = np.stack(states, axis=1).reshape(*u.shape[:-1], len(radii),
-                                               1 + 2 * n, n)
-    return (radii, states[..., 0, :],
-            np.swapaxes(states[..., 1:n + 1, :], -2, -1),
-            np.swapaxes(states[..., n + 1:, :], -2, -1))
+    return (radii, *_flow_blocks(u, np.stack(states, axis=1)))
 
 
 def ode_oracle(geometry, u, radii, steps_per_unit=2048):
@@ -388,18 +387,14 @@ def flow_series(geometry, u, order):
     leading batch axis of m for a batch: the r**j coefficient of X is
     ``x[..., j, :, :]``.
     """
-    u = _unit_directions(geometry, u)
+    u, neg_gamma, neg_r_rows, start = _flow_start(geometry, u)
     if order < 1:
         raise OrderUnsupported(
             f"the flow series needs order >= 1, got {order}")
     n = geometry.dim
-    neg_gamma = -geometry.gamma.reshape(n, n * n)
-    neg_r_rows = -geometry.r.transpose(1, 2, 3, 0).reshape(n * n, n * n)
-    batch = u.reshape(-1, n)
-    m = len(batch)
-    y = np.zeros((order + 1, m, 1 + 2 * n, n))
-    y[0, :, 0] = batch
-    y[0, :, n + 1:] = np.eye(n)
+    m = len(start)
+    y = np.zeros((order + 1,) + start.shape)
+    y[0] = start
     # coefficient j of -g(u) and of -R(u, u)^T, as in _flow_derivative
     neg_g, neg_r_u_t = np.empty((2, order, m, n, n))
     for j in range(order):
@@ -411,17 +406,7 @@ def flow_series(geometry, u, order):
         slope[:, n + 1:] += np.sum(y[j::-1, :, 1:n + 1] @ neg_r_u_t[:j + 1],
                                    axis=0)
         y[j + 1] = slope / (j + 1)
-    y = np.moveaxis(y, 0, 1).reshape(*u.shape[:-1], order + 1, 1 + 2 * n, n)
-    return (y[..., 0, :], np.swapaxes(y[..., 1:n + 1, :], -2, -1),
-            np.swapaxes(y[..., n + 1:, :], -2, -1))
-
-
-def _least_squares(radii, powers, samples):
-    """Least-squares coefficients of ``powers`` of r through ``samples``
-    taken at ``radii``, one column of coefficients per column of samples."""
-    design = np.stack([radii ** p for p in powers], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, samples, rcond=None)
-    return coeffs
+    return _flow_blocks(u, np.moveaxis(y, 0, 1))
 
 
 def peel_coefficients(values, radii, powers):
@@ -451,5 +436,6 @@ def peel_coefficients(values, radii, powers):
             f"ladder; got "
             f"{values.size} values at radii {radii.tolist()}, powers {powers}")
     ladder = powers[0] + 2 * np.arange(radii.size)
-    coeffs = _least_squares(radii, ladder, values)
+    design = np.stack([radii ** p for p in ladder], axis=1)
+    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     return list(coeffs[((powers - powers[0]) // 2).astype(int)])

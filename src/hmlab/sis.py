@@ -167,15 +167,9 @@ def rank_and_membership(gens, candidate, graded=False):
     else:
         usable = gens
     rows = [list(g.coeffs) for g in usable]
-    if rows:
-        _, pivots = rref(rows)
-    else:
-        pivots = ()
+    _, pivots = rref(rows)
     r0 = len(pivots)
-    if rows:
-        member, combo = in_span(rows, list(candidate.coeffs))
-    else:
-        member, combo = (not any(candidate.coeffs)), None
+    member, combo = in_span(rows, list(candidate.coeffs))
     main_rows = [list(g.main_terms) for g in usable]
     return MembershipReport(
         rank_generators=r0,

@@ -233,9 +233,9 @@ def test_jet_refuses_directions_of_the_wrong_shape(hh2, shape):
     """A direction whose last axis is not the dimension (8) was a bare
     numpy error from inside einsum."""
     u = np.ones(shape)
-    with pytest.raises(InvalidSampling, match="curvature jet"):
+    with pytest.raises(InvalidSampling, match="finite unit rows"):
         curvature_jet(hh2, u)
-    with pytest.raises(InvalidSampling, match="curvature jet"):
+    with pytest.raises(InvalidSampling, match="finite unit rows"):
         direction_constants(hh2, u)
 
 

@@ -401,6 +401,19 @@ def test_intrinsic_oracle_refuses_anything_but_one_direction(ns12, u,
     refuse_before_the_march(monkeypatch, sphere_intrinsic_oracle, ns12, u)
 
 
+@pytest.mark.parametrize("pair", [
+    (np.eye(12)[0], np.eye(13)[0]),             # shapes (n,) and (n + 1,)
+    (np.eye(13)[0], np.eye(12)[0]),
+    (np.eye(12)[0], 2.0 * np.eye(12)[1]),       # a speed-2 u2
+], ids=["n-then-long", "long-then-n", "speed-2"])
+def test_cross_difference_refuses_anything_but_two_unit_directions(
+        ns12, pair, monkeypatch):
+    """Two directions of different shapes used to end in numpy's bare
+    ValueError while stacking them; a speed-2 direction would give the
+    series of another geodesic speed."""
+    refuse_before_the_march(monkeypatch, alpha2_cross_difference, ns12, *pair)
+
+
 def test_cross_direction_difference_recovers_alpha2(ns12):
     """Differencing two directions cancels the isotropic terms, leaving the
     (1/16) tr R'R' difference as the r^2 coefficient, to 1e-10 relative

@@ -458,15 +458,19 @@ def off_unit(n, factor):
         "nan", "inf"])
 def test_flow_rejects_directions_that_are_not_unit_rows(ns12, direction):
     """Only finite unit directions of the geometry's dimension, one or a
-    batch of rows, start a march or a flow series; anything else is refused
-    before it.  The series recurrence runs on any vector, so a speed-2 or
-    NaN direction would otherwise give wrong or NaN coefficients."""
-    with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
-        ode_oracle(ns12, direction(ns12.dim), [0.2, 0.4])
-    with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
-        sphere_curvature_march(ns12, direction(ns12.dim), [0.2], 64)
-    with pytest.raises(InvalidSampling, match="Jacobi flow needs"):
-        flow_series(ns12, direction(ns12.dim), 8)
+    batch of rows, start a jet, a march or a flow series; anything else is
+    refused before it, with one message.  The jet and the series recurrence
+    run on any vector, so a speed-2 or NaN direction would otherwise give
+    wrong or NaN numbers: a speed-2 direction made C = -20 where it is -5."""
+    u = direction(ns12.dim)
+    consumers = [lambda: curvature_jet(ns12, u),
+                 lambda: direction_constants(ns12, u),
+                 lambda: ode_oracle(ns12, u, [0.2, 0.4]),
+                 lambda: flow_series(ns12, u, 8),
+                 lambda: sphere_curvature_march(ns12, u, [0.2], 64)]
+    for consumer in consumers:
+        with pytest.raises(InvalidSampling, match="finite unit rows"):
+            consumer()
 
 
 @pytest.mark.parametrize("steps_per_unit", [math.nan, math.inf, 0, -5])

@@ -135,27 +135,32 @@ def test_one_jacobi_flow_integrator():
 
 
 def test_one_power_fit():
-    """The density peel reads its coefficients through radial._least_squares,
-    the one power fit left; the sphere-curvature oracles read theirs off a
-    flow series.  The other least-squares solve is the multiplicity
-    oracle's restriction of the rotation derivative, and no Neville peel is
-    left."""
+    """The density peel is the one power fit left and solves its design
+    itself; the sphere-curvature oracles read their coefficients off a flow
+    series.  The other least-squares solve is the multiplicity oracle's
+    restriction of the rotation derivative, and no Neville peel is left."""
     assert calls_by_scope("lstsq") == \
-        {("radial", "_least_squares"), ("spectra", "hnm_multiplicity_oracle")}
-    assert calls_by_scope("_least_squares") == \
-        {("radial", "peel_coefficients")}
+        {("radial", "peel_coefficients"), ("spectra", "hnm_multiplicity_oracle")}
     assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
-                     and node.name == "_neville_at_zero") == set()
+                     and node.name in ("_neville_at_zero",
+                                       "_least_squares")) == set()
 
 
 def test_one_flow_series_reader():
     """The Taylor series of the Jacobi flow is taken by the sphere-curvature
-    series only, and the march and the series check their directions in one
-    place."""
+    series only.  Directions are checked by geometry._unit_directions only,
+    called by the jet, by the one flow start of the march and the series,
+    and by the sphere-curvature oracles' one-direction check."""
     assert calls_by_scope("flow_series") == \
         {("heatinv", "_sphere_curvature_series")}
-    assert calls_by_scope("_unit_directions") == \
+    assert calls_by_scope("_flow_start") == \
         {("radial", "_jacobi_flow"), ("radial", "flow_series")}
+    assert calls_by_scope("_unit_directions") == \
+        {("geometry", "curvature_jet"), ("radial", "_flow_start"),
+         ("heatinv", "_one_direction")}
+    assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
+                     and node.name == "_unit_directions") == \
+        {("geometry", "<module>")}
 
 
 def test_one_monte_carlo_fold():

@@ -54,8 +54,9 @@ class InvalidSampling(HmlabError):
     count or seed that is not an integer, a negative seed, a direction of
     the wrong shape, a radius or Jacobi-flow steps_per_unit not finite and
     > 0, peeled values not finite, peeled radii repeated or powers not
-    rising by even gaps within the ladder, a negative harmonic degree, or
-    a Monte Carlo quantity that is unknown."""
+    rising by even gaps within the ladder, a negative harmonic degree, an
+    exact linear system or span candidate that is empty, or a Monte Carlo
+    quantity that is unknown."""
 
 
 class DegreeMismatch(HmlabError):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvalidSampling
+
 
 def rref(rows):
     """Reduced row echelon form.
@@ -82,8 +84,14 @@ def solve(rows, rhs):
     """Solve A x = b exactly; returns None when inconsistent.
 
     Under-determined systems get the pivot-variable solution with free
-    variables set to zero.
+    variables set to zero.  An empty system (no rows or no right-hand
+    side) raises ``InvalidSampling``.
     """
+    if not rows or not rhs:
+        raise InvalidSampling(
+            f"exact solve needs at least one equation and one right-hand "
+            f"entry (in_span: a nonempty candidate); got {len(rows)} rows "
+            f"and {len(rhs)} right-hand entries")
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     ncol = len(rows[0])
@@ -101,8 +109,8 @@ def in_span(basis_rows, candidate):
 
     Returns ``(member, combination)``; ``combination`` lists the coefficients
     on the basis rows when membership holds, else None.  The candidate must
-    have at least one entry; an empty basis spans only the zero candidate,
-    with the empty combination.
+    have at least one entry, else ``InvalidSampling``; an empty basis spans
+    only the zero candidate, with the empty combination.
     """
     # solve basis^T c = candidate; solve is exact, so a solution it returns
     # satisfies every equation

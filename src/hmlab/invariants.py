@@ -11,8 +11,8 @@ it, and in the factor form each pairing contracts the factors straight to
 a scalar, so no coefficient tensor is built.  Seeded Monte Carlo averages
 cross-check them independently on SFC64 draws g: ``_mc_form`` folds each
 sampled quantity once into coefficients on its live monomials, held as a
-dense p x p block U on the live degree-k halves w paired with another
-plus a matrix D on x = g^2 for the halves that only appear squared (see
+matrix D on x = g^2 for the terms with only even exponents plus a dense
+p x p block U on the degree-k halves w of the others (see
 ``mc_average``).
 """
 
@@ -418,14 +418,14 @@ def _mc_form(geometry, quantity):
     summation order.  Each kept monomial is the product of two degree-k
     halves, the first (a, b) pair that reached it.
 
-    The halves that meet a different half in some live term are the paired
-    ones, in ascending row order, and each of their terms sits at its
-    (a, b) entry of the dense p x p block U.  Every other live term is a
-    squared-only half w_h^2, which on x = g^2 is x at h's last index times
-    the monomial of x on its first k-1 indices (its head), so its
-    coefficient sits at D[last index, head].  The quantity is then
-    w . (U w) on the paired halves plus the column sum of
-    x * (D @ monomials(x, heads)).  Returns (paired halves, U, heads, D).
+    A live term whose sorted multi-index is all even pairs is x^beta on
+    x = g^2: x at the last index of its half beta (every second index)
+    times the monomial of x on the first k-1 (its head), so its
+    coefficient sits at D[last index, head].  Every other term has an odd
+    exponent and sits at its (a, b) entry of the dense p x p block U on
+    the p halves such terms use, in ascending row order.  The quantity is
+    w . (U w) on those halves plus the column sum of
+    x * (D @ monomials(x, heads)).  Returns (U's halves, U, heads, D).
     """
     n = geometry.dim
     if quantity == "beta":
@@ -449,19 +449,19 @@ def _mc_form(geometry, quantity):
                        minlength=len(first))
     live = np.abs(coef) > PLAN_CUTOFF * np.abs(coef).max(initial=0.0)
     a, b, coef = a[first[live]], b[first[live]], coef[live]
-    paired = np.zeros(len(idx), dtype=bool)
-    cross = a != b
-    paired[a[cross]] = paired[b[cross]] = True
-    inner = paired[a]
-    pos = np.cumsum(paired) - 1
-    p = int(paired.sum())
+    merged = merged[first[live]]
+    even = (merged[:, ::2] == merged[:, 1::2]).all(axis=1)
+    used = np.zeros(len(idx), dtype=bool)
+    used[a[~even]] = used[b[~even]] = True
+    pos = np.cumsum(used) - 1
+    p = int(used.sum())
     umat = np.zeros((p, p))
-    umat[pos[a[inner]], pos[b[inner]]] = coef[inner]
-    squared = idx[a[~inner]]
+    umat[pos[a[~even]], pos[b[~even]]] = coef[~even]
+    squared = merged[even, ::2]
     heads, head = np.unique(squared[:, :-1], axis=0, return_inverse=True)
     dmat = np.zeros((n, len(heads)))
-    dmat[squared[:, -1], head.reshape(-1)] = coef[~inner]
-    return idx[paired], umat, heads, dmat
+    dmat[squared[:, -1], head.reshape(-1)] = coef[even]
+    return idx[used], umat, heads, dmat
 
 
 def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
@@ -476,14 +476,15 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     than the PCG64 that ``verify`` and ``expand`` keep for pinned reports.
     The polynomial is homogeneous, so its value at g / |g| is its value at
     g over s^k, s = |g|^2 = sum x, x = g^2.  A sample is the column sum of
-    (U w) * w on the paired halves w in row layout (one row per monomial,
-    one column per direction) plus the squared-only part, the column sum
-    of x * (D @ monomials(x, heads)).  Beta on the 12-dim members is a
-    12 x 12 paired block; tr R_u'R_u' on 3:1,1 is 48 squared-only halves
-    on 16 heads, and on the symmetric 3:2,0 nothing is live, so every
-    sample is 0.  U is dense p x p: on the 24-dim members of center
-    dimension 7, p may reach the hundreds, and what the block costs there
-    is not measured.
+    (U w) * w on U's halves w in row layout (one row per monomial, one
+    column per direction, made only when U is not empty) plus the column
+    sum of x * (D @ monomials(x, heads)) on x in row layout.  Every even
+    term is read off x: beta on the 12-dim members is 78 terms on 12
+    heads, tr R_u'R_u' on 3:1,1 48 on 16, and on the symmetric 3:2,0
+    nothing is live in it, so every sample is 0.  U holds only the odd
+    terms: p is 0 for both quantities on the 12-dim pair and on 3:4,1 and
+    3:5,0 (measured), and 9 for beta and 60 for tr R_u'R_u' on 3:1,1 with
+    one bracket scaled by 1.25.
     ``n_samples`` must be an integer >= 1 and ``seed`` an integer >= 0
     (neither a bool), else ``InvalidSampling``.
     """
@@ -497,11 +498,10 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     total = total_sq = 0.0
     for done in range(0, n_samples, MC_BLOCK):
         g = rng.standard_normal((min(MC_BLOCK, n_samples - done), n))
-        dt = np.ascontiguousarray(g.T)
-        x = dt * dt
+        x = np.square(g.T, order='C')
         vals = np.zeros(len(g))
         if p:  # an empty part would still cost ~15 us of a ~60 us block
-            w = _monomials(dt, halves)
+            w = _monomials(np.ascontiguousarray(g.T), halves)
             vals += np.einsum('ij,ij->j', umat @ w, w)
             del w    # freed like the arrays below
         if len(heads):
@@ -516,7 +516,7 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
         # freed before the next block makes its own, so every block reuses
         # the same L2-resident memory; kept alive, they would rotate the
         # blocks through three sets of addresses
-        del g, dt, x, vals, s, norm
+        del g, x, vals, s, norm
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     stderr = math.sqrt(var / n_samples)

@@ -426,7 +426,7 @@ def peel_coefficients(values, radii, powers):
     if (radii.ndim != 1 or values.shape != radii.shape or radii.size == 0
             or not np.all(np.isfinite(values))
             or not np.all(np.isfinite(radii)) or radii.min() <= 0.0
-            or np.unique(radii).size < radii.size
+            or np.any(np.diff(np.sort(radii)) == 0)
             or powers.ndim != 1 or powers.size == 0
             or not np.all(np.isfinite(powers)) or np.any(gaps <= 0)
             or np.any(gaps % 2 != 0) or gaps.sum() > 2 * (radii.size - 1)):

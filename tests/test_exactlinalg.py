@@ -3,9 +3,11 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmlab.errors import HmlabError, InvalidSampling
 from hmlab.exactlinalg import det, in_span, rank, rref, solve
 
 fr = st.fractions(min_value=-6, max_value=6, max_denominator=7)
@@ -72,6 +74,22 @@ def test_in_span_positive_and_negative():
     assert member and combo == [Fraction(2), Fraction(3)]
     member, combo = in_span(basis, frows([[0, 0, 1]])[0])
     assert not member and combo is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve([], []),
+    lambda: in_span([], []),
+    lambda: in_span(frows([[1, 0], [0, 1]]), [])])
+def test_an_empty_system_or_candidate_is_refused(call):
+    """These ended in a bare IndexError from rows[0] or rhs[0]."""
+    with pytest.raises(InvalidSampling, match="nonempty") as info:
+        call()
+    assert isinstance(info.value, HmlabError)
+
+
+def test_an_empty_basis_spans_only_the_zero_candidate():
+    assert in_span([], frows([[0, 0]])[0]) == (True, [])
+    assert in_span([], frows([[0, 1]])[0]) == (False, None)
 
 
 def test_rref_pivots_are_one():

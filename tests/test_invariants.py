@@ -332,15 +332,20 @@ def test_row_layout_monomials_equal_the_column_path(degree, rng):
 
 
 @pytest.mark.parametrize("quantity", ["beta", "grad_quad"])
-def test_mc_average_matches_the_column_path(ns12, quantity):
+def test_mc_average_matches_the_column_path(ns12, ns12_perturbed, quantity):
     """Same sample stream through both paths; only the summation order
-    differs.  The count is not a multiple of the block size."""
+    differs.  The count is not a multiple of the block size.  On ns12
+    every live term is even, so only ns12_perturbed's odd terms reach
+    the paired block U."""
     n_samples = 100_000
     assert n_samples % MC_BLOCK
-    mean, se = mc_average(ns12, quantity, n_samples=n_samples, seed=3)
-    ref_mean, ref_se = reference_mc_average(ns12, quantity, n_samples, seed=3)
-    assert_allclose(mean, ref_mean, rtol=1e-12)
-    assert_allclose(se, ref_se, rtol=1e-10)
+    for geometry in (ns12, ns12_perturbed):
+        mean, se = mc_average(geometry, quantity, n_samples=n_samples,
+                              seed=3)
+        ref_mean, ref_se = reference_mc_average(geometry, quantity,
+                                                n_samples, seed=3)
+        assert_allclose(mean, ref_mean, rtol=1e-12)
+        assert_allclose(se, ref_se, rtol=1e-10)
 
 
 @pytest.mark.parametrize("n_samples", [0, -5])
@@ -387,24 +392,24 @@ def ch2_scaled(ch2):
 
 
 @pytest.mark.parametrize("space,live", [
-    ("ns12", {"beta": (78, 12, 12, 0, 0), "grad_quad": (48, 48, 0, 48, 16)}),
-    ("hh3", {"beta": (78, 12, 12, 0, 0), "grad_quad": (0, 0, 0, 0, 0)}),
-    ("ns12_perturbed", {"beta": (84, 21, 21, 0, 0),
-                        "grad_quad": (411, 115, 115, 0, 0)}),
-    ("ch2_scaled", {"beta": (10, 4, 4, 0, 0),
-                    "grad_quad": (13, 12, 11, 1, 1)})])
+    ("ns12", {"beta": (78, 78, 0, 78, 12), "grad_quad": (48, 48, 0, 48, 16)}),
+    ("hh3", {"beta": (78, 78, 0, 78, 12), "grad_quad": (0, 0, 0, 0, 0)}),
+    ("ns12_perturbed", {"beta": (84, 87, 9, 78, 12),
+                        "grad_quad": (411, 399, 60, 339, 73)}),
+    ("ch2_scaled", {"beta": (10, 10, 0, 10, 4),
+                    "grad_quad": (13, 13, 0, 13, 6)})])
 def test_grad_quad_on_its_live_part_matches_the_full_image(space, live,
                                                            request):
     """The sampler keeps only the degree-2k terms whose coefficient
     exceeds 1e-12 of the largest, each a product of two live degree-k
-    halves: p paired halves whose terms fill U, and squared-only halves
-    whose terms fill D on their heads.  Pinned for both quantities as
-    (terms, halves, p, squared-only halves, heads) = (nnz(U) + nnz(D),
-    p + nnz(D), p, nnz(D), len(heads)); the column path multiplies the
-    full factor on the same stream.  On ch2_scaled, grad_quad folds to 17
-    nonzero coefficients, four of them rounding residues 1.2e-33 to
-    4.5e-17 of the largest.  hh3 (3:2,0) is symmetric, so nothing is live
-    in grad_quad and every sample is 0."""
+    halves: a term with an odd exponent fills U on the p halves such
+    terms use, and an all-even term x^beta fills D on its head.  Pinned
+    for both quantities as (terms, halves, p, even terms, heads) =
+    (nnz(U) + nnz(D), p + nnz(D), p, nnz(D), len(heads)); the column path
+    multiplies the full factor on the same stream.  On ch2_scaled,
+    grad_quad folds to 17 nonzero coefficients, four of them rounding
+    residues 1.2e-33 to 4.5e-17 of the largest.  hh3 (3:2,0) is
+    symmetric, so nothing is live in grad_quad and every sample is 0."""
     geometry = request.getfixturevalue(space)
     for quantity, sizes in live.items():
         halves, umat, heads, dmat = _mc_form(geometry, quantity)

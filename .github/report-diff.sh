@@ -37,6 +37,9 @@ commands=(
   "verify --family 3:2,0;1,1 --perturb 1.1"
   # more directions than one Monte Carlo block, ending in a short jet block
   "verify --family 3:2,0;1,1 --directions 1100 --seed 3"
+  # the 24-dim pair through verify, which lets go of each member's nabla R
+  # (64 MB) before the next member's is formed
+  "verify --family 3:5,0;4,1 --directions 40"
 )
 
 work=$(mktemp -d)

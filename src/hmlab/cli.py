@@ -89,8 +89,12 @@ def member_label(l, a, b):
 
 
 def build_members(l, members):
-    return [(member_label(l, a, b), damek_ricci_geometry(l, a, b))
-            for a, b in members]
+    """Yields (label, geometry) per member, building each only when the
+    caller asks for it.  A loop that keeps nothing of a member but its
+    report lets go of that member's geometry, and the nabla R cached on
+    it, before the next member's nabla R is formed."""
+    for a, b in members:
+        yield member_label(l, a, b), damek_ricci_geometry(l, a, b)
 
 
 def emit(args, name, text):
@@ -252,7 +256,7 @@ def cmd_isospec(args):
     l, members = parse_family(args.family)
     if len(members) != 2:
         raise UsageError("isospectrality comparison needs exactly two members")
-    built = build_members(l, members)
+    built = list(build_members(l, members))
     report = isospectrality_report(built[0][1], built[1][1],
                                    default_lattice(l),
                                    degrees=tuple(range(args.max_degree + 1)),
@@ -273,7 +277,7 @@ def cmd_sis(args):
     dim = build_j_map(l, *members[0]).total_dim + l + 1
     require(dim % 2 == 0, "--family", args.family,
             f"a member of even dimension (this one has dimension {dim})")
-    label, geo = build_members(l, members)[0]
+    [(label, geo)] = build_members(l, members)
     n = geo.dim
     gens = canonical_generators(n)
     lich = lichnerowicz_vector(n)
@@ -310,7 +314,7 @@ def cmd_expand(args):
     require(args.seed >= 0, "--seed", args.seed, "at least 0")
     l, members = parse_family(args.family)
     require(len(members) == 1, "--family", args.family, "one member")
-    label, geo = build_members(l, members)[0]
+    [(label, geo)] = build_members(l, members)
     rng = np.random.default_rng(args.seed)
     u = rng.standard_normal(geo.dim)
     u = u / np.linalg.norm(u)

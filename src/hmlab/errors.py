@@ -23,7 +23,8 @@ class NonFiniteGeometry(HmlabError):
 
 
 class OrderUnsupported(HmlabError):
-    """Derivative or series order beyond what the jet machinery supplies."""
+    """Derivative or series order beyond what the jet machinery supplies,
+    or a series coefficient asked for above the power its window knows."""
 
 
 class DegreeTooHigh(HmlabError):
@@ -60,8 +61,19 @@ class InvalidSampling(HmlabError):
 
 
 class DegreeMismatch(HmlabError):
-    """Proper elimination attempted across unequal (or absent) degrees, or
-    a ball identity asked for in odd dimension, where its degree is even."""
+    """Proper elimination attempted across unequal (or absent) degrees, a
+    ball identity asked for in odd dimension, where its degree is even, an
+    identity whose degree has the wrong parity for its origin, or
+    polynomials not all of the degree a batch of them is built for."""
+
+
+class OutsideDomain(HmlabError):
+    """An argument outside what an operation is defined on: a series with
+    no coefficient, the log of a series that does not start at power 0
+    with 1 or the identity, the exp of a matrix series or of one with a
+    nonzero term at a power <= 0, an identity vector without one
+    coefficient per basis slot, an elimination mode other than 'proper'
+    or 'rudimentary', or a CPoly denominator that is not positive."""
 
 
 class SymbolAbsent(HmlabError):

@@ -205,22 +205,20 @@ def geometry_from_algebra(c, name="group", jmap=None):
     return Geometry(gamma=gamma, r=r, algebra=c, name=name, jmap=jmap)
 
 
-def constant_curvature_geometry(dim, kappa=1.0, name=None):
+def constant_curvature_geometry(dim, kappa=1.0):
     """Space form model: prescribed curvature, parallel frame along rays."""
     eye = np.eye(dim)
     r = kappa * (np.einsum('bc,ad->abcd', eye, eye) - np.einsum('ac,bd->abcd', eye, eye))
-    if name is None:
-        name = f"space-form(kappa={kappa})"
-    return Geometry(gamma=np.zeros((dim, dim, dim)), r=r, name=name)
+    return Geometry(gamma=np.zeros((dim, dim, dim)), r=r,
+                    name=f"space-form(kappa={kappa})")
 
 
-def damek_ricci_geometry(center_dim, pos, neg, name=None):
+def damek_ricci_geometry(center_dim, pos, neg):
     """Damek-Ricci geometry for a center of dimension ``center_dim`` and
     module multiplicity (pos, neg)."""
     jmap = build_j_map(center_dim, pos, neg)
     algebra = build_damek_ricci(jmap)
-    if name is None:
-        name = f"DR(l={center_dim}; {pos},{neg})"
+    name = f"DR(l={center_dim}; {pos},{neg})"
     return geometry_from_algebra(algebra, name=name, jmap=jmap)
 
 

@@ -17,7 +17,7 @@ from math import factorial, gcd, lcm
 
 import numpy as np
 
-from .errors import ExactOverflow
+from .errors import DegreeMismatch, ExactOverflow, OutsideDomain
 
 
 def _over_one_denominator(values):
@@ -42,7 +42,8 @@ class CPoly:
 
     def __init__(self, nvars, terms=None, den=1):
         if den <= 0:
-            raise ValueError(f"CPoly denominator must be positive, not {den}")
+            raise OutsideDomain(
+                f"CPoly denominator must be positive, not {den}")
         terms = {m: c for m, c in terms.items() if c[0] or c[1]} if terms else {}
         g = gcd(den, *chain.from_iterable(terms.values()))
         if g > 1:
@@ -278,7 +279,7 @@ class PolyBatch:
         terms = [(c, mono, x, y) for c, poly in enumerate(polys)
                  for mono, (x, y) in poly.terms.items()]
         if any(sum(mono) != degree for _, mono, _, _ in terms):
-            raise ValueError(f"polynomials not all of degree {degree}")
+            raise DegreeMismatch(f"polynomials not all of degree {degree}")
         col, monos, re, im = zip(*terms) if terms else ((),) * 4
         dens = [poly.den for poly in polys]
         _bounded("a coefficient", max(map(abs, re + im + tuple(dens)),

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SingularSeries
+from .errors import OrderUnsupported, OutsideDomain, SingularSeries
 
 
 def _is_matrix(c):
@@ -54,7 +54,7 @@ class TruncatedSeries:
     def __init__(self, coeffs, offset=0):
         coeffs = list(coeffs)
         if not coeffs:
-            raise ValueError("series needs at least one coefficient")
+            raise OutsideDomain("series needs at least one coefficient")
         self.coeffs = coeffs
         self.offset = int(offset)
 
@@ -72,7 +72,8 @@ class TruncatedSeries:
     def coefficient(self, power):
         """Coefficient of r**power; zero below the window, error above it."""
         if power > self.top:
-            raise ValueError(f"power {power} beyond truncation {self.top}")
+            raise OrderUnsupported(
+                f"power {power} beyond truncation {self.top}")
         i = power - self.offset
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -186,18 +187,20 @@ class TruncatedSeries:
     def log(self):
         """log of a series with leading term 1 (scalar) or identity (matrix)."""
         if self.offset != 0:
-            raise ValueError("log needs a series starting at power 0")
+            raise OutsideDomain("log needs a series starting at power 0")
         lead = self.coeffs[0]
         rational = _is_fraction(lead)
         if _is_matrix(lead):
             if not np.allclose(lead, np.eye(lead.shape[0])):
-                raise ValueError("matrix log implemented for leading identity only")
+                raise OutsideDomain(
+                    "matrix log implemented for leading identity only")
             dim = lead.shape[0]
             one = np.array([[Fraction(int(i == j)) for j in range(dim)]
                             for i in range(dim)]) if rational else np.eye(dim)
         else:
             if not np.isclose(float(lead), 1.0):
-                raise ValueError("scalar log implemented for leading 1 only")
+                raise OutsideDomain(
+                    "scalar log implemented for leading 1 only")
             one = Fraction(1) if rational else 1.0
         n = self.plus_term(-one, 0).trim()
         top = self.top
@@ -214,8 +217,8 @@ class TruncatedSeries:
         """exp of a scalar series with no nonzero term at a power <= 0."""
         head = max(0, 1 - self.offset)
         if self.is_matrix_valued or any(self.coeffs[:head]):
-            raise ValueError("exp implemented for scalar series with no "
-                             "nonzero term at powers <= 0")
+            raise OutsideDomain("exp implemented for scalar series with no "
+                                "nonzero term at powers <= 0")
         top = self.top
         one = Fraction(1) if _is_fraction(self.coeffs[0]) else 1.0
         # 1 through the window, so that the sum below keeps its window

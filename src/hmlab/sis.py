@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
-                     SymbolAbsent)
+                     OutsideDomain, SymbolAbsent)
 from .exactlinalg import det, in_span, rref, solve
 from .heatinv import structural_p_decompositions
 from .invariants import point_invariants
@@ -47,13 +47,13 @@ class IdentityVector:
 
     def __post_init__(self):
         if len(self.coeffs) != len(BASIS):
-            raise ValueError(f"expected {len(BASIS)} coefficients")
+            raise OutsideDomain(f"expected {len(BASIS)} coefficients")
         object.__setattr__(self, "coeffs", tuple(_fr(c) for c in self.coeffs))
         if self.degree is not None:
             parity = self.degree % 2
             expected = 0 if self.origin == "sphere" else 1
             if parity != expected:
-                raise ValueError(
+                raise DegreeMismatch(
                     f"{self.origin} identity {self.name!r} must have "
                     f"{'even' if expected == 0 else 'odd'} degree, got {self.degree}")
 
@@ -209,7 +209,7 @@ def eliminate(target, tool, symbol, mode="proper"):
         degree = None
         provenance = "rudimentary-elimination"
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise OutsideDomain(f"unknown mode {mode!r}")
     lam = target.coeffs[idx] / tool.coeffs[idx]
     coeffs = tuple(t - lam * s for t, s in zip(target.coeffs, tool.coeffs))
     return IdentityVector(

@@ -8,6 +8,7 @@ emitted files.
 import argparse
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -26,6 +27,21 @@ def run_to_dir(argv, tmp_path, name, sub="out"):
     path = out / name
     assert path.exists()
     return rc, path.read_text()
+
+
+def traced_peak(func, *args):
+    """(peak traced bytes, result) of one call to ``func``."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def nabla_r_bytes(n):
+    """Size of one member's nabla R, n^5 float64 values."""
+    return 8 * n ** 5
 
 
 def test_parse_family_members():
@@ -170,6 +186,23 @@ def test_verify_clean_family(tmp_path):
                for row in block["rows"])
 
 
+def test_verify_holds_one_member_at_a_time(tmp_path):
+    """Verifying the 12-dim pair peaks less than one nabla R above the
+    larger single-member run: the first member, and the nabla R cached on
+    it, is let go before the second member's nabla R is formed."""
+    def peak(family, sub):
+        found, (rc, _) = traced_peak(
+            run_to_dir, ["verify", "--family", family], tmp_path,
+            "verify.json", sub)
+        assert rc == 0
+        return found
+
+    # the pair runs first, so any one-time import lands on its side
+    pair = peak("3:2,0;1,1", "pair")
+    single = max(peak("3:2,0", "a"), peak("3:1,1", "b"))
+    assert pair < single + nabla_r_bytes(12)
+
+
 def test_verify_perturbed_control_trips(tmp_path):
     # detuned bracket must fail the batteries; the run reports success
     # (exit 0) exactly because the control tripped
@@ -242,9 +275,13 @@ def test_counterexample_on_the_16_dim_pair(tmp_path):
 def test_counterexample_on_the_24_dim_pair(tmp_path):
     """The 24-dim pair 3:5,0;4,1 splits like the smaller ones, with exact
     cubic scalars: R_hat and R_ring differ, and the gradient-adjusted
-    cubics take the symmetric member's values on both."""
-    rc, text = run_to_dir(["counterexample", "--family", "3:5,0;4,1"],
-                          tmp_path, "counterexample.json")
+    cubics take the symmetric member's values on both.  One member's
+    nabla R is alive at a time, so the run peaks under 2.5 nabla R (about
+    2.1 of them, where two members side by side peak at about 3.1)."""
+    peak, (rc, text) = traced_peak(
+        run_to_dir, ["counterexample", "--family", "3:5,0;4,1"],
+        tmp_path, "counterexample.json")
+    assert peak < 2.5 * nabla_r_bytes(24)
     assert rc == 0
     payload = json.loads(text)
     marks = payload["marks"]

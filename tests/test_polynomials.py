@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hmlab import polynomials
 from hmlab.cli import default_lattice
 from hmlab.clifford import build_j_map
-from hmlab.errors import ExactOverflow, HmlabError
+from hmlab.errors import (DegreeMismatch, ExactOverflow, HmlabError,
+                          OutsideDomain)
 from hmlab.polynomials import (CPoly, PolyBatch, adapted_coordinates,
                                gram_schmidt_pairs, harmonic_projection,
                                harmonic_space_dimension, integer_j,
@@ -353,6 +354,12 @@ def test_engine_matches_the_cpoly_path(case):
         [p + q for p, q in zip(polys, flipped)]
 
 
+def test_engine_refuses_polynomials_of_another_degree():
+    mixed = [CPoly(2, {(1, 0): (1, 0)}), CPoly(2, {(2, 0): (1, 0)})]
+    with pytest.raises(DegreeMismatch, match="degree 1"):
+        PolyBatch.from_polys(2, mixed, 1, 2)
+
+
 def test_engine_refuses_a_value_past_int64():
     """A product whose values could pass int64 raises ExactOverflow before
     it is formed, where the CPoly path returns the exact value; so does a
@@ -540,5 +547,5 @@ def test_cpoly_equality_ignores_how_the_value_was_written():
     assert CPoly(2, {mono: (1, 0)}) != CPoly(3, {(1, 0, 0): (1, 0)})
     assert CPoly(2, {mono: (1, 0)}, 2) != CPoly(2, {mono: (1, 0)})
     for den in (0, -2):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutsideDomain):
             CPoly(2, {mono: (1, 0)}, den)

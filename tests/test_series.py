@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hmlab.errors import SingularSeries
+from hmlab.errors import OrderUnsupported, OutsideDomain, SingularSeries
 from hmlab.series import TruncatedSeries
 
 
@@ -67,7 +67,7 @@ def test_window_is_intersection_of_reachable_orders():
     t = TruncatedSeries([1.0, 1.0, 1.0], offset=0)  # knows orders 0..2
     p = s * t
     assert p.top == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderUnsupported):
         p.coefficient(2)
 
 
@@ -97,6 +97,21 @@ def scaled_close(got, want, coeffs, power):
 
 def all_fractions(series):
     return all(isinstance(c, Fraction) for c in series.coeffs)
+
+
+@pytest.mark.parametrize("series", [
+    TruncatedSeries([1.0, 2.0], offset=1),
+    TruncatedSeries([2.0, 1.0], offset=0),
+    TruncatedSeries([2.0 * np.eye(2), np.eye(2)], offset=0),
+])
+def test_log_refuses_a_series_not_starting_at_one(series):
+    with pytest.raises(OutsideDomain, match="log"):
+        series.log()
+
+
+def test_a_series_needs_a_coefficient():
+    with pytest.raises(OutsideDomain, match="at least one coefficient"):
+        TruncatedSeries([])
 
 
 @given(st.lists(coeff, min_size=1, max_size=5))
@@ -231,7 +246,7 @@ def test_plus_term_above_the_window_is_dropped():
 def test_exp_refuses_terms_at_powers_not_above_zero(series):
     """exp(1/r) and exp(c) with c != 0 have no series in nonnegative powers
     of r with a leading 1; exp must not return one."""
-    with pytest.raises(ValueError, match="powers <= 0"):
+    with pytest.raises(OutsideDomain, match="powers <= 0"):
         series.exp()
 
 
@@ -255,5 +270,5 @@ def test_exp_accepts_zeros_at_powers_not_above_zero():
 def test_exp_refuses_matrix_series(series):
     """exp is scalar only; on a matrix series it would add a scalar 1 to a
     matrix or broadcast it over every entry."""
-    with pytest.raises(ValueError, match="scalar"):
+    with pytest.raises(OutsideDomain, match="scalar"):
         series.exp()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hmlab.errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
-                          SymbolAbsent)
+                          OutsideDomain, SymbolAbsent)
 from hmlab.exactlinalg import det, rank
 from hmlab.geometry import curvature_jet
 from hmlab.invariants import beta_tensor, point_invariants, sphere_average
@@ -82,10 +82,10 @@ def test_theta_powers_match_actual_density_powers(hh2):
 
 
 def test_parity_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeMismatch):
         IdentityVector(name="bad", coeffs=(1, 0, 0, 0, 0, 0), degree=3,
                        origin="sphere")
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeMismatch):
         IdentityVector(name="bad", coeffs=(1, 0, 0, 0, 0, 0), degree=4,
                        origin="ball")
     # ball vectors sit at odd degrees for even-dimensional members
@@ -216,6 +216,14 @@ def test_unknown_symbol_is_absent():
     with pytest.raises(SymbolAbsent, match="grad_R_sq"):
         eliminate(density_vector(n), gradient_square_vector(n), "R_bar",
                   mode="rudimentary")
+
+
+def test_malformed_vectors_and_modes_are_outside_the_domain():
+    with pytest.raises(OutsideDomain, match="expected 6 coefficients"):
+        IdentityVector(name="short", coeffs=(1, 0, 0))
+    with pytest.raises(OutsideDomain, match="unknown mode"):
+        eliminate(density_vector(12), ricci_square_vector(12), "C3",
+                  mode="sideways")
 
 
 def test_mixed_origin_elimination_loses_the_degree():

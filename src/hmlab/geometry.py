@@ -151,8 +151,12 @@ def covariant_derivative(gamma, tensor):
     rank = tensor.ndim
     out = np.zeros((gamma.shape[0],) + tensor.shape)
     for s in range(rank):
-        # one slot's term at a time, freed before the next is built
-        out -= np.moveaxis(np.tensordot(gamma, tensor, axes=([2], [s])), 1, s + 1)
+        # slot s moved to the front once (one n^(rank-1) copy), then one
+        # frame index x at a time, so no term the size of out is held
+        moved = np.moveaxis(tensor, s, 0)
+        flat = moved.reshape(moved.shape[0], -1)
+        for x, gx in enumerate(gamma):
+            out[x] -= np.moveaxis((gx @ flat).reshape(moved.shape), 0, s)
     return out
 
 

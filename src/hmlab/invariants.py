@@ -383,9 +383,11 @@ def _symmetric_factor(tensor, degree):
     n = tensor.shape[0]
     full = np.indices((n,) * degree).reshape(degree, -1).T
     idx, row = np.unique(np.sort(full, axis=1), axis=0, return_inverse=True)
-    rows = tensor.reshape(n ** degree, -1)
-    factor = np.zeros((len(idx), rows.shape[1]))
-    np.add.at(factor, row.reshape(-1), rows)
+    factor = np.zeros((len(idx), tensor.size // n ** degree))
+    # one leading index at a time, in the same row order as one whole
+    # fold, so a transposed tensor is copied n^(rank-1) entries at a time
+    for c, targets in enumerate(row.reshape(n, -1)):
+        np.add.at(factor, targets, tensor[c].reshape(n ** (degree - 1), -1))
     return idx, factor
 
 

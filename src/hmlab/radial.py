@@ -413,11 +413,13 @@ def peel_coefficients(values, radii, powers):
     """Series coefficients at ``powers`` of r read off sampled residuals.
 
     ``values[k]`` is f(radii[k]) with f(0) = 0 after the caller removed the
-    constant term.  One exactly determined least-squares solve fits f on the
-    even ladder powers[0], powers[0] + 2, ..., one rung per radius, so rungs
+    constant term.  One LU solve of the square design fits f on the even
+    ladder powers[0], powers[0] + 2, ..., one rung per radius, so rungs
     that are not requested are removed too.  The powers must be finite and
     strictly increase with even gaps up to the top rung; the radii must be
-    finite, > 0 and distinct, one per finite value.
+    finite, > 0 and distinct, one per finite value.  A design that
+    overflows, a singular one (a rung that underflows to zero at every
+    radius) and a solution that is not finite raise ``InvalidSampling``.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -436,6 +438,17 @@ def peel_coefficients(values, radii, powers):
             f"ladder; got "
             f"{values.size} values at radii {radii.tolist()}, powers {powers}")
     ladder = powers[0] + 2 * np.arange(radii.size)
-    design = np.stack([radii ** p for p in ladder], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+    with np.errstate(over="ignore", under="ignore"):
+        design = np.stack([radii ** p for p in ladder], axis=1)
+    coeffs = None
+    if np.all(np.isfinite(design)):
+        try:
+            coeffs = np.linalg.solve(design, values)
+        except np.linalg.LinAlgError:   # singular: refused below
+            pass
+    if coeffs is None or not np.all(np.isfinite(coeffs)):
+        raise InvalidSampling(
+            f"peeling cannot solve the powers {ladder.tolist()} at radii "
+            f"{radii.tolist()}: the design is singular or not finite in "
+            f"float64")
     return list(coeffs[((powers - powers[0]) // 2).astype(int)])

@@ -10,7 +10,8 @@ import hmlab  # first: it sets one BLAS thread, read only when numpy loads
 import numpy as np
 import pytest
 
-from hmlab.geometry import constant_curvature_geometry, damek_ricci_geometry
+from hmlab.geometry import (constant_curvature_geometry, damek_ricci_geometry,
+                            geometry_from_algebra, scale_bracket)
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +48,24 @@ def sphere4():
 @pytest.fixture(scope="session")
 def sphere6():
     return constant_curvature_geometry(6, 1.0)
+
+
+@pytest.fixture(params=[(member, factor)
+                        for member in [(1, 1, 0), (1, 2, 0), (2, 1, 0),
+                                       (3, 1, 1), (3, 2, 1)]
+                        for factor in (1.0, 1.1, 0.7)],
+                ids=lambda p: "{}:{},{}x{}".format(*p[0], p[1]))
+def scaled_member(request):
+    """A member, as built or with its bracket (0, n - 1) scaled as
+    ``verify --perturb`` does.  Function-scoped, so a 16-dim member's
+    nabla R (8.4 MB) is let go after its test; the scaled members are not
+    dyadic, so a change of summation order shows in their last bits."""
+    member, factor = request.param
+    geo = damek_ricci_geometry(*member)
+    if factor == 1.0:
+        return geo
+    return geometry_from_algebra(
+        scale_bracket(geo.algebra, 0, geo.dim - 1, factor))
 
 
 def unit(dim, axis=0):

@@ -1,6 +1,7 @@
 """Density and shape-operator series against closed-form radial oracles."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -682,6 +683,41 @@ def test_peel_refuses_a_power_beyond_the_ladder():
     radii = np.linspace(0.15, 0.45, 6)
     with pytest.raises(InvalidSampling, match="peeling needs"):
         peel_coefficients(radii ** 2, radii, powers=(2, 14))
+
+
+@pytest.mark.parametrize("radii, values, powers", [
+    # values r^2; every rung underflows to 0, so the design is all zeros
+    ([1e-170, 2e-170, 3e-170], [1e-340, 4e-340, 9e-340], (2, 4)),
+    # values r^2; the r^6 rung overflows to inf
+    ([1e60, 2e60, 3e60], [1e120, 4e120, 9e120], (2, 4, 6)),
+    # a subnormal design entry: the solution overflows
+    ([1e-160], [1e10], (2,)),
+])
+@pytest.mark.filterwarnings("error")
+def test_peel_refuses_a_design_it_cannot_solve(radii, values, powers):
+    """The all-zero design read [0.0, 0.0] without a word; the one that
+    overflows printed a RuntimeWarning and LAPACK errors, then raised a
+    bare LinAlgError; the subnormal one read [inf].  Each is refused,
+    naming the radii."""
+    with pytest.raises(InvalidSampling,
+                       match=re.escape(f"at radii {radii}")):
+        peel_coefficients(values, radii, powers=powers)
+
+
+@pytest.mark.parametrize("radii", [(0.15, 0.21, 0.27, 0.33, 0.39, 0.45),
+                                   np.linspace(0.15, 0.45, 6)],
+                         ids=["bench", "gate"])
+def test_peel_solve_equals_least_squares(radii):
+    """On the radii of the benchmark's and the release gate's flow checks,
+    the LU solve of the square design gives the r^2 and r^4 coefficients
+    of the least-squares solve it replaced to 1e-10 relative (about 1e-12
+    measured)."""
+    radii = np.asarray(radii)
+    values = (np.sinh(radii) / radii) ** 7 - 1.0
+    design = np.stack([radii ** p for p in 2 + 2 * np.arange(6)], axis=1)
+    want, *_ = np.linalg.lstsq(design, values, rcond=None)
+    got = peel_coefficients(values, radii, powers=(2, 4))
+    assert_allclose(got, want[:2], rtol=1e-10, atol=0)
 
 
 def test_trace_closure_consistency(hh2, ns12):

@@ -135,12 +135,16 @@ def test_one_jacobi_flow_integrator():
 
 
 def test_one_power_fit():
-    """The density peel is the one power fit left and solves its design
-    itself; the sphere-curvature oracles read their coefficients off a flow
-    series.  The other least-squares solve is the multiplicity oracle's
-    restriction of the rotation derivative, and no Neville peel is left."""
-    assert calls_by_scope("lstsq") == \
-        {("radial", "peel_coefficients"), ("spectra", "hnm_multiplicity_oracle")}
+    """The density peel is the one power fit left and solves its square
+    design itself, by LU; the sphere-curvature oracles read their
+    coefficients off a flow series.  The one least-squares solve is the
+    multiplicity oracle's restriction of the rotation derivative, and no
+    Neville peel is left."""
+    assert calls_by_scope("lstsq") == {("spectra", "hnm_multiplicity_oracle")}
+    assert scopes_of(lambda node: isinstance(node, ast.Call)
+                     and getattr(node.func, "attr", None) == "solve"
+                     and getattr(node.func.value, "attr", None) == "linalg") \
+        == {("radial", "peel_coefficients")}
     assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
                      and node.name in ("_neville_at_zero",
                                        "_least_squares")) == set()

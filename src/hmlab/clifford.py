@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidMultiplicity, UnsupportedCenterDimension
+from .errors import (InvalidMultiplicity, InvalidSampling,
+                     UnsupportedCenterDimension, checked_integer)
 
 # left multiplication by i, j, k on the quaternions in the basis 1, i, j, k
 _L_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
@@ -50,8 +51,16 @@ class JMap:
         """J_{Z_a} on the full module, as an integer matrix."""
         return np.kron(np.diag(self.signs), self.generators[a])
 
+    def check_center(self, z):
+        """Raises :class:`InvalidSampling` unless ``z`` has one entry per
+        center direction."""
+        if np.shape(z) != (self.center_dim,):
+            raise InvalidSampling(f"center vector {z} needs {self.center_dim} "
+                                  "entries, one per center direction")
+
     def j_of(self, z):
         """J_Z for an arbitrary center vector ``z`` (floats allowed)."""
+        self.check_center(z)
         z = np.asarray(z)
         out = sum(z[a] * self.j_of_center_basis(a) for a in range(self.center_dim))
         return out
@@ -67,9 +76,9 @@ def build_clifford_module(center_dim):
     The generators anticommute and square to -identity; the module
     dimension is 2 (center_dim 1) or 4 (center_dim 2 or 3).
     """
-    if center_dim not in _GENERATORS:
-        raise UnsupportedCenterDimension(
-            f"center dimension {center_dim} outside supported range {{1, 2, 3}}")
+    center_dim = checked_integer("Clifford module", "center dimension",
+                                 center_dim, 1, 3,
+                                 error=UnsupportedCenterDimension)
     return tuple(g.copy() for g in _GENERATORS[center_dim])
 
 
@@ -79,7 +88,9 @@ def build_j_map(center_dim, pos, neg):
     The first ``pos`` copies carry the module action, the remaining ``neg``
     carry its negative.
     """
-    if pos < 0 or neg < 0 or pos + neg == 0:
+    pos = checked_integer("J-map", "pos", pos, 0, error=InvalidMultiplicity)
+    neg = checked_integer("J-map", "neg", neg, 0, error=InvalidMultiplicity)
+    if pos + neg == 0:
         raise InvalidMultiplicity(f"multiplicity ({pos}, {neg}) has no module copies")
     signs = np.array([1] * pos + [-1] * neg, dtype=int)
     return JMap(center_dim=center_dim, pos=pos, neg=neg,

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all hmlab modules."""
+"""Exception taxonomy shared by all hmlab modules, and its integer check."""
+
+import math
+import numbers
 
 
 class HmlabError(Exception):
@@ -6,11 +9,11 @@ class HmlabError(Exception):
 
 
 class UnsupportedCenterDimension(HmlabError):
-    """Clifford module requested for a center dimension outside {1, 2, 3}."""
+    """Clifford module requested for a center dimension not in {1, 2, 3}."""
 
 
 class InvalidMultiplicity(HmlabError):
-    """J-map multiplicities (a, b) must be non-negative with a + b >= 1."""
+    """J-map multiplicities (a, b) must be integers >= 0 with a + b >= 1."""
 
 
 class NotHType(HmlabError):
@@ -23,8 +26,9 @@ class NonFiniteGeometry(HmlabError):
 
 
 class OrderUnsupported(HmlabError):
-    """Derivative or series order beyond what the jet machinery supplies,
-    or a series coefficient asked for above the power its window knows."""
+    """An order not an integer in 0..3 for a jet, in 0..5 and within its
+    jet for a Jacobi series, or >= 1 for a flow series, or a series
+    coefficient asked for above the power its window knows."""
 
 
 class DegreeTooHigh(HmlabError):
@@ -51,18 +55,19 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """Too few samples, directions or grid cells, a sample or direction
-    count or seed that is not an integer, a negative seed, a direction of
-    the wrong shape, a radius or Jacobi-flow steps_per_unit not finite and
-    > 0, peeled values not finite, peeled radii repeated or powers not
-    rising by even gaps within the ladder, a negative harmonic degree, an
-    exact linear system or span candidate that is empty, or a Monte Carlo
-    quantity that is unknown."""
+    """A sample, direction or eigenvalue count, seed, grid or harmonic
+    degree not an integer, too few samples, directions or grid cells, no
+    eigenvalue or more than cells, a negative seed or degree, a direction
+    or center vector of the wrong shape, a radius or Jacobi-flow
+    steps_per_unit not finite and > 0, peeled values not finite, peeled
+    radii repeated or powers not rising by even gaps within the ladder, an
+    empty exact linear system or span candidate, or an unknown Monte Carlo
+    quantity."""
 
 
 class DegreeMismatch(HmlabError):
     """Proper elimination attempted across unequal (or absent) degrees, a
-    ball identity asked for in odd dimension, where its degree is even, an
+    ball identity asked for in a dimension not an even integer >= 2, an
     identity whose degree has the wrong parity for its origin, or
     polynomials not all of the degree a batch of them is built for."""
 
@@ -73,7 +78,9 @@ class OutsideDomain(HmlabError):
     with 1 or the identity, the exp of a matrix series or of one with a
     nonzero term at a power <= 0, an identity vector without one
     coefficient per basis slot, an elimination mode other than 'proper'
-    or 'rudimentary', or a CPoly denominator that is not positive."""
+    or 'rudimentary', a CPoly denominator that is not positive, a series
+    offset not an integer, a dimension not an integer >= 1, or a V_k count
+    not one >= 0."""
 
 
 class SymbolAbsent(HmlabError):
@@ -121,3 +128,15 @@ class ConsistencyFailure(HmlabError):
 class NonFiniteReport(HmlabError):
     """A report would hold NaN or an infinity, which strict JSON cannot
     write; the command writes no report."""
+
+
+def checked_integer(job, name, value, least=-math.inf, most=math.inf,
+                    error=InvalidSampling):
+    """``value`` as a Python int in ``least``..``most``, the one check of an
+    integer argument; a bool counts as no integer.  Else raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{job} needs an integer {name}, got {value!r}")
+    if not least <= value <= most:
+        bound = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise error(f"{job} needs {name} {bound}, got {value}")
+    return int(value)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clifford import build_j_map
 from .errors import (InvalidSampling, NonFiniteGeometry, NotHType,
-                     OrderUnsupported)
+                     OrderUnsupported, OutsideDomain, checked_integer)
 
 # Directions per jet contraction block.  From order 2 up a block holds nabla R
 # with two or three direction pairs folded in, (m, 3, n^3) at most, ~1.3 MB
@@ -211,7 +211,8 @@ def geometry_from_algebra(c, name="group", jmap=None):
 
 def constant_curvature_geometry(dim, kappa=1.0):
     """Space form model: prescribed curvature, parallel frame along rays."""
-    eye = np.eye(dim)
+    eye = np.eye(checked_integer("space form", "dim", dim, 1,
+                                 error=OutsideDomain))
     r = kappa * (np.einsum('bc,ad->abcd', eye, eye) - np.einsum('ac,bd->abcd', eye, eye))
     return Geometry(gamma=np.zeros((dim, dim, dim)), r=r,
                     name=f"space-form(kappa={kappa})")
@@ -252,8 +253,8 @@ def curvature_jet(geometry, u, order=3):
     are contracted ``JET_BLOCK`` at a time.  Every order is built from
     nabla R alone; no higher covariant derivative is formed.
     """
-    if order < 0 or order > 3:
-        raise OrderUnsupported(f"jet order {order} outside supported range 0..3")
+    order = checked_integer("jet", "order", order, 0, 3,
+                            error=OrderUnsupported)
     u = _unit_directions(geometry, u)
     dirs = u.reshape(-1, geometry.dim)
     # an empty batch still runs one (empty) block, so it yields (0, n, n)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidSampling
+from .errors import InvalidSampling, OutsideDomain, checked_integer
 from .geometry import _unit_directions, curvature_jet, ricci
 from .radial import flow_series
 from .series import TruncatedSeries
@@ -31,7 +31,7 @@ def structural_r3_table(n):
     Derived from the frozen transverse-trace series; the sphere reproduces
     every entry through the cotangent expansions.
     """
-    n = int(n)
+    n = checked_integer("r^3 table", "n", n, 1, error=OutsideDomain)
     f = Fraction
     return {
         "cube": {"C3": f(-1, 27), "CH": f(2 * (n - 1), 45),
@@ -62,7 +62,7 @@ P3_WEIGHTS = {
 
 def structural_p_decompositions(n):
     """r^3 decompositions of P2 and the two cubic boundary polynomials."""
-    n = int(n)
+    n = checked_integer("r^3 decompositions", "n", n, 1, error=OutsideDomain)
     t = structural_r3_table(n)
     # P2 = (20n - 8) C tr(sigma) + 16 tr(R_nu sigma); tr(sigma)'s r^3
     # coefficient is -H/45, so the C-weighted term lands in CH.

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooHigh, InvalidSampling
+from .errors import DegreeTooHigh, InvalidSampling, checked_integer
 from .geometry import curvature_jet, ricci
 
 
@@ -192,16 +191,6 @@ def random_directions(dim, count, rng):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _sample_count(job, name, value, least):
-    """``value`` as a Python int of at least ``least``; bools, non-integers
-    and smaller values raise ``InvalidSampling`` naming ``job``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidSampling(f"{job} needs an integer {name}, got {value!r}")
-    if value < least:
-        raise InvalidSampling(f"{job} needs {name} >= {least}, got {value}")
-    return int(value)
-
-
 def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     """Spread of the five direction traces over random unit directions.
 
@@ -214,9 +203,9 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     must be an integer >= 2, for a spread, and ``seed`` an integer >= 0
     (neither a bool), else ``InvalidSampling``.
     """
-    n_directions = _sample_count("harmonicity check", "n_directions",
-                                 n_directions, 2)
-    seed = _sample_count("harmonicity check", "seed", seed, 0)
+    n_directions = checked_integer("harmonicity check", "n_directions",
+                                   n_directions, 2)
+    seed = checked_integer("harmonicity check", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     hi = np.full(5, -np.inf)
     lo = np.full(5, np.inf)
@@ -491,8 +480,9 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     (neither a bool), else ``InvalidSampling``.
     """
     n = geometry.dim
-    n_samples = _sample_count("Monte Carlo average", "n_samples", n_samples, 1)
-    seed = _sample_count("Monte Carlo average", "seed", seed, 0)
+    n_samples = checked_integer("Monte Carlo average", "n_samples",
+                                n_samples, 1)
+    seed = checked_integer("Monte Carlo average", "seed", seed, 0)
     halves, umat, heads, dmat = _mc_form(geometry, quantity)
     k = halves.shape[1]
     p = len(umat)

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvalidSampling, OrderUnsupported, StepFailure,
-                     ZeroLeadingCoefficient)
+from .errors import (InvalidSampling, OrderUnsupported, OutsideDomain,
+                     StepFailure, ZeroLeadingCoefficient, checked_integer)
 from .geometry import _unit_directions, curvature_jet
 from .series import TruncatedSeries
 
@@ -33,8 +33,8 @@ def jacobi_series(jet, order=5):
     recursion (j+2)(j+1) a_{j+2} = -sum R_i a_m is run on Taylor
     coefficients R_i = R^(i)/i!.
     """
-    if order < 0 or order > 5:
-        raise OrderUnsupported(f"jacobi series order {order} outside 0..5")
+    order = checked_integer("Jacobi series", "order", order, 0, 5,
+                            error=OrderUnsupported)
     if order > jet.order + 2:
         raise OrderUnsupported(
             f"series order {order} needs jet order >= {order - 2}, got {jet.order}")
@@ -179,6 +179,7 @@ def volume_series(normalized_density, dim):
     The true area is omega_{n-1} times the first series; the quotient
     ball/area is normalization free.
     """
+    dim = checked_integer("volume series", "dim", dim, 1, error=OutsideDomain)
     area = normalized_density.shift(dim - 1)
     ball_coeffs = [c / (dim + k) for k, c in enumerate(normalized_density.coeffs)]
     ball = TruncatedSeries(ball_coeffs, offset=dim)
@@ -190,6 +191,9 @@ def vk_recursion(a_coeffs, dim, count):
 
     Exact over Fractions: A0 V_k = A_k/(n+k) - sum_{j>=1} A_j V_{k-j}.
     """
+    dim = checked_integer("V_k recursion", "dim", dim, 1, error=OutsideDomain)
+    count = checked_integer("V_k recursion", "count", count, 0,
+                            error=OutsideDomain)
     a = [Fraction(x) for x in a_coeffs]
     if not a or a[0] == 0:
         raise ZeroLeadingCoefficient("density series must start with a nonzero constant")
@@ -387,10 +391,9 @@ def flow_series(geometry, u, order):
     leading batch axis of m for a batch: the r**j coefficient of X is
     ``x[..., j, :, :]``.
     """
+    order = checked_integer("flow series", "order", order, 1,
+                            error=OrderUnsupported)
     u, neg_gamma, neg_r_rows, start = _flow_start(geometry, u)
-    if order < 1:
-        raise OrderUnsupported(
-            f"the flow series needs order >= 1, got {order}")
     n = geometry.dim
     m = len(start)
     y = np.zeros((order + 1,) + start.shape)

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OrderUnsupported, OutsideDomain, SingularSeries
+from .errors import (OrderUnsupported, OutsideDomain, SingularSeries,
+                     checked_integer)
 
 
 def _is_matrix(c):
@@ -56,7 +57,8 @@ class TruncatedSeries:
         if not coeffs:
             raise OutsideDomain("series needs at least one coefficient")
         self.coeffs = coeffs
-        self.offset = int(offset)
+        self.offset = checked_integer("series", "offset", offset,
+                                      error=OutsideDomain)
 
     # -- bookkeeping ------------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
-                     OutsideDomain, SymbolAbsent)
+                     OutsideDomain, SymbolAbsent, checked_integer)
 from .exactlinalg import det, in_span, rref, solve
 from .heatinv import structural_p_decompositions
 from .invariants import point_invariants
@@ -83,7 +83,7 @@ def density_vector(n):
     spectrally determined; after eliminating |R|^2 the constant block is
     (-64n, 96n(n+2), -n(n+2)(n+4)) against main block (112, -32, -27).
     """
-    n = int(n)
+    n = checked_integer("density vector", "n", n, 1, error=OutsideDomain)
     return IdentityVector(
         name="density-r6",
         coeffs=(Fraction(-64 * n), Fraction(96 * n * (n + 2)),
@@ -94,7 +94,7 @@ def density_vector(n):
 
 def ricci_square_vector(n):
     """Second-order sphere identity: nC^3 - R_hat/4 + 2 R_ring is determined."""
-    n = int(n)
+    n = checked_integer("Ricci-square vector", "n", n, 1, error=OutsideDomain)
     return IdentityVector(
         name="ricci-square-r2",
         coeffs=(Fraction(n), Fraction(0), Fraction(0),
@@ -104,6 +104,7 @@ def ricci_square_vector(n):
 
 def gradient_square_vector(n):
     """|grad R|^2 itself is second-order spectrally determined."""
+    checked_integer("gradient-square vector", "n", n, 1, error=OutsideDomain)
     return IdentityVector(
         name="gradient-square-r2",
         coeffs=(Fraction(0),) * 5 + (Fraction(1),),
@@ -123,7 +124,7 @@ def lichnerowicz_vector(n):
     substituting |R|^2 = (2n/3)((n+2)H - C^2) puts 2*(2n/3)(n+2) on CH.
     No radial degree: it does not arise as an expansion coefficient.
     """
-    n = int(n)
+    n = checked_integer("Lichnerowicz vector", "n", n, 1, error=OutsideDomain)
     return IdentityVector(
         name="lichnerowicz",
         coeffs=(Fraction(-4 * n, 3), Fraction(4 * n, 3) * (n + 2), Fraction(0),
@@ -277,8 +278,6 @@ def noise_wave(candidate, gens, gram=None, gram_kind="euclidean"):
     rhs = [sum(a * b for a, b in zip(v.coeffs, candidate.coeffs))
            for v in gens]
     sol = solve(g, rhs)
-    if sol is None:
-        raise DegenerateGram("normal equations inconsistent")
     projection = [Fraction(0)] * len(BASIS)
     for x, v in zip(sol, gens):
         for i, c in enumerate(v.coeffs):
@@ -294,9 +293,9 @@ def noise_wave(candidate, gens, gram=None, gram_kind="euclidean"):
 
 
 def _ball_dimension(n):
-    """``n`` as an int, checked even: the ball degrees n + 1 and n + 5 are
-    odd only then (see ``IdentityVector``)."""
-    n = int(n)
+    """``n`` as an int, checked to be an even integer >= 1: the ball degrees
+    n + 1 and n + 5 are odd only then (see ``IdentityVector``)."""
+    n = checked_integer("ball identity", "n", n, 1, error=DegreeMismatch)
     if n % 2:
         raise DegreeMismatch(
             f"ball identities exist in even dimension only, got n = {n}")

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (ConsistencyFailure, ConvergenceFailure,
                      DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
-                     InvalidSampling, NonIntegrableWeight, NotComplexStructure,
-                     SpectraDiffer, ZeroLatticeVector)
+                     NonIntegrableWeight, NotComplexStructure, SpectraDiffer,
+                     ZeroLatticeVector, checked_integer)
 from .polynomials import (CPoly, PolyBatch, _over_one_denominator,
                           adapted_coordinates, harmonic_projection,
                           harmonic_space_dimension, integer_j,
@@ -56,10 +56,7 @@ def laplacian_symbol(jmap, z_gamma):
     With Z = n / d over one denominator, J_Z = M / d and its unit rows are
     M / sqrt(<n, n>) for the integer matrix M = sum_a n_a J_a.
     """
-    if len(z_gamma) != jmap.center_dim:
-        raise InvalidSampling(
-            f"lattice vector {tuple(z_gamma)} needs {jmap.center_dim} "
-            f"entries, one per center direction")
+    jmap.check_center(z_gamma)
     nums, den = _over_one_denominator([Fraction(x) for x in z_gamma])
     norm_sq = sum(x * x for x in nums)
     if not norm_sq:
@@ -140,8 +137,7 @@ def build_hnm_basis(j_rows, max_degree):
     closed formula for homogeneous harmonics; a violation of either raises
     :class:`ConsistencyFailure`.
     """
-    if max_degree < 0:
-        raise InvalidSampling(f"degree must be at least 0, got {max_degree}")
+    max_degree = checked_integer("bidegree basis", "max_degree", max_degree, 0)
     if max_degree > MAX_DEGREE:
         raise DegreeTooHigh(
             f"bidegree bases are capped at total degree {MAX_DEGREE}")
@@ -208,8 +204,7 @@ def hnm_multiplicity_oracle(j_rows, degree):
     rotation derivative to that space with a least-squares solve, and read
     multiplicities off the spectrum of i times the matrix.
     """
-    if degree < 0:
-        raise InvalidSampling(f"degree must be at least 0, got {degree}")
+    degree = checked_integer("multiplicity oracle", "degree", degree, 0)
     j = integer_j(j_rows)
     _check_complex_structure(j)
     k = len(j_rows)
@@ -348,10 +343,8 @@ def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6):
     error.  A spread exceeding ``MAX_SPREAD`` of the eigenvalue scale
     means the grid never reached the asymptotic regime.
     """
-    if grid < MIN_GRID:
-        raise InvalidSampling(f"grid must be at least {MIN_GRID} cells")
-    if not 1 <= count <= grid:
-        raise InvalidSampling(f"count must be in 1..{grid}, got {count}")
+    grid = checked_integer("radial spectrum", "grid", grid, MIN_GRID)
+    count = checked_integer("radial spectrum", "count", count, 1, grid)
     if op.s_exponent <= 0:
         raise NonIntegrableWeight(
             "measure weight t^(s-1) needs s = (k + 2n)/2 > 0")
@@ -460,8 +453,9 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
     if (ka, la) != (kb, lb):
         raise FamilyMismatch(
             f"members live on different bundles: ({ka},{la}) vs ({kb},{lb})")
-    if min(degrees, default=0) < 0:
-        raise InvalidSampling(f"harmonic degrees must be at least 0: {degrees}")
+    grid = checked_integer("isospectrality report", "grid", grid, MIN_GRID)
+    degrees = [checked_integer("isospectrality report", "degree", degree, 0)
+               for degree in degrees]
     # Lattice vectors on one ray share their unit J, and undetuned members
     # share every radial operator: build the bases of every degree once per
     # unit J and solve each operator once per call, keyed on content.

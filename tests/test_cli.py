@@ -492,7 +492,7 @@ def test_spectrum_extreme_finite_inputs_fail_with_one_line(extra, capsys):
 def test_unsupported_center_dimension_is_a_usage_error(command, center,
                                                         capsys):
     assert main([command, "--family", f"{center}:1,0;0,1"]) == 2
-    assert f"center dimension {center} outside" in capsys.readouterr().err
+    assert f"center dimension in 1..3, got {center}" in capsys.readouterr().err
 
 
 def refuse_constant(name):

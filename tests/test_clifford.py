@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hmlab.clifford import build_clifford_module, build_j_map
-from hmlab.errors import InvalidMultiplicity, UnsupportedCenterDimension
+from hmlab.errors import (InvalidMultiplicity, InvalidSampling,
+                          UnsupportedCenterDimension)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -38,6 +39,14 @@ def test_empty_module_rejected():
         build_j_map(3, 0, 0)
     with pytest.raises(InvalidMultiplicity):
         build_j_map(3, -1, 2)
+
+
+@pytest.mark.parametrize("z", [(1, 0, 0, 5), (1, 0)])
+def test_j_of_refuses_a_center_vector_of_the_wrong_length(z):
+    """A fourth entry was dropped silently, and a missing one raised a bare
+    IndexError."""
+    with pytest.raises(InvalidSampling, match="needs 3 entries"):
+        build_j_map(3, 1, 0).j_of(z)
 
 
 def test_clifford_condition_for_mixed_signature():

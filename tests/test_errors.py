@@ -1,0 +1,173 @@
+"""The one integer check: every order, degree, count, grid, dimension,
+multiplicity and series offset of the package goes through
+``errors.checked_integer``, so a bool, a non-integer and a value out of
+range each raise the typed error of the call, and a numpy integer gives
+the same result as the int."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hmlab.clifford import build_clifford_module, build_j_map
+from hmlab.errors import (DegreeMismatch, InvalidMultiplicity,
+                          InvalidSampling, OrderUnsupported, OutsideDomain,
+                          UnsupportedCenterDimension)
+from hmlab.geometry import constant_curvature_geometry, curvature_jet
+from hmlab.heatinv import structural_p_decompositions, structural_r3_table
+from hmlab.radial import flow_series, jacobi_series, vk_recursion, volume_series
+from hmlab.series import TruncatedSeries
+from hmlab.sis import (ball_boundary_vector, ball_volume_vector,
+                       canonical_generators, density_vector,
+                       gradient_square_vector, lichnerowicz_vector,
+                       ricci_square_vector)
+from hmlab.spectra import (RadialOperator, build_hnm_basis,
+                           hnm_multiplicity_oracle, isospectrality_report,
+                           laplacian_symbol, radial_spectrum)
+
+OP = RadialOperator(k=2, n=0, m=0, mu=0.0)
+U = np.eye(4)[0]  # a unit direction of ch2
+
+
+def rows():
+    return laplacian_symbol(build_j_map(1, 1, 0), (1,)).j_unit_rows
+
+
+def jet(fx):
+    return curvature_jet(fx("ch2"), U, order=3)
+
+
+def isospec(fx, **kwargs):
+    return isospectrality_report(fx("hh3"), fx("ns12"), [(1, 0, 0)], **kwargs)
+
+
+# (call of the fixture getter and the integer, a valid integer, the error
+# the call raises, the name its message gives the integer)
+SITES = {
+    "curvature_jet.order": (
+        lambda fx, v: curvature_jet(fx("ch2"), U, order=v), 2,
+        OrderUnsupported, "order"),
+    "constant_curvature_geometry.dim": (
+        lambda fx, v: constant_curvature_geometry(v), 4,
+        OutsideDomain, "dim"),
+    "build_clifford_module.center_dim": (
+        lambda fx, v: build_clifford_module(v), 2,
+        UnsupportedCenterDimension, "center dimension"),
+    "build_j_map.pos": (
+        lambda fx, v: build_j_map(1, v, 0), 1, InvalidMultiplicity, "pos"),
+    "build_j_map.neg": (
+        lambda fx, v: build_j_map(1, 0, v), 1, InvalidMultiplicity, "neg"),
+    "jacobi_series.order": (
+        lambda fx, v: jacobi_series(jet(fx), order=v), 4,
+        OrderUnsupported, "order"),
+    "flow_series.order": (
+        lambda fx, v: flow_series(fx("ch2"), U, v), 3,
+        OrderUnsupported, "order"),
+    "volume_series.dim": (
+        lambda fx, v: volume_series(TruncatedSeries([1.0, 0.0, 0.25]), v), 4,
+        OutsideDomain, "dim"),
+    "vk_recursion.dim": (
+        lambda fx, v: vk_recursion([1, 0, Fraction(1, 3)], v, 3), 4,
+        OutsideDomain, "dim"),
+    "vk_recursion.count": (
+        lambda fx, v: vk_recursion([1, 0, Fraction(1, 3)], 4, v), 3,
+        OutsideDomain, "count"),
+    "build_hnm_basis.max_degree": (
+        lambda fx, v: build_hnm_basis(rows(), v), 2,
+        InvalidSampling, "max_degree"),
+    "hnm_multiplicity_oracle.degree": (
+        lambda fx, v: hnm_multiplicity_oracle(rows(), v), 2,
+        InvalidSampling, "degree"),
+    "radial_spectrum.grid": (
+        lambda fx, v: radial_spectrum(OP, 10.0, grid=v), 64,
+        InvalidSampling, "grid"),
+    "radial_spectrum.count": (
+        lambda fx, v: radial_spectrum(OP, 10.0, grid=64, count=v), 2,
+        InvalidSampling, "count"),
+    "isospectrality_report.degrees": (
+        lambda fx, v: isospec(fx, degrees=(0, v), grid=64), 1,
+        InvalidSampling, "degree"),
+    "isospectrality_report.grid": (
+        lambda fx, v: isospec(fx, degrees=(0,), grid=v), 64,
+        InvalidSampling, "grid"),
+    "density_vector.n": (
+        lambda fx, v: density_vector(v), 12, OutsideDomain, "n"),
+    "ricci_square_vector.n": (
+        lambda fx, v: ricci_square_vector(v), 12, OutsideDomain, "n"),
+    "gradient_square_vector.n": (
+        lambda fx, v: gradient_square_vector(v), 12, OutsideDomain, "n"),
+    "canonical_generators.n": (
+        lambda fx, v: canonical_generators(v), 12, OutsideDomain, "n"),
+    "lichnerowicz_vector.n": (
+        lambda fx, v: lichnerowicz_vector(v), 12, OutsideDomain, "n"),
+    "ball_boundary_vector.n": (
+        lambda fx, v: ball_boundary_vector(v), 12, DegreeMismatch, "n"),
+    "ball_volume_vector.n": (
+        lambda fx, v: ball_volume_vector(v), 12, DegreeMismatch, "n"),
+    "structural_r3_table.n": (
+        lambda fx, v: structural_r3_table(v), 12, OutsideDomain, "n"),
+    "structural_p_decompositions.n": (
+        lambda fx, v: structural_p_decompositions(v), 12, OutsideDomain, "n"),
+    "TruncatedSeries.offset": (
+        lambda fx, v: TruncatedSeries([1.0, 2.0], offset=v), 2,
+        OutsideDomain, "offset"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2"], ids=repr)
+@pytest.mark.parametrize("site", SITES)
+def test_a_bool_or_non_integer_raises_the_typed_error(site, bad, request):
+    """Each was taken before: True as 1, a float cut to an int or used as
+    a grid, a string passed through int(), or it fell over with a bare
+    TypeError."""
+    call, _, error, name = SITES[site]
+    with pytest.raises(error, match=f"needs an integer {name}, got"):
+        call(request.getfixturevalue, bad)
+
+
+def bits(x):
+    """``x`` as plain values: float and complex arrays and floats by their
+    bits, other arrays as lists, objects by their fields."""
+    if isinstance(x, np.ndarray):
+        return x.view(np.int64).tolist() if x.dtype.kind in "fc" \
+            else x.tolist()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [bits(v) for v in x]
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if hasattr(x, "__slots__"):
+        return (type(x).__name__,
+                [bits(getattr(x, name)) for name in x.__slots__])
+    if hasattr(x, "__dict__"):
+        return (type(x).__name__, bits(vars(x)))
+    return x
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_a_numpy_integer_gives_the_result_of_the_int(site, request):
+    call, valid, _, _ = SITES[site]
+    fx = request.getfixturevalue
+    assert bits(call(fx, np.int64(valid))) == bits(call(fx, valid))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: constant_curvature_geometry(0), OutsideDomain),
+    (lambda: volume_series(TruncatedSeries([1.0]), 0), OutsideDomain),
+    (lambda: vk_recursion([1], 0, 3), OutsideDomain),
+    (lambda: vk_recursion([1], 4, -1), OutsideDomain),
+    (lambda: density_vector(0), OutsideDomain),
+    (lambda: gradient_square_vector(-3), OutsideDomain),
+    (lambda: lichnerowicz_vector(0), OutsideDomain),
+    (lambda: ball_volume_vector(0), DegreeMismatch),
+    (lambda: structural_p_decompositions(0), OutsideDomain),
+    (lambda: TruncatedSeries([1.0, 2.0]).shift(1.5), OutsideDomain),
+], ids=["space form", "volume", "vk dim", "vk count", "density",
+        "gradient", "lichnerowicz", "ball", "r3 decompositions", "shift"])
+def test_a_value_out_of_range_raises_the_typed_error(call, error):
+    """Each was built before, from a dimension or count no space has, or
+    fell over with a ZeroDivisionError."""
+    with pytest.raises(error):
+        call()
+

@@ -235,6 +235,28 @@ def test_reports_are_written_in_one_place():
         {("cli", "write_report")}
 
 
+def test_one_integer_check():
+    """Every integer argument is checked by errors.checked_integer, the one
+    reader of numbers.Integral; no function coerces an argument of its own
+    with int(), which took 2.5 as 2, True as 1 and "2" as 2."""
+    assert scopes_of(lambda node: isinstance(node, ast.Attribute)
+                     and node.attr == "Integral") == \
+        {("errors", "checked_integer")}
+    coercions = set()
+    for path in sorted(Path(hmlab.__file__).parent.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                params = {a.arg for a in ast.walk(fn.args)
+                          if isinstance(a, ast.arg)}
+                coercions |= {(path.stem, fn.name) for call in ast.walk(fn)
+                              if isinstance(call, ast.Call)
+                              and getattr(call.func, "id", None) == "int"
+                              and call.args
+                              and isinstance(call.args[0], ast.Name)
+                              and call.args[0].id in params}
+    assert coercions == {("errors", "checked_integer")}
+
+
 def test_truncated_series_has_one_window_rule():
     """A series knows the powers offset..offset + len(coeffs) - 1; any
     further slot would be hidden state for a second window mode."""

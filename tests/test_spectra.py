@@ -848,7 +848,7 @@ def test_isospec_checks_and_adapts_each_unit_structure_once(hh3, ns12,
 
 
 def test_isospectrality_rejects_a_negative_degree(hh3, ns12):
-    with pytest.raises(InvalidSampling, match="at least 0"):
+    with pytest.raises(InvalidSampling, match="degree >= 0"):
         isospectrality_report(hh3, ns12, [(1, 0, 0)], degrees=(-1, 1))
 
 
@@ -862,6 +862,14 @@ def test_isospectrality_refuses_an_irrational_norm_before_solving(
     with pytest.raises(NotComplexStructure, match="irrational norm"):
         isospectrality_report(hh3, ns12, lattice, degrees=(0, 1), grid=64)
     assert builds == solves == []
+
+
+def test_isospectrality_checks_the_grid_before_any_build(hh3, ns12,
+                                                        monkeypatch):
+    builds = counting(monkeypatch, "build_hnm_basis")
+    with pytest.raises(InvalidSampling, match="grid >= 64, got 32"):
+        isospectrality_report(hh3, ns12, [(1, 0, 0)], degrees=(0,), grid=32)
+    assert builds == []
 
 
 def test_isospectrality_negative_control(hh3, ns12):

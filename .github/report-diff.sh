@@ -40,6 +40,10 @@ commands=(
   # the 24-dim pair through verify, which lets go of each member's nabla R
   # (64 MB) before the next member's is formed
   "verify --family 3:5,0;4,1 --directions 40"
+  # the J-map comparison at center dimension 1, whose two lattice vectors
+  # lie on one ray, and the noise wave at n = 6
+  "isospec --family 1:1,0;0,1 --max-degree 2"
+  "sis --family 1:2,0"
 )
 
 work=$(mktemp -d)

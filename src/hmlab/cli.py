@@ -256,13 +256,11 @@ def cmd_isospec(args):
     l, members = parse_family(args.family)
     if len(members) != 2:
         raise UsageError("isospectrality comparison needs exactly two members")
-    built = list(build_members(l, members))
-    report = isospectrality_report(built[0][1], built[1][1],
-                                   default_lattice(l),
+    jmap_a, jmap_b = (build_j_map(l, a, b) for a, b in members)
+    report = isospectrality_report(jmap_a, jmap_b, default_lattice(l),
                                    degrees=tuple(range(args.max_degree + 1)),
-                                   grid=args.grid,
-                                   mu_scale_b=args.detune)
-    write_report(args, {"members": [built[0][0], built[1][0]],
+                                   grid=args.grid, mu_scale_b=args.detune)
+    write_report(args, {"members": [member_label(l, a, b) for a, b in members],
                         "detune": args.detune, **vars(report)})
     return 0 if report.isospectral else 1
 
@@ -274,11 +272,10 @@ def cmd_sis(args):
     l, members = parse_family(args.family)
     require(len(members) == 1, "--family", args.family, "one member")
     # the ball identities sit at the odd degrees n + 1 and n + 5
-    dim = build_j_map(l, *members[0]).total_dim + l + 1
-    require(dim % 2 == 0, "--family", args.family,
-            f"a member of even dimension (this one has dimension {dim})")
+    n = build_j_map(l, *members[0]).total_dim + l + 1
+    require(n % 2 == 0, "--family", args.family,
+            f"a member of even dimension (this one has dimension {n})")
     [(label, geo)] = build_members(l, members)
-    n = geo.dim
     gens = canonical_generators(n)
     lich = lichnerowicz_vector(n)
     plain = rank_and_membership(gens, lich, graded=False)

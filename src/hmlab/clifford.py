@@ -8,6 +8,7 @@ everything downstream that wants exact rational arithmetic can have it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,23 +48,28 @@ class JMap:
     def total_dim(self):
         return (self.pos + self.neg) * self.generators[0].shape[0]
 
+    @property
+    def name(self):
+        """The name of the Damek-Ricci member this J-map builds."""
+        return f"DR(l={self.center_dim}; {self.pos},{self.neg})"
+
     def j_of_center_basis(self, a):
         """J_{Z_a} on the full module, as an integer matrix."""
         return np.kron(np.diag(self.signs), self.generators[a])
 
     def check_center(self, z):
         """Raises :class:`InvalidSampling` unless ``z`` has one entry per
-        center direction."""
-        if np.shape(z) != (self.center_dim,):
-            raise InvalidSampling(f"center vector {z} needs {self.center_dim} "
-                                  "entries, one per center direction")
+        center direction, each a finite real number."""
+        if np.shape(z) != (self.center_dim,) or not all(
+                isinstance(x, numbers.Real) and abs(x) < np.inf for x in z):
+            raise InvalidSampling(
+                f"center vector {z} needs {self.center_dim} entries, one per "
+                "center direction, each a finite real number")
 
     def j_of(self, z):
         """J_Z for an arbitrary center vector ``z`` (floats allowed)."""
         self.check_center(z)
-        z = np.asarray(z)
-        out = sum(z[a] * self.j_of_center_basis(a) for a in range(self.center_dim))
-        return out
+        return sum(x * j for x, j in zip(z, self.all_j()))
 
     def all_j(self):
         return [self.j_of_center_basis(a) for a in range(self.center_dim)]

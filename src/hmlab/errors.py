@@ -21,8 +21,8 @@ class NotHType(HmlabError):
 
 
 class NonFiniteGeometry(HmlabError):
-    """The connection or curvature built from structure constants is not
-    finite (the brackets overflow it), so no invariant of it can be."""
+    """The connection or curvature built from structure constants (the
+    brackets overflow it) or a space form's curvature is not finite."""
 
 
 class OrderUnsupported(HmlabError):
@@ -55,14 +55,14 @@ class StepFailure(HmlabError):
 
 
 class InvalidSampling(HmlabError):
-    """A sample, direction or eigenvalue count, seed, grid or harmonic
-    degree not an integer, too few samples, directions or grid cells, no
-    eigenvalue or more than cells, a negative seed or degree, a direction
-    or center vector of the wrong shape, a radius or Jacobi-flow
-    steps_per_unit not finite and > 0, peeled values not finite, peeled
-    radii repeated or powers not rising by even gaps within the ladder, an
-    empty exact linear system or span candidate, or an unknown Monte Carlo
-    quantity."""
+    """A sample, direction or eigenvalue count, seed, grid or harmonic degree
+    not an integer, too few samples, directions or grid cells, no eigenvalue
+    or more than cells, a negative seed or degree, a direction or center
+    vector of the wrong shape, a center vector entry not a finite real
+    number, a verification tolerance, radius or flow steps_per_unit not
+    finite and > 0, peeled values not finite, peeled radii repeated or powers
+    not rising by even gaps within the ladder, an empty exact linear system
+    or span candidate, or an unknown Monte Carlo quantity."""
 
 
 class DegreeMismatch(HmlabError):

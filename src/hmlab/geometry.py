@@ -210,9 +210,12 @@ def geometry_from_algebra(c, name="group", jmap=None):
 
 
 def constant_curvature_geometry(dim, kappa=1.0):
-    """Space form model: prescribed curvature, parallel frame along rays."""
+    """Space form model: prescribed finite curvature, parallel frame along
+    rays."""
     eye = np.eye(checked_integer("space form", "dim", dim, 1,
                                  error=OutsideDomain))
+    if not math.isfinite(kappa):
+        raise NonFiniteGeometry(f"space form curvature {kappa} is not finite")
     r = kappa * (np.einsum('bc,ad->abcd', eye, eye) - np.einsum('ac,bd->abcd', eye, eye))
     return Geometry(gamma=np.zeros((dim, dim, dim)), r=r,
                     name=f"space-form(kappa={kappa})")
@@ -222,9 +225,8 @@ def damek_ricci_geometry(center_dim, pos, neg):
     """Damek-Ricci geometry for a center of dimension ``center_dim`` and
     module multiplicity (pos, neg)."""
     jmap = build_j_map(center_dim, pos, neg)
-    algebra = build_damek_ricci(jmap)
-    name = f"DR(l={center_dim}; {pos},{neg})"
-    return geometry_from_algebra(algebra, name=name, jmap=jmap)
+    return geometry_from_algebra(build_damek_ricci(jmap), name=jmap.name,
+                                 jmap=jmap)
 
 
 def _unit_directions(geometry, u):

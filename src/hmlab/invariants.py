@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import string
 from dataclasses import dataclass
 
@@ -168,6 +169,14 @@ class ResidualReport:
                 "rows": self.rows}
 
 
+def _tolerance(job, tol):
+    """``tol`` if a finite real number > 0, else InvalidSampling: an infinite
+    one passes every residual, and NaN, 0 or a negative one fails every row."""
+    if not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise InvalidSampling(f"{job} needs tol finite and > 0, got {tol!r}")
+    return tol
+
+
 def _residual_row(name, lhs, rhs, tol, scale=None):
     if scale is None:
         scale = max(abs(lhs), abs(rhs), 1.0)
@@ -200,12 +209,13 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     already forces them to vanish.  Directions are drawn and evaluated
     ``MC_BLOCK`` at a time, keeping a running maximum and minimum; the
     draws are those of one ``random_directions`` call.  ``n_directions``
-    must be an integer >= 2, for a spread, and ``seed`` an integer >= 0
-    (neither a bool), else ``InvalidSampling``.
+    must be an integer >= 2, for a spread, ``seed`` an integer >= 0
+    (neither a bool) and ``tol`` finite and > 0, else ``InvalidSampling``.
     """
     n_directions = checked_integer("harmonicity check", "n_directions",
                                    n_directions, 2)
     seed = checked_integer("harmonicity check", "seed", seed, 0)
+    tol = _tolerance("harmonicity check", tol)
     rng = np.random.default_rng(seed)
     hi = np.full(5, -np.inf)
     lo = np.full(5, np.inf)
@@ -230,6 +240,7 @@ def verify_einstein_identities(geometry, tol=1e-8):
     Lichnerowicz-type identity must vanish.  All three hold on every member
     of the families built here and pin the normalization of each scalar.
     """
+    tol = _tolerance("Einstein identities", tol)
     pi = point_invariants(geometry)
     n, c, h, l = pi.dim, pi.c, pi.h, pi.l
     ric = ricci(geometry.r)
@@ -334,7 +345,8 @@ def beta_tensor(geometry):
 
 
 def verify_average_identities(geometry, tol=1e-7):
-    """The two sphere-average identities for the mixed cubic traces."""
+    """The sphere-average identities for the mixed cubic traces."""
+    tol = _tolerance("average identities", tol)
     pi = point_invariants(geometry)
     n, c = pi.dim, pi.c
     r, s1 = geometry.r, geometry.nabla_r

@@ -100,6 +100,7 @@ class TruncatedSeries:
 
     def shift(self, delta):
         """Multiply by r**delta."""
+        delta = checked_integer("shift", "delta", delta, error=OutsideDomain)
         return TruncatedSeries(self.coeffs, self.offset + delta)
 
     # -- ring operations --------------------------------------------------

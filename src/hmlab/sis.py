@@ -23,10 +23,6 @@ _INDEX = {name: i for i, name in enumerate(BASIS)}
 CONST_SLOTS = 3
 
 
-def _fr(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class IdentityVector:
     """One linear identity over the six-slot basis.
@@ -48,8 +44,10 @@ class IdentityVector:
     def __post_init__(self):
         if len(self.coeffs) != len(BASIS):
             raise OutsideDomain(f"expected {len(BASIS)} coefficients")
-        object.__setattr__(self, "coeffs", tuple(_fr(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(Fraction, self.coeffs)))
         if self.degree is not None:
+            object.__setattr__(self, "degree", checked_integer(
+                "identity", "degree", self.degree, error=DegreeMismatch))
             parity = self.degree % 2
             expected = 0 if self.origin == "sphere" else 1
             if parity != expected:
@@ -145,12 +143,6 @@ class MembershipReport:
     generators_used: list
 
 
-def _main_det(rows):
-    if len(rows) == 3:
-        return det(rows)
-    return Fraction(0)
-
-
 def rank_and_membership(gens, candidate, graded=False):
     """Exact span test of ``candidate`` against the rows of ``gens``.
 
@@ -180,7 +172,8 @@ def rank_and_membership(gens, candidate, graded=False):
         graded=graded,
         pivot_columns=tuple(pivots),
         main_submatrix=main_rows,
-        main_submatrix_det=_main_det(main_rows),
+        main_submatrix_det=(det(main_rows) if len(main_rows) == 3
+                            else Fraction(0)),
         generators_used=[g.name for g in usable])
 
 
@@ -222,11 +215,6 @@ def eliminate(target, tool, symbol, mode="proper"):
 # -- noise projection ----------------------------------------------------------
 
 
-def euclidean_gram(vectors):
-    return [[sum(a * b for a, b in zip(v.coeffs, w.coeffs)) for w in vectors]
-            for v in vectors]
-
-
 def moment_gram(geometry, vectors):
     """Gram from exact sphere moments of the slot realizations.
 
@@ -262,31 +250,27 @@ class NoiseReport:
                 "residual": dict(zip(BASIS, self.residual))}
 
 
-def noise_wave(candidate, gens, gram=None, gram_kind="euclidean"):
-    """Orthogonal split of ``candidate`` against the span of ``gens``.
+def noise_wave(candidate, gens):
+    """Orthogonal split of ``candidate`` against the span of ``gens`` in the
+    Euclidean inner product of the six slots.
 
     Normal equations are solved exactly over Fraction; a singular Gram
     matrix raises instead of being regularized, because a pseudo-inverse
     would silently pick a representative the theory cannot justify.
     """
-    if gram is None:
-        gram = euclidean_gram(gens)
-        gram_kind = "euclidean"
-    g = [[_fr(x) for x in row] for row in gram]
-    if not gens or not det(g):
+    def dot(v, w):
+        return sum(a * b for a, b in zip(v.coeffs, w.coeffs))
+
+    gram = [[dot(v, w) for w in gens] for v in gens]
+    if not gens or not det(gram):
         raise DegenerateGram("generator gram matrix is singular")
-    rhs = [sum(a * b for a, b in zip(v.coeffs, candidate.coeffs))
-           for v in gens]
-    sol = solve(g, rhs)
-    projection = [Fraction(0)] * len(BASIS)
-    for x, v in zip(sol, gens):
-        for i, c in enumerate(v.coeffs):
-            projection[i] += x * c
+    sol = solve(gram, [dot(v, candidate) for v in gens])
+    projection = tuple(sum(x * v.coeffs[i] for x, v in zip(sol, gens))
+                       for i in range(len(BASIS)))
     residual = tuple(c - p for c, p in zip(candidate.coeffs, projection))
-    norm_sq = sum(r * r for r in residual)
-    return NoiseReport(gram_kind=gram_kind, coefficients=list(sol),
-                       projection=tuple(projection), residual=residual,
-                       noise_norm_sq=norm_sq)
+    return NoiseReport(gram_kind="euclidean", coefficients=list(sol),
+                       projection=projection, residual=residual,
+                       noise_norm_sq=sum(r * r for r in residual))
 
 
 # -- demo vectors for the elimination transcript -------------------------------

@@ -431,25 +431,21 @@ class IsospectralityReport:
     isospectral: bool
 
 
-def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2),
+def isospectrality_report(jmap_a, jmap_b, lattice_vectors, degrees=(0, 1, 2),
                           grid=128, mu_scale_b=1.0):
-    """Compare the four leading eigenvalues of each lattice sector of two
-    family members.
+    """Compare the four leading eigenvalues of each lattice sector of the
+    family members of two J-maps.
 
     Every cell pairs identical radial parameters, so equality is by
     construction; the numerical comparison is still carried out and
     reported.  ``mu_scale_b`` deliberately detunes the second member for
-    negative controls.  Both members need Clifford data (a ``jmap``); a
-    space form or a perturbed group raises :class:`FamilyMismatch`, a
-    lattice vector of irrational norm :class:`NotComplexStructure`, and a
-    sector that does not converge a :class:`ConvergenceFailure` naming it.
+    negative controls.  J-maps on different bundles raise
+    :class:`FamilyMismatch`, a lattice vector of irrational norm
+    :class:`NotComplexStructure`, and a sector that does not converge a
+    :class:`ConvergenceFailure` naming it.
     """
-    for member in (member_a, member_b):
-        if member.jmap is None:
-            raise FamilyMismatch(
-                f"{member.name} carries no J-map, so it is no family member")
-    ka, la = member_a.jmap.total_dim, member_a.jmap.center_dim
-    kb, lb = member_b.jmap.total_dim, member_b.jmap.center_dim
+    ka, la = jmap_a.total_dim, jmap_a.center_dim
+    kb, lb = jmap_b.total_dim, jmap_b.center_dim
     if (ka, la) != (kb, lb):
         raise FamilyMismatch(
             f"members live on different bundles: ({ka},{la}) vs ({kb},{lb})")
@@ -468,20 +464,20 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
             bases[key] = build_hnm_basis(rows, top)
         return bases[key]
 
-    def spectrum(op, member, z, degree, m):
+    def spectrum(op, jmap, z, degree, m):
         if op not in solved:
             try:
                 solved[op] = radial_spectrum(op, 10.0, (0.0, 1.0), grid, 4)
             except ConvergenceFailure as exc:
                 raise ConvergenceFailure(
-                    f"{member.name}, lattice vector {z}, degree {degree}, "
+                    f"{jmap.name}, lattice vector {z}, degree {degree}, "
                     f"m = {m}: {exc}") from exc
         return solved[op]
 
     # laplacian_symbol refuses an irrational norm, so every lattice vector
     # is checked before any build or solve and none drops out
-    symbols = [(z, laplacian_symbol(member_a.jmap, z),
-                laplacian_symbol(member_b.jmap, z)) for z in lattice_vectors]
+    symbols = [(z, laplacian_symbol(jmap_a, z), laplacian_symbol(jmap_b, z))
+               for z in lattice_vectors]
     blocks = []
     all_agree = True
     for z, sym_a, sym_b in symbols:
@@ -498,8 +494,8 @@ def isospectrality_report(member_a, member_b, lattice_vectors, degrees=(0, 1, 2)
                 dim_b = basis_b.dims.get(m, 0)
                 op_a = operator_for_sector(ka, degree, m, sym_a.mu)
                 op_b = operator_for_sector(kb, degree, m, sym_b.mu * mu_scale_b)
-                rep_a = spectrum(op_a, member_a, z, degree, m)
-                rep_b = spectrum(op_b, member_b, z, degree, m)
+                rep_a = spectrum(op_a, jmap_a, z, degree, m)
+                rep_b = spectrum(op_b, jmap_b, z, degree, m)
                 diff = float(np.max(np.abs(rep_a.eigenvalues - rep_b.eigenvalues)))
                 budget = float(np.max(rep_a.error_bars + rep_b.error_bars))
                 agree = dim_a == dim_b and diff <= max(budget, 1e-12)

@@ -131,6 +131,7 @@ def test_out_of_range_inputs_are_usage_errors_before_any_work(
         raise AssertionError("work started before the inputs were checked")
 
     monkeypatch.setattr(hmlab.cli, "build_members", no_work)
+    monkeypatch.setattr(hmlab.cli, "isospectrality_report", no_work)
     monkeypatch.setattr(hmlab.cli, "radial_spectrum", no_work)
     if argv[0] == "isospec":
         argv = argv + ["--family", "3:2,0;1,1"]
@@ -397,6 +398,24 @@ def test_isospec_pair_and_detuned_control(tmp_path):
     payload = json.loads(text)
     assert payload["detune"] == 1.05
     assert payload["isospectral"] is False
+
+
+def test_isospec_builds_no_geometry(tmp_path, monkeypatch):
+    """The comparison reads nothing of a member but its J-map: with
+    ``geometry_from_algebra`` raising, isospec writes the same report."""
+    import hmlab.cli
+    import hmlab.geometry
+
+    argv = ["isospec", "--family", "3:2,0;1,1", "--max-degree", "1"]
+    rc, want = run_to_dir(argv, tmp_path, "isospec.json", sub="built")
+    assert rc == 0
+
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("isospec built a geometry")
+
+    monkeypatch.setattr(hmlab.geometry, "geometry_from_algebra", no_geometry)
+    monkeypatch.setattr(hmlab.cli, "geometry_from_algebra", no_geometry)
+    assert run_to_dir(argv, tmp_path, "isospec.json", sub="jmaps") == (0, want)
 
 
 def test_sis_transcript_contents(tmp_path):

@@ -17,7 +17,7 @@ from hmlab.geometry import constant_curvature_geometry, curvature_jet
 from hmlab.heatinv import structural_p_decompositions, structural_r3_table
 from hmlab.radial import flow_series, jacobi_series, vk_recursion, volume_series
 from hmlab.series import TruncatedSeries
-from hmlab.sis import (ball_boundary_vector, ball_volume_vector,
+from hmlab.sis import (IdentityVector, ball_boundary_vector, ball_volume_vector,
                        canonical_generators, density_vector,
                        gradient_square_vector, lichnerowicz_vector,
                        ricci_square_vector)
@@ -38,7 +38,8 @@ def jet(fx):
 
 
 def isospec(fx, **kwargs):
-    return isospectrality_report(fx("hh3"), fx("ns12"), [(1, 0, 0)], **kwargs)
+    return isospectrality_report(fx("hh3").jmap, fx("ns12").jmap, [(1, 0, 0)],
+                                 **kwargs)
 
 
 # (call of the fixture getter and the integer, a valid integer, the error
@@ -111,6 +112,15 @@ SITES = {
     "TruncatedSeries.offset": (
         lambda fx, v: TruncatedSeries([1.0, 2.0], offset=v), 2,
         OutsideDomain, "offset"),
+    "TruncatedSeries.shift": (
+        lambda fx, v: TruncatedSeries([1.0, 2.0]).shift(v), 2,
+        OutsideDomain, "delta"),
+    "IdentityVector.degree": (
+        lambda fx, v: IdentityVector("x", (0,) * 6, degree=v), 6,
+        DegreeMismatch, "degree"),
+    "IdentityVector.degree.ball": (
+        lambda fx, v: IdentityVector("x", (0,) * 6, degree=v, origin="ball"),
+        7, DegreeMismatch, "degree"),
 }
 
 

@@ -157,6 +157,14 @@ def test_a_curvature_that_is_not_finite_is_refused_at_build(scaled, entry):
         geometry_from_algebra(c, name=geo.name)
 
 
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf], ids=repr)
+def test_a_space_form_whose_curvature_is_not_finite_is_refused(kappa):
+    """Its curvature tensor was all NaN, with a RuntimeWarning the only
+    sign."""
+    with pytest.raises(NonFiniteGeometry, match="curvature .* is not finite"):
+        constant_curvature_geometry(4, kappa)
+
+
 def test_covariant_derivative_kills_parallel_metric(hh2):
     gamma = levi_civita(hh2.algebra)
     dg = covariant_derivative(gamma, np.eye(8))

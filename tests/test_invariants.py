@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hmlab import invariants
 from hmlab.errors import DegreeTooHigh, HmlabError, InvalidSampling
 from hmlab.clifford import build_j_map
 from hmlab.geometry import (JET_BLOCK, build_htype_algebra,
@@ -588,6 +589,41 @@ def test_harmonicity_takes_numpy_integers(ch2):
     rows = verify_harmonicity(ch2, n_directions=np.int64(5),
                               seed=np.uint8(3)).rows
     assert rows == verify_harmonicity(ch2, n_directions=5, seed=3).rows
+
+
+BATTERIES = [verify_harmonicity, verify_einstein_identities,
+             verify_average_identities]
+
+
+@pytest.mark.parametrize("battery", BATTERIES, ids=lambda f: f.__name__)
+def test_an_infinite_tolerance_cannot_pass_a_detuned_member(ch2, battery,
+                                                            monkeypatch):
+    """The 1:1,0 member with bracket (0, n - 1) scaled by 1.25, as
+    ``verify --perturb 1.25`` builds it, fails each battery at its default
+    tolerance; tol=inf passed all three, a wrong verdict.  It is refused
+    before any curvature work."""
+    geo = geometry_from_algebra(scale_bracket(ch2.algebra, 0, ch2.dim - 1,
+                                              1.25))
+    assert not battery(geo).passed
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("curvature work started before tol was checked")
+
+    monkeypatch.setattr(invariants, "point_invariants", no_work)
+    monkeypatch.setattr(invariants, "direction_constants", no_work)
+    with pytest.raises(InvalidSampling, match="tol finite and > 0, got inf"):
+        battery(geo, tol=math.inf)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, -math.inf, "1e-8"],
+                         ids=repr)
+@pytest.mark.parametrize("battery", BATTERIES, ids=lambda f: f.__name__)
+def test_a_battery_refuses_a_tolerance_that_fails_every_row(ch2, battery,
+                                                            tol):
+    """NaN, 0 and a negative tolerance failed every row; a string fell over
+    in the comparison with a bare TypeError."""
+    with pytest.raises(InvalidSampling, match="tol finite and > 0"):
+        battery(ch2, tol=tol)
 
 
 def test_cube_average_tensor_consistency(ns12):

@@ -13,7 +13,7 @@ from hmlab.invariants import beta_tensor, point_invariants, sphere_average
 from hmlab.radial import harmonic_density
 from hmlab.sis import (IdentityVector, ball_boundary_vector,
                        ball_volume_vector, canonical_generators,
-                       density_vector, eliminate, euclidean_gram,
+                       density_vector, eliminate,
                        gradient_square_vector, lichnerowicz_vector,
                        moment_gram, noise_wave, rank_and_membership,
                        ricci_square_vector)
@@ -240,8 +240,8 @@ def test_mixed_origin_elimination_loses_the_degree():
 def test_noise_wave_residual_is_exactly_orthogonal():
     gens = canonical_generators(12)
     cand = lichnerowicz_vector(12)
-    gram = euclidean_gram(gens)
-    report = noise_wave(cand, gens, gram=gram, gram_kind="euclidean")
+    report = noise_wave(cand, gens)
+    assert report.gram_kind == "euclidean"
     assert report.noise_norm_sq > 0
     # residual + projection reassembles the candidate
     for r, p, c in zip(report.residual, report.projection, cand.coeffs):
@@ -249,6 +249,13 @@ def test_noise_wave_residual_is_exactly_orthogonal():
     for gen in gens:
         dot = sum(a * b for a, b in zip(report.residual, gen.coeffs))
         assert dot == 0
+
+
+@pytest.mark.parametrize("gens", [[], [density_vector(12)] * 2],
+                         ids=["none", "repeated"])
+def test_noise_wave_refuses_a_singular_generator_gram(gens):
+    with pytest.raises(DegenerateGram):
+        noise_wave(lichnerowicz_vector(12), gens)
 
 
 def test_noise_wave_of_a_member_is_zero():
@@ -277,9 +284,7 @@ def test_moment_gram_constant_block_is_rank_one(ns12):
     rhat = IdentityVector(name="pure-r-hat", coeffs=(0, 0, 0, 1, 0, 0))
     rring = IdentityVector(name="pure-r-ring", coeffs=(0, 0, 0, 0, 1, 0))
     gram = moment_gram(ns12, [rhat, rring])
-    cand = gradient_square_vector(12)
-    with pytest.raises(DegenerateGram):
-        noise_wave(cand, [rhat, rring], gram=gram, gram_kind="moment")
+    assert det([[Fraction(x) for x in row] for row in gram]) == 0
 
 
 def test_moment_gram_single_gradient_vector(ns12):

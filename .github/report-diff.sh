@@ -44,6 +44,9 @@ commands=(
   # lie on one ray, and the noise wave at n = 6
   "isospec --family 1:1,0;0,1 --max-degree 2"
   "sis --family 1:2,0"
+  # every argument of radial_spectrum that the real check reads, with
+  # nonzero n and m and a Robin pair other than the default
+  "spectrum --k 3 --n 1 --m -1 --mu 0.25 --bc 1,0 --t-domain 20"
 )
 
 work=$(mktemp -d)

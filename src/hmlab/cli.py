@@ -384,7 +384,7 @@ def build_parser():
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--directions", type=int, default=100)
     p_verify.add_argument("--perturb", type=float, default=1.0,
-                          help="bracket detuning factor; != 1 expects red")
+                          help="[e_0, A] scale; != 1: not Lie, expects red")
     p_verify.set_defaults(func=cmd_verify)
 
     p_counter = sub.add_parser("counterexample",

@@ -8,13 +8,12 @@ everything downstream that wants exact rational arithmetic can have it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InvalidMultiplicity, InvalidSampling,
-                     UnsupportedCenterDimension, checked_integer)
+                     UnsupportedCenterDimension, checked_integer, checked_real)
 
 # left multiplication by i, j, k on the quaternions in the basis 1, i, j, k
 _L_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
@@ -60,11 +59,11 @@ class JMap:
     def check_center(self, z):
         """Raises :class:`InvalidSampling` unless ``z`` has one entry per
         center direction, each a finite real number."""
-        if np.shape(z) != (self.center_dim,) or not all(
-                isinstance(x, numbers.Real) and abs(x) < np.inf for x in z):
-            raise InvalidSampling(
-                f"center vector {z} needs {self.center_dim} entries, one per "
-                "center direction, each a finite real number")
+        if np.shape(z) != (self.center_dim,):
+            raise InvalidSampling(f"center vector {z} needs {self.center_dim} "
+                                  "entries, one per center direction")
+        for x in z:
+            checked_real(f"center vector {z}", "each entry", x)
 
     def j_of(self, z):
         """J_Z for an arbitrary center vector ``z`` (floats allowed)."""

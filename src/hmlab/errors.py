@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all hmlab modules, and its integer check."""
+"""Exception taxonomy shared by all hmlab modules, its integer check, and
+``checked_real``, its real check, which no bool, string, NaN or ±inf passes."""
 
 import math
 import numbers
@@ -21,8 +22,8 @@ class NotHType(HmlabError):
 
 
 class NonFiniteGeometry(HmlabError):
-    """The connection or curvature built from structure constants (the
-    brackets overflow it) or a space form's curvature is not finite."""
+    """A connection or curvature from structure constants (the brackets
+    overflow it) not finite, or a space form's kappa not a finite real."""
 
 
 class OrderUnsupported(HmlabError):
@@ -56,13 +57,13 @@ class StepFailure(HmlabError):
 
 class InvalidSampling(HmlabError):
     """A sample, direction or eigenvalue count, seed, grid or harmonic degree
-    not an integer, too few samples, directions or grid cells, no eigenvalue
-    or more than cells, a negative seed or degree, a direction or center
-    vector of the wrong shape, a center vector entry not a finite real
-    number, a verification tolerance, radius or flow steps_per_unit not
-    finite and > 0, peeled values not finite, peeled radii repeated or powers
-    not rising by even gaps within the ladder, an empty exact linear system
-    or span candidate, or an unknown Monte Carlo quantity."""
+    not an integer, too few samples, directions or grid cells, no eigenvalue or
+    more than cells, no lattice vector or degree, a negative seed or degree, a
+    direction or center vector of the wrong shape, a center entry, mu or
+    mu_scale_b not a finite real, a tolerance, radius, steps_per_unit or
+    t_domain not finite and > 0, peeled values not finite, peeled radii
+    repeated or powers not rising by even gaps within the ladder, an empty
+    linear system or span candidate, or an unknown Monte Carlo quantity."""
 
 
 class DegreeMismatch(HmlabError):
@@ -102,7 +103,7 @@ class NotComplexStructure(HmlabError):
 
 
 class DegenerateBoundary(HmlabError):
-    """Robin data (A, B) does not define a boundary condition."""
+    """Robin data (A, B) not two finite reals, or (0, 0), fixing nothing."""
 
 
 class NonIntegrableWeight(HmlabError):
@@ -140,3 +141,13 @@ def checked_integer(job, name, value, least=-math.inf, most=math.inf,
         bound = f">= {least}" if most == math.inf else f"in {least}..{most}"
         raise error(f"{job} needs {name} {bound}, got {value}")
     return int(value)
+
+
+def checked_real(job, name, value, above=-math.inf, error=InvalidSampling):
+    """``value`` itself if a finite real > ``above``, the one check of a real
+    argument; a bool counts as no real number.  Else raises ``error``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not above < value < math.inf):
+        bound = "" if above == -math.inf else f" and > {above}"
+        raise error(f"{job} needs {name} finite{bound}, got {value!r}")
+    return value

@@ -17,7 +17,8 @@ import numpy as np
 
 from .clifford import build_j_map
 from .errors import (InvalidSampling, NonFiniteGeometry, NotHType,
-                     OrderUnsupported, OutsideDomain, checked_integer)
+                     OrderUnsupported, OutsideDomain, checked_integer,
+                     checked_real)
 
 # Directions per jet contraction block.  From order 2 up a block holds nabla R
 # with two or three direction pairs folded in, (m, 3, n^3) at most, ~1.3 MB
@@ -106,9 +107,9 @@ def scale_bracket(c, i, j, factor):
     """Copy of the structure constants ``c`` with the single bracket
     [e_i, e_j] rescaled.
 
-    Rescaling a module-module bracket of an H-type algebra preserves the
-    Jacobi identity (the scaled bracket lands in the center, which brackets
-    trivially with the module) but destroys the Clifford relations.
+    A module-module bracket lands in the center, so scaling it keeps the
+    Jacobi identity and breaks the Clifford relations; ``verify --perturb``
+    scales [e_0, e_{n-1}], a module-A bracket, which breaks Jacobi too.
     """
     c = c.copy()
     c[i, j, :] *= factor
@@ -214,9 +215,8 @@ def constant_curvature_geometry(dim, kappa=1.0):
     rays."""
     eye = np.eye(checked_integer("space form", "dim", dim, 1,
                                  error=OutsideDomain))
-    if not math.isfinite(kappa):
-        raise NonFiniteGeometry(f"space form curvature {kappa} is not finite")
-    r = kappa * (np.einsum('bc,ad->abcd', eye, eye) - np.einsum('ac,bd->abcd', eye, eye))
+    kappa = checked_real("space form", "kappa", kappa, error=NonFiniteGeometry)
+    r = float(kappa) * (np.einsum('bc,ad->abcd', eye, eye) - np.einsum('ac,bd->abcd', eye, eye))
     return Geometry(gamma=np.zeros((dim, dim, dim)), r=r,
                     name=f"space-form(kappa={kappa})")
 

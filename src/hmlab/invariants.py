@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooHigh, InvalidSampling, checked_integer
+from .errors import (DegreeTooHigh, InvalidSampling, checked_integer,
+                     checked_real)
 from .geometry import curvature_jet, ricci
 
 
@@ -169,14 +169,6 @@ class ResidualReport:
                 "rows": self.rows}
 
 
-def _tolerance(job, tol):
-    """``tol`` if a finite real number > 0, else InvalidSampling: an infinite
-    one passes every residual, and NaN, 0 or a negative one fails every row."""
-    if not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-        raise InvalidSampling(f"{job} needs tol finite and > 0, got {tol!r}")
-    return tol
-
-
 def _residual_row(name, lhs, rhs, tol, scale=None):
     if scale is None:
         scale = max(abs(lhs), abs(rhs), 1.0)
@@ -215,7 +207,7 @@ def verify_harmonicity(geometry, n_directions=100, seed=0, tol=1e-8):
     n_directions = checked_integer("harmonicity check", "n_directions",
                                    n_directions, 2)
     seed = checked_integer("harmonicity check", "seed", seed, 0)
-    tol = _tolerance("harmonicity check", tol)
+    tol = checked_real("harmonicity check", "tol", tol, 0)
     rng = np.random.default_rng(seed)
     hi = np.full(5, -np.inf)
     lo = np.full(5, np.inf)
@@ -240,7 +232,7 @@ def verify_einstein_identities(geometry, tol=1e-8):
     Lichnerowicz-type identity must vanish.  All three hold on every member
     of the families built here and pin the normalization of each scalar.
     """
-    tol = _tolerance("Einstein identities", tol)
+    tol = checked_real("Einstein identities", "tol", tol, 0)
     pi = point_invariants(geometry)
     n, c, h, l = pi.dim, pi.c, pi.h, pi.l
     ric = ricci(geometry.r)
@@ -346,7 +338,7 @@ def beta_tensor(geometry):
 
 def verify_average_identities(geometry, tol=1e-7):
     """The sphere-average identities for the mixed cubic traces."""
-    tol = _tolerance("average identities", tol)
+    tol = checked_real("average identities", "tol", tol, 0)
     pi = point_invariants(geometry)
     n, c = pi.dim, pi.c
     r, s1 = geometry.r, geometry.nabla_r

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (InvalidSampling, OrderUnsupported, OutsideDomain,
-                     StepFailure, ZeroLeadingCoefficient, checked_integer)
+                     StepFailure, ZeroLeadingCoefficient, checked_integer,
+                     checked_real)
 from .geometry import _unit_directions, curvature_jet
 from .series import TruncatedSeries
 
@@ -299,11 +300,10 @@ def _jacobi_flow(geometry, u, radii, steps_per_unit):
     radii, each with a leading batch axis of m for a batch.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    if (radii.size == 0 or not np.all(np.isfinite(radii)) or radii[0] <= 0.0
-            or not 0 < steps_per_unit < math.inf):
+    if radii.size == 0 or not np.all(np.isfinite(radii)) or radii[0] <= 0.0:
         raise InvalidSampling(
-            f"the Jacobi flow needs finite radii > 0 and a finite "
-            f"steps_per_unit > 0, got {radii.tolist()} and {steps_per_unit}")
+            f"the Jacobi flow needs finite radii > 0, got {radii.tolist()}")
+    checked_real("the Jacobi flow", "steps_per_unit", steps_per_unit, 0)
     n = geometry.dim
     u, neg_gamma, neg_r_rows, y = _flow_start(geometry, u)
     m = len(y)

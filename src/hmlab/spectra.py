@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import (ConsistencyFailure, ConvergenceFailure,
                      DegenerateBoundary, DegreeTooHigh, FamilyMismatch,
-                     NonIntegrableWeight, NotComplexStructure, SpectraDiffer,
-                     ZeroLatticeVector, checked_integer)
+                     InvalidSampling, NonIntegrableWeight, NotComplexStructure,
+                     SpectraDiffer, ZeroLatticeVector, checked_integer,
+                     checked_real)
 from .polynomials import (CPoly, PolyBatch, _over_one_denominator,
                           adapted_coordinates, harmonic_projection,
                           harmonic_space_dimension, integer_j,
@@ -345,10 +346,14 @@ def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6):
     """
     grid = checked_integer("radial spectrum", "grid", grid, MIN_GRID)
     count = checked_integer("radial spectrum", "count", count, 1, grid)
+    checked_real("radial spectrum", "t_domain", t_domain, 0)
+    checked_real("radial spectrum", "mu", op.mu)
     if op.s_exponent <= 0:
         raise NonIntegrableWeight(
             "measure weight t^(s-1) needs s = (k + 2n)/2 > 0")
-    if bc[0] == 0.0 and bc[1] == 0.0:
+    a_rob, b_rob = (checked_real("radial spectrum", "each bc entry", x,
+                                 error=DegenerateBoundary) for x in bc)
+    if a_rob == 0.0 and b_rob == 0.0:
         raise DegenerateBoundary("Robin pair (0, 0) fixes nothing")
     coarse = _solve_grid(op, t_domain, bc, grid, count)
     fine = _solve_grid(op, t_domain, bc, 2 * grid, count)
@@ -452,10 +457,13 @@ def isospectrality_report(jmap_a, jmap_b, lattice_vectors, degrees=(0, 1, 2),
     grid = checked_integer("isospectrality report", "grid", grid, MIN_GRID)
     degrees = [checked_integer("isospectrality report", "degree", degree, 0)
                for degree in degrees]
+    checked_real("isospectrality report", "mu_scale_b", mu_scale_b)
+    if not degrees or len(lattice_vectors) == 0:
+        raise InvalidSampling("no lattice vector or no degree to compare")
     # Lattice vectors on one ray share their unit J, and undetuned members
     # share every radial operator: build the bases of every degree once per
     # unit J and solve each operator once per call, keyed on content.
-    top = max(degrees, default=0)
+    top = max(degrees)
     bases, solved = {}, {}
 
     def basis(rows):

@@ -57,9 +57,11 @@ def sphere6():
                 ids=lambda p: "{}:{},{}x{}".format(*p[0], p[1]))
 def scaled_member(request):
     """A member, as built or with its bracket (0, n - 1) scaled as
-    ``verify --perturb`` does.  Function-scoped, so a 16-dim member's
-    nabla R (8.4 MB) is let go after its test; the scaled members are not
-    dyadic, so a change of summation order shows in their last bits."""
+    ``verify --perturb`` does.  That is a module-A bracket, so a scaled
+    member's constants break the Jacobi identity and form no Lie algebra.
+    Function-scoped, so a 16-dim member's nabla R (8.4 MB) is let go after
+    its test; the scaled members are not dyadic, so a change of summation
+    order shows in their last bits."""
     member, factor = request.param
     geo = damek_ricci_geometry(*member)
     if factor == 1.0:

@@ -1,21 +1,29 @@
-"""The one integer check: every order, degree, count, grid, dimension,
-multiplicity and series offset of the package goes through
-``errors.checked_integer``, so a bool, a non-integer and a value out of
-range each raise the typed error of the call, and a numpy integer gives
-the same result as the int."""
+"""The one integer check and the one real check: every order, degree,
+count, grid, dimension, multiplicity and series offset of the package goes
+through ``errors.checked_integer``, and every real scalar argument through
+``errors.checked_real``, so a bool, a non-integer or non-real, a value that
+is not finite and a value out of range each raise the typed error of the
+call, and a numpy integer or float gives the same result as the Python
+number."""
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hmlab.clifford import build_clifford_module, build_j_map
-from hmlab.errors import (DegreeMismatch, InvalidMultiplicity,
-                          InvalidSampling, OrderUnsupported, OutsideDomain,
+from hmlab.errors import (DegenerateBoundary, DegreeMismatch,
+                          InvalidMultiplicity, InvalidSampling,
+                          NonFiniteGeometry, OrderUnsupported, OutsideDomain,
                           UnsupportedCenterDimension)
 from hmlab.geometry import constant_curvature_geometry, curvature_jet
 from hmlab.heatinv import structural_p_decompositions, structural_r3_table
-from hmlab.radial import flow_series, jacobi_series, vk_recursion, volume_series
+from hmlab.invariants import (verify_average_identities,
+                              verify_einstein_identities, verify_harmonicity)
+from hmlab.radial import (flow_series, jacobi_series, ode_oracle, vk_recursion,
+                          volume_series)
 from hmlab.series import TruncatedSeries
 from hmlab.sis import (IdentityVector, ball_boundary_vector, ball_volume_vector,
                        canonical_generators, density_vector,
@@ -181,3 +189,91 @@ def test_a_value_out_of_range_raises_the_typed_error(call, error):
     with pytest.raises(error):
         call()
 
+
+
+# (call of the fixture getter and the real number, a valid float, the error
+# the call raises, the name its message gives the number, whether it must
+# be > 0)
+REAL_SITES = {
+    "verify_harmonicity.tol": (
+        lambda fx, v: verify_harmonicity(fx("ch2"), n_directions=8, tol=v),
+        1e-8, InvalidSampling, "tol", True),
+    "verify_einstein_identities.tol": (
+        lambda fx, v: verify_einstein_identities(fx("ch2"), tol=v), 1e-8,
+        InvalidSampling, "tol", True),
+    "verify_average_identities.tol": (
+        lambda fx, v: verify_average_identities(fx("ch2"), tol=v), 1e-7,
+        InvalidSampling, "tol", True),
+    "JMap.check_center": (
+        lambda fx, v: laplacian_symbol(build_j_map(3, 2, 0), (v, 0, 0)), 1.0,
+        InvalidSampling, "each entry", False),
+    "constant_curvature_geometry.kappa": (
+        lambda fx, v: constant_curvature_geometry(4, v), 0.7,
+        NonFiniteGeometry, "kappa", False),
+    "ode_oracle.steps_per_unit": (
+        lambda fx, v: ode_oracle(fx("ch2"), U, (0.1, 0.2), steps_per_unit=v),
+        64.0, InvalidSampling, "steps_per_unit", True),
+    "radial_spectrum.t_domain": (
+        lambda fx, v: radial_spectrum(OP, v, grid=64, count=2), 10.0,
+        InvalidSampling, "t_domain", True),
+    "radial_spectrum.bc[0]": (
+        lambda fx, v: radial_spectrum(OP, 10.0, (v, 1.0), grid=64, count=2),
+        0.5, DegenerateBoundary, "each bc entry", False),
+    "radial_spectrum.bc[1]": (
+        lambda fx, v: radial_spectrum(OP, 10.0, (1.0, v), grid=64, count=2),
+        0.5, DegenerateBoundary, "each bc entry", False),
+    "radial_spectrum.mu": (
+        lambda fx, v: radial_spectrum(RadialOperator(k=2, n=0, m=0, mu=v),
+                                      10.0, grid=64, count=2), 0.5,
+        InvalidSampling, "mu", False),
+    "isospectrality_report.mu_scale_b": (
+        lambda fx, v: isospec(fx, degrees=(0,), grid=64, mu_scale_b=v), 1.05,
+        InvalidSampling, "mu_scale_b", False),
+}
+
+
+def expected_message(site, bad):
+    _, _, _, name, positive = REAL_SITES[site]
+    bound = " and > 0" if positive else ""
+    return re.escape(f"needs {name} finite{bound}, got {bad!r}")
+
+
+@pytest.mark.parametrize("bad", [True, "1", math.nan, math.inf, -math.inf],
+                         ids=repr)
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_a_bool_string_or_non_finite_real_raises_the_typed_error(site, bad,
+                                                                 request):
+    """Each was taken before (True as 1), or ended in a ConvergenceFailure,
+    a bare TypeError, an object-dtype tensor or a message of another
+    check."""
+    call, _, error, _, _ = REAL_SITES[site]
+    with pytest.raises(error, match=expected_message(site, bad)):
+        call(request.getfixturevalue, bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0], ids=repr)
+@pytest.mark.parametrize("site", [site for site, row in REAL_SITES.items()
+                                  if row[4]])
+def test_a_real_not_above_zero_raises_the_typed_error(site, bad, request):
+    """A t_domain of 0 or below ended in a ConvergenceFailure; a step count
+    per unit radius of 0 or below was refused by the radii's check."""
+    call, _, error, _, _ = REAL_SITES[site]
+    with pytest.raises(error, match=expected_message(site, bad)):
+        call(request.getfixturevalue, bad)
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_a_numpy_float_gives_the_result_of_the_float(site, request):
+    call, valid, _, _, _ = REAL_SITES[site]
+    fx = request.getfixturevalue
+    assert bits(call(fx, np.float64(valid))) == bits(call(fx, valid))
+
+
+def test_a_fraction_curvature_builds_the_float_space_form():
+    """kappa = 1/2 built an object-dtype curvature, on which every later
+    jet, density or flow ended in a numpy UFuncTypeError; it now gives the
+    float tensor of kappa = 0.5 and keeps its own name."""
+    exact = constant_curvature_geometry(4, Fraction(1, 2))
+    assert exact.r.dtype == float
+    assert bits(exact.r) == bits(constant_curvature_geometry(4, 0.5).r)
+    assert exact.name == "space-form(kappa=1/2)"

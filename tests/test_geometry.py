@@ -131,6 +131,8 @@ def test_jet_order_cap_and_radial_kernel(hh2):
 
 
 def test_scale_bracket_keeps_lie_but_breaks_clifford(ch2):
+    """Scaling the module-module bracket [e_0, e_1] keeps the Jacobi
+    identity and breaks the Einstein condition."""
     scaled = scale_bracket(ch2.algebra, 0, 1, 1.25)
     assert jacobi_defect(scaled) == 0.0
     geo = geometry_from_algebra(scaled)
@@ -138,6 +140,18 @@ def test_scale_bracket_keeps_lie_but_breaks_clifford(ch2):
     # no longer Einstein: the diagonal spreads out
     diag = np.diag(ric)
     assert diag.max() - diag.min() > 0.1
+
+
+@pytest.mark.parametrize("member", [(1, 1, 0), (3, 2, 0), (3, 1, 1)],
+                         ids=lambda m: "{}:{},{}".format(*m))
+def test_the_perturb_control_scales_a_module_a_bracket(member):
+    """``verify --perturb`` scales [e_0, e_{n-1}], where e_{n-1} is the
+    extension direction A: the scaled constants break the Jacobi identity,
+    by (factor - 1)/2, so the control builds no Lie algebra."""
+    geo = damek_ricci_geometry(*member)
+    scaled = scale_bracket(geo.algebra, 0, geo.dim - 1, 1.25)
+    assert jacobi_defect(scaled) == 0.125
+    assert jacobi_defect(scale_bracket(geo.algebra, 0, 1, 1.25)) == 0.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -161,7 +175,7 @@ def test_a_curvature_that_is_not_finite_is_refused_at_build(scaled, entry):
 def test_a_space_form_whose_curvature_is_not_finite_is_refused(kappa):
     """Its curvature tensor was all NaN, with a RuntimeWarning the only
     sign."""
-    with pytest.raises(NonFiniteGeometry, match="curvature .* is not finite"):
+    with pytest.raises(NonFiniteGeometry, match="needs kappa finite, got"):
         constant_curvature_geometry(4, kappa)
 
 

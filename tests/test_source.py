@@ -257,6 +257,46 @@ def test_one_integer_check():
     assert coercions == {("errors", "checked_integer")}
 
 
+def reads(node, names):
+    """Whether any of ``names`` is read under ``node``."""
+    return any(isinstance(sub, ast.Name) and sub.id in names
+               for sub in ast.walk(node))
+
+
+def test_one_real_check():
+    """Every real scalar argument is checked by errors.checked_real, the one
+    reader of numbers.Real and the one chained ``above < x < math.inf``; no
+    package function outside the command line tests a parameter of its own
+    with math.isfinite or a chained comparison to infinity, the hand-written
+    checks that took True as 1 and let a string end in a bare TypeError.
+    geometry_from_algebra's math.isfinite reads the extremes of its arrays,
+    no parameter, and stays."""
+    assert scopes_of(lambda node: isinstance(node, ast.Attribute)
+                     and node.attr == "Real") == {("errors", "checked_real")}
+    checks = set()
+    for path in sorted(Path(hmlab.__file__).parent.rglob("*.py")):
+        if path.stem == "cli":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = {a.arg for a in ast.walk(fn.args)
+                      if isinstance(a, ast.arg)}
+            for node in ast.walk(fn):
+                finite_test = (isinstance(node, ast.Call) and any(
+                    ast.unparse(part) == "math.isfinite"
+                    for part in [node.func, *node.args])
+                    and any(reads(arg, params) for arg in node.args))
+                chained = (isinstance(node, ast.Compare)
+                           and len(node.comparators) == 2
+                           and ast.unparse(node.comparators[1]) in
+                           ("math.inf", "np.inf")
+                           and reads(node.comparators[0], params))
+                if finite_test or chained:
+                    checks.add((path.stem, fn.name))
+    assert checks == {("errors", "checked_real")}
+
+
 def test_truncated_series_has_one_window_rule():
     """A series knows the powers offset..offset + len(coeffs) - 1; any
     further slot would be hidden state for a second window mode."""

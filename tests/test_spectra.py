@@ -113,7 +113,7 @@ def test_lattice_symbol_matches_the_fraction_path():
 def test_lattice_vector_entries_must_be_finite_real_numbers(z):
     """NaN fell over in Fraction with a bare ValueError, an infinity with a
     bare OverflowError, and the string "1" was taken as 1."""
-    with pytest.raises(InvalidSampling, match="each a finite real number"):
+    with pytest.raises(InvalidSampling, match="needs each entry finite, got"):
         laplacian_symbol(build_j_map(3, 2, 0), z)
 
 
@@ -876,6 +876,21 @@ def test_isospectrality_checks_the_grid_before_any_build(hh3, ns12,
     with pytest.raises(InvalidSampling, match="grid >= 64, got 32"):
         isospectrality_report(hh3.jmap, ns12.jmap, [(1, 0, 0)], degrees=(0,),
                               grid=32)
+    assert builds == []
+
+
+@pytest.mark.parametrize("lattice, degrees", [([], (0, 1, 2)),
+                                              ([(1, 0, 0)], ())],
+                         ids=["no lattice vector", "no degree"])
+def test_isospectrality_refuses_a_comparison_of_nothing(hh3, ns12, lattice,
+                                                       degrees, monkeypatch):
+    """An empty lattice or degree list compared no cell and read as
+    isospectral, even with the second member detuned, so the negative
+    control could not trip."""
+    builds = counting(monkeypatch, "build_hnm_basis")
+    with pytest.raises(InvalidSampling, match="no degree to compare"):
+        isospectrality_report(hh3.jmap, ns12.jmap, lattice, degrees=degrees,
+                              mu_scale_b=2.0)
     assert builds == []
 
 

@@ -47,6 +47,9 @@ commands=(
   # every argument of radial_spectrum that the real check reads, with
   # nonzero n and m and a Robin pair other than the default
   "spectrum --k 3 --n 1 --m -1 --mu 0.25 --bc 1,0 --t-domain 20"
+  # positive controls: members that agree in every counterexample column
+  "counterexample --family 3:2,0;0,2"
+  "counterexample --family 2:2,0;1,1"
 )
 
 work=$(mktemp -d)

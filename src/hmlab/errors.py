@@ -59,7 +59,8 @@ class InvalidSampling(HmlabError):
     """A sample, direction or eigenvalue count, seed, grid or harmonic degree
     not an integer, too few samples, directions or grid cells, no eigenvalue or
     more than cells, no lattice vector or degree, a negative seed or degree, a
-    direction or center vector of the wrong shape, a center entry, mu or
+    direction or center vector of the wrong shape, a radial operator's k or
+    n not an integer >= 0 or its m no integer, a center entry, mu or
     mu_scale_b not a finite real, a tolerance, radius, steps_per_unit or
     t_domain not finite and > 0, peeled values not finite, peeled radii
     repeated or powers not rising by even gaps within the ladder, an empty
@@ -80,8 +81,8 @@ class OutsideDomain(HmlabError):
     nonzero term at a power <= 0, an identity vector without one
     coefficient per basis slot, an elimination mode other than 'proper'
     or 'rudimentary', a CPoly denominator that is not positive, a series
-    offset not an integer, a dimension not an integer >= 1, or a V_k count
-    not one >= 0."""
+    offset not an integer, a dimension not an integer >= 1, a V_k count
+    not one >= 0, or a V_k density coefficient not a finite real."""
 
 
 class SymbolAbsent(HmlabError):

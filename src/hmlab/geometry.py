@@ -169,16 +169,14 @@ class Geometry:
     curvature jet is built.  For group geometries these are built from
     structure constants; the constant curvature model prescribes curvature
     directly with a parallel frame.  ``algebra`` holds the structure
-    constants of a group geometry and None for the model.  ``jmap`` is the
-    Clifford data of a Damek-Ricci member and None for any other geometry.
+    constants of a group geometry and None for the model.
     """
 
-    def __init__(self, gamma, r, algebra=None, name="geometry", jmap=None):
+    def __init__(self, gamma, r, algebra=None, name="geometry"):
         self.gamma = np.asarray(gamma)
         self.r = np.asarray(r)
         self.algebra = algebra
         self.name = name
-        self.jmap = jmap
         self._s1 = None
 
     @property
@@ -192,7 +190,7 @@ class Geometry:
         return self._s1
 
 
-def geometry_from_algebra(c, name="group", jmap=None):
+def geometry_from_algebra(c, name="group"):
     """Group geometry of the metric Lie algebra with structure constants
     ``c``.  A connection or curvature that overflows raises
     :class:`NonFiniteGeometry` here, before anything is computed from it."""
@@ -207,7 +205,7 @@ def geometry_from_algebra(c, name="group", jmap=None):
         raise NonFiniteGeometry(
             f"{name}: the connection or curvature of these structure "
             "constants is not finite")
-    return Geometry(gamma=gamma, r=r, algebra=c, name=name, jmap=jmap)
+    return Geometry(gamma=gamma, r=r, algebra=c, name=name)
 
 
 def constant_curvature_geometry(dim, kappa=1.0):
@@ -225,8 +223,7 @@ def damek_ricci_geometry(center_dim, pos, neg):
     """Damek-Ricci geometry for a center of dimension ``center_dim`` and
     module multiplicity (pos, neg)."""
     jmap = build_j_map(center_dim, pos, neg)
-    return geometry_from_algebra(build_damek_ricci(jmap), name=jmap.name,
-                                 jmap=jmap)
+    return geometry_from_algebra(build_damek_ricci(jmap), name=jmap.name)
 
 
 def _unit_directions(geometry, u):

@@ -195,7 +195,8 @@ def vk_recursion(a_coeffs, dim, count):
     dim = checked_integer("V_k recursion", "dim", dim, 1, error=OutsideDomain)
     count = checked_integer("V_k recursion", "count", count, 0,
                             error=OutsideDomain)
-    a = [Fraction(x) for x in a_coeffs]
+    a = [Fraction(checked_real("V_k recursion", "each coefficient", x,
+                              error=OutsideDomain)) for x in a_coeffs]
     if not a or a[0] == 0:
         raise ZeroLeadingCoefficient("density series must start with a nonzero constant")
     out = []

@@ -347,10 +347,16 @@ def radial_spectrum(op, t_domain, bc=(0.0, 1.0), grid=128, count=6):
     grid = checked_integer("radial spectrum", "grid", grid, MIN_GRID)
     count = checked_integer("radial spectrum", "count", count, 1, grid)
     checked_real("radial spectrum", "t_domain", t_domain, 0)
+    checked_integer("radial spectrum", "k", op.k, 0)
+    checked_integer("radial spectrum", "n", op.n, 0)
+    checked_integer("radial spectrum", "m", op.m)
     checked_real("radial spectrum", "mu", op.mu)
     if op.s_exponent <= 0:
         raise NonIntegrableWeight(
             "measure weight t^(s-1) needs s = (k + 2n)/2 > 0")
+    if len(bc) != 2:
+        raise DegenerateBoundary(
+            f"radial spectrum needs bc as two entries (A, B), got {bc!r}")
     a_rob, b_rob = (checked_real("radial spectrum", "each bc entry", x,
                                  error=DegenerateBoundary) for x in bc)
     if a_rob == 0.0 and b_rob == 0.0:

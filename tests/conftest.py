@@ -1,4 +1,4 @@
-"""Shared geometry fixtures.
+"""Shared geometry and J-map fixtures.
 
 Building a 12-dimensional group geometry computes the covariant derivative
 nabla R (n^5, about 249k entries at n = 12), so every space is
@@ -10,6 +10,7 @@ import hmlab  # first: it sets one BLAS thread, read only when numpy loads
 import numpy as np
 import pytest
 
+from hmlab.clifford import build_j_map
 from hmlab.geometry import (constant_curvature_geometry, damek_ricci_geometry,
                             geometry_from_algebra, scale_bracket)
 
@@ -33,6 +34,17 @@ def hh3():
 def ns12():
     # same dimension and center as hh3 but mixed module signature
     return damek_ricci_geometry(3, 1, 1)
+
+
+@pytest.fixture(scope="session")
+def hh3_jmap():
+    """The Clifford data of hh3, which the spectral comparison reads."""
+    return build_j_map(3, 2, 0)
+
+
+@pytest.fixture(scope="session")
+def ns12_jmap():
+    return build_j_map(3, 1, 1)
 
 
 @pytest.fixture(scope="session")

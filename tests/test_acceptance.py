@@ -188,22 +188,22 @@ def test_06_identity_space_engine():
           f"({elapsed * 1000:.0f} ms)")
 
 
-def test_07_spectral_models(hh3, ns12):
+def test_07_spectral_models(hh3_jmap, ns12_jmap):
     """Multiplicity multisets agree across members and against the
     eigen-decomposition oracle; conjugations and the reference spectrum
     hold within their stated errors."""
     for degree in range(4):
-        dims_a = hnm_basis_for_lattice(hh3.jmap, (1, 0, 0), degree).dims
-        dims_b = hnm_basis_for_lattice(ns12.jmap, (1, 0, 0), degree).dims
+        dims_a = hnm_basis_for_lattice(hh3_jmap, (1, 0, 0), degree).dims
+        dims_b = hnm_basis_for_lattice(ns12_jmap, (1, 0, 0), degree).dims
         assert dims_a == dims_b, degree
-        rows = laplacian_symbol(hh3.jmap, (1, 0, 0)).j_unit_rows
+        rows = laplacian_symbol(hh3_jmap, (1, 0, 0)).j_unit_rows
         assert dims_a == hnm_multiplicity_oracle(rows, degree), degree
 
     tested = [(1, 0, 0), (2, 0, 0), (1, 2, 2), (2, 2, 1)]
     worst_residual = 0.0
     for z in tested:
-        report = conjugacy_check(hh3.jmap.j_of(z).astype(float),
-                                 ns12.jmap.j_of(z).astype(float))
+        report = conjugacy_check(hh3_jmap.j_of(z).astype(float),
+                                 ns12_jmap.j_of(z).astype(float))
         assert report.residual < 1e-10, z
         worst_residual = max(worst_residual, report.residual)
 

@@ -255,6 +255,21 @@ def test_counterexample_marks_split_by_degree(tmp_path):
     assert abs(ns["grad_R_sq"] - 576.0) < 1e-6
 
 
+@pytest.mark.parametrize("family", ["3:2,0;0,2", "2:2,0;1,1"])
+def test_counterexample_positive_controls_agree_in_every_column(family,
+                                                                tmp_path):
+    """Members that must agree in all 14 columns, so that a false "differ"
+    would show: 3:0,2 is 3:2,0 with every J_Z negated (the isometry
+    Z -> -Z), and at center dimension 2 both multiplicities give one
+    module up to equivalence, hence one space."""
+    rc, text = run_to_dir(["counterexample", "--family", family], tmp_path,
+                          "counterexample.json")
+    assert rc == 0
+    payload = json.loads(text)
+    assert len(payload["marks"]) == len(payload["columns"]) - 1 == 14
+    assert set(payload["marks"].values()) == {"agree"}
+
+
 def test_counterexample_on_the_16_dim_pair(tmp_path):
     """The 16-dim pair 3:3,0;2,1 splits like the 12-dim one: it agrees
     through A6 and differs in ||grad R||^2, 0 on the symmetric member."""

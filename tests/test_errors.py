@@ -46,7 +46,7 @@ def jet(fx):
 
 
 def isospec(fx, **kwargs):
-    return isospectrality_report(fx("hh3").jmap, fx("ns12").jmap, [(1, 0, 0)],
+    return isospectrality_report(fx("hh3_jmap"), fx("ns12_jmap"), [(1, 0, 0)],
                                  **kwargs)
 
 
@@ -93,6 +93,18 @@ SITES = {
     "radial_spectrum.count": (
         lambda fx, v: radial_spectrum(OP, 10.0, grid=64, count=v), 2,
         InvalidSampling, "count"),
+    "radial_spectrum.k": (
+        lambda fx, v: radial_spectrum(RadialOperator(k=v, n=0, m=0, mu=0.5),
+                                      10.0, grid=64, count=2), 2,
+        InvalidSampling, "k"),
+    "radial_spectrum.n": (
+        lambda fx, v: radial_spectrum(RadialOperator(k=2, n=v, m=0, mu=0.5),
+                                      10.0, grid=64, count=2), 1,
+        InvalidSampling, "n"),
+    "radial_spectrum.m": (
+        lambda fx, v: radial_spectrum(RadialOperator(k=2, n=0, m=v, mu=0.5),
+                                      10.0, grid=64, count=2), -1,
+        InvalidSampling, "m"),
     "isospectrality_report.degrees": (
         lambda fx, v: isospec(fx, degrees=(0, v), grid=64), 1,
         InvalidSampling, "degree"),
@@ -181,11 +193,22 @@ def test_a_numpy_integer_gives_the_result_of_the_int(site, request):
     (lambda: ball_volume_vector(0), DegreeMismatch),
     (lambda: structural_p_decompositions(0), OutsideDomain),
     (lambda: TruncatedSeries([1.0, 2.0]).shift(1.5), OutsideDomain),
+    (lambda: radial_spectrum(RadialOperator(k=-1, n=1, m=0, mu=0.5), 10.0,
+                             grid=64, count=2), InvalidSampling),
+    (lambda: radial_spectrum(RadialOperator(k=4, n=-1, m=0, mu=0.5), 10.0,
+                             grid=64, count=2), InvalidSampling),
+    (lambda: radial_spectrum(OP, 10.0, (1.0,), grid=64, count=2),
+     DegenerateBoundary),
+    (lambda: radial_spectrum(OP, 10.0, (0.0, 1.0, 0.0), grid=64, count=2),
+     DegenerateBoundary),
 ], ids=["space form", "volume", "vk dim", "vk count", "density",
-        "gradient", "lichnerowicz", "ball", "r3 decompositions", "shift"])
+        "gradient", "lichnerowicz", "ball", "r3 decompositions", "shift",
+        "radial k", "radial n", "bc of one", "bc of three"])
 def test_a_value_out_of_range_raises_the_typed_error(call, error):
     """Each was built before, from a dimension or count no space has, or
-    fell over with a ZeroDivisionError."""
+    fell over with a ZeroDivisionError; a negative k or n with s > 0 was
+    solved, and a Robin pair of one or three entries ended in a bare
+    ValueError."""
     with pytest.raises(error):
         call()
 
@@ -226,6 +249,9 @@ REAL_SITES = {
         lambda fx, v: radial_spectrum(RadialOperator(k=2, n=0, m=0, mu=v),
                                       10.0, grid=64, count=2), 0.5,
         InvalidSampling, "mu", False),
+    "vk_recursion.a_coeffs": (
+        lambda fx, v: vk_recursion([1, 0, v], 4, 3), 0.25, OutsideDomain,
+        "each coefficient", False),
     "isospectrality_report.mu_scale_b": (
         lambda fx, v: isospec(fx, degrees=(0,), grid=64, mu_scale_b=v), 1.05,
         InvalidSampling, "mu_scale_b", False),
@@ -244,8 +270,8 @@ def expected_message(site, bad):
 def test_a_bool_string_or_non_finite_real_raises_the_typed_error(site, bad,
                                                                  request):
     """Each was taken before (True as 1), or ended in a ConvergenceFailure,
-    a bare TypeError, an object-dtype tensor or a message of another
-    check."""
+    a bare TypeError, ValueError or OverflowError, an object-dtype tensor or
+    a message of another check."""
     call, _, error, _, _ = REAL_SITES[site]
     with pytest.raises(error, match=expected_message(site, bad)):
         call(request.getfixturevalue, bad)

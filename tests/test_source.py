@@ -422,9 +422,34 @@ def test_the_blas_thread_is_set_before_anything_loads_numpy():
     assert before == ["import os"]
 
 
+IMPORT_FOOTPRINT = """
+import json, sys
+import hmlab
+print(json.dumps(sorted(name for name in vars(hmlab)
+                        if not name.startswith("__"))))
+import hmlab.geometry
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("hmlab"))))
+"""
+
+
+def test_each_name_has_one_import_path():
+    """``import hmlab`` binds no function or class (a name is imported from
+    its module), so importing the geometry layer in a fresh interpreter
+    loads that module and what it imports, and no other layer."""
+    src = str(Path(hmlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT],
+                         capture_output=True, text=True, check=True, env=env)
+    bound, loaded = map(json.loads, out.stdout.splitlines())
+    assert bound == ["os"]
+    assert loaded == ["hmlab", "hmlab.clifford", "hmlab.errors",
+                      "hmlab.geometry"]
+
+
 BLAS_THREADS = """
 import json
-import hmlab
+import hmlab.geometry
 from worker import blas_threads
 print(json.dumps(blas_threads()))
 from hmlab.spectra import RadialOperator, radial_spectrum
@@ -435,7 +460,7 @@ print(json.dumps(blas_threads()))
 
 def test_every_openblas_runs_one_thread_after_importing_hmlab():
     """With two threads asked for in the environment, numpy's OpenBLAS
-    (loaded by importing hmlab) and scipy's own (loaded with its LAPACK
+    (loaded by importing hmlab.geometry) and scipy's own (loaded with its LAPACK
     wrapper by the first radial solve) each report one thread, queried as
     the benchmark's worker queries every BLAS mapped into its process."""
     src = str(Path(hmlab.__file__).resolve().parent.parent)

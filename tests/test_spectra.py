@@ -35,30 +35,30 @@ def unit_j_rows(jmap, z):
 # -- lattice symbols -----------------------------------------------------------
 
 
-def test_lattice_symbol_basics(hh3):
-    sym = laplacian_symbol(hh3.jmap, (1, 2, 2))
+def test_lattice_symbol_basics(hh3_jmap):
+    sym = laplacian_symbol(hh3_jmap, (1, 2, 2))
     assert_allclose(sym.mu, 3.0 * math.pi)
     assert sym.j_unit_rows is not None
     j = np.array([[float(x) for x in row] for row in sym.j_unit_rows])
     assert_allclose(j @ j, -np.eye(8), atol=1e-14)
 
 
-def test_lattice_symbol_irrational_norm(hh3):
+def test_lattice_symbol_irrational_norm(hh3_jmap):
     with pytest.raises(NotComplexStructure, match="irrational norm"):
-        laplacian_symbol(hh3.jmap, (1, 1, 0))
+        laplacian_symbol(hh3_jmap, (1, 1, 0))
     with pytest.raises(NotComplexStructure):
-        hnm_basis_for_lattice(hh3.jmap, (1, 1, 0), 2)
+        hnm_basis_for_lattice(hh3_jmap, (1, 1, 0), 2)
 
 
-def test_lattice_symbol_is_the_exact_j_of_the_vector(hh3, ns12):
+def test_lattice_symbol_is_the_exact_j_of_the_vector(hh3_jmap, ns12_jmap):
     """J_Z summed over the center basis in Fractions: exact unit rows when
     |Z| is rational, their float image times |Z|, and mu = pi |Z|."""
     half = Fraction(1, 2)
-    for geo in (hh3, ns12):
-        gens = geo.jmap.all_j()
+    for jmap in (hh3_jmap, ns12_jmap):
+        gens = jmap.all_j()
         for z, norm in (((1, 0, 0), 1), ((1, 2, 2), 3), ((0, 3, 4), 5),
                         ((half, 1, 1), Fraction(3, 2))):
-            sym = laplacian_symbol(geo.jmap, z)
+            sym = laplacian_symbol(jmap, z)
             j = [[sum(Fraction(za) * int(g[r, c]) for za, g in zip(z, gens))
                   for c in range(8)] for r in range(8)]
             assert sym.j_unit_rows == [[x / norm for x in row] for row in j]
@@ -68,9 +68,9 @@ def test_lattice_symbol_is_the_exact_j_of_the_vector(hh3, ns12):
             assert sym.mu == math.pi * float(norm)
 
 
-def test_zero_lattice_vector(hh3):
+def test_zero_lattice_vector(hh3_jmap):
     with pytest.raises(ZeroLatticeVector):
-        laplacian_symbol(hh3.jmap, (0, 0, 0))
+        laplacian_symbol(hh3_jmap, (0, 0, 0))
 
 
 def reference_lattice_symbol(jmap, z_gamma):
@@ -164,21 +164,21 @@ def test_the_integer_j_check_matches_the_fraction_check():
 # -- bidegree bases --------------------------------------------------------------
 
 
-def test_bidegree_dimensions_for_both_members(hh3, ns12):
+def test_bidegree_dimensions_for_both_members(hh3_jmap, ns12_jmap):
     """Same multiset of (m, dim) cells on the two module actions, and the
     total must exhaust the harmonic space."""
     expected = {3: {-3: 20, -1: 36, 1: 36, 3: 20},
                 2: {-2: 10, 0: 15, 2: 10},
                 1: {-1: 4, 1: 4},
                 0: {0: 1}}
-    for geo in (hh3, ns12):
-        rows = unit_j_rows(geo.jmap, (1, 0, 0))
+    for jmap in (hh3_jmap, ns12_jmap):
+        rows = unit_j_rows(jmap, (1, 0, 0))
         for degree, basis in enumerate(build_hnm_basis(rows, 3)):
-            assert basis.dims == expected[degree], (geo.name, degree)
+            assert basis.dims == expected[degree], (jmap.name, degree)
 
 
-def test_bidegree_against_eigen_oracle(hh3):
-    rows = unit_j_rows(hh3.jmap, (0, 1, 0))
+def test_bidegree_against_eigen_oracle(hh3_jmap):
+    rows = unit_j_rows(hh3_jmap, (0, 1, 0))
     bases = build_hnm_basis(rows, 3)
     for degree in (1, 2, 3):
         constructive = bases[degree].dims
@@ -186,10 +186,10 @@ def test_bidegree_against_eigen_oracle(hh3):
         assert constructive == oracle
 
 
-def test_bidegree_eigen_relation_is_exact(ns12):
+def test_bidegree_eigen_relation_is_exact(ns12_jmap):
     """Every basis element must satisfy D h = -i m_label h... the stored
     label convention is checked member by member against the operator."""
-    rows = unit_j_rows(ns12.jmap, (1, 0, 0))
+    rows = unit_j_rows(ns12_jmap, (1, 0, 0))
     basis = build_hnm_basis(rows, 2)[2]
     for m, polys in basis.per_m.items():
         for h in polys:
@@ -197,7 +197,8 @@ def test_bidegree_eigen_relation_is_exact(ns12):
             assert rotated == h.scale(0, -m)
 
 
-def test_eigenvector_check_agrees_with_the_built_product(hh3, ns12):
+def test_eigenvector_check_agrees_with_the_built_product(hh3_jmap,
+                                                         ns12_jmap):
     """The build's check, ``PolyBatch.rotation_eigenvectors`` (D h - i t h
     is zero), against building ``h.scale(0, t)`` and comparing with ``==``:
     on all 624 elements of the pair's bases to degree 3 at (1,0,0) and
@@ -205,9 +206,9 @@ def test_eigenvector_check_agrees_with_the_built_product(hh3, ns12):
     element of degree at least 1 with one term added, which is no
     eigenvector."""
     agreed = 0
-    for geo in (hh3, ns12):
+    for jmap in (hh3_jmap, ns12_jmap):
         for z in ((1, 0, 0), (1, 2, 2)):
-            rows = unit_j_rows(geo.jmap, z)
+            rows = unit_j_rows(jmap, z)
             j = integer_j(rows)
             k = len(rows)
             for degree, basis in enumerate(build_hnm_basis(rows, 3)):
@@ -284,10 +285,10 @@ def factor_by_factor_bases(rows, degree):
             for m, polys in sorted(buckets.items())}
 
 
-def test_bidegree_bases_equal_the_factor_by_factor_build(hh3, ns12):
+def test_bidegree_bases_equal_the_factor_by_factor_build(hh3_jmap, ns12_jmap):
     """The bases from the monomials free of z_d zbar_d equal those that an
     elimination over every projected monomial keeps, as exact values."""
-    cases = [(hh3.jmap, (1, 0, 0), 2), (ns12.jmap, (1, 0, 0), 2)]
+    cases = [(hh3_jmap, (1, 0, 0), 2), (ns12_jmap, (1, 0, 0), 2)]
     for l, members, lattice in ((1, ((1, 0), (2, 0), (1, 1)), ((1,), (2,))),
                                 (2, ((1, 0),), ((1, 0), (3, 4)))):
         for a, b in members:
@@ -455,16 +456,16 @@ def test_only_a_skew_square_root_of_minus_one_is_a_complex_structure(j):
             hnm_multiplicity_oracle(j, degree)
 
 
-def test_bidegree_degree_cap(hh3):
-    rows = unit_j_rows(hh3.jmap, (1, 0, 0))
+def test_bidegree_degree_cap(hh3_jmap):
+    rows = unit_j_rows(hh3_jmap, (1, 0, 0))
     with pytest.raises(DegreeTooHigh):
         build_hnm_basis(rows, 7)
 
 
-def test_negative_bidegree_degree_is_refused(hh3):
+def test_negative_bidegree_degree_is_refused(hh3_jmap):
     """A negative degree is an InvalidSampling at every entry point, not an
     empty list, an IndexError or numpy's stacking error."""
-    rows = unit_j_rows(hh3.jmap, (1, 0, 0))
+    rows = unit_j_rows(hh3_jmap, (1, 0, 0))
     with pytest.raises(InvalidSampling):
         build_hnm_basis(rows, -1)
     with pytest.raises(InvalidSampling):
@@ -657,10 +658,10 @@ def test_extreme_finite_inputs_raise_convergence_failure(t_domain, mu, cause):
 # -- conjugacy and isospectrality --------------------------------------------------
 
 
-def test_conjugacy_of_the_two_module_actions(hh3, ns12):
+def test_conjugacy_of_the_two_module_actions(hh3_jmap, ns12_jmap):
     z = np.array([1.0, 2.0, 2.0])
-    j1 = hh3.jmap.j_of(z).astype(float)
-    j2 = ns12.jmap.j_of(z).astype(float)
+    j1 = hh3_jmap.j_of(z).astype(float)
+    j2 = ns12_jmap.j_of(z).astype(float)
     report = conjugacy_check(j1, j2)
     assert report.residual < 1e-10
     assert_allclose(report.rotation_speeds, 3.0, atol=1e-12)
@@ -669,10 +670,10 @@ def test_conjugacy_of_the_two_module_actions(hh3, ns12):
     assert_allclose(o @ j1 @ o.T, j2, atol=1e-10)
 
 
-def test_conjugacy_rejects_different_speeds(hh3, ns12):
+def test_conjugacy_rejects_different_speeds(hh3_jmap, ns12_jmap):
     z = np.array([1.0, 2.0, 2.0])
-    j1 = hh3.jmap.j_of(z).astype(float)
-    j2 = 2.0 * ns12.jmap.j_of(z).astype(float)
+    j1 = hh3_jmap.j_of(z).astype(float)
+    j2 = 2.0 * ns12_jmap.j_of(z).astype(float)
     with pytest.raises(SpectraDiffer):
         conjugacy_check(j1, j2)
 
@@ -704,13 +705,13 @@ def test_conjugacy_reports_a_failed_schur_form(monkeypatch):
         conjugacy_check(np.eye(2), np.eye(2))
 
 
-def test_conjugacy_leaves_its_inputs_unchanged(hh3, ns12):
+def test_conjugacy_leaves_its_inputs_unchanged(hh3_jmap, ns12_jmap):
     """dgees overwrites the matrix it is given; that is a copy, in C and in
     Fortran order."""
     z = np.array([1.0, 2.0, 2.0])
     for order in ("C", "F"):
-        j1 = np.array(hh3.jmap.j_of(z), dtype=float, order=order)
-        j2 = np.array(ns12.jmap.j_of(z), dtype=float, order=order)
+        j1 = np.array(hh3_jmap.j_of(z), dtype=float, order=order)
+        j2 = np.array(ns12_jmap.j_of(z), dtype=float, order=order)
         before = j1.copy(), j2.copy()
         conjugacy_check(j1, j2)
         assert np.array_equal(j1, before[0]) and np.array_equal(j2, before[1])
@@ -780,8 +781,8 @@ def test_bench_spectrum_lapack_calls_match_scipy_linalg(monkeypatch):
     assert_lapack_calls_match_scipy_linalg(monkeypatch, grids, js)
 
 
-def test_isospectrality_of_the_pair(hh3, ns12):
-    report = isospectrality_report(hh3.jmap, ns12.jmap,
+def test_isospectrality_of_the_pair(hh3_jmap, ns12_jmap):
+    report = isospectrality_report(hh3_jmap, ns12_jmap,
                                    [(1, 0, 0), (1, 2, 2)], degrees=(0, 1),
                                    grid=128)
     assert report.isospectral
@@ -793,8 +794,8 @@ def test_isospectrality_of_the_pair(hh3, ns12):
             assert cell["agree"]
 
 
-def test_hnm_basis_dimension_count_is_checked(hh3, monkeypatch):
-    rows = unit_j_rows(hh3.jmap, (1, 0, 0))
+def test_hnm_basis_dimension_count_is_checked(hh3_jmap, monkeypatch):
+    rows = unit_j_rows(hh3_jmap, (1, 0, 0))
     monkeypatch.setattr(spectra, "harmonic_space_dimension",
                         lambda k, degree: -1)
     with pytest.raises(ConsistencyFailure):
@@ -814,7 +815,7 @@ def counting(monkeypatch, name):
 
 
 def test_isospectrality_builds_and_solves_each_distinct_input_once(
-        hh3, ns12, monkeypatch):
+        hh3_jmap, ns12_jmap, monkeypatch):
     """(2,0,0) has the unit J of (1,0,0), and one build covers every
     degree: 2 builds, one per member, not 12.  Undetuned members share every
     operator, so each of the 12 cells solves once; detuned, both members'
@@ -822,7 +823,7 @@ def test_isospectrality_builds_and_solves_each_distinct_input_once(
     builds = counting(monkeypatch, "build_hnm_basis")
     solves = counting(monkeypatch, "radial_spectrum")
     lattice = [(1, 0, 0), (2, 0, 0)]
-    report = isospectrality_report(hh3.jmap, ns12.jmap, lattice,
+    report = isospectrality_report(hh3_jmap, ns12_jmap, lattice,
                                    degrees=(0, 1, 2), grid=64)
     assert report.isospectral
     cells = sum(len(block["cells"]) for block in report.blocks)
@@ -831,7 +832,7 @@ def test_isospectrality_builds_and_solves_each_distinct_input_once(
     assert len(solves) == 12
     builds.clear()
     solves.clear()
-    detuned = isospectrality_report(hh3.jmap, ns12.jmap, lattice,
+    detuned = isospectrality_report(hh3_jmap, ns12_jmap, lattice,
                                     degrees=(0, 1, 2), grid=64,
                                     mu_scale_b=1.05)
     assert not detuned.isospectral
@@ -839,42 +840,43 @@ def test_isospectrality_builds_and_solves_each_distinct_input_once(
     assert len(solves) == 24
 
 
-def test_isospec_checks_and_adapts_each_unit_structure_once(hh3, ns12,
+def test_isospec_checks_and_adapts_each_unit_structure_once(hh3_jmap,
+                                                            ns12_jmap,
                                                             monkeypatch):
     """isospec --max-degree 3 on the pair's default lattice meets four unit
     complex structures ((1,0,0) and (2,0,0) share theirs, on each member):
     each is checked and adapted once for all four degrees, not per degree."""
     checks = counting(monkeypatch, "_check_complex_structure")
     adapted = counting(monkeypatch, "adapted_coordinates")
-    isospectrality_report(hh3.jmap, ns12.jmap, default_lattice(3),
+    isospectrality_report(hh3_jmap, ns12_jmap, default_lattice(3),
                           degrees=tuple(range(4)))
     assert len(checks) == len(adapted) == 4
 
 
-def test_isospectrality_rejects_a_negative_degree(hh3, ns12):
+def test_isospectrality_rejects_a_negative_degree(hh3_jmap, ns12_jmap):
     with pytest.raises(InvalidSampling, match="degree >= 0"):
-        isospectrality_report(hh3.jmap, ns12.jmap, [(1, 0, 0)],
+        isospectrality_report(hh3_jmap, ns12_jmap, [(1, 0, 0)],
                               degrees=(-1, 1))
 
 
 @pytest.mark.parametrize("lattice", [[(1, 1, 0)], [(1, 0, 0), (1, 1, 0)]])
 def test_isospectrality_refuses_an_irrational_norm_before_solving(
-        hh3, ns12, lattice, monkeypatch):
+        hh3_jmap, ns12_jmap, lattice, monkeypatch):
     """(1,1,0) has norm sqrt(2), so no exact unit structure: the report
     raises before any build or solve instead of passing with no cells."""
     builds = counting(monkeypatch, "build_hnm_basis")
     solves = counting(monkeypatch, "radial_spectrum")
     with pytest.raises(NotComplexStructure, match="irrational norm"):
-        isospectrality_report(hh3.jmap, ns12.jmap, lattice, degrees=(0, 1),
+        isospectrality_report(hh3_jmap, ns12_jmap, lattice, degrees=(0, 1),
                               grid=64)
     assert builds == solves == []
 
 
-def test_isospectrality_checks_the_grid_before_any_build(hh3, ns12,
+def test_isospectrality_checks_the_grid_before_any_build(hh3_jmap, ns12_jmap,
                                                         monkeypatch):
     builds = counting(monkeypatch, "build_hnm_basis")
     with pytest.raises(InvalidSampling, match="grid >= 64, got 32"):
-        isospectrality_report(hh3.jmap, ns12.jmap, [(1, 0, 0)], degrees=(0,),
+        isospectrality_report(hh3_jmap, ns12_jmap, [(1, 0, 0)], degrees=(0,),
                               grid=32)
     assert builds == []
 
@@ -882,24 +884,25 @@ def test_isospectrality_checks_the_grid_before_any_build(hh3, ns12,
 @pytest.mark.parametrize("lattice, degrees", [([], (0, 1, 2)),
                                               ([(1, 0, 0)], ())],
                          ids=["no lattice vector", "no degree"])
-def test_isospectrality_refuses_a_comparison_of_nothing(hh3, ns12, lattice,
-                                                       degrees, monkeypatch):
+def test_isospectrality_refuses_a_comparison_of_nothing(hh3_jmap, ns12_jmap,
+                                                       lattice, degrees,
+                                                       monkeypatch):
     """An empty lattice or degree list compared no cell and read as
     isospectral, even with the second member detuned, so the negative
     control could not trip."""
     builds = counting(monkeypatch, "build_hnm_basis")
     with pytest.raises(InvalidSampling, match="no degree to compare"):
-        isospectrality_report(hh3.jmap, ns12.jmap, lattice, degrees=degrees,
+        isospectrality_report(hh3_jmap, ns12_jmap, lattice, degrees=degrees,
                               mu_scale_b=2.0)
     assert builds == []
 
 
-def test_isospectrality_negative_control(hh3, ns12):
-    report = isospectrality_report(hh3.jmap, ns12.jmap, [(1, 0, 0)],
+def test_isospectrality_negative_control(hh3_jmap, ns12_jmap):
+    report = isospectrality_report(hh3_jmap, ns12_jmap, [(1, 0, 0)],
                                    degrees=(1,), grid=128, mu_scale_b=1.05)
     assert not report.isospectral
 
 
-def test_family_mismatch(hh2, hh3):
+def test_family_mismatch(hh3_jmap):
     with pytest.raises(FamilyMismatch):
-        isospectrality_report(hh2.jmap, hh3.jmap, [(1, 0, 0)])
+        isospectrality_report(build_j_map(3, 1, 0), hh3_jmap, [(1, 0, 0)])

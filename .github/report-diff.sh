@@ -50,6 +50,12 @@ commands=(
   # positive controls: members that agree in every counterexample column
   "counterexample --family 3:2,0;0,2"
   "counterexample --family 2:2,0;1,1"
+  # the harmonic r^6 closure at center dimensions 1 and 2, one of them at
+  # odd n = 7
+  "expand --family 2:1,0"
+  "expand --family 1:2,0"
+  # a negative Robin entry, which only the = form passes to --bc
+  "spectrum --k 2 --bc=-1,1 --grid 64 --count 2"
 )
 
 work=$(mktemp -d)

@@ -192,9 +192,8 @@ def member_row(geo):
     r3 = averaged_boundary_r3(pi)
     return {
         "C": pi.c, "H": pi.h, "L": pi.l,
-        "A2": float(dens.normalized.coefficient(2)),
-        "A4": float(dens.normalized.coefficient(4)),
-        "A6": float(dens.normalized.coefficient(6)),
+        "A2": dens.coefficient(2), "A4": dens.coefficient(4),
+        "A6": dens.coefficient(6),
         "grad_R_sq": pi.grad_r_sq, "R_hat": pi.r_hat, "R_ring": pi.r_ring,
         "avg_alpha2_direction": avg_alpha,
         "avg_beta2_direction": avg_beta,
@@ -418,9 +417,13 @@ def build_parser():
     p_spec.add_argument("--k", type=int, required=True)
     p_spec.add_argument("--n", type=int, default=0)
     p_spec.add_argument("--m", type=int, default=0)
-    p_spec.add_argument("--mu", type=float, default=0.0)
+    p_spec.add_argument("--mu", type=float, default=0.0,
+                        help="write a negative value as --mu=-1e-3, which "
+                             "is not read as a flag")
     p_spec.add_argument("--t-domain", type=float, default=10.0)
-    p_spec.add_argument("--bc", default="0,1")
+    p_spec.add_argument("--bc", default="0,1",
+                        help="Robin pair 'A,B'; write a negative A as "
+                             "--bc=-1,1, which is not read as a flag")
     p_spec.add_argument("--grid", type=int, default=128)
     p_spec.add_argument("--count", type=int, default=6)
     p_spec.add_argument("--out", default=None)

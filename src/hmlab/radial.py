@@ -27,31 +27,34 @@ from .geometry import _unit_directions, curvature_jet
 from .series import TruncatedSeries
 
 
-def jacobi_series(jet, order=5):
-    """Normalized Jacobi endomorphism a(r) through r**order (order <= 5).
+def _taylor_matrices(jet):
+    """The Taylor coefficients R_i = R^(i)/i!, i = 0..3, of an order-3
+    ``jet``; a shorter jet raises ``OrderUnsupported``."""
+    if jet.order < 3:
+        raise OrderUnsupported(
+            f"the harmonic series need jet order >= 3, got {jet.order}")
+    return [jet.taylor_coefficient(k) for k in range(4)]
+
+
+def jacobi_series(jet):
+    """Normalized Jacobi endomorphism a(r) through r**5, from an order-3 jet.
 
     The jet matrices are those of the Jacobi equation A'' + R A = 0.  The
     recursion (j+2)(j+1) a_{j+2} = -sum R_i a_m is run on Taylor
     coefficients R_i = R^(i)/i!.
     """
-    order = checked_integer("Jacobi series", "order", order, 0, 5,
-                            error=OrderUnsupported)
-    if order > jet.order + 2:
-        raise OrderUnsupported(
-            f"series order {order} needs jet order >= {order - 2}, got {jet.order}")
-    taylor = [jet.taylor_coefficient(k) for k in range(jet.order + 1)]
+    taylor = _taylor_matrices(jet)
     dim = taylor[0].shape[0]
     zero = np.zeros((dim, dim))
     a = [zero, np.eye(dim)]
-    for j in range(order):
+    for j in range(5):
         acc = zero.copy()
         for i, ri in enumerate(taylor):
             m = j - i
             if 0 <= m < len(a):
                 acc = acc + ri @ a[m]
         a.append(-acc / ((j + 2) * (j + 1)))
-    coeffs = a[1:order + 2]
-    return TruncatedSeries(coeffs, offset=0)
+    return TruncatedSeries(a[1:], offset=0)
 
 
 def harmonic_trace_c6(jet):
@@ -68,22 +71,6 @@ def harmonic_trace_c6(jet):
     return -(tr_cube + 3.0 * p) / 5040.0
 
 
-def extend_with_trace(a_series, trace_c6):
-    """Append an r^6 coefficient carrying only a trace.
-
-    The appended matrix is (trace/n) id; determinants and total traces
-    through r^6 come out exactly right, but the individual matrix entries
-    at r^5 of derived quotients are not meaningful.
-    """
-    if a_series.offset != 0 or a_series.top != 5:
-        raise OrderUnsupported(
-            "trace closure extends an offset-0 order-5 series only")
-    dim = a_series.coeffs[0].shape[0]
-    coeffs = [c.copy() for c in a_series.coeffs]
-    coeffs.append((trace_c6 / dim) * np.eye(dim))
-    return TruncatedSeries(coeffs)
-
-
 @dataclass
 class RadialDensity:
     """Volume density data along one direction."""
@@ -97,21 +84,21 @@ class RadialDensity:
         return float(self.normalized.coefficient(k))
 
 
-def density_series(a_series, trace_c6):
-    """Volume density series from the normalized Jacobi endomorphism, the
-    order-5 endomorphism closed through r^6 by ``trace_c6`` first."""
-    a_series = extend_with_trace(a_series, trace_c6)
-    dim = a_series.coeffs[0].shape[0]
+def harmonic_density(jet):
+    """Density series of one order-3 ``jet``: the r^5 Jacobi series closed
+    through r^6 by the harmonic trace (the one place it is applied).
+
+    The appended r^6 coefficient is (trace/n) id; determinants and total
+    traces through r^6 come out exactly right, but the individual matrix
+    entries at r^5 of derived quotients are not meaningful.
+    """
+    a5 = jacobi_series(jet).coeffs
+    dim = a5[0].shape[0]
+    a_series = TruncatedSeries(
+        a5 + [(harmonic_trace_c6(jet) / dim) * np.eye(dim)])
     theta = a_series.det()
     return RadialDensity(dim=dim, normalized=theta,
                          density=theta.shift(dim - 1), a_series=a_series)
-
-
-def harmonic_density(jet):
-    """Density series of one order-3 ``jet``: the order-5 Jacobi series
-    closed through r^6 by the harmonic trace (the one place it is applied)."""
-    return density_series(jacobi_series(jet, order=5),
-                          trace_c6=harmonic_trace_c6(jet))
 
 
 def radial_density(geometry):
@@ -141,24 +128,22 @@ class ShapeTraces:
     tr_curv_sigma: TruncatedSeries
 
 
-def shape_trace_series(a_series, jet, r4_trace=0.0):
-    """Shape operator traces from the endomorphism series and the jet.
+def shape_trace_series(a_series, jet):
+    """Shape operator traces from the endomorphism series and the order-3
+    jet.
 
-    ``r4_trace`` closes the r^3 coefficient of tr(R_nu sigma): the missing
-    fourth Taylor coefficient of R(r) enters only through its trace, which
-    vanishes on a harmonic candidate.
+    A zero r^4 coefficient of R(r) closes the r^3 coefficient of
+    tr(R_nu sigma): the missing fourth Taylor coefficient enters only
+    through its trace, which vanishes on a harmonic candidate.
     """
     dim = a_series.coeffs[0].shape[0]
+    r_series = TruncatedSeries(_taylor_matrices(jet) + [np.zeros((dim, dim))])
     a_full = a_series.shift(1)
     sigma = a_full.derivative() * a_full.inverse()
     tr_sigma = sigma.trace().plus_term(-1.0, -1)
     sigma_sq = sigma * sigma
     tr_sigma_sq = sigma_sq.trace().plus_term(-1.0, -2)
     tr_sigma_cube = (sigma_sq * sigma).trace().plus_term(-1.0, -3)
-    r_coeffs = [jet.taylor_coefficient(k) for k in range(jet.order + 1)]
-    if jet.order >= 3:
-        r_coeffs.append((r4_trace / dim) * np.eye(dim))
-    r_series = TruncatedSeries(r_coeffs, offset=0)
     tr_curv_sigma = (r_series * sigma).trace()
     return ShapeTraces(tr_sigma=tr_sigma, tr_sigma_sq=tr_sigma_sq,
                        tr_sigma_cube=tr_sigma_cube, tr_curv_sigma=tr_curv_sigma)

@@ -21,9 +21,8 @@ from hmlab.invariants import (beta_tensor, grad_quad_tensor,
                               point_invariants, sphere_average,
                               verify_average_identities,
                               verify_einstein_identities, verify_harmonicity)
-from hmlab.radial import (density_series, harmonic_trace_c6, jacobi_series,
-                          ode_oracle, peel_coefficients, radial_density,
-                          shape_trace_series, vk_recursion, volume_series)
+from hmlab.radial import (harmonic_series, ode_oracle, peel_coefficients,
+                          radial_density, vk_recursion, volume_series)
 from hmlab.sis import (ball_boundary_vector, ball_volume_vector,
                        canonical_generators, density_vector, eliminate,
                        lichnerowicz_vector, rank_and_membership,
@@ -124,9 +123,7 @@ def test_05_series_machinery(hh2):
     u = np.zeros(n)
     u[0] = 1.0
     jet = curvature_jet(hh2, u, order=3)
-    dens = density_series(jacobi_series(jet, order=5),
-                          trace_c6=harmonic_trace_c6(jet))
-    shape = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
+    dens, shape = harmonic_series(jet)
     targets = {-1: n - 1.0, 1: -pi.c / 3.0, 3: -pi.h / 45.0,
                5: -pi.l / 15120.0}
     for order, want in targets.items():

@@ -495,6 +495,19 @@ def test_spectrum_error_paths(capsys):
     assert "ConvergenceFailure" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--bc", "-1,1"), ("--mu", "-1e-3")])
+def test_a_negative_value_goes_in_the_equals_form(flag, value, capsys):
+    """argparse reads a value such as -1,1 or -1e-3 as a flag, so the
+    spaced form exits 2 with "expected one argument"; the = form solves."""
+    argv = ["spectrum", "--k", "2", "--grid", "64", "--count", "2"]
+    with pytest.raises(SystemExit) as info:
+        main(argv + [flag, value])
+    assert info.value.code == 2
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    assert main(argv + [f"{flag}={value}"]) == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"]
+
+
 def test_isospec_names_the_sector_that_does_not_converge(capsys):
     """At grid 64 the 12-dim pair's sectors at Z = (1, 2, 2) do not
     converge above degree 0; the error says which one."""

@@ -22,8 +22,7 @@ from hmlab.geometry import constant_curvature_geometry, curvature_jet
 from hmlab.heatinv import structural_p_decompositions, structural_r3_table
 from hmlab.invariants import (verify_average_identities,
                               verify_einstein_identities, verify_harmonicity)
-from hmlab.radial import (flow_series, jacobi_series, ode_oracle, vk_recursion,
-                          volume_series)
+from hmlab.radial import flow_series, ode_oracle, vk_recursion, volume_series
 from hmlab.series import TruncatedSeries
 from hmlab.sis import (IdentityVector, ball_boundary_vector, ball_volume_vector,
                        canonical_generators, density_vector,
@@ -39,10 +38,6 @@ U = np.eye(4)[0]  # a unit direction of ch2
 
 def rows():
     return laplacian_symbol(build_j_map(1, 1, 0), (1,)).j_unit_rows
-
-
-def jet(fx):
-    return curvature_jet(fx("ch2"), U, order=3)
 
 
 def isospec(fx, **kwargs):
@@ -66,9 +61,6 @@ SITES = {
         lambda fx, v: build_j_map(1, v, 0), 1, InvalidMultiplicity, "pos"),
     "build_j_map.neg": (
         lambda fx, v: build_j_map(1, 0, v), 1, InvalidMultiplicity, "neg"),
-    "jacobi_series.order": (
-        lambda fx, v: jacobi_series(jet(fx), order=v), 4,
-        OrderUnsupported, "order"),
     "flow_series.order": (
         lambda fx, v: flow_series(fx("ch2"), U, v), 3,
         OrderUnsupported, "order"),

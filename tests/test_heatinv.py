@@ -19,8 +19,7 @@ from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_series,
                            structural_p_decompositions, structural_r3_table)
 from hmlab.invariants import (point_invariants, random_directions,
                               sphere_average, beta_tensor)
-from hmlab.radial import (density_series, harmonic_trace_c6, jacobi_series,
-                          shape_trace_series)
+from hmlab.radial import harmonic_series
 from hmlab.series import TruncatedSeries
 
 
@@ -189,9 +188,9 @@ def test_p2_structural_slope_is_one_sixth():
 
 def per_direction_fits(geo, n_directions, seed):
     """Affine fit of each boundary polynomial's r^3 coefficient against
-    tr R'R' over random directions, with one order-3 jet and one written-out
-    series closure per direction; each series is normalized by the
-    direction-averaged density.  Returns {key: (intercept, slope, max
+    tr R'R' over random directions, with one order-3 jet and one
+    ``harmonic_series`` closure per direction; each series is normalized by
+    the direction-averaged density.  Returns {key: (intercept, slope, max
     residual)}."""
     inv = point_invariants(geo)
     dirs = random_directions(geo.dim, n_directions,
@@ -199,9 +198,7 @@ def per_direction_fits(geo, n_directions, seed):
     per_dir = []
     for u in dirs:
         jet = curvature_jet(geo, u, order=3)
-        dens = density_series(jacobi_series(jet, order=5),
-                              trace_c6=harmonic_trace_c6(jet))
-        shape = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
+        dens, shape = harmonic_series(jet)
         per_dir.append((jet, dens, shape))
     avg = TruncatedSeries(
         [np.mean([float(d.normalized.coefficient(k)) for _, d, _ in per_dir])
@@ -298,9 +295,7 @@ def test_normalized_mode_with_matching_density_is_raw(hh2):
     u = np.eye(8)[2]
     inv = point_invariants(hh2)
     jet = curvature_jet(hh2, u, order=3)
-    dens = density_series(jacobi_series(jet, order=5),
-                          trace_c6=harmonic_trace_c6(jet))
-    shape = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
+    dens, shape = harmonic_series(jet)
     raw = boundary_polynomials(shape, inv)
     cooked = boundary_polynomials(shape, inv, density=dens.normalized,
                                   averaged_density=dens.normalized)

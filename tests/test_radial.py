@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 
 from hmlab.errors import (InvalidSampling, OrderUnsupported, StepFailure,
                           ZeroLeadingCoefficient)
-from hmlab.geometry import (curvature_jet, geometry_from_algebra, ricci,
+from hmlab.geometry import (constant_curvature_geometry, curvature_jet,
+                            damek_ricci_geometry, geometry_from_algebra, ricci,
                             scale_bracket)
 from hmlab import radial
 from hmlab.heatinv import (_sphere_curvature_series, alpha2_cross_difference,
@@ -18,10 +19,10 @@ from hmlab.heatinv import (_sphere_curvature_series, alpha2_cross_difference,
 from hmlab.invariants import (direction_constants, point_invariants,
                               random_directions)
 from hmlab.series import TruncatedSeries
-from hmlab.radial import (_jacobi_flow, density_series, extend_with_trace,
-                          flow_series, harmonic_density, harmonic_trace_c6,
-                          jacobi_series, ode_oracle, peel_coefficients,
-                          shape_trace_series, vk_recursion, volume_series)
+from hmlab.radial import (_jacobi_flow, flow_series, harmonic_density,
+                          harmonic_series, harmonic_trace_c6, jacobi_series,
+                          ode_oracle, peel_coefficients, shape_trace_series,
+                          vk_recursion, volume_series)
 
 
 def harmonic_shape_expectations(n, c, h, l, p):
@@ -88,21 +89,22 @@ def test_density_is_even(hh2):
     assert dens.density.offset == 7   # r^(n-1) prefactor
 
 
-def test_jacobi_series_order_guard(hh2):
-    jet = curvature_jet(hh2, np.eye(8)[0], order=1)
-    with pytest.raises(OrderUnsupported):
-        jacobi_series(jet, order=4)   # needs jet order >= 2
-    with pytest.raises(OrderUnsupported):
-        jacobi_series(curvature_jet(hh2, np.eye(8)[0], order=3), order=6)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_jet_below_order_three_raises(hh2, order):
+    """The r^5 Jacobi series reads the r^3 Taylor matrix of the jet; a
+    shorter jet is refused by every harmonic series entry."""
+    jet = curvature_jet(hh2, np.eye(8)[0], order=order)
+    a = jacobi_series(curvature_jet(hh2, np.eye(8)[0], order=3))
+    for call in (jacobi_series, harmonic_density, harmonic_series,
+                 lambda jet: shape_trace_series(a, jet)):
+        with pytest.raises(OrderUnsupported, match="jet order >= 3"):
+            call(jet)
 
 
 def test_shape_traces_on_the_round_sphere(sphere4):
     u = np.eye(4)[0]
-    jet = curvature_jet(sphere4, u, order=3)
-    a = jacobi_series(jet, order=5)
     # the r^5 trace coefficients need the r^6 trace closure of the series
-    dens = density_series(a, trace_c6=harmonic_trace_c6(jet))
-    traces = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
+    _, traces = harmonic_series(curvature_jet(sphere4, u, order=3))
     # transverse part of the shape operator is cot(r) times identity:
     # 3 cot r = 3/r - r - r^3/15 - 2 r^5/315
     assert_allclose(traces.tr_sigma.coefficient(-1), 3.0, atol=1e-13)
@@ -124,9 +126,7 @@ def test_shape_trace_table_on_quaternionic_member(hh2):
     jet = curvature_jet(hh2, u, order=3)
     dc = direction_constants(hh2, u)
     p = float(np.trace(jet.matrices[1] @ jet.matrices[1]))
-    dens = density_series(jacobi_series(jet, order=5),
-                          trace_c6=harmonic_trace_c6(jet))
-    traces = shape_trace_series(dens.a_series, jet, r4_trace=0.0)
+    _, traces = harmonic_series(jet)
     expect = harmonic_shape_expectations(8, pi.c, pi.h, pi.l, p)
     assert_allclose(dc.c, pi.c, rtol=1e-12)
     for name, table in expect.items():
@@ -146,8 +146,7 @@ def test_curv_sigma_r3_varies_with_direction(ns12):
         u /= np.linalg.norm(u)
         jet = curvature_jet(ns12, u, order=3)
         p = float(np.trace(jet.matrices[1] @ jet.matrices[1]))
-        a = jacobi_series(jet, order=5)
-        traces = shape_trace_series(a, jet, r4_trace=0.0)
+        _, traces = harmonic_series(jet)
         assert_allclose(traces.tr_curv_sigma.coefficient(3),
                         -pi.l / 1440.0 + p / 96.0, rtol=1e-8)
 
@@ -732,18 +731,64 @@ def test_trace_closure_consistency(hh2, ns12):
             c6,
             -(float(np.trace(r0 @ r0 @ r0)) + 3 * float(np.trace(r1 @ r1))) / 5040.0,
             rtol=1e-12)
-        dens = density_series(jacobi_series(jet, order=5), trace_c6=c6)
+        dens = harmonic_density(jet)
         assert dens.normalized.top >= 6
 
 
-def test_trace_closure_takes_only_an_offset_zero_order_five_series():
-    """The r^6 trace lands right after r^5 only on the series it closes; a
-    shifted series with the same top would put it at a wrong power."""
-    eye = np.eye(2)
-    with pytest.raises(OrderUnsupported):
-        extend_with_trace(TruncatedSeries([eye] * 4, offset=2), 1.0)
-    with pytest.raises(OrderUnsupported):
-        extend_with_trace(TruncatedSeries([eye] * 5), 1.0)
-    closed = extend_with_trace(TruncatedSeries([eye] * 6), 1.0)
-    assert closed.offset == 0 and closed.top == 6
-    assert_allclose(closed.coefficient(6), 0.5 * eye)
+def written_out_closure(jet):
+    """The harmonic series composed by hand from its pieces, as it was
+    written before ``harmonic_density`` closed the r^5 Jacobi series
+    itself: the series copied and extended by (trace/n) id at r^6, its
+    determinant, and the shape traces of the extended series with a zero
+    r^4 matrix of R written as (0.0/n) id."""
+    a = jacobi_series(jet)
+    dim = a.coeffs[0].shape[0]
+    coeffs = [c.copy() for c in a.coeffs]
+    coeffs.append((harmonic_trace_c6(jet) / dim) * np.eye(dim))
+    closed = TruncatedSeries(coeffs)
+    theta = closed.det()
+    a_full = closed.shift(1)
+    sigma = a_full.derivative() * a_full.inverse()
+    sigma_sq = sigma * sigma
+    r_series = TruncatedSeries(
+        [jet.taylor_coefficient(k) for k in range(4)]
+        + [(0.0 / dim) * np.eye(dim)])
+    traces = {"tr_sigma": sigma.trace().plus_term(-1.0, -1),
+              "tr_sigma_sq": sigma_sq.trace().plus_term(-1.0, -2),
+              "tr_sigma_cube": (sigma_sq * sigma).trace().plus_term(-1.0, -3),
+              "tr_curv_sigma": (r_series * sigma).trace()}
+    return theta, theta.shift(dim - 1), closed, traces
+
+
+def series_bits(s):
+    return s.offset, [np.asarray(c, dtype=float).view(np.int64).tolist()
+                      for c in s.coeffs]
+
+
+@pytest.mark.parametrize("build", [
+    lambda fx: fx("ns12"),
+    lambda fx: fx("hh3"),
+    lambda fx: fx("ch2"),
+    lambda fx: damek_ricci_geometry(2, 1, 0),
+    lambda fx: constant_curvature_geometry(5, -1.0),
+    lambda fx: geometry_from_algebra(scale_bracket(
+        fx("ns12").algebra, 0, 11, 1.1)),
+], ids=["3:1,1", "3:2,0", "1:1,0", "2:1,0", "kappa=-1", "3:1,1x1.1"])
+def test_harmonic_series_is_the_written_out_closure(build, request):
+    """harmonic_series gives the hand-composed closure bit for bit: the
+    normalized and plain density, the closed endomorphism series and all
+    four shape traces, in five directions.  The scaled member is not
+    dyadic, so a change of summation order would show in its last bits."""
+    geo = build(request.getfixturevalue)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        u = rng.standard_normal(geo.dim)
+        jet = curvature_jet(geo, u / np.linalg.norm(u), order=3)
+        dens, shape = harmonic_series(jet)
+        theta, density, closed, traces = written_out_closure(jet)
+        assert series_bits(dens.normalized) == series_bits(theta)
+        assert series_bits(dens.density) == series_bits(density)
+        assert series_bits(dens.a_series) == series_bits(closed)
+        for name, want in traces.items():
+            assert series_bits(getattr(shape, name)) == series_bits(want), \
+                name

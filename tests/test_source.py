@@ -179,8 +179,14 @@ def test_one_monte_carlo_fold():
 
 def test_one_harmonic_series_closure():
     """The r^6 trace closure is applied in radial.harmonic_density only;
-    every density or shape series that needs it goes through that one."""
+    every density or shape series that needs it goes through that one, and
+    the r^5 Jacobi series and the shape traces are reached only through
+    harmonic_density and harmonic_series, so no caller closes a series by
+    hand."""
     assert calls_by_scope("harmonic_trace_c6") == {("radial", "harmonic_density")}
+    assert calls_by_scope("jacobi_series") == {("radial", "harmonic_density")}
+    assert calls_by_scope("shape_trace_series") == \
+        {("radial", "harmonic_series")}
 
 
 def test_covariant_derivatives_stop_at_nabla_r():

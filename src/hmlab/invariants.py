@@ -55,10 +55,9 @@ def direction_constants(geometry, u):
     def tr(m):
         return np.trace(m, axis1=-2, axis2=-1)
 
-    r0_sq = r0 @ r0
-    p = tr(r1 @ r1)
-    traces = [tr(r0), tr(r0_sq), 32.0 * tr(r0_sq @ r0) - 9.0 * p,
-              tr(r0 @ r1), tr(r0 @ r2) + p]
+    traces = [tr(r0), tr(r0 @ r0),
+              32.0 * tr(r0 @ r0 @ r0) - 9.0 * tr(r1 @ r1),
+              tr(r0 @ r1), tr(r0 @ r2) + tr(r1 @ r1)]
     if u.ndim == 1:
         traces = [float(t) for t in traces]
     return DirectionConstants(*traces)
@@ -477,11 +476,10 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     sum of x * (D @ monomials(x, heads)) on x in row layout.  Every even
     term is read off x: beta on the 12-dim members is 78 terms on 12
     heads, tr R_u'R_u' on 3:1,1 48 on 16, and on the symmetric 3:2,0
-    nothing is live in it, so every sample would be 0 and the average
-    returns (0.0, 0.0) without drawing.  U holds only the odd terms: p is
-    0 for both quantities on the 12-dim pair and on 3:4,1 and 3:5,0
-    (measured), and 9 for beta and 60 for tr R_u'R_u' on 3:1,1 with one
-    bracket scaled by 1.25.
+    nothing is live in it, so every sample is 0.  U holds only the odd
+    terms: p is 0 for both quantities on the 12-dim pair and on 3:4,1 and
+    3:5,0 (measured), and 9 for beta and 60 for tr R_u'R_u' on 3:1,1 with
+    one bracket scaled by 1.25.
     ``n_samples`` must be an integer >= 1 and ``seed`` an integer >= 0
     (neither a bool), else ``InvalidSampling``.
     """
@@ -492,8 +490,6 @@ def mc_average(geometry, quantity, n_samples=1_000_000, seed=0):
     halves, umat, heads, dmat = _mc_form(geometry, quantity)
     k = halves.shape[1]
     p = len(umat)
-    if not p and not len(heads):
-        return 0.0, 0.0   # every sample would be 0
     rng = np.random.Generator(np.random.SFC64(seed))
     total = total_sq = 0.0
     for done in range(0, n_samples, MC_BLOCK):

@@ -27,23 +27,18 @@ from .geometry import _unit_directions, curvature_jet
 from .series import TruncatedSeries
 
 
-def _taylor_matrices(jet):
-    """The Taylor coefficients R_i = R^(i)/i!, i = 0..3, of an order-3
-    ``jet``; a shorter jet raises ``OrderUnsupported``."""
-    if jet.order < 3:
-        raise OrderUnsupported(
-            f"the harmonic series need jet order >= 3, got {jet.order}")
-    return [jet.taylor_coefficient(k) for k in range(4)]
-
-
 def jacobi_series(jet):
     """Normalized Jacobi endomorphism a(r) through r**5, from an order-3 jet.
 
     The jet matrices are those of the Jacobi equation A'' + R A = 0.  The
     recursion (j+2)(j+1) a_{j+2} = -sum R_i a_m is run on Taylor
-    coefficients R_i = R^(i)/i!.
+    coefficients R_i = R^(i)/i!, i = 0..3; a shorter jet raises
+    ``OrderUnsupported``.
     """
-    taylor = _taylor_matrices(jet)
+    if jet.order < 3:
+        raise OrderUnsupported(
+            f"the r^5 Jacobi series needs jet order >= 3, got {jet.order}")
+    taylor = [jet.taylor_coefficient(k) for k in range(4)]
     dim = taylor[0].shape[0]
     zero = np.zeros((dim, dim))
     a = [zero, np.eye(dim)]
@@ -128,32 +123,28 @@ class ShapeTraces:
     tr_curv_sigma: TruncatedSeries
 
 
-def shape_trace_series(a_series, jet):
-    """Shape operator traces from the endomorphism series and the order-3
-    jet.
+def harmonic_series(jet):
+    """(``RadialDensity``, ``ShapeTraces``) of one order-3 ``jet`` of a
+    harmonic candidate, closed through r^6.
 
-    A zero r^4 coefficient of R(r) closes the r^3 coefficient of
+    The shape traces are read off sigma = A' A^-1 of the closed series.  A
+    zero r^4 coefficient of R(r) closes the r^3 coefficient of
     tr(R_nu sigma): the missing fourth Taylor coefficient enters only
     through its trace, which vanishes on a harmonic candidate.
     """
-    dim = a_series.coeffs[0].shape[0]
-    r_series = TruncatedSeries(_taylor_matrices(jet) + [np.zeros((dim, dim))])
-    a_full = a_series.shift(1)
+    dens = harmonic_density(jet)
+    a_full = dens.a_series.shift(1)
     sigma = a_full.derivative() * a_full.inverse()
     tr_sigma = sigma.trace().plus_term(-1.0, -1)
     sigma_sq = sigma * sigma
     tr_sigma_sq = sigma_sq.trace().plus_term(-1.0, -2)
     tr_sigma_cube = (sigma_sq * sigma).trace().plus_term(-1.0, -3)
+    r_series = TruncatedSeries([jet.taylor_coefficient(k) for k in range(4)]
+                               + [np.zeros((dens.dim, dens.dim))])
     tr_curv_sigma = (r_series * sigma).trace()
-    return ShapeTraces(tr_sigma=tr_sigma, tr_sigma_sq=tr_sigma_sq,
-                       tr_sigma_cube=tr_sigma_cube, tr_curv_sigma=tr_curv_sigma)
-
-
-def harmonic_series(jet):
-    """(``RadialDensity``, ``ShapeTraces``) of one order-3 ``jet`` of a
-    harmonic candidate, closed through r^6."""
-    dens = harmonic_density(jet)
-    return dens, shape_trace_series(dens.a_series, jet)
+    return dens, ShapeTraces(tr_sigma=tr_sigma, tr_sigma_sq=tr_sigma_sq,
+                             tr_sigma_cube=tr_sigma_cube,
+                             tr_curv_sigma=tr_curv_sigma)
 
 
 # -- volume of geodesic balls and spheres ------------------------------------

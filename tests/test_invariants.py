@@ -414,22 +414,6 @@ def test_mc_average_takes_numpy_integers(ns12):
     assert (mean, se) == mc_average(ns12, "beta", n_samples=10, seed=3)
 
 
-def test_mc_average_with_nothing_live_draws_nothing(hh3, monkeypatch):
-    """On the symmetric 3:2,0 no term of tr R_u'R_u' is live, so every
-    sample is 0: the average is the drawn reference's (0.0, 0.0), and no
-    generator is made for it."""
-    want = reference_mc_average(hh3, "grad_quad", 1000, 5)
-    assert want == (0.0, 0.0)
-
-    def no_generator(seed):
-        raise AssertionError("a generator was made")
-
-    monkeypatch.setattr(np.random, "SFC64", no_generator)
-    assert mc_average(hh3, "grad_quad", n_samples=10 ** 6, seed=5) == want
-    with pytest.raises(AssertionError, match="generator"):
-        mc_average(hh3, "beta", n_samples=10, seed=5)
-
-
 def test_mc_average_rejects_an_unknown_quantity(ns12):
     with pytest.raises(InvalidSampling, match="'other'") as info:
         mc_average(ns12, "other", n_samples=10)

@@ -179,14 +179,16 @@ def test_one_monte_carlo_fold():
 
 def test_one_harmonic_series_closure():
     """The r^6 trace closure is applied in radial.harmonic_density only;
-    every density or shape series that needs it goes through that one, and
-    the r^5 Jacobi series and the shape traces are reached only through
-    harmonic_density and harmonic_series, so no caller closes a series by
-    hand."""
+    every density or shape series that needs it goes through that one.  The
+    r^5 Jacobi series is read only by harmonic_density, and the shape
+    traces are formed inside harmonic_series from its closed series, so no
+    caller closes a series by hand or hands the traces an unclosed one."""
     assert calls_by_scope("harmonic_trace_c6") == {("radial", "harmonic_density")}
     assert calls_by_scope("jacobi_series") == {("radial", "harmonic_density")}
-    assert calls_by_scope("shape_trace_series") == \
-        {("radial", "harmonic_series")}
+    assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
+                     and node.name in ("shape_trace_series",
+                                       "extend_with_trace",
+                                       "density_series")) == set()
 
 
 def test_covariant_derivatives_stop_at_nabla_r():

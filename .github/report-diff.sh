@@ -56,6 +56,8 @@ commands=(
   "expand --family 1:2,0"
   # a negative Robin entry, which only the = form passes to --bc
   "spectrum --k 2 --bc=-1,1 --grid 64 --count 2"
+  # the isospec lattice at center dimension 2, on a positive control
+  "isospec --family 2:2,0;1,1 --max-degree 2"
 )
 
 work=$(mktemp -d)

@@ -64,7 +64,11 @@ class InvalidSampling(HmlabError):
     mu_scale_b not a finite real, a tolerance, radius, steps_per_unit or
     t_domain not finite and > 0, peeled values not finite, peeled radii
     repeated or powers not rising by even gaps within the ladder, an empty
-    linear system or span candidate, or an unknown Monte Carlo quantity."""
+    linear system or span candidate, exact rows of unequal length, a
+    determinant of rows that are not square, a right-hand side that is not
+    one entry per row, span basis rows of another length than the
+    candidate, a sphere average given anything but an einsum spec with
+    exactly one '->', or an unknown Monte Carlo quantity."""
 
 
 class DegreeMismatch(HmlabError):
@@ -82,7 +86,8 @@ class OutsideDomain(HmlabError):
     coefficient per basis slot, an elimination mode other than 'proper'
     or 'rudimentary', a CPoly denominator that is not positive, a series
     offset not an integer, a dimension not an integer >= 1, a V_k count
-    not one >= 0, or a V_k density coefficient not a finite real."""
+    not one >= 0, a V_k density coefficient not a finite real, or a volume
+    series density that does not start at r^0."""
 
 
 class SymbolAbsent(HmlabError):

@@ -19,6 +19,7 @@ def rref(rows):
     """Reduced row echelon form.
 
     Returns ``(reduced, pivot_columns)``; ``reduced`` is a new list of lists.
+    Rows of unequal length raise ``InvalidSampling``.
     """
     reduced, pivots, _ = _gauss_jordan(rows)
     return reduced, pivots
@@ -31,6 +32,9 @@ def _gauss_jordan(rows):
     if not m:
         return [], [], 1
     nrow, ncol = len(m), len(m[0])
+    if any(len(row) != ncol for row in m):
+        raise InvalidSampling(f"exact elimination needs rows of one length; "
+                              f"got lengths {sorted({len(row) for row in m})}")
     pivots = []
     product = 1
     r = 0
@@ -70,10 +74,15 @@ def det(rows):
     A row swap flips the sign of the determinant and dividing a row by its
     pivot divides it by the pivot; the other row operations keep it.  Rows
     of full rank end at the identity, so their determinant is the signed
-    pivot product; a column without a pivot makes it zero.
+    pivot product; a column without a pivot makes it zero.  Rows that are
+    not n entries each, n the number of rows, raise ``InvalidSampling``.
     """
     if not rows:
         return Fraction(1)
+    if any(len(row) != len(rows) for row in rows):
+        raise InvalidSampling(f"determinant needs square rows; got "
+                              f"{len(rows)} rows of lengths "
+                              f"{sorted({len(row) for row in rows})}")
     _, pivots, product = _gauss_jordan(rows)
     if pivots != list(range(len(rows))):
         return rows[0][0] - rows[0][0]
@@ -84,14 +93,15 @@ def solve(rows, rhs):
     """Solve A x = b exactly; returns None when inconsistent.
 
     Under-determined systems get the pivot-variable solution with free
-    variables set to zero.  An empty system (no rows or no right-hand
-    side) raises ``InvalidSampling``.
+    variables set to zero.  An empty system (no rows), a right-hand side
+    that is not one entry per row, or rows of unequal length raise
+    ``InvalidSampling``.
     """
-    if not rows or not rhs:
+    if not rows or len(rhs) != len(rows):
         raise InvalidSampling(
-            f"exact solve needs at least one equation and one right-hand "
-            f"entry (in_span: a nonempty candidate); got {len(rows)} rows "
-            f"and {len(rhs)} right-hand entries")
+            f"exact solve needs a nonempty system with one right-hand entry "
+            f"per equation; got {len(rows)} rows and {len(rhs)} right-hand "
+            f"entries")
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     ncol = len(rows[0])
@@ -109,9 +119,16 @@ def in_span(basis_rows, candidate):
 
     Returns ``(member, combination)``; ``combination`` lists the coefficients
     on the basis rows when membership holds, else None.  The candidate must
-    have at least one entry, else ``InvalidSampling``; an empty basis spans
-    only the zero candidate, with the empty combination.
+    have at least one entry and every basis row as many as the candidate,
+    else ``InvalidSampling``; an empty basis spans only the zero candidate,
+    with the empty combination.
     """
+    if len(candidate) == 0 or any(len(row) != len(candidate)
+                                  for row in basis_rows):
+        raise InvalidSampling(
+            f"span membership needs a nonempty candidate and basis rows of "
+            f"its length; got {len(candidate)} candidate entries and rows of "
+            f"lengths {sorted({len(row) for row in basis_rows})}")
     # solve basis^T c = candidate; solve is exact, so a solution it returns
     # satisfies every equation
     ncol = len(basis_rows)

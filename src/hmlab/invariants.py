@@ -5,22 +5,20 @@ density expansion; they are evaluated for one direction (n,) or a whole
 batch (m, n) through one batched curvature jet.  The point invariants
 collect the direction-independent curvature scalars.  Averages over the
 unit sphere of direction polynomials are computed exactly by pairing
-contractions (degree at most eight): a polynomial is given either as its
-coefficient tensor or as the einsum of curvature factors that would build
-it, and in the factor form each pairing contracts the factors straight to
-a scalar, so no coefficient tensor is built.  Seeded Monte Carlo averages
-cross-check them independently on SFC64 draws g: ``_mc_form`` folds each
-sampled quantity once into coefficients on its live monomials, held as a
-matrix D on x = g^2 for the terms with only even exponents plus a dense
-p x p block U on the degree-k halves w of the others (see
-``mc_average``).
+contractions (degree at most eight): a polynomial is given as the einsum
+of the curvature factors that would build its coefficient tensor, and each
+pairing contracts the factors straight to a scalar, so no coefficient
+tensor is built.  Seeded Monte Carlo averages cross-check them
+independently on SFC64 draws g: ``_mc_form`` folds each sampled quantity
+once into coefficients on its live monomials, held as a matrix D on
+x = g^2 for the terms with only even exponents plus a dense p x p block U
+on the degree-k halves w of the others (see ``mc_average``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,24 +271,25 @@ def perfect_matchings(slots):
             yield [pair] + rest_m
 
 
-def sphere_average(tensor, *factors):
+def sphere_average(spec, *factors):
     """Exact average over the unit sphere of T[a1..ad] u_a1 ... u_ad.
 
-    ``sphere_average(T)`` averages a coefficient tensor.  In the factor
-    form, ``sphere_average('iabj,jcdk,kefi->abcdef', r, r, r)``, T is the
-    einsum of the factors and its output letters are the direction slots;
-    T itself is never built.  Gaussian pairing: each perfect matching of
-    the slots contributes the corresponding delta-contraction, divided by
-    n(n+2)...(n+2s-2).  In the factor form a matching renames the second
-    letter of each pair to the first and contracts the factors to a scalar
-    along a planned path.  Odd degree averages to zero; degree above eight
-    is refused.
+    T is the einsum of ``factors`` under ``spec``, as in
+    ``sphere_average('iabj,jcdk,kefi->abcdef', r, r, r)``; the output
+    letters of ``spec`` are the direction slots, and T itself is never
+    built.  Gaussian pairing: each perfect matching of the slots
+    contributes the corresponding delta-contraction, divided by
+    n(n+2)...(n+2s-2).  A matching renames the second letter of each pair
+    to the first and contracts the factors to a scalar along a planned
+    path.  Odd degree averages to zero; degree above eight is refused.
+    ``spec`` must be a string with exactly one '->', else
+    ``InvalidSampling``.
     """
-    if isinstance(tensor, str):
-        inputs, slots = tensor.split("->")
-    else:
-        factors = (np.asarray(tensor),)
-        slots = inputs = string.ascii_letters[:factors[0].ndim]
+    if not isinstance(spec, str) or spec.count("->") != 1:
+        got = repr(spec) if isinstance(spec, str) else type(spec).__name__
+        raise InvalidSampling(f"sphere average needs an einsum spec with "
+                              f"exactly one '->'; got {got}")
+    inputs, slots = spec.split("->")
     d = len(slots)
     if d == 0:
         return float(np.einsum(inputs + "->", *factors))
@@ -314,26 +313,14 @@ def sphere_average(tensor, *factors):
 
 
 # Direction polynomials as einsums of curvature factors; the output letters
-# are the direction slots.  The builders below materialize them; the sphere
-# averages contract the factors directly.
+# are the direction slots, which the sphere averages contract the factors
+# over directly.
 
 R_CUBE_SPEC = 'iabj,jcdk,kefi->abcdef'
 GRAD_QUAD_SPEC = 'ciabj,diefj->cabdef'
 # beta contracts one bare curvature against two Jacobi operators; the index
 # routing is fixed by requiring the sphere value (n-1)(n-2)
 BETA_SPEC = 'jiqm,qabi,mcdj->abcd'
-
-
-def grad_quad_tensor(geometry):
-    """Coefficient tensor of tr(R_u' R_u') as a degree-6 direction polynomial."""
-    s1 = geometry.nabla_r
-    return np.einsum(GRAD_QUAD_SPEC, s1, s1, optimize=True)
-
-
-def beta_tensor(geometry):
-    """Coefficient tensor of the mixed cubic trace beta(u)."""
-    r = geometry.r
-    return np.einsum(BETA_SPEC, r, r, r, optimize=True)
 
 
 def verify_average_identities(geometry, tol=1e-7):

@@ -154,9 +154,14 @@ def volume_series(normalized_density, dim):
     """Sphere-area and ball-volume series, per unit solid angle.
 
     The true area is omega_{n-1} times the first series; the quotient
-    ball/area is normalization free.
+    ball/area is normalization free.  The ball coefficients c_k/(n + k)
+    integrate a density that starts at r^0, so a series at any other
+    offset raises ``OutsideDomain``.
     """
     dim = checked_integer("volume series", "dim", dim, 1, error=OutsideDomain)
+    if normalized_density.offset != 0:
+        raise OutsideDomain(f"volume series needs a density series from r^0; "
+                            f"got offset {normalized_density.offset}")
     area = normalized_density.shift(dim - 1)
     ball_coeffs = [c / (dim + k) for k, c in enumerate(normalized_density.coeffs)]
     ball = TruncatedSeries(ball_coeffs, offset=dim)

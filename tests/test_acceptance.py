@@ -16,7 +16,7 @@ from hmlab.cli import main
 from hmlab.errors import DegreeMismatch
 from hmlab.exactlinalg import det, rank
 from hmlab.geometry import curvature_jet
-from hmlab.invariants import (beta_tensor, grad_quad_tensor,
+from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC,
                               gradient_adjusted_cubics, mc_average,
                               point_invariants, sphere_average,
                               verify_average_identities,
@@ -100,8 +100,9 @@ def test_04_average_identities_exact_and_monte_carlo(ns12):
         assert rows[key].rel_residual < 1e-7, (key, rows[key].rel_residual)
     n = ns12.dim
     exact = {
-        "beta": sphere_average(beta_tensor(ns12)),
-        "grad_quad": sphere_average(grad_quad_tensor(ns12)),
+        "beta": sphere_average(BETA_SPEC, ns12.r, ns12.r, ns12.r),
+        "grad_quad": sphere_average(GRAD_QUAD_SPEC, ns12.nabla_r,
+                                    ns12.nabla_r),
     }
     zs = {}
     for quantity, target in exact.items():

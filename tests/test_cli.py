@@ -270,6 +270,24 @@ def test_counterexample_positive_controls_agree_in_every_column(family,
     assert set(payload["marks"].values()) == {"agree"}
 
 
+@pytest.mark.parametrize("family,cells", [("3:2,0;0,2", 18),
+                                          ("2:2,0;1,1", 6)])
+def test_isospec_positive_controls_agree_in_every_cell(family, cells,
+                                                      tmp_path):
+    """The same members as the counterexample controls above: every cell of
+    every lattice block agrees through degree 2.  At center dimension 2 the
+    lattice is the one vector (1, 0)."""
+    rc, text = run_to_dir(["isospec", "--family", family, "--max-degree",
+                           "2"], tmp_path, "isospec.json")
+    assert rc == 0
+    payload = json.loads(text)
+    agree = [cell["agree"] for block in payload["blocks"]
+             for cell in block["cells"]]
+    assert len(agree) == cells
+    assert all(agree)
+    assert payload["isospectral"] is True
+
+
 def test_counterexample_on_the_16_dim_pair(tmp_path):
     """The 16-dim pair 3:3,0;2,1 splits like the 12-dim one: it agrees
     through A6 and differs in ||grad R||^2, 0 on the symmetric member."""

@@ -76,13 +76,29 @@ def test_in_span_positive_and_negative():
     assert not member and combo is None
 
 
-@pytest.mark.parametrize("call", [
-    lambda: solve([], []),
-    lambda: in_span([], []),
-    lambda: in_span(frows([[1, 0], [0, 1]]), [])])
-def test_an_empty_system_or_candidate_is_refused(call):
-    """These ended in a bare IndexError from rows[0] or rhs[0]."""
-    with pytest.raises(InvalidSampling, match="nonempty") as info:
+@pytest.mark.parametrize("call,match", [
+    (lambda: solve([], []), "nonempty"),
+    (lambda: in_span([], []), "nonempty"),
+    (lambda: in_span(frows([[1, 0], [0, 1]]), []), "nonempty"),
+    (lambda: rref(frows([[1, 2, 3], [3, 4]])), "one length"),
+    (lambda: rank(frows([[1], [3, 4]])), "one length"),
+    (lambda: det(frows([[1, 2], [3]])), "square"),
+    (lambda: det(frows([[1, 2, 3], [4, 5, 6]])), "square"),
+    (lambda: solve(frows([[1, 0], [0, 1], [1, 1]]), frows([[1, 2]])[0]),
+     "one right-hand entry per equation"),
+    (lambda: in_span(frows([[1, 0, 5]]), frows([[1, 0]])[0]), "its length"),
+    (lambda: in_span(frows([[1]]), frows([[1, 0]])[0]), "its length")],
+    ids=["solve-empty", "in_span-empty", "in_span-empty-candidate",
+         "rref-ragged", "rank-ragged", "det-ragged", "det-not-square",
+         "solve-short-rhs", "in_span-long-row", "in_span-short-row"])
+def test_a_malformed_system_or_candidate_is_refused(call, match):
+    """The empty cases ended in a bare IndexError from rows[0] or rhs[0].
+    Ragged rows lost entries (rref dropped the third column, rank read 1)
+    or ended in an IndexError (det); a 2 x 3 determinant read 1; a solve
+    with two right-hand entries for three rows dropped the third equation;
+    a basis row longer than the candidate was cut to it (reading
+    ``(True, [1])``), and a shorter one ended in an IndexError."""
+    with pytest.raises(InvalidSampling, match=match) as info:
         call()
     assert isinstance(info.value, HmlabError)
 

@@ -17,8 +17,8 @@ from hmlab.heatinv import (P3_WEIGHTS, _sphere_curvature_series,
                            alpha2_cross_difference, averaged_boundary_r3,
                            sphere_intrinsic_oracle,
                            structural_p_decompositions, structural_r3_table)
-from hmlab.invariants import (point_invariants, random_directions,
-                              sphere_average, beta_tensor)
+from hmlab.invariants import (BETA_SPEC, point_invariants,
+                              random_directions, sphere_average)
 from hmlab.radial import harmonic_series
 from hmlab.series import TruncatedSeries
 
@@ -124,8 +124,10 @@ def test_alpha_beta_averages(ns12, hh3):
     assert_allclose(ab.average_alpha2_direction,
                     3.0 * pi.grad_r_sq / (16 * n * (n + 2) * (n + 4)),
                     rtol=1e-12)
-    # dual route for the beta average: exact pairing of the quartic tensor
-    avg_beta_pairing = (4.0 / 9.0) * sphere_average(beta_tensor(ns12))
+    # dual route for the beta average: exact pairing of the quartic
+    # polynomial's curvature factors
+    r = ns12.r
+    avg_beta_pairing = (4.0 / 9.0) * sphere_average(BETA_SPEC, r, r, r)
     assert_allclose(ab.average_beta2_direction, avg_beta_pairing, rtol=1e-9)
     # symmetric member: no direction dependence at all
     ab_sym = alpha_beta_parts(hh3, u)

@@ -16,19 +16,11 @@ from hmlab.geometry import (JET_BLOCK, build_htype_algebra,
                             geometry_from_algebra, scale_bracket)
 from hmlab.invariants import (BETA_SPEC, GRAD_QUAD_SPEC, MC_BLOCK, R_CUBE_SPEC,
                               _mc_form, _monomials, _symmetric_factor,
-                              beta_tensor, direction_constants,
-                              grad_quad_tensor, gradient_adjusted_cubics,
+                              direction_constants, gradient_adjusted_cubics,
                               mc_average, perfect_matchings, point_invariants,
                               random_directions, sphere_average,
                               verify_average_identities,
                               verify_einstein_identities, verify_harmonicity)
-
-
-def r_cube_tensor(geometry):
-    """Coefficient tensor of tr R_u^3; the materialized reference that the
-    factor form of ``sphere_average`` is checked against."""
-    r = geometry.r
-    return np.einsum(R_CUBE_SPEC, r, r, r, optimize=True)
 
 
 def test_round_sphere_direction_traces(sphere6):
@@ -162,19 +154,29 @@ def test_sphere_average_against_isotropic_moment_formula(rng):
             + np.einsum('ac,bd->abcd', eye, eye)
             + np.einsum('ad,bc->abcd', eye, eye))
     expected = float(np.einsum('abcd,abcd->', t, pair)) / (n * (n + 2))
-    assert_allclose(sphere_average(t), expected, rtol=1e-12)
+    assert_allclose(sphere_average('abcd->abcd', t), expected, rtol=1e-12)
 
 
 def test_sphere_average_odd_degree_is_zero(rng):
-    assert sphere_average(rng.standard_normal((4, 4, 4))) == 0.0
+    assert sphere_average('abc->abc', rng.standard_normal((4, 4, 4))) == 0.0
 
 
 def test_sphere_average_degree_cap():
     with pytest.raises(DegreeTooHigh):
-        sphere_average(np.zeros((2,) * 10))
+        sphere_average('abcdefghij->abcdefghij', np.zeros((2,) * 10))
     c = np.eye(3)
     with pytest.raises(DegreeTooHigh):
         sphere_average('ab,cd,ef,gh,ij->abcdefghij', c, c, c, c, c)
+
+
+@pytest.mark.parametrize("spec", [np.eye(3), "ab", "ab->ab->ab"],
+                         ids=["tensor", "no-arrow", "two-arrows"])
+def test_sphere_average_takes_only_an_einsum_spec(spec):
+    """A coefficient tensor, the input form that was dropped, would reach
+    ``str.split`` and end in a bare AttributeError; a spec with no '->' or
+    with two ended in a ValueError on unpacking."""
+    with pytest.raises(InvalidSampling, match="exactly one '->'"):
+        sphere_average(spec, np.eye(3))
 
 
 def reference_sphere_average(tensor):
@@ -196,15 +198,13 @@ def reference_sphere_average(tensor):
 @pytest.mark.parametrize("key", ["hh3", "ns12"])
 def test_factor_averages_equal_materialized_averages(all_spaces, key):
     """Contracting the curvature factors under each pairing gives exactly
-    the average of the built coefficient tensor."""
+    the average of the coefficient tensor built here from the same spec."""
     geo = all_spaces[key]
     r, s1 = geo.r, geo.nabla_r
-    for spec, factors, builder in ((BETA_SPEC, (r, r, r), beta_tensor),
-                                   (GRAD_QUAD_SPEC, (s1, s1), grad_quad_tensor),
-                                   (R_CUBE_SPEC, (r, r, r), r_cube_tensor)):
-        tensor = builder(geo)
+    for spec, factors in ((BETA_SPEC, (r, r, r)), (GRAD_QUAD_SPEC, (s1, s1)),
+                          (R_CUBE_SPEC, (r, r, r))):
+        tensor = np.einsum(spec, *factors, optimize=True)
         want = reference_sphere_average(tensor)
-        assert sphere_average(tensor) == want, spec
         assert sphere_average(spec, *factors) == want, spec
 
 
@@ -230,17 +230,17 @@ def test_sphere_average_matches_montecarlo_for_quadratic(rng):
     n = 6
     t = rng.standard_normal((n, n))
     t = t + t.T
-    exact = sphere_average(t)
+    exact = sphere_average('ab->ab', t)
     dirs = random_directions(n, 200_000, rng)
     est = float(np.mean(np.einsum('ka,ab,kb->k', dirs, t, dirs)))
     assert_allclose(est, exact, atol=6 * abs(exact) / np.sqrt(200_000) + 1e-3)
 
 
-@pytest.mark.parametrize("quantity,tensor_builder,scale_power",
-                         [("beta", beta_tensor, 2),
-                          ("grad_quad", grad_quad_tensor, 3)])
-def test_mc_average_within_errorbars(ns12, quantity, tensor_builder, scale_power):
-    exact = sphere_average(tensor_builder(ns12))
+@pytest.mark.parametrize("quantity", ["beta", "grad_quad"])
+def test_mc_average_within_errorbars(ns12, quantity):
+    r, s1 = ns12.r, ns12.nabla_r
+    exact = {"beta": sphere_average(BETA_SPEC, r, r, r),
+             "grad_quad": sphere_average(GRAD_QUAD_SPEC, s1, s1)}[quantity]
     mean, se = mc_average(ns12, quantity, n_samples=100_000, seed=3)
     assert se > 0
     assert abs(mean - exact) < 5 * se
@@ -628,8 +628,8 @@ def test_a_battery_refuses_a_tolerance_that_fails_every_row(ch2, battery,
 
 def test_cube_average_tensor_consistency(ns12):
     """The degree-6 pairing of the R_u^3 trace tensor matches direct sampling."""
-    t = r_cube_tensor(ns12)
-    exact = sphere_average(t)
+    r = ns12.r
+    exact = sphere_average(R_CUBE_SPEC, r, r, r)
     rng = np.random.default_rng(11)
     dirs = random_directions(12, 4000, rng)
     ru = np.einsum('iabj,ka,kb->kij', ns12.r, dirs, dirs)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmlab.errors import (InvalidSampling, OrderUnsupported, StepFailure,
-                          ZeroLeadingCoefficient)
+from hmlab.errors import (InvalidSampling, OrderUnsupported, OutsideDomain,
+                          StepFailure, ZeroLeadingCoefficient)
 from hmlab.geometry import (constant_curvature_geometry, curvature_jet,
                             damek_ricci_geometry, geometry_from_algebra, ricci,
                             scale_bracket)
@@ -161,6 +161,14 @@ def test_volume_quotient_recursion_matches_series_division():
     assert quotient.offset == 1
     for k, v in enumerate(vk):
         assert_allclose(float(v), quotient.coefficient(k + 1), atol=1e-13)
+
+
+def test_volume_series_refuses_a_density_not_from_r0():
+    """The ball coefficients c_k/(n + k) hold for a density from r^0 only:
+    Theta = r + 2r^3 at n = 4 read r^4/4 + r^6/3, where the ball volume
+    int_0^r s^3 Theta(s) ds is r^5/5 + 2r^7/7."""
+    with pytest.raises(OutsideDomain, match="got offset 1"):
+        volume_series(TruncatedSeries([1.0, 0.0, 2.0], offset=1), 4)
 
 
 def test_vk_leading_coefficient_guard():

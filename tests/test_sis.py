@@ -9,7 +9,7 @@ from hmlab.errors import (DegenerateGram, DegreeMismatch, DegreeTooHigh,
                           OutsideDomain, SymbolAbsent)
 from hmlab.exactlinalg import det, rank
 from hmlab.geometry import curvature_jet
-from hmlab.invariants import beta_tensor, point_invariants, sphere_average
+from hmlab.invariants import BETA_SPEC, point_invariants, sphere_average
 from hmlab.radial import harmonic_density
 from hmlab.sis import (IdentityVector, ball_boundary_vector,
                        ball_volume_vector, canonical_generators,
@@ -63,7 +63,7 @@ def test_vanishing_identities_vanish(all_spaces):
 def test_ricci_square_row_evaluates_to_the_beta_average(ns12):
     vals = basis_values(ns12)
     n = 12
-    avg = sphere_average(beta_tensor(ns12))
+    avg = sphere_average(BETA_SPEC, ns12.r, ns12.r, ns12.r)
     assert abs(ricci_square_vector(n).evaluate(vals) - n * (n + 2) * avg) \
         < 1e-6 * abs(n * (n + 2) * avg)
 

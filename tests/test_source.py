@@ -177,6 +177,36 @@ def test_one_monte_carlo_fold():
                      and node.name in ("_mc_plan", "_squared_form")) == set()
 
 
+def test_sphere_averages_contract_curvature_factors():
+    """Every package call of invariants.sphere_average passes an einsum
+    spec string, a literal or a module-level constant, with its curvature
+    factors, so no coefficient tensor is handed to it; and the package
+    defines no builder of such a tensor (n^4 entries for beta, n^6 for
+    tr R_u'R_u') for a caller to average."""
+    specs, firsts = {}, []
+    for path in sorted(Path(hmlab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        specs |= {target.id: node.value.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Constant)
+                  for target in node.targets
+                  if isinstance(target, ast.Name)}
+        firsts += [node.args[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(
+                       node.func, "id", getattr(node.func, "attr", None))
+                   == "sphere_average"]
+    assert calls_by_scope("sphere_average") == \
+        {("invariants", "verify_average_identities")}
+    for arg in firsts:
+        spec = (arg.value if isinstance(arg, ast.Constant)
+                else specs.get(getattr(arg, "id", None)))
+        assert isinstance(spec, str) and spec.count("->") == 1, \
+            ast.unparse(arg)
+    assert scopes_of(lambda node: isinstance(node, ast.FunctionDef)
+                     and node.name in ("beta_tensor",
+                                       "grad_quad_tensor")) == set()
+
+
 def test_one_harmonic_series_closure():
     """The r^6 trace closure is applied in radial.harmonic_density only;
     every density or shape series that needs it goes through that one.  The
